@@ -82,11 +82,13 @@ from .polyident import (
     laplacian,
 )
 from .spectral import (
+    Discretization,
     QuadratureRule,
     SpectralFunction,
     analyze,
     circle_quadrature,
     constant_function,
+    discretization,
     harmonic_basis_function,
     integrate,
     min_on_grid,

@@ -18,15 +18,14 @@ from typing import List, Optional
 import numpy as np
 
 from .functional import exponent_q, functional_value, gradient
-from .gjms import multiplier_floats
+from .gjms import packed_multipliers
 from .mobius import barycenter, recenter
 from .spectral import (
     DEFAULT_DEGREE,
     SpectralFunction,
     constant_function,
-    quadrature_for_degree,
+    discretization,
     random_band_limited,
-    synthesize,
 )
 
 
@@ -71,21 +70,22 @@ class DescentTrace:
 
 
 class _Objective:
-    """I_2m evaluated on one shared oversampled rule."""
+    """I_2m evaluated on the cached 4x-oversampled discretization.
+
+    ``gradient``, ``barycenter`` and ``recenter`` default to the same
+    discretization, so the descent passes them no rule.
+    """
 
     def __init__(self, n: int, m: int, degree: int):
-        self.n, self.m = n, m
         self.q = exponent_q(n, m)
-        self.rule = quadrature_for_degree(n, degree, oversample=4)
-        p = multiplier_floats(n, m, degree)
-        ref = constant_function(n, 1.0, degree)
-        self.p_packed = p[ref.degree_of_coeff()]
+        self.disc = discretization(n, degree, oversample=4)
+        self.p_packed = packed_multipliers(n, m, degree)
 
     def values_on_grid(self, u: SpectralFunction) -> np.ndarray:
-        return synthesize(u, self.rule.nodes)
+        return self.disc.synthesize(u)
 
     def value(self, u: SpectralFunction, vals: np.ndarray) -> float:
-        integ = float(self.rule.weights @ vals ** (-self.q))
+        integ = float(self.disc.rule.weights @ vals ** (-self.q))
         e = float((self.p_packed * u.coeffs) @ u.coeffs)
         return math.exp((2.0 / self.q) * math.log(integ)) * e
 
@@ -123,11 +123,11 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         trace.grad_norms.append(gnorm)
         trace.min_values.append(float(np.min(vals)))
         trace.barycenter_norms.append(
-            float(np.linalg.norm(barycenter(u, np.zeros(n + 1), m, obj.rule)))
+            float(np.linalg.norm(barycenter(u, np.zeros(n + 1), m)))
         )
 
     for it in range(config.max_iter):
-        g = gradient(u, m, obj.rule)
+        g = gradient(u, m)
         gnorm = float(np.linalg.norm(g.coeffs))
         record(gnorm)
         if gnorm < config.grad_tol:
@@ -164,14 +164,12 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         step = min(alpha * 2.0, 1e6)
 
         if config.gauge_every and accepted % config.gauge_every == 0:
-            mass = float(obj.rule.weights @ vals)
-            drift = float(
-                np.linalg.norm(barycenter(u, np.zeros(n + 1), m, obj.rule))
-            ) / max(mass, 1e-300)
+            mass = float(obj.disc.rule.weights @ vals)
+            drift = float(np.linalg.norm(barycenter(u, np.zeros(n + 1), m))) / max(mass, 1e-300)
             # recenter only against real Mobius drift: near the optimum the
             # pullback's truncation noise would otherwise stall the gradient
             if drift > 0.01:
-                centered, _ = recenter(u, m, obj.rule)
+                centered, _ = recenter(u, m)
                 cvals = obj.values_on_grid(centered)
                 if float(np.min(cvals)) > config.positivity_floor:
                     cmax = float(np.max(cvals))
@@ -182,7 +180,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
                     if value <= current:
                         u, vals, current = centered, cvals, value
     else:
-        g = gradient(u, m, obj.rule)
+        g = gradient(u, m)
         record(float(np.linalg.norm(g.coeffs)))
         trace.termination_reason = "max_iterations"
 
@@ -210,9 +208,8 @@ def perturbation_sweep(
         raise ValueError("the functional requires 2m > n")
     rng = np.random.default_rng(seed)
     max_degree = max_degree if max_degree is not None else degree // 2
-    rule = quadrature_for_degree(n, degree, oversample=4)
     one = constant_function(n, 1.0, degree)
-    base = functional_value(one, m, rule)
+    base = functional_value(one, m)
     rows = []
     for trial in range(trials):
         phi = random_band_limited(n, degree, max_degree, rng)
@@ -222,6 +219,6 @@ def perturbation_sweep(
                 rows.append((trial, 0.0, 0.0))
                 continue
             perturbed = one + phi.scaled(eps)
-            gap = functional_value(perturbed, m, rule) - base
+            gap = functional_value(perturbed, m) - base
             rows.append((trial, float(eps), float(gap)))
     return rows

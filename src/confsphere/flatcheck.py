@@ -26,9 +26,7 @@ import numpy as np
 from .errors import PrecondViolated, SupportViolation
 from .functional import energy_quadratic, s1_energy_from_derivatives
 from .gjms import apply_operator
-from .spectral import QuadratureRule, SpectralFunction, circle_quadrature, synthesize
-
-TWO_PI = 2.0 * math.pi
+from .spectral import TWO_PI, QuadratureRule, SpectralFunction, circle_quadrature, synthesize
 
 # a weight is {(p, a, b): coeff} standing for sum coeff * h^p sin^a cos^b
 Weight = Dict[Tuple[Fraction, int, int], Fraction]

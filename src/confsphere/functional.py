@@ -20,16 +20,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonPositiveFunction
-from .gjms import apply_operator, multiplier_floats, s1_derivative_form_coefficients
+from .gjms import apply_operator, packed_multipliers, s1_derivative_form_coefficients
 from .spectral import (
     POSITIVITY_THRESHOLD,
+    Discretization,
     QuadratureRule,
     SpectralFunction,
     _aligned,
-    analyze,
+    discretization_for,
     min_on_grid,
-    quadrature_for_degree,
-    synthesize,
 )
 
 
@@ -59,37 +58,38 @@ def energy(u: SpectralFunction, v: SpectralFunction, m: int) -> float:
     the floating-point rounding.
     """
     a, b = _aligned(u, v)
-    degree = max(u.degree, v.degree)
-    p = multiplier_floats(u.n, m, degree)
-    full = SpectralFunction(u.n, a, u.axis)
-    return float(p[full.degree_of_coeff()] @ (a * b))
+    return float(packed_multipliers(u.n, m, max(u.degree, v.degree)) @ (a * b))
 
 
 def energy_quadratic(u: SpectralFunction, m: int) -> float:
     return energy(u, u, m)
 
 
-def _positivity_gate(u: SpectralFunction, rule: QuadratureRule) -> tuple:
+def _positivity_gate(u: SpectralFunction, disc: Discretization) -> tuple:
     """Values on the rule nodes plus the oversampled minimum; raises on failure."""
     mv = min_on_grid(u, oversample=4)
     if mv <= POSITIVITY_THRESHOLD:
         raise NonPositiveFunction(
             f"function is not strictly positive (grid minimum {mv:.3e})"
         )
-    return synthesize(u, rule.nodes), mv
+    return disc.synthesize(u), mv
 
 
-def _default_rule(u: SpectralFunction, rule: Optional[QuadratureRule]) -> QuadratureRule:
+def _discretization(u: SpectralFunction, rule: Optional[QuadratureRule]) -> Discretization:
     # negative powers are not band-limited: 4x oversampling by default
-    return rule if rule is not None else quadrature_for_degree(u.n, u.degree, oversample=4)
+    return discretization_for(u.n, u.degree, rule, oversample=4)
 
 
 def neg_power_integral(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None) -> float:
-    """integral of u^{-q} over S^n by quadrature (q = 2n/(2m-n))."""
-    rule = _default_rule(u, rule)
+    """integral of u^{-q} over S^n by quadrature (q = 2n/(2m-n)).
+
+    Without ``rule`` the cached 4x-oversampled discretization is used; on a
+    caller's rule the basis is built for each call.
+    """
+    disc = _discretization(u, rule)
     q = exponent_q(u.n, m)
-    vals, _ = _positivity_gate(u, rule)
-    return float(rule.weights @ vals ** (-q))
+    vals, _ = _positivity_gate(u, disc)
+    return float(disc.rule.weights @ vals ** (-q))
 
 
 def neg_power_norm(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None) -> float:
@@ -109,19 +109,18 @@ def el_residual(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = No
     kappa is the unique multiplier making the residual orthogonal to u, so
     the residual vanishes exactly at critical points of the functional.
     """
-    rule = _default_rule(u, rule)
+    disc = _discretization(u, rule)
     q = exponent_q(u.n, m)
-    vals, _ = _positivity_gate(u, rule)
-    pu_vals = synthesize(apply_operator(u, m), rule.nodes)
-    kappa = energy_quadratic(u, m) / float(rule.weights @ vals ** (-q))
+    vals, _ = _positivity_gate(u, disc)
+    pu_vals = disc.synthesize(apply_operator(u, m))
+    kappa = energy_quadratic(u, m) / float(disc.rule.weights @ vals ** (-q))
     res = pu_vals - kappa * vals ** (-q - 1.0)
-    return math.sqrt(float(rule.weights @ res**2))
+    return math.sqrt(float(disc.rule.weights @ res**2))
 
 
 def functional_report(
     u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None
 ) -> EnergyReport:
-    rule = _default_rule(u, rule)
     e = energy_quadratic(u, m)
     nn = neg_power_norm(u, m, rule)
     return EnergyReport(
@@ -141,13 +140,13 @@ def gradient(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None)
     grad I = 2 |u^{-1}|^2 P_2m u - 2 (integral u^{-q})^{2/q - 1} E(u) u^{-q-1},
     truncated at the degree of u.
     """
-    rule = _default_rule(u, rule)
+    disc = _discretization(u, rule)
     q = exponent_q(u.n, m)
-    vals, _ = _positivity_gate(u, rule)
-    integ = float(rule.weights @ vals ** (-q))
+    vals, _ = _positivity_gate(u, disc)
+    integ = float(disc.rule.weights @ vals ** (-q))
     e = energy_quadratic(u, m)
     pointwise = -2.0 * integ ** (2.0 / q - 1.0) * e * vals ** (-q - 1.0)
-    grad = analyze(pointwise, rule, u.degree, axis=u.axis)
+    grad = disc.analyze(pointwise, axis=u.axis)
     spectral_part = apply_operator(u, m).scaled(2.0 * integ ** (2.0 / q))
     return grad + spectral_part
 

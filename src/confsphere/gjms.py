@@ -17,14 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Set
 
 import numpy as np
 
 from . import spectral
-from .errors import CriticalOrder, SingularOperator
+from .errors import ConfSphereError, CriticalOrder, SingularOperator
 from .geometry import north_pole, unit_ball_volume
-from .spectral import SpectralFunction, zonal_basis_matrix
+from .spectral import SpectralFunction, packed_degrees, zonal_basis_matrix
 
 
 def multiplier(n: int, m: int, degree: int) -> Fraction:
@@ -71,6 +72,12 @@ def multiplier_floats(n: int, m: int, max_degree: int) -> np.ndarray:
     return MultiplierTable.build(n, m, max_degree).as_floats()
 
 
+@lru_cache(maxsize=256)
+def packed_multipliers(n: int, m: int, degree: int) -> np.ndarray:
+    """Read-only float multiplier of each packed coefficient, from the exact table once."""
+    return spectral._cached_array(multiplier_floats(n, m, degree)[packed_degrees(n, degree)])
+
+
 def kernel_degrees(n: int, m: int) -> Set[int]:
     """Exact set of harmonic degrees annihilated by the order-2m operator.
 
@@ -82,10 +89,12 @@ def kernel_degrees(n: int, m: int) -> Set[int]:
     # (2a+n-1)^2 = (2i+1)^2 solves to i = a + n/2 - 1, admissible for i < m
     out = set(range(0, m - n // 2 + 1))
     for a in sorted(out):
-        assert multiplier(n, m, a) == 0
+        if multiplier(n, m, a) != 0:
+            raise ConfSphereError(f"degree {a} should lie in the kernel at n={n}, m={m}")
     # boundary degrees just outside the kernel must be nonzero
     for a in (max(out, default=-1) + 1, max(out, default=-1) + 2):
-        assert multiplier(n, m, a) != 0
+        if multiplier(n, m, a) == 0:
+            raise ConfSphereError(f"degree {a} should lie outside the kernel at n={n}, m={m}")
     return out
 
 
@@ -98,8 +107,7 @@ def q_constant(n: int, m: int) -> Fraction:
 
 def apply_operator(u: SpectralFunction, m: int) -> SpectralFunction:
     """Coefficientwise action of the order-2m operator."""
-    p = multiplier_floats(u.n, m, u.degree)
-    return SpectralFunction(u.n, p[u.degree_of_coeff()] * u.coeffs, u.axis)
+    return SpectralFunction(u.n, packed_multipliers(u.n, m, u.degree) * u.coeffs, u.axis)
 
 
 def s1_derivative_form_coefficients(m: int) -> List[Fraction]:

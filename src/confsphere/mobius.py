@@ -28,15 +28,15 @@ from .geometry import (
     north_pole,
 )
 from .spectral import (
+    POSITIVITY_THRESHOLD,
+    TWO_PI,
+    Discretization,
     QuadratureRule,
     SpectralFunction,
-    analyze,
+    discretization_for,
     min_on_grid,
-    quadrature_for_degree,
     synthesize,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -124,12 +124,12 @@ def pullback(
     oversampled (2x by default) before re-projection; the energy
     invariance checks are the accuracy meter for this truncation.
     """
-    rule = rule if rule is not None else quadrature_for_degree(u.n, u.degree, oversample=2)
+    disc = discretization_for(u.n, u.degree, rule, oversample=2)
     if u.n == 1:
-        vals = _circle_pullback_values(u, phi, m, rule.nodes)
-        return analyze(vals, rule, u.degree)
-    vals = _zonal_pullback_values(u, _zonal_dilation(u, phi), m, rule.nodes)
-    return analyze(vals, rule, u.degree, axis=u.axis)
+        vals = _circle_pullback_values(u, phi, m, disc.rule.nodes)
+    else:
+        vals = _zonal_pullback_values(u, _zonal_dilation(u, phi), m, disc.rule.nodes)
+    return disc.analyze(vals, axis=u.axis)
 
 
 def extremal_values(n: int, m: int, t: np.ndarray, lam: float, scale: float = 1.0) -> np.ndarray:
@@ -154,15 +154,15 @@ def extremal(
     """The extremal family member as a spectral function about ``axis``."""
     if not (lam > 0 and scale > 0):
         raise ValueError("extremal requires lam > 0 and scale > 0")
-    rule = rule if rule is not None else quadrature_for_degree(n, degree, oversample=2)
+    disc = discretization_for(n, degree, rule, oversample=2)
     if axis is None:
         axis = north_pole(n)
     if n == 1:
         pole = _circle_axis_angle(axis)
-        vals = extremal_values(n, m, np.cos(rule.nodes - pole), lam, scale)
-        return analyze(vals, rule, degree)
-    vals = extremal_values(n, m, rule.nodes, lam, scale)
-    return analyze(vals, rule, degree, axis=axis)
+        vals = extremal_values(n, m, np.cos(disc.rule.nodes - pole), lam, scale)
+        return disc.analyze(vals)
+    vals = extremal_values(n, m, disc.rule.nodes, lam, scale)
+    return disc.analyze(vals, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +171,15 @@ def extremal(
 
 
 def _pullback_values_for_ball(
-    u: SpectralFunction, a: np.ndarray, m: int, rule: QuadratureRule
+    u: SpectralFunction, a: np.ndarray, m: int, disc: Discretization
 ) -> np.ndarray:
     """Values of the sigma_a pullback of u on the rule nodes."""
     if float(a @ a) == 0.0:
-        return synthesize(u, rule.nodes)
+        return disc.synthesize(u)
     phi = BallPoint(center=a)
     if u.n == 1:
-        return _circle_pullback_values(u, phi, m, rule.nodes)
-    return _zonal_pullback_values(u, _zonal_dilation(u, phi), m, rule.nodes)
+        return _circle_pullback_values(u, phi, m, disc.rule.nodes)
+    return _zonal_pullback_values(u, _zonal_dilation(u, phi), m, disc.rule.nodes)
 
 
 def barycenter(
@@ -188,17 +188,21 @@ def barycenter(
     m: int,
     rule: Optional[QuadratureRule] = None,
 ) -> np.ndarray:
-    """First moment C(a) of the sigma_a pullback, as a vector of R^{n+1}."""
-    if min_on_grid(u, oversample=4) <= 1e-8:
+    """First moment C(a) of the sigma_a pullback, as a vector of R^{n+1}.
+
+    Without ``rule`` the cached 4x-oversampled discretization is used.
+    """
+    if min_on_grid(u, oversample=4) <= POSITIVITY_THRESHOLD:
         raise NonPositiveFunction("barycenter requires a strictly positive function")
     a = np.asarray(a, dtype=float)
-    rule = rule if rule is not None else quadrature_for_degree(u.n, u.degree, oversample=4)
-    vals = _pullback_values_for_ball(u, a, m, rule)
+    disc = discretization_for(u.n, u.degree, rule, oversample=4)
+    vals = _pullback_values_for_ball(u, a, m, disc)
+    nodes, weights = disc.rule.nodes, disc.rule.weights
     if u.n == 1:
-        pts = np.column_stack([np.cos(rule.nodes), np.sin(rule.nodes)])
-        return pts.T @ (rule.weights * vals)
+        pts = np.column_stack([np.cos(nodes), np.sin(nodes)])
+        return pts.T @ (weights * vals)
     # zonal integrand: components orthogonal to the axis cancel
-    return float(rule.weights @ (vals * rule.nodes)) * u.axis
+    return float(weights @ (vals * nodes)) * u.axis
 
 
 def _zonal_ball_component(u: SpectralFunction, a: np.ndarray) -> float:
@@ -230,8 +234,8 @@ def find_center(
     solve along the axis with a bisection fallback.  If the budget runs
     out the best iterate is returned with ``converged=False``.
     """
-    rule = rule if rule is not None else quadrature_for_degree(u.n, u.degree, oversample=4)
-    mass = float(rule.weights @ synthesize(u, rule.nodes))
+    disc = discretization_for(u.n, u.degree, rule, oversample=4)
+    mass = float(disc.rule.weights @ disc.synthesize(u))
     moment = barycenter(u, np.zeros(u.n + 1), m, rule) / mass
     if u.n == 1:
         return _find_center_newton(u, m, rule, moment, tol, max_iter)

@@ -19,7 +19,11 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -36,6 +40,29 @@ REFINED_DEGREE = 64
 
 #: strict-positivity threshold used by the oversampled-grid gate
 POSITIVITY_THRESHOLD = 1e-8
+
+#: bytes the discretization cache may hold.  It fits the circle basis at
+#: degree 512 with 4x oversampling (1025 x 4104 doubles, 33.6 MB); a single
+#: discretization larger than this is built, used and not stored.
+DISCRETIZATION_CACHE_BYTES = 64 * 2**20
+
+
+def _cached_array(a: np.ndarray) -> np.ndarray:
+    """Read-only version of ``a`` for a cache.
+
+    Cached arrays live as long as the process.  A small one taken from the
+    malloc heap in the middle of a run pins the top of the heap, so the
+    transients freed below it stay resident and raise the peak memory; it
+    is copied into an anonymous memory map of its own.  An array of 4 MiB
+    or more stays where it is, since a copy would double its peak.
+    """
+    if a.nbytes < 4 * 2**20:
+        out = np.frombuffer(mmap.mmap(-1, max(a.nbytes, 1)), dtype=a.dtype, count=a.size)
+        out = out.reshape(a.shape)
+        out[...] = a
+        a = out
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +154,18 @@ def _log_gegenbauer_norm_sq(alpha: int, nu: float) -> float:
     )
 
 
+@lru_cache(maxsize=64)
+def _zonal_normalization(n: int, degree: int) -> np.ndarray:
+    """Factors taking C_alpha^{(n-1)/2} to unit L^2(mu_{S^n}) norm, alpha = 0..degree."""
+    nu = (n - 1) / 2.0
+    log_area = math.log(sphere_surface_area(n))
+    return _cached_array(
+        np.array(
+            [math.exp(-0.5 * (log_area + _log_gegenbauer_norm_sq(a, nu))) for a in range(degree + 1)]
+        )
+    )
+
+
 def zonal_basis_matrix(n: int, degree: int, t: np.ndarray) -> np.ndarray:
     """Rows Z_alpha(t) of the unit-L^2(mu_{S^n}) zonal Gegenbauer basis."""
     nu = (n - 1) / 2.0
@@ -137,10 +176,28 @@ def zonal_basis_matrix(n: int, degree: int, t: np.ndarray) -> np.ndarray:
         raw[1] = 2.0 * nu * t
     for a in range(1, degree):
         raw[a + 1] = (2.0 * (a + nu) * t * raw[a] - (a + 2.0 * nu - 1.0) * raw[a - 1]) / (a + 1.0)
-    log_area = math.log(sphere_surface_area(n))
-    for a in range(degree + 1):
-        raw[a] *= math.exp(-0.5 * (log_area + _log_gegenbauer_norm_sq(a, nu)))
+    raw *= _zonal_normalization(n, degree)[:, None]
     return raw
+
+
+def basis_matrix(n: int, degree: int, points: np.ndarray, deriv: int = 0) -> np.ndarray:
+    """Packed basis of degree-``degree`` functions on S^n at ``points``, one row per coefficient.
+
+    ``points`` are angles for ``n = 1`` and axis cosines for zonal functions;
+    ``deriv`` (circle only) differentiates in theta.
+    """
+    if n == 1:
+        return circle_basis_matrix(degree, points, deriv)
+    if deriv != 0:
+        raise ValueError("derivative synthesis is only provided on the circle")
+    return zonal_basis_matrix(n, degree, points)
+
+
+def packed_degrees(n: int, degree: int) -> np.ndarray:
+    """Spherical-harmonic degree of each packed coefficient."""
+    if n == 1:
+        return np.concatenate([[0], np.repeat(np.arange(1, degree + 1), 2)])
+    return np.arange(degree + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +232,10 @@ class SpectralFunction:
                 raise ValueError("zonal representation requires odd n >= 3")
             if self.axis is None:
                 raise ValueError("zonal functions require an axis")
+            if np.shape(self.axis) != (self.n + 1,):
+                raise AxisMismatch(
+                    f"a zonal axis on S^{self.n} has {self.n + 1} entries, got shape {np.shape(self.axis)}"
+                )
             object.__setattr__(self, "axis", unit_vector(self.axis))
 
     @property
@@ -187,12 +248,7 @@ class SpectralFunction:
 
     def degree_of_coeff(self) -> np.ndarray:
         """Spherical-harmonic degree of each packed coefficient."""
-        if self.n == 1:
-            d = np.zeros(self.coeffs.size, dtype=int)
-            for k in range(1, self.degree + 1):
-                d[2 * k - 1] = d[2 * k] = k
-            return d
-        return np.arange(self.coeffs.size)
+        return packed_degrees(self.n, self.degree)
 
     def norm_sq(self) -> float:
         """L^2(mu) norm squared; equals the integral of u^2 by Parseval."""
@@ -223,18 +279,20 @@ def _aligned(u: SpectralFunction, v: SpectralFunction):
     return a, b
 
 
-def synthesize(u: SpectralFunction, points: np.ndarray, deriv: int = 0) -> np.ndarray:
+def synthesize(
+    u: SpectralFunction, points: np.ndarray, deriv: int = 0, basis: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Pointwise values of the expansion.
 
     ``points`` are angles for ``n = 1`` and axis cosines ``t`` for zonal
     functions.  ``deriv`` (circle only) evaluates the theta-derivative of
-    that order, which is exact for the truncated series.
+    that order, which is exact for the truncated series.  ``basis`` is the
+    basis already evaluated at ``points`` (a :class:`Discretization` passes
+    its cached one); without it the basis is built for this call.
     """
-    if u.n == 1:
-        return circle_basis_matrix(u.degree, points, deriv).T @ u.coeffs
-    if deriv != 0:
-        raise ValueError("derivative synthesis is only provided on the circle")
-    return zonal_basis_matrix(u.n, u.degree, points).T @ u.coeffs
+    if basis is None:
+        basis = basis_matrix(u.n, u.degree, points, deriv)
+    return basis.T @ u.coeffs
 
 
 def analyze(
@@ -242,28 +300,119 @@ def analyze(
     rule: QuadratureRule,
     degree: int,
     axis: Optional[np.ndarray] = None,
+    basis: Optional[np.ndarray] = None,
 ) -> SpectralFunction:
     """Orthogonal projection of nodal values onto degrees <= ``degree``.
 
     Exact (to rounding) on band-limited input when the rule meets the
-    Gauss exactness bound; :class:`InsufficientNodes` otherwise.
+    Gauss exactness bound; :class:`InsufficientNodes` otherwise.  ``basis``
+    is the degree-``degree`` basis on the rule nodes, built here if absent.
     """
     values = np.asarray(values, dtype=float)
+    if rule.size < (2 * degree + 2 if rule.n == 1 else degree + 1):
+        kind = "circle grid" if rule.n == 1 else "Gauss-Jacobi rule"
+        raise InsufficientNodes(f"{kind} of {rule.size} nodes cannot resolve degree {degree}")
+    if basis is None:
+        basis = basis_matrix(rule.n, degree, rule.nodes)
+    coeffs = basis @ (rule.weights * values)
     if rule.n == 1:
-        if rule.size < 2 * degree + 2:
-            raise InsufficientNodes(
-                f"circle grid of {rule.size} nodes cannot resolve degree {degree}"
-            )
-        coeffs = circle_basis_matrix(degree, rule.nodes) @ (rule.weights * values)
         return SpectralFunction(1, coeffs)
-    if rule.size < degree + 1:
-        raise InsufficientNodes(
-            f"Gauss-Jacobi rule of {rule.size} nodes cannot resolve degree {degree}"
-        )
     if axis is None:
         axis = north_pole(rule.n)
-    coeffs = zonal_basis_matrix(rule.n, degree, rule.nodes) @ (rule.weights * values)
     return SpectralFunction(rule.n, coeffs, axis)
+
+
+# ---------------------------------------------------------------------------
+# discretizations and their cache
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """A quadrature rule with the transforms of degree-``degree`` functions on it.
+
+    :func:`discretization` builds one per ``(n, degree, oversample)`` and
+    caches it: ``basis`` is the packed basis on the rule nodes, ``grid`` the
+    positivity grid (the rule nodes, plus the poles t = -1, 1 for zonal
+    functions, since Gauss-Jacobi nodes are interior) and ``grid_basis`` the
+    basis on that grid.  Every cached array is read-only.  Built directly on
+    a caller's rule, it holds no matrices and its transforms build the basis
+    on each call.
+    """
+
+    rule: QuadratureRule
+    degree: int
+    basis: Optional[np.ndarray] = None
+    grid: Optional[np.ndarray] = None
+    grid_basis: Optional[np.ndarray] = None
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.rule.nodes, self.rule.weights, self.basis, self.grid, self.grid_basis)
+        # on the circle the grid and its basis are the rule's own arrays
+        distinct = {id(a): a for a in arrays if a is not None}
+        return sum(a.nbytes for a in distinct.values())
+
+    def synthesize(self, u: SpectralFunction) -> np.ndarray:
+        """Values of u (of this degree) on the rule nodes."""
+        return synthesize(u, self.rule.nodes, basis=self.basis)
+
+    def analyze(self, values: np.ndarray, axis: Optional[np.ndarray] = None) -> SpectralFunction:
+        """Projection of values on the rule nodes onto degrees <= ``degree``."""
+        return analyze(values, self.rule, self.degree, axis, basis=self.basis)
+
+
+def _build_discretization(n: int, degree: int, oversample: int) -> Discretization:
+    rule = quadrature_for_degree(n, degree, oversample=oversample)
+    rule = QuadratureRule(n, _cached_array(rule.nodes), _cached_array(rule.weights))
+    basis = _cached_array(basis_matrix(n, degree, rule.nodes))
+    if n == 1:
+        grid, grid_basis = rule.nodes, basis
+    else:
+        grid = _cached_array(np.concatenate([[-1.0], rule.nodes, [1.0]]))
+        grid_basis = _cached_array(basis_matrix(n, degree, grid))
+    return Discretization(rule, degree, basis, grid, grid_basis)
+
+
+_cache: "OrderedDict[tuple, Discretization]" = OrderedDict()
+_cache_lock = threading.Lock()
+
+
+def discretization(n: int, degree: int, oversample: int = 2) -> Discretization:
+    """The discretization of degree-``degree`` functions on S^n, built once.
+
+    Rules are canonical in their size, so the cache is keyed on the three
+    integers.  It keeps the most recently used entries within
+    :data:`DISCRETIZATION_CACHE_BYTES`.
+    """
+    key = (int(n), int(degree), int(oversample))
+    with _cache_lock:
+        disc = _cache.get(key)
+        if disc is not None:
+            _cache.move_to_end(key)
+            return disc
+    disc = _build_discretization(*key)
+    if disc.nbytes <= DISCRETIZATION_CACHE_BYTES:
+        with _cache_lock:
+            _cache[key] = disc
+            held = sum(d.nbytes for d in _cache.values())
+            while held > DISCRETIZATION_CACHE_BYTES:
+                held -= _cache.popitem(last=False)[1].nbytes
+    return disc
+
+
+def discretization_for(
+    n: int, degree: int, rule: Optional[QuadratureRule], oversample: int
+) -> Discretization:
+    """The cached discretization, or a bare one on the caller's ``rule``."""
+    return discretization(n, degree, oversample) if rule is None else Discretization(rule, degree)
+
+
+def clear_caches() -> None:
+    """Drop every cached discretization and zonal normalization."""
+    with _cache_lock:
+        _cache.clear()
+    _zonal_normalization.cache_clear()
 
 
 def min_on_grid(u: SpectralFunction, oversample: int = 4) -> float:
@@ -272,11 +421,8 @@ def min_on_grid(u: SpectralFunction, oversample: int = 4) -> float:
     Gauss-Jacobi nodes are interior, so for zonal functions the poles
     t = +-1 are appended; a dip exactly at a pole must not pass the gate.
     """
-    rule = quadrature_for_degree(u.n, max(u.degree, 1), oversample=oversample)
-    points = rule.nodes
-    if u.n != 1:
-        points = np.concatenate([[-1.0], points, [1.0]])
-    return float(np.min(synthesize(u, points)))
+    disc = discretization(u.n, max(u.degree, 1), oversample)
+    return float(np.min(synthesize(u, disc.grid, basis=disc.grid_basis[: u.coeffs.size])))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +499,7 @@ def random_positive_function(
 ) -> SpectralFunction:
     """1 + a bounded random ripple; strictly positive by construction."""
     ripple = random_band_limited(n, degree, max_degree, rng, decay=decay, axis=axis)
-    rule = quadrature_for_degree(n, degree, oversample=4)
-    vals = synthesize(ripple, rule.nodes)
+    vals = discretization(n, degree, oversample=4).synthesize(ripple)
     peak = float(np.max(np.abs(vals)))
     if peak > 0:
         ripple = ripple.scaled(amplitude / peak)

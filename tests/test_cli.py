@@ -56,6 +56,13 @@ def test_energy_from_json_input(tmp_path, capsys):
     assert data["minValue"] > 0
 
 
+def test_energy_input_with_short_zonal_axis_exits_two(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"dim": 3, "kind": "zonal", "coeffs": [1.0, 0.0, 0.0], "axis": [1.0, 0.0]}))
+    code, _ = run_cli(capsys, "energy", "--n", "3", "--m", "2", "--L", "16", "--input", str(path))
+    assert code == 2
+
+
 def test_energy_validation_failure(capsys):
     code, _ = run_cli(capsys, "energy", "--n", "2", "--m", "1", "--L", "16")
     assert code == 2

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from confsphere.errors import CriticalOrder, SingularOperator
+from confsphere import gjms
+from confsphere.errors import ConfSphereError, CriticalOrder, SingularOperator
 from confsphere.gjms import (
     MultiplierTable,
     apply_operator,
@@ -72,6 +73,16 @@ def test_even_n_nonnegative_above_critical():
         for m in range(n // 2 + 1, 9):
             for a in range(0, 201):
                 assert multiplier(n, m, a) >= 0
+
+
+def test_kernel_degrees_rejects_a_broken_kernel_claim(monkeypatch):
+    exact = gjms.multiplier
+    monkeypatch.setattr(gjms, "multiplier", lambda n, m, a: exact(n, m, a) + (a == 1))
+    with pytest.raises(ConfSphereError, match="lie in the kernel"):
+        kernel_degrees(2, 2)
+    monkeypatch.setattr(gjms, "multiplier", lambda n, m, a: exact(n, m, a) * (a != 2))
+    with pytest.raises(ConfSphereError, match="outside the kernel"):
+        kernel_degrees(2, 2)
 
 
 def test_kernel_degrees():

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer
 
-from confsphere.errors import InsufficientNodes
+from confsphere import spectral
+from confsphere.errors import AxisMismatch, InsufficientNodes
+from confsphere.extremize import OptimizerConfig, minimize
+from confsphere.gjms import apply_operator, packed_multipliers
 from confsphere.geometry import sphere_measure, sphere_surface_area
 from confsphere.spectral import (
     SpectralFunction,
     analyze,
     circle_quadrature,
+    clear_caches,
     constant_function,
+    discretization,
     dumps,
     harmonic_basis_function,
     integrate,
@@ -18,6 +23,7 @@ from confsphere.spectral import (
     min_on_grid,
     quadrature_for_degree,
     random_band_limited,
+    random_positive_function,
     synthesize,
     zonal_quadrature,
 )
@@ -177,3 +183,89 @@ def test_derivative_synthesis_is_exact():
     assert np.max(np.abs(d1 - 3 * np.cos(3 * theta) / math.sqrt(math.pi))) < 1e-13
     d2 = synthesize(u, theta, deriv=2)
     assert np.max(np.abs(d2 + 9 * np.sin(3 * theta) / math.sqrt(math.pi))) < 1e-12
+
+
+def test_zonal_axis_must_have_n_plus_one_entries():
+    with pytest.raises(AxisMismatch):
+        SpectralFunction(3, [1.0, 0.0, 0.0], axis=[1.0, 0.0])
+    assert SpectralFunction(3, [1.0, 0.0, 0.0], axis=[0.0, 2.0, 0.0, 0.0]).axis[1] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the discretization cache
+# ---------------------------------------------------------------------------
+
+
+def _cold():
+    clear_caches()
+    packed_multipliers.cache_clear()
+
+
+def _trace_repr(trace):
+    return repr(
+        (
+            trace.values,
+            trace.grad_norms,
+            trace.min_values,
+            trace.barycenter_norms,
+            trace.termination_reason,
+            trace.iterations,
+            list(trace.final.coeffs),
+        )
+    )
+
+
+def test_minimize_cold_and_warm_cache_agree_bit_for_bit():
+    for n, m, L in ((1, 1, 16), (3, 2, 16)):
+        u0 = random_positive_function(n, L, L // 4, np.random.default_rng(3))
+        config = OptimizerConfig(degree=L, max_iter=25)
+        _cold()
+        cold = _trace_repr(minimize(u0, m, config))
+        warm = _trace_repr(minimize(u0, m, config))
+        assert cold == warm
+
+
+def test_cached_arrays_are_read_only():
+    for n in (1, 3):
+        disc = discretization(n, 8, 4)
+        arrays = (disc.rule.nodes, disc.rule.weights, disc.basis, disc.grid, disc.grid_basis)
+        for a in arrays + (packed_multipliers(n, 2, 8),):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+    # results computed from cached arrays stay writable
+    u = apply_operator(constant_function(1, 1.0, 8), 1)
+    u.coeffs[0] = 0.0
+
+
+def test_oversampling_factors_do_not_alias():
+    for n in (1, 3):
+        d2, d4 = discretization(n, 12, 2), discretization(n, 12, 4)
+        assert d2 is not d4
+        assert d4.rule.size == 2 * d2.rule.size
+        assert d2.basis.shape[1] == d2.rule.size and d4.basis.shape[1] == d4.rule.size
+        assert discretization(n, 12, 2) is d2 and discretization(n, 12, 4) is d4
+
+
+def test_zonal_grid_appends_the_poles():
+    disc = discretization(3, 8, 4)
+    assert disc.grid[0] == -1.0 and disc.grid[-1] == 1.0
+    assert np.array_equal(disc.grid[1:-1], disc.rule.nodes)
+    circle = discretization(1, 8, 4)
+    assert circle.grid is circle.rule.nodes and circle.grid_basis is circle.basis
+
+
+def test_discretization_over_the_byte_bound_is_not_stored(monkeypatch):
+    _cold()
+    small = discretization(1, 4, 2)
+    monkeypatch.setattr(spectral, "DISCRETIZATION_CACHE_BYTES", 2 * small.nbytes)
+    big = discretization(1, 32, 4)
+    assert big.nbytes > spectral.DISCRETIZATION_CACHE_BYTES
+    again = discretization(1, 32, 4)
+    assert again is not big
+    assert np.array_equal(again.basis, big.basis)
+    assert discretization(1, 4, 2) is small
+    # a second entry that would pass the bound evicts the least recently used
+    other = discretization(1, 4, 3)
+    assert other.nbytes + small.nbytes > spectral.DISCRETIZATION_CACHE_BYTES
+    assert discretization(1, 4, 3) is other
+    assert discretization(1, 4, 2) is not small

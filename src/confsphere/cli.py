@@ -5,8 +5,9 @@ CSV is RFC-4180-style with floats at 17 significant digits and exact
 rationals split into numerator/denominator columns.  Identical
 configuration and seed produce byte-identical output.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence
-(and 1 when an exact identity check reports a nonzero residual).
+Exit codes: 0 success, 2 validation failure (one line on stderr, never a
+traceback), 3 numerical non-convergence, and 1 when an exact identity check
+reports a nonzero residual.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .spectral import (
     harmonic_basis_function,
     random_band_limited,
     random_positive_function,
+    roots_jacobi,
 )
 from .stability import hessian_spectrum
 
@@ -115,6 +117,7 @@ def _validate_sphere(n: int, m: int, degree: Optional[int] = None, functional: b
 
 def _cmd_multiplier_table(args) -> int:
     _validate_sphere(args.n, args.m, functional=False)
+    _require(args.max_degree >= 0, "--max-degree must be >= 0")
     rows = []
     for alpha in range(args.max_degree + 1):
         p = multiplier(args.n, args.m, alpha)
@@ -145,7 +148,8 @@ def _cmd_constants(args) -> int:
     frac, power, label = _sharp_constant_closed_form(args.n, args.m)
     mu = sphere_measure(args.n)
     closed = float(frac) * mu ** float(power)
-    degree = args.degree or 16
+    degree = args.degree
+    _require(degree >= 1, "L must be >= 1")
     numeric = functional_value(constant_function(args.n, 1.0, degree), args.m)
     payload = _provenance(args.n, args.m, degree, None)
     payload.update(
@@ -165,8 +169,14 @@ def _cmd_constants(args) -> int:
 
 def _load_function(args, degree: int) -> SpectralFunction:
     if args.input:
-        with open(args.input) as fh:
-            return from_json_dict(json.load(fh))
+        try:
+            with open(args.input) as fh:
+                return from_json_dict(json.load(fh))
+        except OSError as exc:
+            raise InvalidConfig(f"cannot read --input: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            # ValueError covers malformed JSON and rejected coefficients
+            raise InvalidConfig(f"--input {args.input} is not a spectral function: {exc}") from exc
     if args.seed is not None:
         rng = np.random.default_rng(args.seed)
         return random_positive_function(args.n, degree, max_degree=degree // 2, rng=rng)
@@ -194,6 +204,8 @@ def _cmd_energy(args) -> int:
 
 def _cmd_invariance_check(args) -> int:
     _validate_sphere(args.n, args.m, args.degree)
+    _require(args.trials >= 1, "--trials must be >= 1")
+    _require(args.lam is None or args.lam > 0, "--lambda must be positive")
     rng = np.random.default_rng(args.seed)
     rows = []
     for trial in range(args.trials):
@@ -228,6 +240,8 @@ def _cmd_hessian(args) -> int:
 
 def _cmd_minimize(args) -> int:
     _validate_sphere(args.n, args.m, args.degree)
+    _require(args.max_iter >= 1, "--max-iter must be >= 1")
+    _require(args.eps > 0, "--eps must be positive")
     rng = np.random.default_rng(args.seed)
     u0 = random_positive_function(args.n, args.degree, max_degree=args.degree // 4, rng=rng)
     config = OptimizerConfig(
@@ -272,6 +286,7 @@ def _cmd_minimize(args) -> int:
 def _cmd_green_check(args) -> int:
     _validate_sphere(args.n, args.m, args.degree)
     _require(args.n % 2 == 1, "the Green's function requires odd n")
+    _require(args.samples >= 1, "--samples must be >= 1")
     from .spectral import synthesize
 
     rng = np.random.default_rng(args.seed or 0)
@@ -308,6 +323,7 @@ def _cmd_green_check(args) -> int:
 def _cmd_flat_identity_check(args) -> int:
     _require(args.m in (1, 2), "flat identities are implemented for m in {1, 2}")
     _require(args.degree >= 8, "L must be >= 8")
+    _require(args.trials >= 1, "--trials must be >= 1")
     rng = np.random.default_rng(args.seed)
     rows = []
     for trial in range(args.trials):
@@ -344,6 +360,8 @@ def admissible_random_function(degree: int, m: int, rng: np.random.Generator) ->
 def _cmd_poly_identity(args) -> int:
     _require(args.n >= 1, "the number of variables must be >= 1")
     _require(args.m >= 0, "m must be >= 0")
+    _require(args.deg >= 0, "--deg must be >= 0")
+    _require(args.trials >= 1, "--trials must be >= 1")
     rng = np.random.default_rng(args.seed)
     rows = []
     failures = 0
@@ -363,13 +381,12 @@ def _cmd_poly_identity(args) -> int:
 
 def _cmd_counterexample_sin(args) -> int:
     degree = args.degree
+    _require(degree >= 1, "L must be >= 1")
     sin_theta = harmonic_basis_function(1, 1, degree, component="sin").scaled(math.sqrt(math.pi))
     e4 = energy_quadratic(sin_theta, 2)
     # integral of |sin|^{-2/3} reduces to the Gauss-Jacobi weight sum for
     # (1-t^2)^{-5/6}; the Beta function gives the independent closed form
-    from scipy.special import roots_jacobi
-
-    _, w = roots_jacobi(200, -5.0 / 6.0, -5.0 / 6.0)
+    _, w = roots_jacobi(200, -5.0 / 6.0)
     neg_integral = 2.0 * float(np.sum(w))
     beta_closed = 2.0 * math.gamma(0.5) * math.gamma(1.0 / 6.0) / math.gamma(2.0 / 3.0)
     norm_factor = neg_integral**3
@@ -480,6 +497,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require(getattr(args, "seed", None) is None or args.seed >= 0, "--seed must be >= 0")
         return args.func(args)
     except InvalidConfig as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")

@@ -189,6 +189,19 @@ def reproduce_at_pole(green: SpectralFunction, u: SpectralFunction, m: int) -> f
     return float(a @ b)
 
 
+def _float_shifted_squares(n: int, m: int, alpha: np.ndarray) -> np.ndarray:
+    """p_2m(alpha) in floats, as ((2 alpha + n - 1)^2 - (2i + 1)^2) products over 4^m.
+
+    For degree ranges too long for the exact table: each factor is an exact
+    integer, so only the m - 1 products round.
+    """
+    s = 2.0 * alpha + (n - 1)
+    out = np.ones(s.shape)
+    for i in range(m):
+        out *= s * s - (2 * i + 1) ** 2
+    return out / 4.0**m
+
+
 def green_series_values(
     n: int, m: int, t: np.ndarray, terms: int = 20000
 ) -> np.ndarray:
@@ -204,9 +217,7 @@ def green_series_values(
         theta = np.arccos(np.clip(t, -1.0, 1.0))
         p0 = float(multiplier(1, m, 0))
         k = np.arange(1, terms + 1, dtype=float)
-        pk = np.ones(terms)
-        for i in range(m):
-            pk *= k * k - (2 * i + 1) ** 2 / 4.0
+        pk = _float_shifted_squares(1, m, k)
         out = np.full(theta.shape, 1.0 / (2.0 * math.pi * p0))
         cos_kth = np.cos(np.outer(theta, k))
         if m == 1:
@@ -217,7 +228,7 @@ def green_series_values(
         else:
             out += (cos_kth @ (1.0 / pk)) / math.pi
         return out
-    p = multiplier_floats(n, m, terms)
+    p = _float_shifted_squares(n, m, np.arange(terms + 1, dtype=float))
     z = zonal_basis_matrix(n, terms, t)
     z1 = zonal_basis_matrix(n, terms, np.array([1.0]))[:, 0]
     return z.T @ (z1 / p)

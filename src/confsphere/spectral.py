@@ -27,7 +27,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import AxisMismatch, InsufficientNodes
 from .geometry import north_pole, sphere_measure, sphere_surface_area, unit_vector
@@ -95,9 +94,30 @@ def circle_quadrature(num_nodes: int) -> QuadratureRule:
     return QuadratureRule(n=1, nodes=theta, weights=weights)
 
 
+def roots_jacobi(num_nodes: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights for the weight ``(1 - t^2)^a`` on (-1, 1), ``a > -1``.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the Gegenbauer recurrence (zero diagonal), and the weights are
+    ``mu_0 v_0^2`` with ``mu_0`` the integral of the weight and ``v_0`` the
+    first component of each unit eigenvector.  The result is symmetrized,
+    so nodes come in exact +-pairs with equal weights.
+    """
+    if num_nodes < 1 or not a > -1.0:
+        raise ValueError("require num_nodes >= 1 and a > -1")
+    # squared off-diagonal b_k^2 = k (k + 2a) / ((2k + 2a)^2 - 1); at k = 1
+    # the factor 1 + 2a cancels, which keeps a = -1/2 (Chebyshev) finite
+    k = np.arange(2, num_nodes, dtype=float)
+    off_sq = k * (k + 2.0 * a) / ((2.0 * k + 2.0 * a) ** 2 - 1.0)
+    off = np.sqrt(np.concatenate([[1.0 / (2.0 * a + 3.0)], off_sq])[: num_nodes - 1])
+    t, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mu0 = 2.0 ** (2.0 * a + 1.0) * math.gamma(a + 1.0) ** 2 / math.gamma(2.0 * a + 2.0)
+    w = mu0 * v[0] ** 2
+    return (t - t[::-1]) / 2.0, (w + w[::-1]) / 2.0
+
+
 def zonal_quadrature(n: int, num_nodes: int) -> QuadratureRule:
-    a = (n - 2) / 2.0
-    t, w = roots_jacobi(num_nodes, a, a)
+    t, w = roots_jacobi(num_nodes, (n - 2) / 2.0)
     return QuadratureRule(n=n, nodes=t, weights=w * sphere_surface_area(n))
 
 

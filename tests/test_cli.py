@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from confsphere.cli import main
 from confsphere.spectral import dumps, random_positive_function
@@ -174,3 +178,81 @@ def test_green_check_zonal(capsys):
     data = json.loads(out)
     assert data["reproduce_max_abs_error"] < 1e-8
     assert data["ratio_spread"] < 1e-6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("minimize", "--n", "1", "--m", "1", "--L", "16", "--max-iter", "0"),
+        ("minimize", "--n", "1", "--m", "1", "--L", "16", "--eps", "0"),
+        ("minimize", "--n", "1", "--m", "1", "--L", "16", "--seed", "-1"),
+        ("green-check", "--n", "1", "--m", "1", "--samples", "0"),
+        ("invariance-check", "--n", "1", "--m", "1", "--trials", "-3"),
+        ("invariance-check", "--n", "1", "--m", "1", "--lambda", "-1"),
+        ("multiplier-table", "--n", "1", "--m", "1", "--max-degree", "-2"),
+        ("constants", "--n", "1", "--m", "1", "--L", "-5"),
+        ("flat-identity-check", "--m", "1", "--trials", "-1"),
+        ("poly-identity", "--n", "2", "--m", "1", "--deg", "-1"),
+        ("poly-identity", "--n", "2", "--m", "1", "--trials", "0"),
+        ("counterexample-sin", "--L", "0"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_invalid_arguments_exit_two_with_one_line(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        "{not json",
+        json.dumps({"dim": 1, "kind": "circle", "coeffs": [1.0, 0.0]}),
+        json.dumps([1.0, 0.0, 0.0]),
+    ],
+    ids=("missing-file", "malformed-json", "even-circle-length", "not-an-object"),
+)
+def test_energy_unusable_input_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "u.json"
+    if content is not None:
+        path.write_text(content)
+    code = main(["energy", "--n", "1", "--m", "1", "--L", "16", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+_NO_SCIPY = """
+import sys
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked: " + name)
+        return None
+
+sys.meta_path.insert(0, _NoScipy())
+from confsphere.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+loaded = sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+print("RESULT", code, ",".join(loaded))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv", [(), ("counterexample-sin",), ("energy", "--n", "3", "--m", "2", "--L", "16")], ids=repr
+)
+def test_runtime_never_loads_scipy(argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "RESULT 0 "

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer
+from scipy.special import roots_jacobi as scipy_roots_jacobi
 
 from confsphere import spectral
 from confsphere.errors import AxisMismatch, InsufficientNodes
@@ -24,6 +25,7 @@ from confsphere.spectral import (
     quadrature_for_degree,
     random_band_limited,
     random_positive_function,
+    roots_jacobi,
     synthesize,
     zonal_quadrature,
 )
@@ -120,6 +122,49 @@ def test_gauss_exactness_against_beta():
             r = d // 2
             expected = area * math.gamma(r + 0.5) * math.gamma(n / 2) / math.gamma(r + 0.5 + n / 2)
         assert abs(got - expected) < 1e-12 * max(1.0, abs(expected)), d
+
+
+# the exponents a = (n - 2)/2 of S^3, S^5, S^9 and the -5/6 of counterexample-sin
+JACOBI_EXPONENTS = (0.5, 1.5, 3.5, -5.0 / 6.0)
+
+
+@pytest.mark.parametrize("a", JACOBI_EXPONENTS)
+@pytest.mark.parametrize("K", (8, 66, 260))
+def test_roots_jacobi_integrates_beta_moments(a, K):
+    # int t^{2j} (1 - t^2)^a dt = B(j + 1/2, a + 1), exact for 2j <= 2K - 1
+    t, w = roots_jacobi(K, a)
+    for j in range(K):
+        beta = math.exp(math.lgamma(j + 0.5) + math.lgamma(a + 1.0) - math.lgamma(j + a + 1.5))
+        assert abs(float(w @ t ** (2 * j)) - beta) < 1e-11 * beta, j
+
+
+@pytest.mark.parametrize(
+    "a, K",
+    [(a, K) for a in JACOBI_EXPONENTS[:3] for K in (8, 66, 260)] + [(-5.0 / 6.0, 8), (-5.0 / 6.0, 66)],
+)
+def test_roots_jacobi_matches_scipy(a, K):
+    # at a = -5/6, K = 260 scipy's end weights are 1.7e-9 off a 40-digit
+    # reference (this rule: 3e-12), so that case rests on the moment test
+    t, w = roots_jacobi(K, a)
+    t_ref, w_ref = scipy_roots_jacobi(K, a, a)
+    assert np.max(np.abs(t - t_ref)) < 1e-15
+    assert np.max(np.abs(w - w_ref) / w_ref) < 1e-9
+
+
+@pytest.mark.parametrize("a", JACOBI_EXPONENTS)
+@pytest.mark.parametrize("K", (1, 2, 7, 66))
+def test_roots_jacobi_is_symmetric(a, K):
+    t, w = roots_jacobi(K, a)
+    assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(t) > 0) and np.all(w > 0)
+    if K % 2 == 1:
+        assert t[K // 2] == 0.0
+
+
+def test_roots_jacobi_rejects_bad_arguments():
+    for K, a in ((0, 0.5), (4, -1.0), (4, float("nan"))):
+        with pytest.raises(ValueError):
+            roots_jacobi(K, a)
 
 
 def test_weights_sum_to_measure():

@@ -17,9 +17,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .functional import exponent_q, functional_value, gradient
+from .functional import _descent_terms, exponent_q, functional_value
 from .gjms import packed_multipliers
-from .mobius import barycenter, recenter
+from .mobius import recenter
 from .spectral import (
     DEFAULT_DEGREE,
     SpectralFunction,
@@ -69,27 +69,6 @@ class DescentTrace:
         return min(self.values)
 
 
-class _Objective:
-    """I_2m evaluated on the cached 4x-oversampled discretization.
-
-    ``gradient``, ``barycenter`` and ``recenter`` default to the same
-    discretization, so the descent passes them no rule.
-    """
-
-    def __init__(self, n: int, m: int, degree: int):
-        self.q = exponent_q(n, m)
-        self.disc = discretization(n, degree, oversample=4)
-        self.p_packed = packed_multipliers(n, m, degree)
-
-    def values_on_grid(self, u: SpectralFunction) -> np.ndarray:
-        return self.disc.synthesize(u)
-
-    def value(self, u: SpectralFunction, vals: np.ndarray) -> float:
-        integ = float(self.disc.rule.weights @ vals ** (-self.q))
-        e = float((self.p_packed * u.coeffs) @ u.coeffs)
-        return math.exp((2.0 / self.q) * math.log(integ)) * e
-
-
 def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTrace:
     """Projected-gradient descent from u0; the trace is non-increasing.
 
@@ -101,60 +80,70 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     decrease remains, i.e. stationarity at working precision; it usually
     arrives before the gradient tolerance because exactly monotone
     acceptance cannot push the gradient below ~sqrt(eps |I|).
+
+    The iterate is held as coefficients on the cached 4x-oversampled
+    discretization; gradient and barycenter come from one kernel call per
+    iterate.
     """
-    n = u0.n
-    obj = _Objective(n, m, u0.degree)
+    n, axis = u0.n, u0.axis
+    q = exponent_q(n, m)
+    disc = discretization(n, u0.degree, oversample=4)
+    p = packed_multipliers(n, m, u0.degree)
+    weights = disc.rule.weights
     trace = DescentTrace()
 
-    u = u0
-    vals = obj.values_on_grid(u)
+    def value(c: np.ndarray, vals: np.ndarray) -> float:
+        integ = float(weights @ vals ** (-q))
+        return math.exp((2.0 / q) * math.log(integ)) * float((p * c) @ c)
+
+    def admissible(c: np.ndarray) -> Optional[tuple]:
+        """(c, node values, I) rescaled to maximum one; None at or below the floor."""
+        vals = disc.values(c)
+        if not float(np.min(vals)) > config.positivity_floor:
+            return None
+        cmax = float(np.max(vals))
+        c, vals = c * (1.0 / cmax), vals / cmax
+        return c, vals, value(c, vals)
+
+    vals = disc.values(u0.coeffs)
     if float(np.min(vals)) <= config.positivity_floor:
         raise ValueError("initial iterate violates the positivity floor")
-    u = u.scaled(1.0 / float(np.max(vals)))
-    vals = obj.values_on_grid(u)
-    current = obj.value(u, vals)
+    c = u0.coeffs * (1.0 / float(np.max(vals)))
+    vals = disc.values(c)
+    current = value(c, vals)
+    grad, moment = _descent_terms(c, m, disc, axis)
 
-    precond = 1.0 + np.abs(obj.p_packed) if config.precondition else np.ones_like(obj.p_packed)
+    # descent direction is the gradient in a fixed diagonal metric
+    # (1 + |p_2m(alpha)|), which evens out the 2m-th order stiffness
+    precond = 1.0 + np.abs(p)
     step = config.step_init
     accepted = 0
 
-    def record(gnorm: float):
+    def record():
         trace.values.append(current)
-        trace.grad_norms.append(gnorm)
+        trace.grad_norms.append(float(np.linalg.norm(grad)))
         trace.min_values.append(float(np.min(vals)))
-        trace.barycenter_norms.append(
-            float(np.linalg.norm(barycenter(u, np.zeros(n + 1), m)))
-        )
+        trace.barycenter_norms.append(float(np.linalg.norm(moment)))
 
-    for it in range(config.max_iter):
-        g = gradient(u, m)
-        gnorm = float(np.linalg.norm(g.coeffs))
-        record(gnorm)
-        if gnorm < config.grad_tol:
+    for _ in range(config.max_iter):
+        record()
+        if trace.grad_norms[-1] < config.grad_tol:
             trace.termination_reason = "gradient_tolerance"
             break
 
-        direction = g.coeffs / precond
-        slope = float(g.coeffs @ direction)
+        direction = grad / precond
+        slope = float(grad @ direction)
         alpha = step
-        accepted_step = False
         any_positive = False
         for _ in range(60):
-            cand = SpectralFunction(n, u.coeffs - alpha * direction, u.axis)
-            cvals = obj.values_on_grid(cand)
-            cmin = float(np.min(cvals))
-            if cmin > config.positivity_floor:
+            cand = admissible(c - alpha * direction)
+            if cand is not None:
                 any_positive = True
-                cmax = float(np.max(cvals))
-                cand = cand.scaled(1.0 / cmax)
-                cvals = cvals / cmax
-                cand_value = obj.value(cand, cvals)
-                if cand_value <= current - config.armijo_factor * alpha * slope:
-                    u, vals, current = cand, cvals, cand_value
-                    accepted_step = True
+                if cand[2] <= current - config.armijo_factor * alpha * slope:
+                    c, vals, current = cand
                     break
             alpha *= 0.5
-        if not accepted_step:
+        else:
             trace.termination_reason = (
                 "line_search_stall" if any_positive else "positivity_breakdown"
             )
@@ -162,30 +151,25 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
 
         accepted += 1
         step = min(alpha * 2.0, 1e6)
+        grad, moment = _descent_terms(c, m, disc, axis)
 
-        if config.gauge_every and accepted % config.gauge_every == 0:
-            mass = float(obj.disc.rule.weights @ vals)
-            drift = float(np.linalg.norm(barycenter(u, np.zeros(n + 1), m))) / max(mass, 1e-300)
+        if accepted % config.gauge_every == 0:
+            drift = float(np.linalg.norm(moment)) / max(float(weights @ vals), 1e-300)
             # recenter only against real Mobius drift: near the optimum the
             # pullback's truncation noise would otherwise stall the gradient
             if drift > 0.01:
-                centered, _ = recenter(u, m)
-                cvals = obj.values_on_grid(centered)
-                if float(np.min(cvals)) > config.positivity_floor:
-                    cmax = float(np.max(cvals))
-                    centered = centered.scaled(1.0 / cmax)
-                    cvals = cvals / cmax
-                    value = obj.value(centered, cvals)
-                    # invariant up to truncation; keep only if monotone
-                    if value <= current:
-                        u, vals, current = centered, cvals, value
+                centered, _ = recenter(SpectralFunction(n, c, axis), m)
+                cand = admissible(centered.coeffs)
+                # invariant up to truncation; keep only if monotone
+                if cand is not None and cand[2] <= current:
+                    c, vals, current = cand
+                    grad, moment = _descent_terms(c, m, disc, axis)
     else:
-        g = gradient(u, m)
-        record(float(np.linalg.norm(g.coeffs)))
+        record()
         trace.termination_reason = "max_iterations"
 
     trace.iterations = accepted
-    trace.final = u
+    trace.final = SpectralFunction(n, c, axis)
     return trace
 
 

@@ -27,6 +27,7 @@ from .spectral import (
     QuadratureRule,
     SpectralFunction,
     _aligned,
+    discretization,
     discretization_for,
     min_on_grid,
 )
@@ -65,14 +66,19 @@ def energy_quadratic(u: SpectralFunction, m: int) -> float:
     return energy(u, u, m)
 
 
-def _positivity_gate(u: SpectralFunction, disc: Discretization) -> tuple:
-    """Values on the rule nodes plus the oversampled minimum; raises on failure."""
-    mv = min_on_grid(u, oversample=4)
-    if mv <= POSITIVITY_THRESHOLD:
-        raise NonPositiveFunction(
-            f"function is not strictly positive (grid minimum {mv:.3e})"
-        )
-    return disc.synthesize(u), mv
+def _positivity_gate(c: np.ndarray, disc: Discretization) -> np.ndarray:
+    """Values of the coefficients c on the rule nodes, once c passed the gate.
+
+    The gate is the minimum over the 4x-oversampled positivity grid of
+    :func:`min_on_grid`.  On that discretization the node values are the
+    grid, save the zonal poles, so the nodes are synthesized once.
+    """
+    vals = disc.values(c)
+    grid = discretization(disc.rule.n, max(disc.degree, 1), oversample=4)
+    low = grid.grid_minimum(c, vals if grid is disc else None)
+    if low <= POSITIVITY_THRESHOLD:
+        raise NonPositiveFunction(f"function is not strictly positive (grid minimum {low:.3e})")
+    return vals
 
 
 def _discretization(u: SpectralFunction, rule: Optional[QuadratureRule]) -> Discretization:
@@ -88,7 +94,7 @@ def neg_power_integral(u: SpectralFunction, m: int, rule: Optional[QuadratureRul
     """
     disc = _discretization(u, rule)
     q = exponent_q(u.n, m)
-    vals, _ = _positivity_gate(u, disc)
+    vals = _positivity_gate(u.coeffs, disc)
     return float(disc.rule.weights @ vals ** (-q))
 
 
@@ -111,7 +117,7 @@ def el_residual(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = No
     """
     disc = _discretization(u, rule)
     q = exponent_q(u.n, m)
-    vals, _ = _positivity_gate(u, disc)
+    vals = _positivity_gate(u.coeffs, disc)
     pu_vals = disc.synthesize(apply_operator(u, m))
     kappa = energy_quadratic(u, m) / float(disc.rule.weights @ vals ** (-q))
     res = pu_vals - kappa * vals ** (-q - 1.0)
@@ -134,21 +140,32 @@ def functional_report(
     )
 
 
+def _descent_terms(c: np.ndarray, m: int, disc: Discretization, axis: Optional[np.ndarray]) -> tuple:
+    """The value-and-gradient kernel: one gate and one synthesis of c.
+
+    Returns the gradient coefficients of :func:`gradient` and the first
+    moment C(0) of :func:`~confsphere.mobius.barycenter`, both from the
+    same node values.
+    """
+    n = disc.rule.n
+    q = exponent_q(n, m)
+    vals = _positivity_gate(c, disc)
+    p = packed_multipliers(n, m, disc.degree)
+    integ = float(disc.rule.weights @ vals ** (-q))
+    e = float(p @ (c * c))
+    pointwise = -2.0 * integ ** (2.0 / q - 1.0) * e * vals ** (-q - 1.0)
+    grad = disc.project(pointwise) + (p * c) * (2.0 * integ ** (2.0 / q))
+    return grad, disc.first_moment(vals, axis)
+
+
 def gradient(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None) -> SpectralFunction:
     """Spectral projection of the L^2 gradient of the functional.
 
     grad I = 2 |u^{-1}|^2 P_2m u - 2 (integral u^{-q})^{2/q - 1} E(u) u^{-q-1},
     truncated at the degree of u.
     """
-    disc = _discretization(u, rule)
-    q = exponent_q(u.n, m)
-    vals, _ = _positivity_gate(u, disc)
-    integ = float(disc.rule.weights @ vals ** (-q))
-    e = energy_quadratic(u, m)
-    pointwise = -2.0 * integ ** (2.0 / q - 1.0) * e * vals ** (-q - 1.0)
-    grad = disc.analyze(pointwise, axis=u.axis)
-    spectral_part = apply_operator(u, m).scaled(2.0 * integ ** (2.0 / q))
-    return grad + spectral_part
+    grad, _ = _descent_terms(u.coeffs, m, _discretization(u, rule), u.axis)
+    return SpectralFunction(u.n, grad, u.axis)
 
 
 def s1_energy_from_derivatives(

@@ -111,12 +111,6 @@ def stereographic_inverse(xi: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (2.0 * (frame @ x) + (r2 - 1.0) * xi) / (r2 + 1.0)
 
 
-def chart_radius_sq(xi: np.ndarray, zeta: np.ndarray) -> float:
-    """|pi_xi(zeta)|^2 = (1+t)/(1-t) with t = zeta . xi (frame free)."""
-    t = float(np.asarray(xi) @ np.asarray(zeta))
-    return (1.0 + t) / (1.0 - t)
-
-
 @dataclass(frozen=True)
 class AxisDilation:
     """sigma_{xi,lambda}: dilation by ``scale`` in the chart at ``axis``."""

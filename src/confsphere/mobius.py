@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AxisMismatch, NonPositiveFunction
+from .errors import AxisMismatch
+from .functional import _positivity_gate
 from .geometry import (
     AxisDilation,
     BallPoint,
@@ -28,13 +29,11 @@ from .geometry import (
     north_pole,
 )
 from .spectral import (
-    POSITIVITY_THRESHOLD,
     TWO_PI,
     Discretization,
     QuadratureRule,
     SpectralFunction,
     discretization_for,
-    min_on_grid,
     synthesize,
 )
 
@@ -173,9 +172,7 @@ def extremal(
 def _pullback_values_for_ball(
     u: SpectralFunction, a: np.ndarray, m: int, disc: Discretization
 ) -> np.ndarray:
-    """Values of the sigma_a pullback of u on the rule nodes."""
-    if float(a @ a) == 0.0:
-        return disc.synthesize(u)
+    """Values of the sigma_a pullback of u on the rule nodes, a != 0."""
     phi = BallPoint(center=a)
     if u.n == 1:
         return _circle_pullback_values(u, phi, m, disc.rule.nodes)
@@ -190,27 +187,15 @@ def barycenter(
 ) -> np.ndarray:
     """First moment C(a) of the sigma_a pullback, as a vector of R^{n+1}.
 
-    Without ``rule`` the cached 4x-oversampled discretization is used.
+    Without ``rule`` the cached 4x-oversampled discretization is used.  u
+    passes the positivity gate of :mod:`confsphere.functional` first.
     """
-    if min_on_grid(u, oversample=4) <= POSITIVITY_THRESHOLD:
-        raise NonPositiveFunction("barycenter requires a strictly positive function")
-    a = np.asarray(a, dtype=float)
     disc = discretization_for(u.n, u.degree, rule, oversample=4)
-    vals = _pullback_values_for_ball(u, a, m, disc)
-    nodes, weights = disc.rule.nodes, disc.rule.weights
-    if u.n == 1:
-        pts = np.column_stack([np.cos(nodes), np.sin(nodes)])
-        return pts.T @ (weights * vals)
-    # zonal integrand: components orthogonal to the axis cancel
-    return float(weights @ (vals * nodes)) * u.axis
-
-
-def _zonal_ball_component(u: SpectralFunction, a: np.ndarray) -> float:
-    """Signed coordinate of a along the axis of u; AxisMismatch when off-axis."""
-    r = float(u.axis @ a)
-    if float(np.linalg.norm(a - r * u.axis)) > 1e-10:
-        raise AxisMismatch("ball point must lie on the zonal axis")
-    return r
+    vals = _positivity_gate(u.coeffs, disc)
+    a = np.asarray(a, dtype=float)
+    if float(a @ a) != 0.0:
+        vals = _pullback_values_for_ball(u, a, m, disc)
+    return disc.first_moment(vals, u.axis)
 
 
 @dataclass(frozen=True)

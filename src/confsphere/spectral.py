@@ -381,6 +381,48 @@ class Discretization:
         """Projection of values on the rule nodes onto degrees <= ``degree``."""
         return analyze(values, self.rule, self.degree, axis, basis=self.basis)
 
+    # the same transforms on packed coefficient arrays, for loops that
+    # would otherwise build a SpectralFunction per evaluation
+
+    def values(self, c: np.ndarray) -> np.ndarray:
+        """Values on the rule nodes of the packed coefficients ``c`` of this degree."""
+        basis = self.basis
+        if basis is None:
+            basis = basis_matrix(self.rule.n, self.degree, self.rule.nodes)
+        return basis.T @ c
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """Packed coefficients of the projection of values on the rule nodes."""
+        if self.basis is None:
+            return self.analyze(values).coeffs
+        return self.basis @ (self.rule.weights * values)
+
+    def grid_minimum(self, c: np.ndarray, values: Optional[np.ndarray] = None) -> float:
+        """Minimum of the coefficients ``c`` over the positivity grid.
+
+        ``values`` are c's values on the rule nodes, if the caller holds
+        them: on the circle they are the grid, and zonal functions add the
+        two poles.
+        """
+        if values is None:
+            return float(np.min(self.grid_basis[: c.size].T @ c))
+        if self.grid is self.rule.nodes:
+            return float(np.min(values))
+        poles = self.grid_basis[:, :: self.grid.size - 1].T @ c
+        return min(float(np.min(values)), float(np.min(poles)))
+
+    def first_moment(self, values: np.ndarray, axis: Optional[np.ndarray] = None) -> np.ndarray:
+        """Integral of x f(x) over S^n, in R^{n+1}, from f's values on the rule nodes.
+
+        A zonal f has its moment along its ``axis``: the components
+        orthogonal to the axis cancel.
+        """
+        nodes, weights = self.rule.nodes, self.rule.weights
+        if self.rule.n == 1:
+            pts = np.column_stack([np.cos(nodes), np.sin(nodes)])
+            return pts.T @ (weights * values)
+        return float(weights @ (values * nodes)) * axis
+
 
 def _build_discretization(n: int, degree: int, oversample: int) -> Discretization:
     rule = quadrature_for_degree(n, degree, oversample=oversample)
@@ -441,8 +483,7 @@ def min_on_grid(u: SpectralFunction, oversample: int = 4) -> float:
     Gauss-Jacobi nodes are interior, so for zonal functions the poles
     t = +-1 are appended; a dip exactly at a pole must not pass the gate.
     """
-    disc = discretization(u.n, max(u.degree, 1), oversample)
-    return float(np.min(synthesize(u, disc.grid, basis=disc.grid_basis[: u.coeffs.size])))
+    return discretization(u.n, max(u.degree, 1), oversample).grid_minimum(u.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +541,8 @@ def random_band_limited(
     if n != 1 and axis is None:
         axis = north_pole(n)
     coeffs = np.zeros(_coeff_count(n, degree))
-    u = SpectralFunction(n, coeffs, axis if n != 1 else None)
-    degs = u.degree_of_coeff()
+    degs = packed_degrees(n, degree)
     idx = (degs >= 1) & (degs <= max_degree)
-    coeffs = coeffs.copy()
     coeffs[idx] = rng.standard_normal(int(idx.sum())) * np.exp(-decay * degs[idx])
     return SpectralFunction(n, coeffs, axis if n != 1 else None)
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from confsphere.extremize import OptimizerConfig, minimize, perturbation_sweep
-from confsphere.functional import el_residual, functional_value
+from confsphere.functional import el_residual, functional_value, gradient
 from confsphere.geometry import AxisDilation, north_pole
-from confsphere.mobius import pullback
+from confsphere.mobius import barycenter, pullback
 from confsphere.spectral import (
     constant_function,
     harmonic_basis_function,
@@ -127,3 +127,13 @@ def test_minimize_zonal_reaches_closed_form_constant():
     target = -(15.0 / 16.0) * (2 * math.pi**2) ** (4.0 / 3.0)
     trace = minimize(seeded_start(3, 24, 1, max_degree=6), 2, OptimizerConfig(degree=24, max_iter=300))
     assert abs(trace.values[-1] - target) / abs(target) < 1e-6
+
+
+@pytest.mark.parametrize("n,m,degree", [(1, 1, 32), (1, 2, 32), (3, 2, 32), (3, 3, 64)])
+def test_descent_rows_equal_public_functions(n, m, degree):
+    # minimize evaluates gradient and barycenter through one shared kernel;
+    # its last row must be exactly what the public functions give
+    trace = minimize(seeded_start(n, degree, 3), m, OptimizerConfig(degree=degree, max_iter=40))
+    final = trace.final
+    assert trace.grad_norms[-1] == np.linalg.norm(gradient(final, m).coeffs)
+    assert trace.barycenter_norms[-1] == np.linalg.norm(barycenter(final, np.zeros(n + 1), m))

@@ -244,12 +244,7 @@ def _cmd_minimize(args) -> int:
     _require(args.eps > 0, "--eps must be positive")
     rng = np.random.default_rng(args.seed)
     u0 = random_positive_function(args.n, args.degree, max_degree=args.degree // 4, rng=rng)
-    config = OptimizerConfig(
-        degree=args.degree,
-        max_iter=args.max_iter,
-        grad_tol=args.eps,
-        seed=args.seed,
-    )
+    config = OptimizerConfig(degree=args.degree, max_iter=args.max_iter, grad_tol=args.eps)
     trace = minimize(u0, args.m, config)
     header = ("iter", "I", "gradNorm", "minU", "baryNorm")
     rows = [

@@ -38,10 +38,6 @@ class OptimizerConfig:
     positivity_floor: float = 1e-6
     gauge_every: int = 10
     grad_tol: float = 1e-8
-    seed: int = 0
-    # descent direction is the gradient in a fixed diagonal metric
-    # (1 + |p_2m(alpha)|), which evens out the 2m-th order stiffness
-    precondition: bool = True
 
     def __post_init__(self):
         if min(self.degree, self.max_iter, self.gauge_every) <= 0:

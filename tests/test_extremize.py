@@ -28,6 +28,13 @@ def test_config_validation():
         OptimizerConfig(step_init=-1.0)
 
 
+def test_config_has_no_unused_knobs():
+    # the descent is always preconditioned, and it draws no random numbers
+    for knob in ("seed", "precondition"):
+        with pytest.raises(TypeError):
+            OptimizerConfig(**{knob: 0})
+
+
 def test_minimize_reaches_first_sharp_constant():
     degree = 32
     u0 = (

@@ -95,14 +95,14 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     def admissible(c: np.ndarray) -> Optional[tuple]:
         """(c, node values, I) rescaled to maximum one; None at or below the floor."""
         vals = disc.values(c)
-        if not float(np.min(vals)) > config.positivity_floor:
+        if not disc.grid_minimum(c, vals) > config.positivity_floor:
             return None
         cmax = float(np.max(vals))
         c, vals = c * (1.0 / cmax), vals / cmax
         return c, vals, value(c, vals)
 
     vals = disc.values(u0.coeffs)
-    if float(np.min(vals)) <= config.positivity_floor:
+    if disc.grid_minimum(u0.coeffs, vals) <= config.positivity_floor:
         raise ValueError("initial iterate violates the positivity floor")
     c = u0.coeffs * (1.0 / float(np.max(vals)))
     vals = disc.values(c)

@@ -10,6 +10,7 @@ from confsphere.mobius import barycenter, pullback
 from confsphere.spectral import (
     constant_function,
     harmonic_basis_function,
+    min_on_grid,
     random_positive_function,
 )
 
@@ -144,3 +145,13 @@ def test_descent_rows_equal_public_functions(n, m, degree):
     final = trace.final
     assert trace.grad_norms[-1] == np.linalg.norm(gradient(final, m).coeffs)
     assert trace.barycenter_norms[-1] == np.linalg.norm(barycenter(final, np.zeros(n + 1), m))
+
+
+def test_line_search_rejects_a_dip_at_a_pole():
+    # Gauss-Jacobi nodes are interior: a zonal candidate can be positive on
+    # them and not at t = +-1, where the gate of gradient() also looks
+    u0 = random_positive_function(3, 64, 16, np.random.default_rng(1))
+    config = OptimizerConfig(degree=64, max_iter=12)
+    trace = minimize(u0, 4, config)
+    assert min_on_grid(trace.final) > config.positivity_floor
+    assert trace.values[-1] < trace.values[0]

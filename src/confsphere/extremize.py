@@ -135,7 +135,9 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
             cand = admissible(c - alpha * direction)
             if cand is not None:
                 any_positive = True
-                if cand[2] <= current - config.armijo_factor * alpha * slope:
+                # strict decrease too: below half an ulp of I the Armijo
+                # bound admits an equal value, which is no progress
+                if cand[2] < current and cand[2] <= current - config.armijo_factor * alpha * slope:
                     c, vals, current = cand
                     break
             alpha *= 0.5

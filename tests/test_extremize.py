@@ -155,3 +155,12 @@ def test_line_search_rejects_a_dip_at_a_pole():
     trace = minimize(u0, 4, config)
     assert min_on_grid(trace.final) > config.positivity_floor
     assert trace.values[-1] < trace.values[0]
+
+
+def test_line_search_stalls_instead_of_accepting_equal_values():
+    # at working precision the Armijo decrease term drops below half an ulp
+    # of I; a step that leaves I unchanged is then no longer accepted
+    u0 = random_positive_function(3, 32, 8, np.random.default_rng(2))
+    trace = minimize(u0, 3, OptimizerConfig(degree=32, max_iter=200))
+    assert trace.termination_reason == "line_search_stall"
+    assert all(b < a for a, b in zip(trace.values, trace.values[1:]))

@@ -77,9 +77,8 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     arrives before the gradient tolerance because exactly monotone
     acceptance cannot push the gradient below ~sqrt(eps |I|).
 
-    The iterate is held as coefficients on the cached 4x-oversampled
-    discretization; gradient and barycenter come from one kernel call per
-    iterate.
+    The iterate is held as coefficients; one kernel call per iterate gives
+    both its gradient and its barycenter.
     """
     n, axis = u0.n, u0.axis
     q = exponent_q(n, m)

@@ -111,6 +111,13 @@ def _zonal_pullback_values(
     return jac**expo * synthesize(u, axis_dilation_t_map(t, phi.scale))
 
 
+def _pullback_values(u: SpectralFunction, phi: MobiusMap, m: int, points: np.ndarray) -> np.ndarray:
+    """Values of the pullback of u at ``points``: angles, or axis cosines for zonal u."""
+    if u.n == 1:
+        return _circle_pullback_values(u, phi, m, points)
+    return _zonal_pullback_values(u, _zonal_dilation(u, phi), m, points)
+
+
 def pullback(
     u: SpectralFunction,
     phi: MobiusMap,
@@ -124,11 +131,7 @@ def pullback(
     invariance checks are the accuracy meter for this truncation.
     """
     disc = discretization_for(u.n, u.degree, rule, oversample=2)
-    if u.n == 1:
-        vals = _circle_pullback_values(u, phi, m, disc.rule.nodes)
-    else:
-        vals = _zonal_pullback_values(u, _zonal_dilation(u, phi), m, disc.rule.nodes)
-    return disc.analyze(vals, axis=u.axis)
+    return disc.analyze(_pullback_values(u, phi, m, disc.rule.nodes), axis=u.axis)
 
 
 def extremal_values(n: int, m: int, t: np.ndarray, lam: float, scale: float = 1.0) -> np.ndarray:
@@ -169,16 +172,6 @@ def extremal(
 # ---------------------------------------------------------------------------
 
 
-def _pullback_values_for_ball(
-    u: SpectralFunction, a: np.ndarray, m: int, disc: Discretization
-) -> np.ndarray:
-    """Values of the sigma_a pullback of u on the rule nodes, a != 0."""
-    phi = BallPoint(center=a)
-    if u.n == 1:
-        return _circle_pullback_values(u, phi, m, disc.rule.nodes)
-    return _zonal_pullback_values(u, _zonal_dilation(u, phi), m, disc.rule.nodes)
-
-
 def barycenter(
     u: SpectralFunction,
     a: np.ndarray,
@@ -194,7 +187,7 @@ def barycenter(
     vals = _positivity_gate(u.coeffs, disc)
     a = np.asarray(a, dtype=float)
     if float(a @ a) != 0.0:
-        vals = _pullback_values_for_ball(u, a, m, disc)
+        vals = _pullback_values(u, BallPoint(center=a), m, disc.rule.nodes)
     return disc.first_moment(vals, u.axis)
 
 

@@ -381,9 +381,6 @@ class Discretization:
         """Projection of values on the rule nodes onto degrees <= ``degree``."""
         return analyze(values, self.rule, self.degree, axis, basis=self.basis)
 
-    # the same transforms on packed coefficient arrays, for loops that
-    # would otherwise build a SpectralFunction per evaluation
-
     def values(self, c: np.ndarray) -> np.ndarray:
         """Values on the rule nodes of the packed coefficients ``c`` of this degree."""
         basis = self.basis
@@ -400,9 +397,7 @@ class Discretization:
     def grid_minimum(self, c: np.ndarray, values: Optional[np.ndarray] = None) -> float:
         """Minimum of the coefficients ``c`` over the positivity grid.
 
-        ``values`` are c's values on the rule nodes, if the caller holds
-        them: on the circle they are the grid, and zonal functions add the
-        two poles.
+        Given c's ``values`` on the rule nodes, only the zonal poles remain.
         """
         if values is None:
             return float(np.min(self.grid_basis[: c.size].T @ c))

@@ -96,7 +96,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         vals = disc.values(c)
         if not disc.grid_minimum(c, vals) > config.positivity_floor:
             return None
-        cmax = float(np.max(vals))
+        cmax = float(vals.max())
         c, vals = c * (1.0 / cmax), vals / cmax
         return c, vals, value(c, vals)
 
@@ -117,7 +117,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     def record():
         trace.values.append(current)
         trace.grad_norms.append(float(np.linalg.norm(grad)))
-        trace.min_values.append(float(np.min(vals)))
+        trace.min_values.append(float(vals.min()))
         trace.barycenter_norms.append(float(np.linalg.norm(moment)))
 
     for _ in range(config.max_iter):

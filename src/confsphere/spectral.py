@@ -400,11 +400,11 @@ class Discretization:
         Given c's ``values`` on the rule nodes, only the zonal poles remain.
         """
         if values is None:
-            return float(np.min(self.grid_basis[: c.size].T @ c))
+            return float((self.grid_basis[: c.size].T @ c).min())
         if self.grid is self.rule.nodes:
-            return float(np.min(values))
+            return float(values.min())
         poles = self.grid_basis[:, :: self.grid.size - 1].T @ c
-        return min(float(np.min(values)), float(np.min(poles)))
+        return float(min(values.min(), poles.min()))
 
     def first_moment(self, values: np.ndarray, axis: Optional[np.ndarray] = None) -> np.ndarray:
         """Integral of x f(x) over S^n, in R^{n+1}, from f's values on the rule nodes.

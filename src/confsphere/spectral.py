@@ -200,6 +200,53 @@ def zonal_basis_matrix(n: int, degree: int, t: np.ndarray) -> np.ndarray:
     return raw
 
 
+@lru_cache(maxsize=64)
+def _chebyshev_matrix(n: int, degree: int) -> np.ndarray:
+    """Chebyshev coefficients of the zonal basis: Z_alpha = sum_j M[j, alpha] T_j.
+
+    With nu = (n-1)/2 and g_k = (nu)_k / k!, C_alpha^nu(cos th) is the sum
+    over k = 0..alpha of g_k g_{alpha-k} cos((alpha - 2k) th).  Every term
+    is positive, so the coefficients carry no cancellation.
+    """
+    nu = (n - 1) // 2
+    g = np.array([float(math.comb(k + nu - 1, k)) for k in range(degree + 1)])
+    out = np.zeros((degree + 1, degree + 1))
+    for a in range(degree + 1):
+        # T_j with j = a - 2k > 0 collects the terms k and a - k
+        half = a // 2 + 1
+        col = 2.0 * g[:half] * g[a::-1][:half]
+        if a % 2 == 0:
+            col[-1] /= 2.0
+        out[a::-2, a] = col
+    return _cached_array(out * _zonal_normalization(n, degree))
+
+
+def _evaluate(u: "SpectralFunction", points: np.ndarray) -> np.ndarray:
+    """Values of u at ``points`` without a basis matrix.
+
+    Both representations are a real part Re sum_j d_j z^j on the unit
+    circle, summed by Horner's rule: on the circle z = exp(i th) and d_k =
+    (a_k - i b_k)/sqrt(pi); for zonal u, z = t + i sqrt(1 - t^2) and d holds
+    the Chebyshev coefficients of u, since T_j(t) = Re z^j.
+    """
+    x = np.asarray(points, dtype=float).ravel()
+    c = u.coeffs
+    if u.n == 1:
+        d = np.empty(u.degree + 1, dtype=complex)
+        d[0] = c[0] * (1.0 / math.sqrt(TWO_PI))
+        d[1:] = (c[1::2] - 1j * c[2::2]) * (1.0 / math.sqrt(math.pi))
+        z = np.exp(1j * x)
+    else:
+        d = _chebyshev_matrix(u.n, u.degree) @ c
+        # (1 - t)(1 + t) keeps its relative accuracy near the poles
+        z = x + 1j * np.sqrt(np.maximum((1.0 - x) * (1.0 + x), 0.0))
+    acc = np.full(x.size, d[-1], dtype=complex)
+    for dj in d[-2::-1].tolist():
+        acc *= z
+        acc += dj
+    return acc.real
+
+
 def basis_matrix(n: int, degree: int, points: np.ndarray, deriv: int = 0) -> np.ndarray:
     """Packed basis of degree-``degree`` functions on S^n at ``points``, one row per coefficient.
 
@@ -308,9 +355,12 @@ def synthesize(
     functions.  ``deriv`` (circle only) evaluates the theta-derivative of
     that order, which is exact for the truncated series.  ``basis`` is the
     basis already evaluated at ``points`` (a :class:`Discretization` passes
-    its cached one); without it the basis is built for this call.
+    its cached one).  Without it, values are summed by Horner's rule and
+    derivatives are taken from a basis built for this call.
     """
     if basis is None:
+        if deriv == 0:
+            return _evaluate(u, points)
         basis = basis_matrix(u.n, u.degree, points, deriv)
     return basis.T @ u.coeffs
 
@@ -466,10 +516,11 @@ def discretization_for(
 
 
 def clear_caches() -> None:
-    """Drop every cached discretization and zonal normalization."""
+    """Drop every cached discretization, zonal normalization and Chebyshev matrix."""
     with _cache_lock:
         _cache.clear()
     _zonal_normalization.cache_clear()
+    _chebyshev_matrix.cache_clear()
 
 
 def min_on_grid(u: SpectralFunction, oversample: int = 4) -> float:

@@ -106,7 +106,17 @@ def neg_power_norm(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] =
 
 
 def functional_value(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None) -> float:
-    return neg_power_norm(u, m, rule) * energy_quadratic(u, m)
+    """I_2m(u), evaluated on u divided by its node maximum.
+
+    I is scale invariant, and at scale one u^{-q} and E(u) stay finite and
+    nonzero for any u that passes the positivity gate.
+    """
+    disc = _discretization(u, rule)
+    q = exponent_q(u.n, m)
+    vals = _positivity_gate(u.coeffs, disc)
+    peak = float(vals.max())
+    integ = float(disc.rule.weights @ (vals / peak) ** (-q))
+    return math.exp((2.0 / q) * math.log(integ)) * energy_quadratic(u.scaled(1.0 / peak), m)
 
 
 def el_residual(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None) -> float:

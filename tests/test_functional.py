@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confsphere.errors import NonPositiveFunction
 from confsphere.functional import (
@@ -22,6 +24,7 @@ from confsphere.spectral import (
     harmonic_basis_function,
     quadrature_for_degree,
     random_band_limited,
+    random_positive_function,
 )
 
 TWO_PI = 2 * math.pi
@@ -150,6 +153,22 @@ def test_scale_invariance():
     base = functional_value(u, 1)
     for c in (0.1, 1.0, 7.0):
         assert abs(functional_value(u.scaled(c), 1) - base) / abs(base) < 1e-10
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (3, 2), (3, 3)])
+@settings(max_examples=25, deadline=None)
+@given(log10_c=st.floats(-6.0, 150.0), seed=st.integers(0, 2**16))
+def test_scale_invariance_over_the_float_range(n, m, log10_c, seed):
+    u = random_positive_function(n, 16, 6, np.random.default_rng(seed))
+    base = functional_value(u, m)
+    assert abs(functional_value(u.scaled(10.0**log10_c), m) - base) <= 1e-13 * abs(base)
+
+
+@pytest.mark.parametrize("n,value,m", [(1, 1e200, 1), (9, 1e20, 5), (3, 1e150, 2)])
+def test_functional_value_of_huge_constants(n, value, m):
+    # u^{-q} underflows to zero at these scales
+    base = functional_value(constant_function(n, 1.0, 16), m)
+    assert abs(functional_value(constant_function(n, value, 16), m) - base) <= 1e-13 * abs(base)
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (3, 2), (3, 3)])

@@ -229,6 +229,6 @@ def green_series_values(
             out += (cos_kth @ (1.0 / pk)) / math.pi
         return out
     p = _float_shifted_squares(n, m, np.arange(terms + 1, dtype=float))
-    z = zonal_basis_matrix(n, terms, t)
-    z1 = zonal_basis_matrix(n, terms, np.array([1.0]))[:, 0]
-    return z.T @ (z1 / p)
+    # one basis build: the samples and, last, the pole
+    z = zonal_basis_matrix(n, terms, np.append(t, 1.0))
+    return z[:, :-1].T @ (z[:, -1] / p)

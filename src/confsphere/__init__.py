@@ -68,7 +68,6 @@ from .gjms import (
 )
 from .mobius import (
     CenterResult,
-    PullbackSpec,
     barycenter,
     extremal,
     find_center,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -36,23 +35,6 @@ from .spectral import (
     discretization_for,
     synthesize,
 )
-
-
-@dataclass(frozen=True)
-class PullbackSpec:
-    """A Mobius map together with the conformal weight of order 2m."""
-
-    phi: MobiusMap
-    m: int
-    n: int
-
-    @property
-    def exponent(self) -> Fraction:
-        """The Jacobian exponent (n - 2m) / (2n), exact."""
-        return Fraction(self.n - 2 * self.m, 2 * self.n)
-
-    def apply(self, u: SpectralFunction, rule: Optional[QuadratureRule] = None) -> SpectralFunction:
-        return pullback(u, self.phi, self.m, rule)
 
 
 def _circle_axis_angle(axis: np.ndarray) -> float:

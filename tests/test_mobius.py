@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from confsphere.geometry import (
     north_pole,
 )
 from confsphere.mobius import (
-    PullbackSpec,
     barycenter,
     boundary_moment_constant,
     extremal,
@@ -29,13 +27,6 @@ from confsphere.spectral import (
     random_positive_function,
     synthesize,
 )
-
-
-def test_pullback_spec_exponent_exact():
-    spec = PullbackSpec(phi=AxisDilation(north_pole(1), 2.0), m=2, n=1)
-    assert spec.exponent == Fraction(-3, 2)
-    spec3 = PullbackSpec(phi=AxisDilation(north_pole(3), 2.0), m=2, n=3)
-    assert spec3.exponent == Fraction(-1, 6)
 
 
 def test_pullback_identity_map():
@@ -228,10 +219,3 @@ def test_functional_invariance_under_pullback():
         up = pullback(u, AxisDilation(north_pole(1), lam), 1)
         assert abs(functional_value(up, 1) - base) / abs(base) < 1e-6
 
-
-def test_pullback_spec_apply_matches_direct_call():
-    rng = np.random.default_rng(8)
-    u = random_positive_function(1, 32, 8, rng)
-    phi = AxisDilation(north_pole(1), 1.5)
-    spec = PullbackSpec(phi=phi, m=1, n=1)
-    assert np.max(np.abs(spec.apply(u).coeffs - pullback(u, phi, 1).coeffs)) == 0.0

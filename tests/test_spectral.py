@@ -9,10 +9,12 @@ from confsphere import spectral
 from confsphere.errors import AxisMismatch, InsufficientNodes
 from confsphere.extremize import OptimizerConfig, minimize
 from confsphere.gjms import apply_operator, packed_multipliers
-from confsphere.geometry import sphere_measure, sphere_surface_area
+from confsphere.geometry import axis_dilation_t_map, north_pole, sphere_measure, sphere_surface_area
+from confsphere.mobius import _dilation_angle_map
 from confsphere.spectral import (
     SpectralFunction,
     analyze,
+    basis_matrix,
     circle_quadrature,
     clear_caches,
     constant_function,
@@ -234,6 +236,47 @@ def test_zonal_axis_must_have_n_plus_one_entries():
     with pytest.raises(AxisMismatch):
         SpectralFunction(3, [1.0, 0.0, 0.0], axis=[1.0, 0.0])
     assert SpectralFunction(3, [1.0, 0.0, 0.0], axis=[0.0, 2.0, 0.0, 0.0]).axis[1] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# off-grid evaluation
+# ---------------------------------------------------------------------------
+
+
+def _off_grid_points(n, L):
+    """Ends of the range, random points and dilation-mapped 4x nodes."""
+    rng = np.random.default_rng(11)
+    if n == 1:
+        nodes = circle_quadrature(4 * (2 * L + 2)).nodes
+        mapped = [_dilation_angle_map(nodes, lam) for lam in (0.3, 3.0)]
+        return np.concatenate([[0.0, math.pi, TWO_PI], rng.uniform(0.0, TWO_PI, 50), *mapped])
+    nodes = zonal_quadrature(n, 4 * (L + 1)).nodes
+    near = 1.0 - np.array([1e-15, 5e-16, 2.2e-16])
+    mapped = [axis_dilation_t_map(nodes, lam) for lam in (0.3, 3.0)]
+    return np.concatenate([[-1.0, 1.0], near, -near, rng.uniform(-1.0, 1.0, 50), *mapped])
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("L", [0, 1, 2, 16, 64, 128])
+def test_off_grid_values_match_the_basis(n, L):
+    c = np.random.default_rng(L + n).standard_normal(2 * L + 1 if n == 1 else L + 1)
+    u = SpectralFunction(n, c, None if n == 1 else north_pole(n))
+    points = _off_grid_points(n, L)
+    expected = basis_matrix(n, L, points).T @ c
+    bound = 2e-13 * float(np.abs(expected).max())
+    assert float(np.abs(synthesize(u, points) - expected).max()) <= bound
+    for i in (0, 1, 3, -1):
+        value = synthesize(u, points[[i]])
+        assert value.shape == (1,)
+        assert abs(float(value[0]) - expected[i]) <= bound
+
+
+def test_clear_caches_empties_the_chebyshev_cache():
+    synthesize(harmonic_basis_function(3, 2, degree=8), np.array([0.5]))
+    assert spectral._chebyshev_matrix.cache_info().currsize > 0
+    assert not spectral._chebyshev_matrix(3, 8).flags.writeable
+    clear_caches()
+    assert spectral._chebyshev_matrix.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,10 @@ def functional_value(u: SpectralFunction, m: int, rule: Optional[QuadratureRule]
     q = exponent_q(u.n, m)
     vals = _positivity_gate(u.coeffs, disc)
     peak = float(vals.max())
+    c = u.coeffs * (1.0 / peak)
     integ = float(disc.rule.weights @ (vals / peak) ** (-q))
-    return math.exp((2.0 / q) * math.log(integ)) * energy_quadratic(u.scaled(1.0 / peak), m)
+    e = float(packed_multipliers(u.n, m, u.degree) @ (c * c))
+    return math.exp((2.0 / q) * math.log(integ)) * e
 
 
 def el_residual(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None) -> float:

@@ -106,19 +106,15 @@ def neg_power_norm(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] =
 
 
 def functional_value(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None) -> float:
-    """I_2m(u), evaluated on u divided by its node maximum.
+    """I_2m(u), evaluated on u divided by its minimum on the nodes.
 
-    I is scale invariant, and at scale one u^{-q} and E(u) stay finite and
-    nonzero for any u that passes the positivity gate.
+    u passes the positivity gate as given.  I is scale invariant, and at
+    minimum one u^{-q} lies in (0, 1], so neither it nor its integral can
+    underflow whatever the scale of u.
     """
-    disc = _discretization(u, rule)
-    q = exponent_q(u.n, m)
-    vals = _positivity_gate(u.coeffs, disc)
-    peak = float(vals.max())
-    c = u.coeffs * (1.0 / peak)
-    integ = float(disc.rule.weights @ (vals / peak) ** (-q))
-    e = float(packed_multipliers(u.n, m, u.degree) @ (c * c))
-    return math.exp((2.0 / q) * math.log(integ)) * e
+    vals = _positivity_gate(u.coeffs, _discretization(u, rule))
+    v = u.scaled(1.0 / float(vals.min()))
+    return neg_power_norm(v, m, rule) * energy_quadratic(v, m)
 
 
 def el_residual(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None) -> float:

@@ -32,6 +32,7 @@ from .spectral import (
     Discretization,
     QuadratureRule,
     SpectralFunction,
+    _ball_moment,
     discretization_for,
     synthesize,
 )
@@ -154,6 +155,22 @@ def extremal(
 # ---------------------------------------------------------------------------
 
 
+#: largest |a| at which C(a) is summed from the node values of u.  Above it
+#: the weight of the node form concentrates more than the nodes resolve, and
+#: u is evaluated at the points sigma_a maps the nodes to instead.
+NODE_FORM_RADIUS = 0.5
+
+
+def _moment(u: SpectralFunction, disc: Discretization, vals: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
+    """C(a) from the values ``vals`` of u on the nodes of ``disc``; a zonal a lies on the axis."""
+    if float(a @ a) > NODE_FORM_RADIUS**2:
+        return disc.first_moment(_pullback_values(u, BallPoint(center=a), m, disc.rule.nodes), u.axis)
+    p = (u.n + 2 * m) / 2.0
+    if u.n == 1:
+        return _ball_moment(disc, vals, a, p)
+    return float(_ball_moment(disc, vals, np.array([a @ u.axis]), p)[0]) * u.axis
+
+
 def barycenter(
     u: SpectralFunction,
     a: np.ndarray,
@@ -168,9 +185,9 @@ def barycenter(
     disc = discretization_for(u.n, u.degree, rule, oversample=4)
     vals = _positivity_gate(u.coeffs, disc)
     a = np.asarray(a, dtype=float)
-    if float(a @ a) != 0.0:
-        vals = _pullback_values(u, BallPoint(center=a), m, disc.rule.nodes)
-    return disc.first_moment(vals, u.axis)
+    if u.n != 1 and float(a @ a) != 0.0:
+        _zonal_dilation(u, BallPoint(center=a))  # AxisMismatch off the axis of u
+    return _moment(u, disc, vals, a, m)
 
 
 @dataclass(frozen=True)
@@ -190,16 +207,22 @@ def find_center(
 ) -> CenterResult:
     """Solve C(a) = 0 by damped Newton with finite-difference Jacobian.
 
-    The seed is the normalized first moment; zonal inputs reduce to a 1d
-    solve along the axis with a bisection fallback.  If the budget runs
-    out the best iterate is returned with ``converged=False``.
+    u passes the positivity gate once, and every C(a) is taken from its
+    values on the nodes.  The seed is the normalized first moment; zonal
+    inputs reduce to a 1d solve along the axis with a bisection fallback.
+    If the budget runs out the best iterate is returned with
+    ``converged=False``.
     """
     disc = discretization_for(u.n, u.degree, rule, oversample=4)
-    mass = float(disc.rule.weights @ disc.synthesize(u))
-    moment = barycenter(u, np.zeros(u.n + 1), m, rule) / mass
+    vals = _positivity_gate(u.coeffs, disc)
+
+    def moment(a: np.ndarray) -> np.ndarray:
+        return _moment(u, disc, vals, a, m)
+
+    seed = moment(np.zeros(u.n + 1)) / float(disc.rule.weights @ vals)
     if u.n == 1:
-        return _find_center_newton(u, m, rule, moment, tol, max_iter)
-    return _find_center_axis(u, m, rule, moment, tol, max_iter)
+        return _find_center_newton(moment, seed, tol, max_iter)
+    return _find_center_axis(u, m, disc, moment, seed, tol, max_iter)
 
 
 def _clip_ball(a: np.ndarray, limit: float = 0.999999) -> np.ndarray:
@@ -207,10 +230,10 @@ def _clip_ball(a: np.ndarray, limit: float = 0.999999) -> np.ndarray:
     return a if r < limit else a * (limit / r)
 
 
-def _find_center_newton(u, m, rule, moment, tol, max_iter) -> CenterResult:
-    dim = u.n + 1
-    a = _clip_ball(moment / (1.0 + float(np.linalg.norm(moment))))
-    c = barycenter(u, a, m, rule)
+def _find_center_newton(moment, seed, tol, max_iter) -> CenterResult:
+    dim = seed.size
+    a = _clip_ball(seed / (1.0 + float(np.linalg.norm(seed))))
+    c = moment(a)
     best_a, best_r = a.copy(), float(np.linalg.norm(c))
     fd = 1e-6
     for it in range(max_iter):
@@ -220,7 +243,7 @@ def _find_center_newton(u, m, rule, moment, tol, max_iter) -> CenterResult:
         for j in range(dim):
             da = np.zeros(dim)
             da[j] = fd
-            jac[:, j] = (barycenter(u, _clip_ball(a + da), m, rule) - c) / fd
+            jac[:, j] = (moment(_clip_ball(a + da)) - c) / fd
         try:
             step = np.linalg.solve(jac, -c)
         except np.linalg.LinAlgError:
@@ -228,7 +251,7 @@ def _find_center_newton(u, m, rule, moment, tol, max_iter) -> CenterResult:
         improved = False
         for _ in range(30):
             cand = _clip_ball(a + step)
-            cc = barycenter(u, cand, m, rule)
+            cc = moment(cand)
             if float(np.linalg.norm(cc)) < float(np.linalg.norm(c)):
                 a, c = cand, cc
                 improved = True
@@ -242,17 +265,17 @@ def _find_center_newton(u, m, rule, moment, tol, max_iter) -> CenterResult:
     return CenterResult(best_a, best_r, best_r < tol, max_iter)
 
 
-def _find_center_axis(u, m, rule, moment, tol, max_iter) -> CenterResult:
+def _find_center_axis(u, m, disc, moment, seed, tol, max_iter) -> CenterResult:
     # the rescaled moment points toward -xi as a -> xi, so the axis
     # component changes sign across the ball and brackets a root
     axis = u.axis
 
     def component(r: float) -> float:
-        return float(barycenter(u, r * axis, m, rule) @ axis)
+        return float(moment(r * axis) @ axis)
 
     lo, hi = -0.999999, 0.999999
-    c_lo, c_hi = component(lo), component(hi)
-    r0 = float(moment @ axis)
+    c_lo, c_hi = _mapped_axis_moments(u, m, disc, (lo, hi))
+    r0 = float(seed @ axis)
     r = max(lo, min(hi, r0 / (1.0 + abs(r0))))
     c = component(r)
     fd = 1e-7
@@ -269,6 +292,21 @@ def _find_center_axis(u, m, rule, moment, tol, max_iter) -> CenterResult:
             cand = 0.5 * (lo + hi)
         r, c = cand, component(cand)
     return CenterResult(r * axis, abs(c), abs(c) < tol, max_iter)
+
+
+def _mapped_axis_moments(u: SpectralFunction, m: int, disc: Discretization, radii) -> list:
+    """Axis components of C(r xi) at each r of ``radii`` by the mapped points, in one Horner pass.
+
+    sigma_{r xi} acts on S^n as the dilation about xi of scale (1 - r)/(1 + r).
+    """
+    t, w = disc.rule.nodes, disc.rule.weights
+    expo = (u.n - 2 * m) / (2.0 * u.n)
+    lams = [(1.0 - r) / (1.0 + r) for r in radii]
+    vals = synthesize(u, np.concatenate([axis_dilation_t_map(t, lam) for lam in lams]))
+    return [
+        float(w @ (axis_dilation_jacobian_t(t, lam, u.n) ** expo * v * t))
+        for lam, v in zip(lams, np.split(vals, len(lams)))
+    ]
 
 
 def recenter(

@@ -404,10 +404,11 @@ class Discretization:
     :func:`discretization` builds one per ``(n, degree, oversample)`` and
     caches it: ``basis`` is the packed basis on the rule nodes, ``grid`` the
     positivity grid (the rule nodes, plus the poles t = -1, 1 for zonal
-    functions, since Gauss-Jacobi nodes are interior) and ``grid_basis`` the
-    basis on that grid.  Every cached array is read-only.  Built directly on
-    a caller's rule, it holds no matrices and its transforms build the basis
-    on each call.
+    functions, since Gauss-Jacobi nodes are interior), ``grid_basis`` the
+    basis on that grid and ``points`` the node coordinates of
+    :func:`_node_points`.  Every cached array is read-only.  Built directly
+    on a caller's rule, it holds no matrices and its transforms build the
+    basis on each call.
     """
 
     rule: QuadratureRule
@@ -415,10 +416,11 @@ class Discretization:
     basis: Optional[np.ndarray] = None
     grid: Optional[np.ndarray] = None
     grid_basis: Optional[np.ndarray] = None
+    points: Optional[np.ndarray] = None
 
     @property
     def nbytes(self) -> int:
-        arrays = (self.rule.nodes, self.rule.weights, self.basis, self.grid, self.grid_basis)
+        arrays = (self.rule.nodes, self.rule.weights, self.basis, self.grid, self.grid_basis, self.points)
         # on the circle the grid and its basis are the rule's own arrays
         distinct = {id(a): a for a in arrays if a is not None}
         return sum(a.nbytes for a in distinct.values())
@@ -460,13 +462,50 @@ class Discretization:
         """Integral of x f(x) over S^n, in R^{n+1}, from f's values on the rule nodes.
 
         A zonal f has its moment along its ``axis``: the components
-        orthogonal to the axis cancel.
+        orthogonal to the axis cancel.  It is :func:`_ball_moment` at a = 0.
         """
-        nodes, weights = self.rule.nodes, self.rule.weights
-        if self.rule.n == 1:
-            pts = np.column_stack([np.cos(nodes), np.sin(nodes)])
-            return pts.T @ (weights * values)
-        return float(weights @ (values * nodes)) * axis
+        c = _ball_moment(self, values, np.zeros(2 if self.rule.n == 1 else 1), 0.0)
+        return c if self.rule.n == 1 else float(c[0]) * axis
+
+
+def _node_points(rule: QuadratureRule) -> np.ndarray:
+    """Node coordinates y_i, one row per node: (cos th, sin th) on the circle.
+
+    A zonal function has its moments along its axis, so a zonal rule keeps
+    the one axis coordinate t.
+    """
+    if rule.n == 1:
+        return np.column_stack([np.cos(rule.nodes), np.sin(rule.nodes)])
+    return rule.nodes[:, None].copy()
+
+
+def _ball_moment(disc: Discretization, values: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
+    """First moment C(a) of the sigma_a pullback, from the values u_i of u on the nodes.
+
+    With y = sigma_a(x) the integral of x times the pullback becomes
+
+        C(a) = sum_i w_i u_i K(a, y_i),   K = s^p D^{-p-1} (s y + (2 + 2 a.y) a),
+
+    s = 1 - |a|^2, D = 1 + 2 a.y + |a|^2 and p = (n + 2m)/2, since
+    sigma_a^{-1} = sigma_{-a} and J_{sigma_{-a}} = (s/D)^n.  ``a`` and the
+    result are in the coordinates of :func:`_node_points`.  The weight
+    concentrates near -a/|a| as |a| -> 1, which the nodes stop resolving;
+    callers keep |a| small.  At a = 0, K = y and C is the first moment.
+    """
+    y = disc.points if disc.points is not None else _node_points(disc.rule)
+    w = disc.rule.weights
+    a2 = float(a @ a)
+    if a2 == 0.0:
+        f, v = values, y
+    else:
+        s = 1.0 - a2
+        ya = y @ a
+        f = values * (s**p * ((1.0 + a2) + 2.0 * ya) ** (-p - 1.0))
+        v = s * y + np.outer(2.0 + 2.0 * ya, a)
+    # a zonal moment is summed as w . (f t), the order that keeps C(0) bit for bit
+    if disc.rule.n == 1:
+        return v.T @ (w * f)
+    return np.array([w @ (f * v[:, 0])])
 
 
 def _build_discretization(n: int, degree: int, oversample: int) -> Discretization:
@@ -478,7 +517,7 @@ def _build_discretization(n: int, degree: int, oversample: int) -> Discretizatio
     else:
         grid = _cached_array(np.concatenate([[-1.0], rule.nodes, [1.0]]))
         grid_basis = _cached_array(basis_matrix(n, degree, grid))
-    return Discretization(rule, degree, basis, grid, grid_basis)
+    return Discretization(rule, degree, basis, grid, grid_basis, _cached_array(_node_points(rule)))
 
 
 _cache: "OrderedDict[tuple, Discretization]" = OrderedDict()

@@ -161,14 +161,23 @@ def extremal(
 NODE_FORM_RADIUS = 0.5
 
 
-def _moment(u: SpectralFunction, disc: Discretization, vals: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
-    """C(a) from the values ``vals`` of u on the nodes of ``disc``; a zonal a lies on the axis."""
-    if float(a @ a) > NODE_FORM_RADIUS**2:
-        return disc.first_moment(_pullback_values(u, BallPoint(center=a), m, disc.rule.nodes), u.axis)
+def _moment(
+    u: SpectralFunction, disc: Discretization, vals: np.ndarray, x: np.ndarray, m: int, slope: bool = False
+):
+    """C at the ball point x from the values ``vals`` of u on the nodes of ``disc``.
+
+    x and the result are in node coordinates: a itself on the circle, and
+    r = a . xi on the axis xi of zonal u.  With ``slope`` the result is
+    (C, dC/dx), and the node form gives the slope at every radius.
+    """
     p = (u.n + 2 * m) / 2.0
+    if float(x @ x) <= NODE_FORM_RADIUS**2:
+        return _ball_moment(disc, vals, x, p, slope)
     if u.n == 1:
-        return _ball_moment(disc, vals, a, p)
-    return float(_ball_moment(disc, vals, np.array([a @ u.axis]), p)[0]) * u.axis
+        c = disc.first_moment(_pullback_values(u, BallPoint(center=x), m, disc.rule.nodes))
+    else:
+        c = np.array(_mapped_axis_moments(u, m, disc, [float(x[0])]))
+    return (c, _ball_moment(disc, vals, x, p, True)[1]) if slope else c
 
 
 def barycenter(
@@ -185,9 +194,11 @@ def barycenter(
     disc = discretization_for(u.n, u.degree, rule, oversample=4)
     vals = _positivity_gate(u.coeffs, disc)
     a = np.asarray(a, dtype=float)
-    if u.n != 1 and float(a @ a) != 0.0:
+    if u.n == 1:
+        return _moment(u, disc, vals, a, m)
+    if float(a @ a) != 0.0:
         _zonal_dilation(u, BallPoint(center=a))  # AxisMismatch off the axis of u
-    return _moment(u, disc, vals, a, m)
+    return float(_moment(u, disc, vals, np.array([a @ u.axis]), m)[0]) * u.axis
 
 
 @dataclass(frozen=True)
@@ -205,24 +216,24 @@ def find_center(
     tol: float = 1e-8,
     max_iter: int = 80,
 ) -> CenterResult:
-    """Solve C(a) = 0 by damped Newton with finite-difference Jacobian.
+    """Solve C(a) = 0 by damped Newton with the closed-form Jacobian.
 
-    u passes the positivity gate once, and every C(a) is taken from its
-    values on the nodes.  The seed is the normalized first moment; zonal
-    inputs reduce to a 1d solve along the axis with a bisection fallback.
-    If the budget runs out the best iterate is returned with
-    ``converged=False``.
+    u passes the positivity gate once, and every C(a) and its derivative
+    are taken from its values on the nodes (see :func:`barycenter`).  The
+    seed is the normalized first moment; zonal inputs reduce to a 1d solve
+    along the axis with a bisection fallback.  If the budget runs out the
+    best iterate is returned with ``converged=False``.
     """
     disc = discretization_for(u.n, u.degree, rule, oversample=4)
     vals = _positivity_gate(u.coeffs, disc)
 
-    def moment(a: np.ndarray) -> np.ndarray:
-        return _moment(u, disc, vals, a, m)
+    def moment(x: np.ndarray, slope: bool = False):
+        return _moment(u, disc, vals, x, m, slope)
 
-    seed = moment(np.zeros(u.n + 1)) / float(disc.rule.weights @ vals)
+    seed = moment(np.zeros(2 if u.n == 1 else 1)) / float(disc.rule.weights @ vals)
     if u.n == 1:
         return _find_center_newton(moment, seed, tol, max_iter)
-    return _find_center_axis(u, m, disc, moment, seed, tol, max_iter)
+    return _find_center_axis(u, m, disc, moment, float(seed[0]), tol, max_iter)
 
 
 def _clip_ball(a: np.ndarray, limit: float = 0.999999) -> np.ndarray:
@@ -231,19 +242,12 @@ def _clip_ball(a: np.ndarray, limit: float = 0.999999) -> np.ndarray:
 
 
 def _find_center_newton(moment, seed, tol, max_iter) -> CenterResult:
-    dim = seed.size
     a = _clip_ball(seed / (1.0 + float(np.linalg.norm(seed))))
-    c = moment(a)
+    c, jac = moment(a, slope=True)
     best_a, best_r = a.copy(), float(np.linalg.norm(c))
-    fd = 1e-6
     for it in range(max_iter):
         if best_r < tol:
             return CenterResult(best_a, best_r, True, it)
-        jac = np.zeros((dim, dim))
-        for j in range(dim):
-            da = np.zeros(dim)
-            da[j] = fd
-            jac[:, j] = (moment(_clip_ball(a + da)) - c) / fd
         try:
             step = np.linalg.solve(jac, -c)
         except np.linalg.LinAlgError:
@@ -251,9 +255,9 @@ def _find_center_newton(moment, seed, tol, max_iter) -> CenterResult:
         improved = False
         for _ in range(30):
             cand = _clip_ball(a + step)
-            cc = moment(cand)
+            cc, cjac = moment(cand, slope=True)
             if float(np.linalg.norm(cc)) < float(np.linalg.norm(c)):
-                a, c = cand, cc
+                a, c, jac = cand, cc, cjac
                 improved = True
                 break
             step = step / 2.0
@@ -268,30 +272,26 @@ def _find_center_newton(moment, seed, tol, max_iter) -> CenterResult:
 def _find_center_axis(u, m, disc, moment, seed, tol, max_iter) -> CenterResult:
     # the rescaled moment points toward -xi as a -> xi, so the axis
     # component changes sign across the ball and brackets a root
-    axis = u.axis
-
-    def component(r: float) -> float:
-        return float(moment(r * axis) @ axis)
+    def component(r: float) -> tuple:
+        c, jac = moment(np.array([r]), slope=True)
+        return float(c[0]), float(jac[0, 0])
 
     lo, hi = -0.999999, 0.999999
     c_lo, c_hi = _mapped_axis_moments(u, m, disc, (lo, hi))
-    r0 = float(seed @ axis)
-    r = max(lo, min(hi, r0 / (1.0 + abs(r0))))
-    c = component(r)
-    fd = 1e-7
+    r = max(lo, min(hi, seed / (1.0 + abs(seed))))
+    c, slope = component(r)
     for it in range(max_iter):
         if abs(c) < tol:
-            return CenterResult(r * axis, abs(c), True, it)
+            return CenterResult(r * u.axis, abs(c), True, it)
         if c_lo * c > 0:
             lo, c_lo = r, c
         elif c_hi * c > 0:
             hi, c_hi = r, c
-        slope = (component(min(r + fd, 0.9999999)) - c) / fd
         cand = r - c / slope if slope != 0.0 else 0.5 * (lo + hi)
         if not (lo < cand < hi):
             cand = 0.5 * (lo + hi)
-        r, c = cand, component(cand)
-    return CenterResult(r * axis, abs(c), abs(c) < tol, max_iter)
+        r, (c, slope) = cand, component(cand)
+    return CenterResult(r * u.axis, abs(c), abs(c) < tol, max_iter)
 
 
 def _mapped_axis_moments(u: SpectralFunction, m: int, disc: Discretization, radii) -> list:

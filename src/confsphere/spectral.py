@@ -479,7 +479,9 @@ def _node_points(rule: QuadratureRule) -> np.ndarray:
     return rule.nodes[:, None].copy()
 
 
-def _ball_moment(disc: Discretization, values: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
+def _ball_moment(
+    disc: Discretization, values: np.ndarray, a: np.ndarray, p: float, slope: bool = False
+):
     """First moment C(a) of the sigma_a pullback, from the values u_i of u on the nodes.
 
     With y = sigma_a(x) the integral of x times the pullback becomes
@@ -488,24 +490,35 @@ def _ball_moment(disc: Discretization, values: np.ndarray, a: np.ndarray, p: flo
 
     s = 1 - |a|^2, D = 1 + 2 a.y + |a|^2 and p = (n + 2m)/2, since
     sigma_a^{-1} = sigma_{-a} and J_{sigma_{-a}} = (s/D)^n.  ``a`` and the
-    result are in the coordinates of :func:`_node_points`.  The weight
-    concentrates near -a/|a| as |a| -> 1, which the nodes stop resolving;
-    callers keep |a| small.  At a = 0, K = y and C is the first moment.
+    result are in the coordinates of :func:`_node_points`; with ``slope``
+    the result is (C, dC/da), the derivative taken in closed form in the
+    same pass.  The weight concentrates near -a/|a| as |a| -> 1, which the
+    nodes stop resolving; callers keep |a| small.  At a = 0, K = y and C is
+    the first moment.
     """
     y = disc.points if disc.points is not None else _node_points(disc.rule)
     w = disc.rule.weights
     a2 = float(a @ a)
+    s = 1.0 - a2
     if a2 == 0.0:
-        f, v = values, y
+        ya, dd, f, v = 0.0, 1.0, values, y
     else:
-        s = 1.0 - a2
         ya = y @ a
-        f = values * (s**p * ((1.0 + a2) + 2.0 * ya) ** (-p - 1.0))
-        v = s * y + np.outer(2.0 + 2.0 * ya, a)
+        dd = (1.0 + a2) + 2.0 * ya
+        f = values * (s**p * dd ** (-p - 1.0))
+        v = s * y + (2.0 + 2.0 * ya)[:, None] * a
     # a zonal moment is summed as w . (f t), the order that keeps C(0) bit for bit
-    if disc.rule.n == 1:
-        return v.T @ (w * f)
-    return np.array([w @ (f * v[:, 0])])
+    c = v.T @ (w * f) if disc.rule.n == 1 else np.array([w @ (f * v[:, 0])])
+    if not slope:
+        return c
+    # dK/da = K (-2p a/s - 2(p+1) (y + a)/D)^T + s^p D^{-p-1} dV/da with
+    # V = s y + (2 + 2 a.y) a, dV/da = (2 + 2 a.y) I + 2 (a y^T - y a^T)
+    g = w * f
+    gy = y.T @ g
+    jac = c[:, None] * ((-2.0 * p / s) * a) - (2.0 * p + 2.0) * (v.T @ ((g / dd)[:, None] * (y + a)))
+    jac += 2.0 * (a[:, None] * gy - gy[:, None] * a)
+    jac.flat[:: a.size + 1] += float(np.sum(g * (2.0 + 2.0 * ya)))
+    return c, jac
 
 
 def _build_discretization(n: int, degree: int, oversample: int) -> Discretization:

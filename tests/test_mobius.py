@@ -10,8 +10,11 @@ from confsphere.geometry import (
     BallPoint,
     axis_dilation_jacobian_t,
     north_pole,
+    sphere_surface_area,
 )
 from confsphere.mobius import (
+    NODE_FORM_RADIUS,
+    _pullback_values,
     barycenter,
     boundary_moment_constant,
     extremal,
@@ -21,8 +24,12 @@ from confsphere.mobius import (
     recenter,
 )
 from confsphere.spectral import (
+    Discretization,
+    QuadratureRule,
+    _ball_moment,
     circle_quadrature,
     constant_function,
+    discretization,
     harmonic_basis_function,
     random_positive_function,
     synthesize,
@@ -190,6 +197,96 @@ def test_find_center_degree_one_perturbation():
     assert res.converged and res.residual < 1e-8
     dense = barycenter(u, res.a, 1, circle_quadrature(1 << 14))
     assert np.linalg.norm(dense) < 1e-8
+
+
+STABLE_ORDERS = ((1, 1), (1, 2), (3, 2), (3, 3))
+
+
+def _mapped_reference(u, a, m):
+    """C(a) at the mapped points of a 32x-oversampled rule.
+
+    On S^n, n >= 3, the rule is the midpoint rule in the polar angle, which
+    is spectrally accurate for zonal integrands and needs no eigensolver.
+    """
+    size = 32 * (2 * u.degree + 2 if u.n == 1 else u.degree + 1)
+    if u.n == 1:
+        rule = circle_quadrature(size)
+    else:
+        theta = (np.arange(size) + 0.5) * math.pi / size
+        weights = sphere_surface_area(u.n) * np.sin(theta) ** (u.n - 1) * (math.pi / size)
+        rule = QuadratureRule(u.n, np.cos(theta), weights)
+    vals = _pullback_values(u, BallPoint(center=a), m, rule.nodes)
+    return Discretization(rule, u.degree).first_moment(vals, u.axis)
+
+
+def _ball_point(u, radius, rng):
+    if u.n == 1:
+        d = rng.standard_normal(2)
+        return radius * d / np.linalg.norm(d)
+    return radius * float(rng.choice([-1.0, 1.0])) * u.axis
+
+
+@pytest.mark.parametrize("n,m", STABLE_ORDERS)
+@pytest.mark.parametrize("degree", [32, 64])
+def test_node_form_agrees_with_mapped_points(n, m, degree):
+    # below the cut, barycenter sums C(a) from the node values of u
+    rng = np.random.default_rng(100 * n + 10 * m + degree)
+    disc = discretization(n, degree, 4)
+    for _ in range(3):
+        u = random_positive_function(n, degree, 10, rng)
+        mass = float(disc.rule.weights @ disc.values(u.coeffs))
+        for radius in (0.1, 0.3, NODE_FORM_RADIUS):
+            a = _ball_point(u, radius, rng)
+            err = np.max(np.abs(barycenter(u, a, m) - _mapped_reference(u, a, m)))
+            assert err < 1e-13 * mass, (radius, err / mass)
+
+
+def test_node_form_fails_near_the_sphere():
+    # why the cut exists: at |a| = 0.95 the node weight concentrates below
+    # the resolution of the nodes, while the mapped points still hold
+    rng = np.random.default_rng(12)
+    u = random_positive_function(3, 32, 10, rng)
+    disc = discretization(3, 32, 4)
+    vals = disc.values(u.coeffs)
+    mass = float(disc.rule.weights @ vals)
+    a = 0.95 * u.axis
+    ref = _mapped_reference(u, a, 3)
+    node = float(_ball_moment(disc, vals, np.array([0.95]), 4.5)[0]) * u.axis
+    assert np.max(np.abs(node - ref)) > 1e-2 * mass
+    assert np.max(np.abs(barycenter(u, a, 3) - ref)) < 1e-6 * mass
+
+
+@pytest.mark.parametrize("n,m", STABLE_ORDERS)
+def test_node_form_jacobian_matches_central_differences(n, m):
+    rng = np.random.default_rng(13 + n + m)
+    u = random_positive_function(n, 32, 8, rng)
+    disc = discretization(n, 32, 4)
+    vals = disc.values(u.coeffs)
+    p = (n + 2 * m) / 2.0
+    dim = 2 if n == 1 else 1
+    h = 1e-5
+    for radius in (0.0, 0.2, NODE_FORM_RADIUS):
+        d = rng.standard_normal(dim)
+        a = radius * d / np.linalg.norm(d)
+        _, jac = _ball_moment(disc, vals, a, p, slope=True)
+        fd = np.column_stack(
+            [
+                (_ball_moment(disc, vals, a + h * e, p) - _ball_moment(disc, vals, a - h * e, p)) / (2 * h)
+                for e in np.eye(dim)
+            ]
+        )
+        assert np.max(np.abs(jac - fd)) < 1e-6 * np.max(np.abs(jac)), radius
+
+
+@pytest.mark.parametrize("n,m", STABLE_ORDERS)
+def test_find_center_undoes_the_dilation(n, m):
+    # the dilation of scale lam about e_0 is undone at (lam-1)/(lam+1) e_0
+    for lam in (0.5, 2.0 / 3.0, 1.5, 2.0):
+        res = find_center(extremal(n, m, 64, lam), m)
+        expected = np.zeros(n + 1)
+        expected[0] = (lam - 1.0) / (lam + 1.0)
+        assert res.converged
+        assert np.max(np.abs(res.a - expected)) < 1e-8, (lam, res.a)
 
 
 def test_boundary_limit_direction():

@@ -133,13 +133,19 @@ def s1_derivative_form_coefficients(m: int) -> List[Fraction]:
 
 
 def green_constant(n: int, m: int) -> float:
-    """Closed-form prefactor 2^{m-n-1} / ((m-1)! prod_{i=0}^{m}(n-2i) omega_n)."""
+    """Closed-form prefactor 2^{m-n+1} / ((m-1)! prod_{i=0}^{m}(n-2i) omega_n).
+
+    It is the fundamental solution Gamma(n/2 - m) / (4^m pi^{n/2} Gamma(m))
+    |x|^{2m-n} of (-Delta)^m on R^n (Stein, *Singular Integrals*, ch. V)
+    with |xi - zeta|^{2m-n} = 2^{2m-n} ((1-t)/2)^{(2m-n)/2}; for (1, 1) the
+    kernel is -|sin(theta/2)|.
+    """
     if n % 2 == 0 or 2 * m <= n:
         raise ValueError("closed-form Green's function requires odd n with 2m > n")
     prod = 1
     for i in range(m + 1):
         prod *= n - 2 * i
-    return 2.0 ** (m - n - 1) / (math.factorial(m - 1) * prod * unit_ball_volume(n))
+    return 2.0 ** (m - n + 1) / (math.factorial(m - 1) * prod * unit_ball_volume(n))
 
 
 def green_closed_values(n: int, m: int, t: np.ndarray) -> np.ndarray:

@@ -202,6 +202,7 @@ def test_criterion_11_green_function():
     ratio = green_closed_values(1, 1, ts) / green_series_values(1, 1, ts)
     spread = float(np.max(ratio) - np.min(ratio))
     assert spread < 1e-6
+    assert abs(float(np.mean(ratio)) - 1.0) < 1e-6
     _report(
         11,
         f"spectral kernel reproduces point values ({worst:.2e}); closed/spectral ratio "

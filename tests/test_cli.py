@@ -115,7 +115,7 @@ def test_green_check_ratio_constant(capsys):
     data = json.loads(out)
     assert data["reproduce_max_abs_error"] < 1e-8
     assert data["ratio_spread"] < 1e-6
-    assert abs(data["kappa_closed_form"] + 0.25) < 1e-15
+    assert abs(data["kappa_closed_form"] + 1.0) < 1e-15
 
 
 def test_flat_identity_check(capsys):

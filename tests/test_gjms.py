@@ -186,20 +186,22 @@ def test_derivative_form_coefficients():
 
 
 def test_green_constants():
-    assert abs(green_constant(1, 1) + 0.25) < 1e-15
-    assert abs(green_constant(3, 2) + 1.0 / (16 * math.pi)) < 1e-15
+    # the fundamental solution of (-Delta)^m on R^n (Stein, ch. V): for
+    # (1, 1) the kernel is -|sin(theta/2)|, and -G'' - G/4 = delta
+    assert abs(green_constant(1, 1) + 1.0) < 1e-15
+    assert abs(green_constant(3, 2) + 1.0 / (4 * math.pi)) < 1e-15
 
 
 def test_green_closed_form_values():
     xi = north_pole(1)
     # pi_xi vanishes at the antipode, so the kernel equals kappa there
-    assert abs(green_closed_form(1, 1, xi, -xi) + 0.25) < 1e-15
+    assert abs(green_closed_form(1, 1, xi, -xi) + 1.0) < 1e-15
     # the radial factor tends to zero at the pole itself
     near = np.array([0.999999999])
     assert abs(green_closed_values(1, 1, near)[0]) < 1e-4
     assert np.all(np.isfinite(green_closed_values(3, 2, np.linspace(-1, 1, 101))))
     xi3 = north_pole(3)
-    assert abs(green_closed_form(3, 2, xi3, -xi3) + 1.0 / (16 * math.pi)) < 1e-15
+    assert abs(green_closed_form(3, 2, xi3, -xi3) + 1.0 / (4 * math.pi)) < 1e-15
 
 
 def test_green_spectral_reproduces_point_values():
@@ -226,19 +228,18 @@ def test_green_spectral_singular_operator():
 
 
 def test_green_ratio_constant():
-    # the closed form is proportional to the summed spectral series; the
-    # measured ratio (1/4 on these orders) is reported, not asserted to be 1
+    # the closed form equals the summed spectral series
     ts = np.linspace(-0.95, 0.75, 10)
     for n, m in ((1, 1), (1, 2)):
         ratio = green_closed_values(n, m, ts) / green_series_values(n, m, ts)
         assert np.max(ratio) - np.min(ratio) < 1e-6
     ratio = green_closed_values(1, 1, ts) / green_series_values(1, 1, ts)
-    assert abs(float(np.mean(ratio)) - 0.25) < 1e-9
+    assert abs(float(np.mean(ratio)) - 1.0) < 1e-9
 
 
 def test_green_spectral_partial_sums_approach_scaled_closed_form():
-    # at the antipode the truncated series drifts toward closed/ratio as L grows
-    target = green_closed_values(1, 1, np.array([-1.0]))[0] / 0.25
+    # at the antipode the truncated series drifts toward the closed form as L grows
+    target = green_closed_values(1, 1, np.array([-1.0]))[0]
     errs = []
     for L in (16, 64, 256):
         g = green_spectral(1, 1, L)

@@ -26,6 +26,7 @@ from confsphere.mobius import (
 from confsphere.spectral import (
     Discretization,
     QuadratureRule,
+    SpectralFunction,
     _ball_moment,
     circle_quadrature,
     constant_function,
@@ -73,6 +74,19 @@ def test_energy_invariance_zonal():
             up = pullback(u, AxisDilation(u.axis, lam), m)
             e0, e1 = energy_quadratic(u, m), energy_quadratic(up, m)
             assert abs(e1 - e0) / abs(e0) < 1e-7
+
+
+def test_pullback_invariance_holds_once_padded():
+    # at (3, 2), L=64 the invariance of I misses 1e-6 for some u at
+    # lambda = 1/4 and 4: the pullback truncates at the degree of its input.
+    # Padded to L=128 first, the same pullbacks hold I to 1e-8
+    rng = np.random.default_rng(21)
+    for lam in (0.25, 4.0):
+        for _ in range(20):
+            u = random_positive_function(3, 64, 10, rng)
+            padded = SpectralFunction(3, np.concatenate([u.coeffs, np.zeros(64)]), u.axis)
+            pulled = pullback(padded, AxisDilation(u.axis, lam), 2)
+            assert abs(functional_value(pulled, 2) / functional_value(u, 2) - 1.0) < 1e-8
 
 
 def test_pullback_group_action():

@@ -15,7 +15,6 @@ from .errors import (
     CriticalOrder,
     InsufficientNodes,
     InvalidConfig,
-    NoConvergence,
     NonPositiveFunction,
     NotUnstable,
     PoleSingularity,

@@ -41,9 +41,5 @@ class NotUnstable(ConfSphereError):
     """No negative Hessian eigenvalue where instability was requested."""
 
 
-class NoConvergence(ConfSphereError):
-    """Iterative solver exhausted its budget without meeting tolerance."""
-
-
 class InvalidConfig(ConfSphereError):
     """Command-line or run configuration fails validation."""

@@ -476,7 +476,7 @@ def _node_points(rule: QuadratureRule) -> np.ndarray:
     """
     if rule.n == 1:
         return np.column_stack([np.cos(rule.nodes), np.sin(rule.nodes)])
-    return rule.nodes[:, None].copy()
+    return rule.nodes[:, None]
 
 
 def _ball_moment(

@@ -87,6 +87,10 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     weights = disc.rule.weights
     trace = DescentTrace()
 
+    def norm(x: np.ndarray) -> float:
+        # np.linalg.norm of a 1-D float array, without its overhead
+        return math.sqrt(float(x @ x))
+
     def value(c: np.ndarray, vals: np.ndarray) -> float:
         integ = float(weights @ vals ** (-q))
         return math.exp((2.0 / q) * math.log(integ)) * float((p * c) @ c)
@@ -116,9 +120,9 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
 
     def record():
         trace.values.append(current)
-        trace.grad_norms.append(float(np.linalg.norm(grad)))
+        trace.grad_norms.append(norm(grad))
         trace.min_values.append(float(vals.min()))
-        trace.barycenter_norms.append(float(np.linalg.norm(moment)))
+        trace.barycenter_norms.append(norm(moment))
 
     for _ in range(config.max_iter):
         record()
@@ -151,7 +155,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         grad, moment = _descent_terms(c, m, disc, axis)
 
         if accepted % config.gauge_every == 0:
-            drift = float(np.linalg.norm(moment)) / max(float(weights @ vals), 1e-300)
+            drift = norm(moment) / max(float(weights @ vals), 1e-300)
             # recenter only against real Mobius drift: near the optimum the
             # pullback's truncation noise would otherwise stall the gradient
             if drift > 0.01:

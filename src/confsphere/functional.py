@@ -70,12 +70,15 @@ def _positivity_gate(c: np.ndarray, disc: Discretization) -> np.ndarray:
     """Values of the coefficients c on the rule nodes, once c passed the gate.
 
     The gate is the minimum over the 4x-oversampled positivity grid of
-    :func:`min_on_grid`.  On that discretization the node values are the
-    grid, save the zonal poles, so the nodes are synthesized once.
+    :func:`min_on_grid`.  When ``disc`` is that discretization the node
+    values are the grid, save the zonal poles, so the nodes are synthesized
+    once and the grid is not looked up.
     """
     vals = disc.values(c)
-    grid = discretization(disc.rule.n, max(disc.degree, 1), oversample=4)
-    low = grid.grid_minimum(c, vals if grid is disc else None)
+    if disc.oversample == 4 and disc.degree >= 1:
+        low = disc.grid_minimum(c, vals)
+    else:
+        low = discretization(disc.rule.n, max(disc.degree, 1), oversample=4).grid_minimum(c)
     if low <= POSITIVITY_THRESHOLD:
         raise NonPositiveFunction(f"function is not strictly positive (grid minimum {low:.3e})")
     return vals

@@ -233,7 +233,7 @@ def find_center(
     seed = moment(np.zeros(2 if u.n == 1 else 1)) / float(disc.rule.weights @ vals)
     if u.n == 1:
         return _find_center_newton(moment, seed, tol, max_iter)
-    return _find_center_axis(u, m, disc, moment, float(seed[0]), tol, max_iter)
+    return _find_center_axis(u, moment, float(seed[0]), tol, max_iter)
 
 
 def _clip_ball(a: np.ndarray, limit: float = 0.999999) -> np.ndarray:
@@ -269,24 +269,25 @@ def _find_center_newton(moment, seed, tol, max_iter) -> CenterResult:
     return CenterResult(best_a, best_r, best_r < tol, max_iter)
 
 
-def _find_center_axis(u, m, disc, moment, seed, tol, max_iter) -> CenterResult:
-    # the rescaled moment points toward -xi as a -> xi, so the axis
-    # component changes sign across the ball and brackets a root
+def _find_center_axis(u, moment, seed, tol, max_iter) -> CenterResult:
+    # as a -> xi the barycenter tends to -u(-xi) xi times the positive
+    # boundary_moment_constant, so for positive u the axis component is > 0
+    # as r -> -1 and < 0 as r -> 1: [lo, hi] brackets a root without
+    # evaluating either end, and each iterate's sign says which end it moves
     def component(r: float) -> tuple:
         c, jac = moment(np.array([r]), slope=True)
         return float(c[0]), float(jac[0, 0])
 
     lo, hi = -0.999999, 0.999999
-    c_lo, c_hi = _mapped_axis_moments(u, m, disc, (lo, hi))
     r = max(lo, min(hi, seed / (1.0 + abs(seed))))
     c, slope = component(r)
     for it in range(max_iter):
         if abs(c) < tol:
             return CenterResult(r * u.axis, abs(c), True, it)
-        if c_lo * c > 0:
-            lo, c_lo = r, c
-        elif c_hi * c > 0:
-            hi, c_hi = r, c
+        if c > 0:
+            lo = r
+        elif c < 0:
+            hi = r
         cand = r - c / slope if slope != 0.0 else 0.5 * (lo + hi)
         if not (lo < cand < hi):
             cand = 0.5 * (lo + hi)

@@ -405,10 +405,11 @@ class Discretization:
     caches it: ``basis`` is the packed basis on the rule nodes, ``grid`` the
     positivity grid (the rule nodes, plus the poles t = -1, 1 for zonal
     functions, since Gauss-Jacobi nodes are interior), ``grid_basis`` the
-    basis on that grid and ``points`` the node coordinates of
-    :func:`_node_points`.  Every cached array is read-only.  Built directly
-    on a caller's rule, it holds no matrices and its transforms build the
-    basis on each call.
+    basis on that grid, ``points`` the node coordinates of
+    :func:`_node_points` and ``oversample`` the factor of the canonical
+    rule.  Every cached array is read-only.  Built directly on a caller's
+    rule, it holds no matrices, its ``oversample`` is None and its
+    transforms build the basis on each call.
     """
 
     rule: QuadratureRule
@@ -417,6 +418,7 @@ class Discretization:
     grid: Optional[np.ndarray] = None
     grid_basis: Optional[np.ndarray] = None
     points: Optional[np.ndarray] = None
+    oversample: Optional[int] = None
 
     @property
     def nbytes(self) -> int:
@@ -455,17 +457,21 @@ class Discretization:
             return float((self.grid_basis[: c.size].T @ c).min())
         if self.grid is self.rule.nodes:
             return float(values.min())
-        poles = self.grid_basis[:, :: self.grid.size - 1].T @ c
-        return float(min(values.min(), poles.min()))
+        south, north = (self.grid_basis[:, :: self.grid.size - 1].T @ c).tolist()
+        return min(float(values.min()), south, north)
 
     def first_moment(self, values: np.ndarray, axis: Optional[np.ndarray] = None) -> np.ndarray:
         """Integral of x f(x) over S^n, in R^{n+1}, from f's values on the rule nodes.
 
         A zonal f has its moment along its ``axis``: the components
-        orthogonal to the axis cancel.  It is :func:`_ball_moment` at a = 0.
+        orthogonal to the axis cancel.  The sums are those of
+        :func:`_ball_moment` at a = 0, so the bits agree.
         """
-        c = _ball_moment(self, values, np.zeros(2 if self.rule.n == 1 else 1), 0.0)
-        return c if self.rule.n == 1 else float(c[0]) * axis
+        w = self.rule.weights
+        if self.rule.n == 1:
+            y = self.points if self.points is not None else _node_points(self.rule)
+            return y.T @ (w * values)
+        return float(w @ (values * self.rule.nodes)) * axis
 
 
 def _node_points(rule: QuadratureRule) -> np.ndarray:
@@ -530,7 +536,8 @@ def _build_discretization(n: int, degree: int, oversample: int) -> Discretizatio
     else:
         grid = _cached_array(np.concatenate([[-1.0], rule.nodes, [1.0]]))
         grid_basis = _cached_array(basis_matrix(n, degree, grid))
-    return Discretization(rule, degree, basis, grid, grid_basis, _cached_array(_node_points(rule)))
+    points = _cached_array(_node_points(rule))
+    return Discretization(rule, degree, basis, grid, grid_basis, points, oversample)
 
 
 _cache: "OrderedDict[tuple, Discretization]" = OrderedDict()

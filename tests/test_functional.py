@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confsphere import functional
 from confsphere.errors import NonPositiveFunction
 from confsphere.functional import (
     el_residual,
@@ -18,9 +19,11 @@ from confsphere.functional import (
 )
 from confsphere.mobius import extremal
 from confsphere.spectral import (
+    Discretization,
     SpectralFunction,
     circle_quadrature,
     constant_function,
+    discretization,
     harmonic_basis_function,
     quadrature_for_degree,
     random_band_limited,
@@ -90,6 +93,30 @@ def test_positivity_gate():
         functional_value(sin_theta(), 2)
     with pytest.raises(NonPositiveFunction):
         neg_power_norm(constant_function(1, 0.0, 8), 1)
+
+
+def test_gate_tests_the_poles_without_looking_up_its_own_grid(monkeypatch):
+    # u = s - Z_16 is positive on the Gauss-Jacobi nodes and negative at
+    # t = 1; handed the 4x discretization, the gate needs no cache lookup
+    disc = discretization(3, 16, 4)
+    z = disc.grid_basis[16]
+    c = np.zeros(17)
+    c[0] = 0.5 * (z[1:-1].max() + z[-1]) / disc.grid_basis[0, 0]
+    c[16] = -1.0
+    assert disc.values(c).min() > 0.0
+    lookups = []
+    real = functional.discretization
+    monkeypatch.setattr(functional, "discretization", lambda *a, **k: lookups.append(a) or real(*a, **k))
+    with pytest.raises(NonPositiveFunction):
+        functional._positivity_gate(c, disc)
+    assert lookups == []
+    # a caller's rule is gated on the cached 4x grid, which it looks up
+    with pytest.raises(NonPositiveFunction):
+        functional._positivity_gate(c, Discretization(disc.rule, 16))
+    assert len(lookups) == 1
+    c[0] *= 3.0
+    assert np.array_equal(functional._positivity_gate(c, disc), disc.values(c))
+    assert len(lookups) == 1
 
 
 def test_report_consistency():

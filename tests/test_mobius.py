@@ -12,8 +12,10 @@ from confsphere.geometry import (
     north_pole,
     sphere_surface_area,
 )
+from confsphere import mobius
 from confsphere.mobius import (
     NODE_FORM_RADIUS,
+    _mapped_axis_moments,
     _pullback_values,
     barycenter,
     boundary_moment_constant,
@@ -315,6 +317,45 @@ def test_boundary_limit_direction():
         cosang = float(c @ (-xi)) / float(np.linalg.norm(c))
         angle = math.acos(min(1.0, max(-1.0, cosang)))
         assert angle < max_angle, (r, angle)
+
+
+BRACKET = (-0.999999, 0.999999)
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (3, 3), (3, 4), (5, 3), (5, 4), (7, 4)])
+def test_bracket_end_signs_follow_the_boundary_limit(n, m):
+    # find_center's zonal bracket takes C . xi > 0 at r -> -1 and < 0 at
+    # r -> 1 from the boundary limit, without evaluating either end
+    rng = np.random.default_rng(10 * n + m)
+    for degree in (16, 32, 64):
+        disc = discretization(n, degree, 4)
+        cases = [
+            random_positive_function(n, degree, degree // 2, rng, amplitude=amp)
+            for amp in (0.45, 0.8, 0.95)
+            for _ in range(2)
+        ]
+        for lam in (0.25, 0.5, 2.0, 4.0):
+            u = extremal(n, m, degree, lam)
+            try:
+                functional_value(u, m)
+            except NonPositiveFunction:
+                continue
+            cases.append(u)
+        for u in cases:
+            low, high = _mapped_axis_moments(u, m, disc, BRACKET)
+            assert low > 0.0 > high, (degree, low, high)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_zonal_find_center_evaluates_no_mapped_points(monkeypatch, m):
+    # on these extremals every iterate stays inside NODE_FORM_RADIUS, so no
+    # C(a) needs the mapped points, the bracket ends included
+    calls = []
+    real = mobius._mapped_axis_moments
+    monkeypatch.setattr(mobius, "_mapped_axis_moments", lambda *a: calls.append(a) or real(*a))
+    for lam in (0.5, 2.0 / 3.0, 1.0, 1.5, 2.0):
+        assert find_center(extremal(3, m, 64, lam), m).converged
+    assert calls == []
 
 
 def test_boundary_moment_constant_positive():

@@ -221,8 +221,9 @@ def find_center(
     u passes the positivity gate once, and every C(a) and its derivative
     are taken from its values on the nodes (see :func:`barycenter`).  The
     seed is the normalized first moment; zonal inputs reduce to a 1d solve
-    along the axis with a bisection fallback.  If the budget runs out the
-    best iterate is returned with ``converged=False``.
+    along the axis with a bisection fallback.  If the budget runs out, or
+    the circle's line search finds no decrease, the best iterate is
+    returned with ``converged=False`` and the number of steps taken.
     """
     disc = discretization_for(u.n, u.degree, rule, oversample=4)
     vals = _positivity_gate(u.coeffs, disc)
@@ -252,20 +253,19 @@ def _find_center_newton(moment, seed, tol, max_iter) -> CenterResult:
             step = np.linalg.solve(jac, -c)
         except np.linalg.LinAlgError:
             step = -c
-        improved = False
         for _ in range(30):
             cand = _clip_ball(a + step)
             cc, cjac = moment(cand, slope=True)
             if float(np.linalg.norm(cc)) < float(np.linalg.norm(c)):
                 a, c, jac = cand, cc, cjac
-                improved = True
                 break
             step = step / 2.0
+        else:
+            # no decrease in 30 halvings: stop after the `it` steps taken
+            return CenterResult(best_a, best_r, False, it)
         r = float(np.linalg.norm(c))
         if r < best_r:
             best_a, best_r = a.copy(), r
-        if not improved:
-            break
     return CenterResult(best_a, best_r, best_r < tol, max_iter)
 
 

@@ -215,6 +215,17 @@ def test_find_center_degree_one_perturbation():
     assert np.linalg.norm(dense) < 1e-8
 
 
+def test_find_center_reports_the_steps_taken_when_it_stops_early():
+    # for these two draws no root is found at m = 1: the line search stalls
+    # long before the budget of 80, and the count says so
+    rng = np.random.default_rng(5)
+    draws = [random_positive_function(1, 32, 6, rng, amplitude=0.8) for _ in range(5)]
+    for u in (draws[1], draws[4]):
+        res = find_center(u, 1)
+        assert not res.converged
+        assert res.iterations < 80
+
+
 STABLE_ORDERS = ((1, 1), (1, 2), (3, 2), (3, 3))
 
 

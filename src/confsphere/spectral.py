@@ -513,7 +513,7 @@ def _ball_moment(
         dd = (1.0 + a2) + 2.0 * ya
         f = values * (s**p * dd ** (-p - 1.0))
         v = s * y + (2.0 + 2.0 * ya)[:, None] * a
-    # a zonal moment is summed as w . (f t), the order that keeps C(0) bit for bit
+    # a zonal moment is summed as w . (f t), the order of first_moment: C(0) agrees bit for bit
     c = v.T @ (w * f) if disc.rule.n == 1 else np.array([w @ (f * v[:, 0])])
     if not slope:
         return c

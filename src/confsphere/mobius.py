@@ -245,7 +245,8 @@ def _clip_ball(a: np.ndarray, limit: float = 0.999999) -> np.ndarray:
 def _find_center_newton(moment, seed, tol, max_iter) -> CenterResult:
     a = _clip_ball(seed / (1.0 + float(np.linalg.norm(seed))))
     c, jac = moment(a, slope=True)
-    best_a, best_r = a.copy(), float(np.linalg.norm(c))
+    r = float(np.linalg.norm(c))
+    best_a, best_r = a.copy(), r
     for it in range(max_iter):
         if best_r < tol:
             return CenterResult(best_a, best_r, True, it)
@@ -256,14 +257,14 @@ def _find_center_newton(moment, seed, tol, max_iter) -> CenterResult:
         for _ in range(30):
             cand = _clip_ball(a + step)
             cc, cjac = moment(cand, slope=True)
-            if float(np.linalg.norm(cc)) < float(np.linalg.norm(c)):
-                a, c, jac = cand, cc, cjac
+            rc = float(np.linalg.norm(cc))
+            if rc < r:
+                a, c, jac, r = cand, cc, cjac, rc
                 break
             step = step / 2.0
         else:
             # no decrease in 30 halvings: stop after the `it` steps taken
             return CenterResult(best_a, best_r, False, it)
-        r = float(np.linalg.norm(c))
         if r < best_r:
             best_a, best_r = a.copy(), r
     return CenterResult(best_a, best_r, best_r < tol, max_iter)

@@ -20,36 +20,15 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfSphereError, InvalidConfig
-from .extremize import OptimizerConfig, minimize
-from .flatcheck import flat_energy_identity
-from .functional import energy_quadratic, functional_report, functional_value
-from .geometry import AxisDilation, north_pole, sphere_measure
-from .gjms import (
-    green_closed_values,
-    green_constant,
-    green_series_values,
-    green_spectral,
-    multiplier,
-    reproduce_at_pole,
-)
-from .mobius import pullback
-from .polyident import check_delta_k_product, check_identity_2_1, random_polynomial
-from .spectral import (
-    SpectralFunction,
-    constant_function,
-    from_json_dict,
-    harmonic_basis_function,
-    random_band_limited,
-    random_positive_function,
-    roots_jacobi,
-)
-from .stability import hessian_spectrum
+
+if TYPE_CHECKING:
+    from .spectral import SpectralFunction
 
 
 def _fmt(x: float) -> str:
@@ -116,6 +95,8 @@ def _validate_sphere(n: int, m: int, degree: Optional[int] = None, functional: b
 
 
 def _cmd_multiplier_table(args) -> int:
+    from .gjms import multiplier
+
     _validate_sphere(args.n, args.m, functional=False)
     _require(args.max_degree >= 0, "--max-degree must be >= 0")
     rows = []
@@ -144,6 +125,10 @@ def _sharp_constant_closed_form(n: int, m: int):
 
 
 def _cmd_constants(args) -> int:
+    from .functional import functional_value
+    from .geometry import sphere_measure
+    from .spectral import constant_function
+
     _validate_sphere(args.n, args.m)
     frac, power, label = _sharp_constant_closed_form(args.n, args.m)
     mu = sphere_measure(args.n)
@@ -168,6 +153,8 @@ def _cmd_constants(args) -> int:
 
 
 def _load_function(args, degree: int) -> SpectralFunction:
+    from .spectral import constant_function, from_json_dict, random_positive_function
+
     if args.input:
         try:
             with open(args.input) as fh:
@@ -184,6 +171,8 @@ def _load_function(args, degree: int) -> SpectralFunction:
 
 
 def _cmd_energy(args) -> int:
+    from .functional import functional_report
+
     _validate_sphere(args.n, args.m, args.degree)
     u = _load_function(args, args.degree)
     _require(u.n == args.n, "input function dimension does not match --n")
@@ -203,6 +192,11 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_invariance_check(args) -> int:
+    from .functional import energy_quadratic
+    from .geometry import AxisDilation, north_pole
+    from .mobius import pullback
+    from .spectral import random_positive_function
+
     _validate_sphere(args.n, args.m, args.degree)
     _require(args.trials >= 1, "--trials must be >= 1")
     _require(args.lam is None or args.lam > 0, "--lambda must be positive")
@@ -228,6 +222,8 @@ def _cmd_invariance_check(args) -> int:
 
 
 def _cmd_hessian(args) -> int:
+    from .stability import hessian_spectrum
+
     _validate_sphere(args.n, args.m, args.degree)
     spectrum = hessian_spectrum(args.n, args.m, args.degree)
     rows = []
@@ -239,6 +235,9 @@ def _cmd_hessian(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
+    from .extremize import OptimizerConfig, minimize
+    from .spectral import random_positive_function
+
     _validate_sphere(args.n, args.m, args.degree)
     _require(args.max_iter >= 1, "--max-iter must be >= 1")
     _require(args.eps > 0, "--eps must be positive")
@@ -279,10 +278,18 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_green_check(args) -> int:
+    from .gjms import (
+        green_closed_values,
+        green_constant,
+        green_series_values,
+        green_spectral,
+        reproduce_at_pole,
+    )
+    from .spectral import constant_function, random_band_limited, synthesize
+
     _validate_sphere(args.n, args.m, args.degree)
     _require(args.n % 2 == 1, "the Green's function requires odd n")
     _require(args.samples >= 1, "--samples must be >= 1")
-    from .spectral import synthesize
 
     rng = np.random.default_rng(args.seed or 0)
     green = green_spectral(args.n, args.m, args.degree)
@@ -316,6 +323,8 @@ def _cmd_green_check(args) -> int:
 
 
 def _cmd_flat_identity_check(args) -> int:
+    from .flatcheck import flat_energy_identity
+
     _require(args.m in (1, 2), "flat identities are implemented for m in {1, 2}")
     _require(args.degree >= 8, "L must be >= 8")
     _require(args.trials >= 1, "--trials must be >= 1")
@@ -339,7 +348,7 @@ def admissible_random_function(degree: int, m: int, rng: np.random.Generator) ->
     Subtracting a constant enforces u(N) = 0; for m = 2 a sine harmonic
     removes the first derivative as well, keeping the function band-limited.
     """
-    from .spectral import synthesize
+    from .spectral import constant_function, harmonic_basis_function, random_band_limited, synthesize
 
     u = random_band_limited(1, degree, degree // 2, rng, decay=0.1)
     value = float(synthesize(u, np.array([0.0]))[0])
@@ -353,6 +362,8 @@ def admissible_random_function(degree: int, m: int, rng: np.random.Generator) ->
 
 
 def _cmd_poly_identity(args) -> int:
+    from .polyident import check_delta_k_product, check_identity_2_1, random_polynomial
+
     _require(args.n >= 1, "the number of variables must be >= 1")
     _require(args.m >= 0, "m must be >= 0")
     _require(args.deg >= 0, "--deg must be >= 0")
@@ -375,6 +386,9 @@ def _cmd_poly_identity(args) -> int:
 
 
 def _cmd_counterexample_sin(args) -> int:
+    from .functional import energy_quadratic
+    from .spectral import harmonic_basis_function, roots_jacobi
+
     degree = args.degree
     _require(degree >= 1, "L must be >= 1")
     sin_theta = harmonic_basis_function(1, 1, degree, component="sin").scaled(math.sqrt(math.pi))

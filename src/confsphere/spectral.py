@@ -138,27 +138,15 @@ def integrate(values: np.ndarray, rule: QuadratureRule) -> float:
 # ---------------------------------------------------------------------------
 
 
-def circle_basis_matrix(degree: int, theta: np.ndarray, deriv: int = 0) -> np.ndarray:
-    """Rows of the orthonormal Fourier basis (or its theta-derivatives)."""
+def circle_basis_matrix(degree: int, theta: np.ndarray) -> np.ndarray:
+    """Rows of the orthonormal Fourier basis."""
     theta = np.asarray(theta, dtype=float)
     rows = np.zeros((2 * degree + 1, theta.size))
-    if deriv == 0:
-        rows[0] = 1.0 / math.sqrt(TWO_PI)
+    rows[0] = 1.0 / math.sqrt(TWO_PI)
     inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
     for k in range(1, degree + 1):
-        c, s = np.cos(k * theta), np.sin(k * theta)
-        r = deriv % 4
-        if r == 0:
-            dc, ds = c, s
-        elif r == 1:
-            dc, ds = -s, c
-        elif r == 2:
-            dc, ds = -c, -s
-        else:
-            dc, ds = s, -c
-        scale = float(k) ** deriv * inv_sqrt_pi
-        rows[2 * k - 1] = scale * dc
-        rows[2 * k] = scale * ds
+        rows[2 * k - 1] = inv_sqrt_pi * np.cos(k * theta)
+        rows[2 * k] = inv_sqrt_pi * np.sin(k * theta)
     return rows
 
 
@@ -221,20 +209,27 @@ def _chebyshev_matrix(n: int, degree: int) -> np.ndarray:
     return _cached_array(out * _zonal_normalization(n, degree))
 
 
-def _evaluate(u: "SpectralFunction", points: np.ndarray) -> np.ndarray:
-    """Values of u at ``points`` without a basis matrix.
+def _evaluate(u: "SpectralFunction", points: np.ndarray, deriv: int = 0) -> np.ndarray:
+    """Values of u, or of its ``deriv``-th theta-derivative, at ``points`` without a basis matrix.
 
     Both representations are a real part Re sum_j d_j z^j on the unit
     circle, summed by Horner's rule: on the circle z = exp(i th) and d_k =
     (a_k - i b_k)/sqrt(pi); for zonal u, z = t + i sqrt(1 - t^2) and d holds
-    the Chebyshev coefficients of u, since T_j(t) = Re z^j.
+    the Chebyshev coefficients of u, since T_j(t) = Re z^j.  On the circle
+    d^k/dth^k z^j = (i j)^k z^j, so a derivative only rescales d.
     """
+    if deriv < 0:
+        raise ValueError("the derivative order must be >= 0")
+    if deriv != 0 and u.n != 1:
+        raise ValueError("derivative synthesis is only provided on the circle")
     x = np.asarray(points, dtype=float).ravel()
     c = u.coeffs
     if u.n == 1:
         d = np.empty(u.degree + 1, dtype=complex)
         d[0] = c[0] * (1.0 / math.sqrt(TWO_PI))
         d[1:] = (c[1::2] - 1j * c[2::2]) * (1.0 / math.sqrt(math.pi))
+        if deriv != 0:
+            d *= (1j * np.arange(u.degree + 1)) ** deriv
         z = np.exp(1j * x)
     else:
         d = _chebyshev_matrix(u.n, u.degree) @ c
@@ -247,16 +242,13 @@ def _evaluate(u: "SpectralFunction", points: np.ndarray) -> np.ndarray:
     return acc.real
 
 
-def basis_matrix(n: int, degree: int, points: np.ndarray, deriv: int = 0) -> np.ndarray:
+def basis_matrix(n: int, degree: int, points: np.ndarray) -> np.ndarray:
     """Packed basis of degree-``degree`` functions on S^n at ``points``, one row per coefficient.
 
-    ``points`` are angles for ``n = 1`` and axis cosines for zonal functions;
-    ``deriv`` (circle only) differentiates in theta.
+    ``points`` are angles for ``n = 1`` and axis cosines for zonal functions.
     """
     if n == 1:
-        return circle_basis_matrix(degree, points, deriv)
-    if deriv != 0:
-        raise ValueError("derivative synthesis is only provided on the circle")
+        return circle_basis_matrix(degree, points)
     return zonal_basis_matrix(n, degree, points)
 
 
@@ -352,16 +344,16 @@ def synthesize(
     """Pointwise values of the expansion.
 
     ``points`` are angles for ``n = 1`` and axis cosines ``t`` for zonal
-    functions.  ``deriv`` (circle only) evaluates the theta-derivative of
-    that order, which is exact for the truncated series.  ``basis`` is the
-    basis already evaluated at ``points`` (a :class:`Discretization` passes
-    its cached one).  Without it, values are summed by Horner's rule and
-    derivatives are taken from a basis built for this call.
+    functions.  ``deriv`` (circle only, else ``ValueError``) evaluates the
+    theta-derivative of that order (>= 0), which is exact for the truncated
+    series.  ``basis`` is the basis already evaluated at ``points`` (a
+    :class:`Discretization` passes its cached one) and is used for values.
+    Without it, and for every derivative, the series is summed by Horner's
+    rule with no basis matrix: the derivative of order k scales the j-th
+    complex coefficient by (i j)^k.
     """
-    if basis is None:
-        if deriv == 0:
-            return _evaluate(u, points)
-        basis = basis_matrix(u.n, u.degree, points, deriv)
+    if basis is None or deriv != 0:
+        return _evaluate(u, points, deriv)
     return basis.T @ u.coeffs
 
 

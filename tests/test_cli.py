@@ -244,15 +244,94 @@ print("RESULT", code, ",".join(loaded))
 """
 
 
-@pytest.mark.parametrize(
-    "argv", [(), ("counterexample-sin",), ("energy", "--n", "3", "--m", "2", "--L", "16")], ids=repr
-)
-def test_runtime_never_loads_scipy(argv):
+def _run_python(code, *argv):
+    """Last stdout line of ``code`` run in a fresh interpreter importing confsphere from this checkout."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "RESULT 0 "
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv", [(), ("counterexample-sin",), ("energy", "--n", "3", "--m", "2", "--L", "16")], ids=repr
+)
+def test_runtime_never_loads_scipy(argv):
+    assert _run_python(_NO_SCIPY, *argv) == "RESULT 0 "
+
+
+_LOADED = """
+import sys
+{body}
+print(" ".join(sorted(k for k in sys.modules if k.startswith("confsphere."))))
+"""
+
+
+def test_package_import_loads_only_errors():
+    assert _run_python(_LOADED.format(body="import confsphere")) == "confsphere.errors"
+
+
+def test_lazy_namespace_resolves_each_name_in_its_home_module():
+    import confsphere
+
+    errors = {name for name in confsphere.__all__ if name in vars(confsphere)}
+    assert errors == set(vars(confsphere.errors)) & set(confsphere.__all__)
+    listed = dir(confsphere)
+    for name in confsphere.__all__:
+        obj = getattr(confsphere, name)
+        home = sys.modules[confsphere._HOME[name]] if name not in errors else confsphere.errors
+        assert obj is getattr(home, name), name
+        # type aliases such as MobiusMap carry typing's module name
+        assert getattr(obj, "__module__", "typing") in (home.__name__, "typing"), name
+        assert name in listed
+    # nothing resolved lazily is stored in the package
+    assert not (set(confsphere.__all__) - errors) & set(vars(confsphere))
+    with pytest.raises(AttributeError):
+        confsphere.no_such_name
+
+
+def test_lazy_namespace_shows_a_function_rebound_on_its_home_module(monkeypatch):
+    import confsphere
+    from confsphere import spectral as home
+
+    original = home.synthesize
+
+    def wrapper(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(home, "synthesize", wrapper)
+    assert confsphere.synthesize is wrapper
+    from confsphere import synthesize
+
+    assert synthesize is wrapper
+    monkeypatch.undo()
+    # a lookup taken while the wrapper was bound does not pin it
+    assert confsphere.synthesize is original
+
+
+_README_ARGV = [
+    ("multiplier-table", "--n", "3", "--m", "2", "--max-degree", "16"),
+    ("constants", "--n", "1", "--m", "1"),
+    ("energy", "--n", "1", "--m", "2", "--L", "32", "--seed", "5"),
+    ("invariance-check", "--n", "1", "--m", "1", "--L", "16", "--trials", "2"),
+    ("hessian", "--n", "1", "--m", "3", "--L", "16"),
+    ("minimize", "--n", "1", "--m", "1", "--L", "16", "--max-iter", "3"),
+    ("green-check", "--n", "1", "--m", "1", "--L", "16"),
+    ("flat-identity-check", "--m", "1", "--L", "16", "--trials", "2"),
+    ("poly-identity", "--n", "3", "--m", "4", "--deg", "6", "--trials", "2"),
+    ("counterexample-sin",),
+]
+
+
+@pytest.mark.parametrize("argv", _README_ARGV, ids=lambda argv: argv[0])
+def test_each_subcommand_loads_only_what_it_needs(argv):
+    body = "from confsphere.cli import main\nmain(sys.argv[1:])"
+    loaded = set(_run_python(_LOADED.format(body=body), *argv).split())
+    if argv[0] == "poly-identity":
+        assert loaded == {"confsphere.cli", "confsphere.errors", "confsphere.polyident"}
+    if argv[0] in ("multiplier-table", "green-check"):
+        assert not loaded & {"confsphere.functional", "confsphere.mobius"}
+    assert ("confsphere.extremize" in loaded) == (argv[0] == "minimize")

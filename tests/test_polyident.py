@@ -7,8 +7,12 @@ from confsphere.polyident import (
     RationalPolynomial,
     check_delta_k_product,
     check_identity_2_1,
+    delta_k_product_sides,
     half_one_plus_norm_sq,
+    identity_2_1_sides,
+    iterated_laplacian,
     laplacian,
+    partial,
     random_polynomial,
 )
 
@@ -112,3 +116,59 @@ def test_zero_coefficients_pruned():
     p = RationalPolynomial(1, {(3,): Fraction(0), (1,): Fraction(2)})
     assert (3,) not in p.terms
     assert p.degree() == 1
+
+
+# the identities in the Fraction weight W = (1 + |x|^2)/2, as first stated;
+# the library checks them in the integer weight V = 2W
+
+
+def _identity_sides_in_w(u, m):
+    w = half_one_plus_norm_sq(u.num_vars)
+    delta_m_u = iterated_laplacian(u, m)
+    lhs = laplacian(w ** (m + 1) * delta_m_u)
+    if m >= 1:
+        lhs = lhs + (w ** (m - 1) * delta_m_u).scaled(Fraction(m * (m + 1)))
+    return lhs, w**m * iterated_laplacian(w * u, m + 1)
+
+
+def _product_sides_in_w(u, k):
+    n = u.num_vars
+    w = half_one_plus_norm_sq(n)
+    lhs = iterated_laplacian(w * u, k)
+    rhs = iterated_laplacian(u, k - 1).scaled(Fraction(k * (2 * k + n - 2)))
+    cross = const(n, 0)
+    for i in range(n):
+        cross = cross + var(n, i) * iterated_laplacian(partial(u, i), k - 1)
+    return lhs, rhs + cross.scaled(Fraction(2 * k)) + w * iterated_laplacian(u, k)
+
+
+def _all_int(*polys):
+    return all(type(c) is int for p in polys for c in p.terms.values())
+
+
+def test_integer_weight_sides_are_scaled_fraction_weight_sides():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        for m in range(5):
+            for _ in range(2):
+                u = random_polynomial(n, int(rng.integers(0, 7)), rng)
+                lhs, rhs = identity_2_1_sides(u, m)
+                lhs_w, rhs_w = _identity_sides_in_w(u, m)
+                assert _all_int(lhs, rhs)
+                assert lhs == lhs_w.scaled(2 ** (m + 1)) and rhs == rhs_w.scaled(2 ** (m + 1))
+                assert check_identity_2_1(u, m)[1] == lhs_w - rhs_w
+                k = max(1, m)
+                lhs, rhs = delta_k_product_sides(u, k)
+                lhs_w, rhs_w = _product_sides_in_w(u, k)
+                assert _all_int(lhs, rhs)
+                assert lhs == lhs_w.scaled(2) and rhs == rhs_w.scaled(2)
+
+
+def test_integer_input_keeps_int_coefficients():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3):
+        p = random_polynomial(n, 6, rng)
+        q = random_polynomial(n, 4, rng)
+        assert _all_int(p, q, p * q, p + q, p - q, laplacian(p), p**2)
+        assert _all_int(*(partial(p, i) for i in range(n)))
+        assert _all_int(const(n, 3), var(n, 0))

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ from scipy.special import eval_gegenbauer
 from scipy.special import roots_jacobi as scipy_roots_jacobi
 
 from confsphere import spectral
+from confsphere.cli import main
 from confsphere.errors import AxisMismatch, InsufficientNodes
 from confsphere.extremize import OptimizerConfig, minimize
 from confsphere.gjms import apply_operator, packed_multipliers
@@ -230,6 +233,32 @@ def test_derivative_synthesis_is_exact():
     assert np.max(np.abs(d1 - 3 * np.cos(3 * theta) / math.sqrt(math.pi))) < 1e-13
     d2 = synthesize(u, theta, deriv=2)
     assert np.max(np.abs(d2 + 9 * np.sin(3 * theta) / math.sqrt(math.pi))) < 1e-12
+
+
+@pytest.mark.parametrize("L", [16, 64, 128])
+def test_derivative_synthesis_matches_termwise_closed_form(L):
+    rng = np.random.default_rng(L)
+    u = SpectralFunction(1, rng.standard_normal(2 * L + 1))
+    theta = np.concatenate([[0.0, math.pi], rng.uniform(0.0, TWO_PI, 40)])
+    a, b = u.coeffs[1::2], u.coeffs[2::2]
+    j = np.arange(1, L + 1)
+    for k in (1, 2, 3):
+        # d^k/dth^k cos(j th) = j^k cos(j th + k pi/2), and likewise for sin
+        phase = np.outer(theta, j) + k * math.pi / 2
+        expected = (np.cos(phase) @ (j**k * a) + np.sin(phase) @ (j**k * b)) / math.sqrt(math.pi)
+        bound = 1e-13 * float(np.sum(j**k * np.hypot(a, b))) / math.sqrt(math.pi)
+        assert float(np.abs(synthesize(u, theta, deriv=k) - expected).max()) <= bound
+    with pytest.raises(ValueError):
+        synthesize(u, theta, deriv=-1)
+    with pytest.raises(ValueError):
+        synthesize(harmonic_basis_function(3, 2, degree=8), np.array([0.5]), deriv=1)
+
+
+def test_readme_flat_identity_trials_stay_at_rounding(capsys):
+    assert main(["flat-identity-check", "--m", "1", "--L", "64", "--trials", "50"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 50
+    assert max(float(r["rel_error"]) for r in rows) < 1e-14
 
 
 def test_zonal_axis_must_have_n_plus_one_entries():

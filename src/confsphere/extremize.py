@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .functional import _descent_terms, exponent_q, functional_value
+from .functional import _step_terms, _value_terms, exponent_q, functional_value
 from .gjms import packed_multipliers
 from .mobius import recenter
 from .spectral import (
@@ -77,8 +77,8 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     arrives before the gradient tolerance because exactly monotone
     acceptance cannot push the gradient below ~sqrt(eps |I|).
 
-    The iterate is held as coefficients; one kernel call per iterate gives
-    both its gradient and its barycenter.
+    The iterate is held as coefficients.  Each candidate is synthesized
+    once; the terms of the accepted one give its gradient and barycenter.
     """
     n, axis = u0.n, u0.axis
     q = exponent_q(n, m)
@@ -91,26 +91,19 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         # np.linalg.norm of a 1-D float array, without its overhead
         return math.sqrt(float(x @ x))
 
-    def value(c: np.ndarray, vals: np.ndarray) -> float:
-        integ = float(weights @ vals ** (-q))
-        return math.exp((2.0 / q) * math.log(integ)) * float((p * c) @ c)
-
     def admissible(c: np.ndarray) -> Optional[tuple]:
-        """(c, node values, I) rescaled to maximum one; None at or below the floor."""
+        """:func:`_value_terms` of c rescaled to maximum one; None at or below the floor."""
         vals = disc.values(c)
         if not disc.grid_minimum(c, vals) > config.positivity_floor:
             return None
         cmax = float(vals.max())
-        c, vals = c * (1.0 / cmax), vals / cmax
-        return c, vals, value(c, vals)
+        return _value_terms(c * (1.0 / cmax), vals / cmax, p, q, weights)
 
-    vals = disc.values(u0.coeffs)
-    if disc.grid_minimum(u0.coeffs, vals) <= config.positivity_floor:
+    terms = admissible(u0.coeffs)
+    if terms is None:
         raise ValueError("initial iterate violates the positivity floor")
-    c = u0.coeffs * (1.0 / float(np.max(vals)))
-    vals = disc.values(c)
-    current = value(c, vals)
-    grad, moment = _descent_terms(c, m, disc, axis)
+    c, vals, current = terms[:3]
+    grad, moment = _step_terms(terms, disc, q, axis)
 
     # descent direction is the gradient in a fixed diagonal metric
     # (1 + |p_2m(alpha)|), which evens out the 2m-th order stiffness
@@ -141,7 +134,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
                 # strict decrease too: below half an ulp of I the Armijo
                 # bound admits an equal value, which is no progress
                 if cand[2] < current and cand[2] <= current - config.armijo_factor * alpha * slope:
-                    c, vals, current = cand
+                    terms = cand
                     break
             alpha *= 0.5
         else:
@@ -152,7 +145,8 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
 
         accepted += 1
         step = min(alpha * 2.0, 1e6)
-        grad, moment = _descent_terms(c, m, disc, axis)
+        c, vals, current = terms[:3]
+        grad, moment = _step_terms(terms, disc, q, axis)
 
         if accepted % config.gauge_every == 0:
             drift = norm(moment) / max(float(weights @ vals), 1e-300)
@@ -163,8 +157,9 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
                 cand = admissible(centered.coeffs)
                 # invariant up to truncation; keep only if monotone
                 if cand is not None and cand[2] <= current:
-                    c, vals, current = cand
-                    grad, moment = _descent_terms(c, m, disc, axis)
+                    terms = cand
+                    c, vals, current = terms[:3]
+                    grad, moment = _step_terms(terms, disc, q, axis)
     else:
         record()
         trace.termination_reason = "max_iterations"

@@ -151,21 +151,29 @@ def functional_report(
     )
 
 
-def _descent_terms(c: np.ndarray, m: int, disc: Discretization, axis: Optional[np.ndarray]) -> tuple:
-    """The value-and-gradient kernel: one gate and one synthesis of c.
+def _value_terms(c: np.ndarray, vals: np.ndarray, p: np.ndarray, q: float, weights: np.ndarray) -> tuple:
+    """(c, vals, I, p c, E, u^{-q}, integral u^{-q}) of the coefficients c.
 
-    Returns the gradient coefficients of :func:`gradient` and the first
-    moment C(0) of :func:`~confsphere.mobius.barycenter`, both from the
-    same node values.
+    ``vals`` are the values of c on the nodes of ``weights`` and have
+    passed a positivity gate; ``p`` are the packed multipliers.  The tuple
+    is what :func:`_step_terms` takes.
     """
-    n = disc.rule.n
-    q = exponent_q(n, m)
-    vals = _positivity_gate(c, disc)
-    p = packed_multipliers(n, m, disc.degree)
-    integ = float(disc.rule.weights @ vals ** (-q))
-    e = float(p @ (c * c))
-    pointwise = -2.0 * integ ** (2.0 / q - 1.0) * e * vals ** (-q - 1.0)
-    grad = disc.project(pointwise) + (p * c) * (2.0 * integ ** (2.0 / q))
+    neg = vals ** (-q)
+    integ = float(weights @ neg)
+    pc = p * c
+    e = float(pc @ c)
+    return c, vals, math.exp((2.0 / q) * math.log(integ)) * e, pc, e, neg, integ
+
+
+def _step_terms(terms: tuple, disc: Discretization, q: float, axis: Optional[np.ndarray]) -> tuple:
+    """Gradient coefficients and first moment C(0) from :func:`_value_terms`.
+
+    Both come from the node values held in ``terms``: no synthesis and no
+    gate.  u^{-q-1} is taken as u^{-q} / u.
+    """
+    _, vals, _, pc, e, neg, integ = terms
+    pointwise = (-2.0 * integ ** (2.0 / q - 1.0) * e) * (neg / vals)
+    grad = disc.project(pointwise) + pc * (2.0 * integ ** (2.0 / q))
     return grad, disc.first_moment(vals, axis)
 
 
@@ -173,9 +181,14 @@ def gradient(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None)
     """Spectral projection of the L^2 gradient of the functional.
 
     grad I = 2 |u^{-1}|^2 P_2m u - 2 (integral u^{-q})^{2/q - 1} E(u) u^{-q-1},
-    truncated at the degree of u.
+    truncated at the degree of u.  The kernel is the one of the descent:
+    gate, :func:`_value_terms`, :func:`_step_terms`.
     """
-    grad, _ = _descent_terms(u.coeffs, m, _discretization(u, rule), u.axis)
+    disc = _discretization(u, rule)
+    q = exponent_q(u.n, m)
+    vals = _positivity_gate(u.coeffs, disc)
+    terms = _value_terms(u.coeffs, vals, packed_multipliers(u.n, m, disc.degree), q, disc.rule.weights)
+    grad, _ = _step_terms(terms, disc, q, u.axis)
     return SpectralFunction(u.n, grad, u.axis)
 
 

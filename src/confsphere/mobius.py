@@ -297,7 +297,7 @@ def _find_center_axis(u, moment, seed, tol, max_iter) -> CenterResult:
 
 
 def _mapped_axis_moments(u: SpectralFunction, m: int, disc: Discretization, radii) -> list:
-    """Axis components of C(r xi) at each r of ``radii`` by the mapped points, in one Horner pass.
+    """Axis components of C(r xi) at each r of ``radii`` by the mapped points, in one synthesis.
 
     sigma_{r xi} acts on S^n as the dilation about xi of scale (1 - r)/(1 + r).
     """

@@ -213,10 +213,16 @@ def _evaluate(u: "SpectralFunction", points: np.ndarray, deriv: int = 0) -> np.n
     """Values of u, or of its ``deriv``-th theta-derivative, at ``points`` without a basis matrix.
 
     Both representations are a real part Re sum_j d_j z^j on the unit
-    circle, summed by Horner's rule: on the circle z = exp(i th) and d_k =
-    (a_k - i b_k)/sqrt(pi); for zonal u, z = t + i sqrt(1 - t^2) and d holds
-    the Chebyshev coefficients of u, since T_j(t) = Re z^j.  On the circle
-    d^k/dth^k z^j = (i j)^k z^j, so a derivative only rescales d.
+    circle: on the circle z = exp(i th) and d_k = (a_k - i b_k)/sqrt(pi);
+    for zonal u, z = t + i sqrt(1 - t^2) and d holds the Chebyshev
+    coefficients of u, since T_j(t) = Re z^j.  On the circle d^k/dth^k z^j
+    = (i j)^k z^j, so a derivative only rescales d.
+
+    The sum is taken in blocks (Paterson-Stockmeyer): with b = isqrt(len(d))
+    the powers z^0..z^{b-1} form one matrix, a single product with d
+    reshaped to (k, b) gives the k block polynomials, and Horner's rule in
+    w = z^b adds the blocks.  That is about 2 sqrt(L) array operations
+    instead of 2 L.
     """
     if deriv < 0:
         raise ValueError("the derivative order must be >= 0")
@@ -235,10 +241,21 @@ def _evaluate(u: "SpectralFunction", points: np.ndarray, deriv: int = 0) -> np.n
         d = _chebyshev_matrix(u.n, u.degree) @ c
         # (1 - t)(1 + t) keeps its relative accuracy near the poles
         z = x + 1j * np.sqrt(np.maximum((1.0 - x) * (1.0 + x), 0.0))
-    acc = np.full(x.size, d[-1], dtype=complex)
-    for dj in d[-2::-1].tolist():
-        acc *= z
-        acc += dj
+    # k blocks of b coefficients, the last one padded with zeros
+    b = math.isqrt(d.size)
+    k = -(-d.size // b)
+    padded = np.zeros(k * b, dtype=complex)
+    padded[: d.size] = d
+    powers = np.empty((b, x.size), dtype=complex)
+    powers[0] = 1.0
+    for j in range(1, b):
+        np.multiply(powers[j - 1], z, out=powers[j])
+    w = powers[-1] * z
+    blocks = padded.reshape(k, b) @ powers
+    acc = blocks[-1]
+    for row in blocks[-2::-1]:
+        acc *= w
+        acc += row
     return acc.real
 
 
@@ -348,9 +365,9 @@ def synthesize(
     theta-derivative of that order (>= 0), which is exact for the truncated
     series.  ``basis`` is the basis already evaluated at ``points`` (a
     :class:`Discretization` passes its cached one) and is used for values.
-    Without it, and for every derivative, the series is summed by Horner's
-    rule with no basis matrix: the derivative of order k scales the j-th
-    complex coefficient by (i j)^k.
+    Without it, and for every derivative, the series is summed in blocks
+    with no basis matrix (see :func:`_evaluate`): the derivative of order k
+    scales the j-th complex coefficient by (i j)^k.
     """
     if basis is None or deriv != 0:
         return _evaluate(u, points, deriv)

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from confsphere import extremize, functional, mobius
 from confsphere.extremize import OptimizerConfig, minimize, perturbation_sweep
-from confsphere.functional import el_residual, functional_value, gradient
-from confsphere.geometry import AxisDilation, north_pole
+from confsphere.functional import el_residual, exponent_q, functional_value, gradient, neg_power_integral
+from confsphere.geometry import AxisDilation, north_pole, sphere_measure
+from confsphere.gjms import packed_multipliers
 from confsphere.mobius import barycenter, pullback
 from confsphere.spectral import (
+    Discretization,
     constant_function,
     harmonic_basis_function,
     min_on_grid,
@@ -137,14 +140,63 @@ def test_minimize_zonal_reaches_closed_form_constant():
     assert abs(trace.values[-1] - target) / abs(target) < 1e-6
 
 
-@pytest.mark.parametrize("n,m,degree", [(1, 1, 32), (1, 2, 32), (3, 2, 32), (3, 3, 64)])
+@pytest.mark.parametrize("n,m,degree", [(1, 1, 32), (1, 2, 32), (3, 2, 32), (3, 3, 64), (3, 2, 64)])
 def test_descent_rows_equal_public_functions(n, m, degree):
-    # minimize evaluates gradient and barycenter through one shared kernel;
-    # its last row must be exactly what the public functions give
-    trace = minimize(seeded_start(n, degree, 3), m, OptimizerConfig(degree=degree, max_iter=40))
-    final = trace.final
-    assert trace.grad_norms[-1] == np.linalg.norm(gradient(final, m).coeffs)
-    assert trace.barycenter_norms[-1] == np.linalg.norm(barycenter(final, np.zeros(n + 1), m))
+    # the last row comes from the node values of the accepted candidate,
+    # rescaled to maximum one, not from a fresh synthesis of the final
+    # coefficients: the two agree to rounding in the scale of each term
+    q = exponent_q(n, m)
+    p = packed_multipliers(n, m, degree)
+    for max_iter in (3, 40, 200):
+        trace = minimize(seeded_start(n, degree, 3), m, OptimizerConfig(degree=degree, max_iter=max_iter))
+        final = trace.final
+        energy_term = 2.0 * neg_power_integral(final, m) ** (2.0 / q) * p * final.coeffs
+        grad_gap = abs(trace.grad_norms[-1] - np.linalg.norm(gradient(final, m).coeffs))
+        assert grad_gap <= 1e-14 * np.linalg.norm(energy_term)
+        mass = final.coeffs[0] * math.sqrt(sphere_measure(n))
+        bary_gap = abs(trace.barycenter_norms[-1] - np.linalg.norm(barycenter(final, np.zeros(n + 1), m)))
+        assert bary_gap <= 1e-14 * mass
+
+
+@pytest.mark.parametrize("n,m,degree,seed", [(1, 1, 32, 11), (3, 2, 32, 1)])
+def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, seed):
+    # outside the gauge, Discretization.values runs once for the start and
+    # once per candidate, each followed by its one grid check; the accepted
+    # candidate's values feed the gradient and barycenter, so the gate runs
+    # only inside recenter
+    inside, recentered, values, checks, gates = [], [], [], [], []
+
+    def spy(owner, name, calls, tag):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(tag(args))
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def tracked_recenter(*args, real=extremize.recenter):
+        inside.append(True)
+        try:
+            return real(*args)
+        finally:
+            recentered.append(inside.pop())
+
+    spy(Discretization, "values", values, lambda a: (bool(inside), a[1]))
+    spy(Discretization, "grid_minimum", checks, lambda a: (bool(inside), a[1]))
+    for owner in (functional, mobius):
+        spy(owner, "_positivity_gate", gates, lambda a: bool(inside))
+    monkeypatch.setattr(extremize, "recenter", tracked_recenter)
+
+    # a dilated start drifts in the gauge, so recenter runs
+    u0 = pullback(seeded_start(n, degree, seed, max_degree=6), AxisDilation(north_pole(n), 2.0), m)
+    trace = minimize(u0, m, OptimizerConfig(degree=degree, max_iter=60, gauge_every=5))
+    assert recentered and gates and all(gates)
+    outer_values = [c for within, c in values if not within]
+    outer_checks = [c for within, c in checks if not within]
+    assert outer_values[0] is u0.coeffs
+    assert len(outer_values) == len(outer_checks) >= 1 + trace.iterations + len(recentered)
+    assert all(v is g for v, g in zip(outer_values, outer_checks))
 
 
 def test_line_search_rejects_a_dip_at_a_pole():

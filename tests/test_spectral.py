@@ -300,6 +300,52 @@ def test_off_grid_values_match_the_basis(n, L):
         assert abs(float(value[0]) - expected[i]) <= bound
 
 
+def _termwise(d, phase, deriv=0):
+    """Re sum_j (i j)^deriv d_j exp(i j phase), term by term in long double."""
+    ld = np.longdouble
+    j = np.arange(d.size)
+    dk = d * (1j * j) ** deriv
+    angles = np.outer(np.asarray(phase, dtype=ld), j.astype(ld))
+    return np.cos(angles) @ dk.real.astype(ld) - np.sin(angles) @ dk.imag.astype(ld), dk
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("count", [1, 2, 3, 17, 65, 1025])
+def test_blocked_evaluation_matches_the_termwise_sum(n, count):
+    # count = L + 1 complex coefficients d_j; 17 is no perfect square, so
+    # the last block is padded.  A point rounded to a float moves z^j by
+    # j ulps, hence the bound in sum (1 + j) |d_j|
+    L = count - 1
+    rng = np.random.default_rng(count + n)
+    c = rng.standard_normal(2 * L + 1 if n == 1 else L + 1)
+    if n == 1:
+        u = SpectralFunction(1, c)
+        d = np.concatenate([[c[0] / math.sqrt(TWO_PI)], (c[1::2] - 1j * c[2::2]) / math.sqrt(math.pi)])
+        mapped = [_dilation_angle_map(circle_quadrature(32).nodes, lam) for lam in (0.3, 3.0)]
+        points = np.concatenate([[0.0, math.pi, TWO_PI], rng.uniform(0.0, TWO_PI, 20), *mapped])
+        phase = points
+        orders = (0, 1, 2, 3)
+    else:
+        u = SpectralFunction(n, c, north_pole(n))
+        d = (spectral._chebyshev_matrix(n, L) @ c).astype(complex)
+        near = 1.0 - np.array([1e-15, 2.2e-16])
+        mapped = [axis_dilation_t_map(zonal_quadrature(n, 32).nodes, lam) for lam in (0.3, 3.0)]
+        points = np.concatenate([[-1.0, 1.0], near, -near, rng.uniform(-1.0, 1.0, 20), *mapped])
+        phase = np.arccos(points.astype(np.longdouble))
+        orders = (0,)
+    weight = 1.0 + np.arange(count)
+    for k in orders:
+        expected, dk = _termwise(d, phase, k)
+        bound = 1e-15 * float(weight @ np.abs(dk))
+        got = synthesize(u, points, deriv=k)
+        assert float(np.abs(got.astype(np.longdouble) - expected).max()) <= bound
+        for i in (0, 1, -1):
+            one = synthesize(u, points[[i]], deriv=k)
+            assert one.shape == (1,)
+            assert abs(float(one[0]) - float(expected[i])) <= bound
+        assert synthesize(u, np.empty(0), deriv=k).shape == (0,)
+
+
 def test_clear_caches_empties_the_chebyshev_cache():
     synthesize(harmonic_basis_function(3, 2, degree=8), np.array([0.5]))
     assert spectral._chebyshev_matrix.cache_info().currsize > 0

@@ -20,6 +20,7 @@ __version__ = "0.1.0"
 
 from .errors import (
     AxisMismatch,
+    ClosedFormMismatch,
     ConfSphereError,
     CriticalOrder,
     InsufficientNodes,
@@ -109,6 +110,7 @@ _HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for 
 
 __all__ = [
     "AxisMismatch",
+    "ClosedFormMismatch",
     "ConfSphereError",
     "CriticalOrder",
     "InsufficientNodes",

@@ -37,6 +37,10 @@ class SupportViolation(ConfSphereError):
     """Test function is not supported away from the projection pole."""
 
 
+class ClosedFormMismatch(ConfSphereError):
+    """An exact Hessian eigenvalue differs from its closed form."""
+
+
 class NotUnstable(ConfSphereError):
     """No negative Hessian eigenvalue where instability was requested."""
 

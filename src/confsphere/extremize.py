@@ -73,9 +73,21 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     keeps the grid minimum above the positivity floor the run stops with
     ``positivity_breakdown``, the expected concentration signature in the
     unstable range.  ``line_search_stall`` means no float-representable
-    decrease remains, i.e. stationarity at working precision; it usually
-    arrives before the gradient tolerance because exactly monotone
-    acceptance cannot push the gradient below ~sqrt(eps |I|).
+    decrease remains, i.e. stationarity at working precision: 60 halvings
+    gave no strictly smaller I, or the predicted decrease alpha * slope
+    fell below 4 ulps of |I|, where only rounding noise could pass the
+    Armijo test.  It usually arrives before the gradient tolerance because
+    exactly monotone acceptance cannot push the gradient below
+    ~sqrt(eps |I|).
+
+    Step length: the first search tries ``step_init``.  After a step alpha
+    is accepted with decrease ratio rho = (I_k - I_{k+1}) / (alpha slope),
+    the next search starts at 2 alpha (at most 1e6) if rho >= (1 + sigma) / 2,
+    sigma the Armijo factor, and at alpha otherwise.  Along the search line
+    a quadratic model with minimizer alpha* gives rho(alpha) = 1 - alpha /
+    (2 alpha*), so the doubled trial passes Armijo, 1 - alpha / alpha* >=
+    sigma, exactly when rho(alpha) >= (1 + sigma) / 2: where the model
+    holds, only trials that would be rejected are skipped.
 
     The iterate is held as coefficients.  Each candidate is synthesized
     once; the terms of the accepted one give its gradient and barycenter.
@@ -103,11 +115,12 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     if terms is None:
         raise ValueError("initial iterate violates the positivity floor")
     c, vals, current = terms[:3]
-    grad, moment = _step_terms(terms, disc, q, axis)
+    grad = _step_terms(terms, disc, q)
 
     # descent direction is the gradient in a fixed diagonal metric
     # (1 + |p_2m(alpha)|), which evens out the 2m-th order stiffness
     precond = 1.0 + np.abs(p)
+    sigma = config.armijo_factor
     step = config.step_init
     accepted = 0
 
@@ -115,7 +128,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         trace.values.append(current)
         trace.grad_norms.append(norm(grad))
         trace.min_values.append(float(vals.min()))
-        trace.barycenter_norms.append(norm(moment))
+        trace.barycenter_norms.append(norm(disc.first_moment(vals, axis)))
 
     for _ in range(config.max_iter):
         record()
@@ -125,31 +138,39 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
 
         direction = grad / precond
         slope = float(grad @ direction)
+        # below a few ulps of I the predicted decrease is rounding noise
+        noise = 4.0 * 2.0**-52 * abs(current)
         alpha = step
-        any_positive = False
+        found = None
+        # a stall, unless every candidate tried fell below the floor
+        stall = False
         for _ in range(60):
+            if alpha * slope < noise:
+                stall = True
+                break
             cand = admissible(c - alpha * direction)
             if cand is not None:
-                any_positive = True
+                stall = True
                 # strict decrease too: below half an ulp of I the Armijo
                 # bound admits an equal value, which is no progress
-                if cand[2] < current and cand[2] <= current - config.armijo_factor * alpha * slope:
-                    terms = cand
+                if cand[2] < current and cand[2] <= current - sigma * alpha * slope:
+                    found = cand
                     break
             alpha *= 0.5
-        else:
-            trace.termination_reason = (
-                "line_search_stall" if any_positive else "positivity_breakdown"
-            )
+        if found is None:
+            trace.termination_reason = "line_search_stall" if stall else "positivity_breakdown"
             break
 
         accepted += 1
-        step = min(alpha * 2.0, 1e6)
-        c, vals, current = terms[:3]
-        grad, moment = _step_terms(terms, disc, q, axis)
+        # grow the next trial only if this step's decrease ratio predicts
+        # that the doubled step passes Armijo (see the docstring)
+        rho = (current - found[2]) / (alpha * slope)
+        step = min(alpha * 2.0, 1e6) if rho >= (1.0 + sigma) / 2.0 else alpha
+        c, vals, current = found[:3]
+        grad = _step_terms(found, disc, q)
 
         if accepted % config.gauge_every == 0:
-            drift = norm(moment) / max(float(weights @ vals), 1e-300)
+            drift = norm(disc.first_moment(vals, axis)) / max(float(weights @ vals), 1e-300)
             # recenter only against real Mobius drift: near the optimum the
             # pullback's truncation noise would otherwise stall the gradient
             if drift > 0.01:
@@ -157,9 +178,8 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
                 cand = admissible(centered.coeffs)
                 # invariant up to truncation; keep only if monotone
                 if cand is not None and cand[2] <= current:
-                    terms = cand
-                    c, vals, current = terms[:3]
-                    grad, moment = _step_terms(terms, disc, q, axis)
+                    c, vals, current = cand[:3]
+                    grad = _step_terms(cand, disc, q)
     else:
         record()
         trace.termination_reason = "max_iterations"

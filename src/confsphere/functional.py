@@ -165,16 +165,15 @@ def _value_terms(c: np.ndarray, vals: np.ndarray, p: np.ndarray, q: float, weigh
     return c, vals, math.exp((2.0 / q) * math.log(integ)) * e, pc, e, neg, integ
 
 
-def _step_terms(terms: tuple, disc: Discretization, q: float, axis: Optional[np.ndarray]) -> tuple:
-    """Gradient coefficients and first moment C(0) from :func:`_value_terms`.
+def _step_terms(terms: tuple, disc: Discretization, q: float) -> np.ndarray:
+    """Gradient coefficients from :func:`_value_terms`.
 
-    Both come from the node values held in ``terms``: no synthesis and no
+    They come from the node values held in ``terms``: no synthesis and no
     gate.  u^{-q-1} is taken as u^{-q} / u.
     """
     _, vals, _, pc, e, neg, integ = terms
     pointwise = (-2.0 * integ ** (2.0 / q - 1.0) * e) * (neg / vals)
-    grad = disc.project(pointwise) + pc * (2.0 * integ ** (2.0 / q))
-    return grad, disc.first_moment(vals, axis)
+    return disc.project(pointwise) + pc * (2.0 * integ ** (2.0 / q))
 
 
 def gradient(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None) -> SpectralFunction:
@@ -188,8 +187,7 @@ def gradient(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None)
     q = exponent_q(u.n, m)
     vals = _positivity_gate(u.coeffs, disc)
     terms = _value_terms(u.coeffs, vals, packed_multipliers(u.n, m, disc.degree), q, disc.rule.weights)
-    grad, _ = _step_terms(terms, disc, q, u.axis)
-    return SpectralFunction(u.n, grad, u.axis)
+    return SpectralFunction(u.n, _step_terms(terms, disc, q), u.axis)
 
 
 def s1_energy_from_derivatives(

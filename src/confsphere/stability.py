@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import NotUnstable
+from .errors import ClosedFormMismatch, NotUnstable
 from .gjms import multiplier
 from .spectral import SpectralFunction, harmonic_basis_function
 
@@ -84,7 +84,8 @@ def hessian_spectrum(n: int, m: int, max_degree: int) -> HessianSpectrum:
     """Exact eigenvalue list with the closed-form degree-2/3 cross-check.
 
     When m >= (n+5)/2 the parity of m - (n+5)/2 selects which closed
-    formula applies; exact equality with the spectral value is required.
+    formula applies; exact equality with the spectral value is required,
+    else :class:`ClosedFormMismatch` is raised.
     """
     eig = tuple(hessian_eigenvalue(n, m, a) for a in range(max_degree + 1))
     gap = m - (n + 5) // 2 if n % 2 == 1 else None
@@ -92,13 +93,13 @@ def hessian_spectrum(n: int, m: int, max_degree: int) -> HessianSpectrum:
         if gap % 2 == 0:
             expected = h2_eigenvalue_closed(n, m)
             if max_degree >= 2 and eig[2] != expected:
-                raise AssertionError(
+                raise ClosedFormMismatch(
                     f"degree-2 eigenvalue {eig[2]} != closed form {expected}"
                 )
         else:
             expected = h3_eigenvalue_closed(n, m)
             if max_degree >= 3 and eig[3] != expected:
-                raise AssertionError(
+                raise ClosedFormMismatch(
                     f"degree-3 eigenvalue {eig[3]} != closed form {expected}"
                 )
     negatives = [a for a, v in enumerate(eig) if v < 0]

@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from confsphere import stability
 from confsphere.cli import main
 from confsphere.spectral import dumps, random_positive_function
 
@@ -170,6 +172,15 @@ def test_minimize_unstable_budget_exit_code(capsys):
     data = json.loads(out)
     assert data["termination_reason"] in ("max_iterations", "positivity_breakdown")
     assert code == 3
+
+
+def test_hessian_closed_form_mismatch_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(stability, "h2_eigenvalue_closed", lambda n, m: Fraction(1))
+    code = main(["hessian", "--n", "1", "--m", "3", "--L", "16"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: degree-2 eigenvalue -315/16 != closed form 1\n"
 
 
 def test_green_check_zonal(capsys):

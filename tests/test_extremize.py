@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,7 +190,7 @@ def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, see
     monkeypatch.setattr(extremize, "recenter", tracked_recenter)
 
     # a dilated start drifts in the gauge, so recenter runs
-    u0 = pullback(seeded_start(n, degree, seed, max_degree=6), AxisDilation(north_pole(n), 2.0), m)
+    u0 = pullback(seeded_start(n, degree, seed, max_degree=6), AxisDilation(north_pole(n), 3.0), m)
     trace = minimize(u0, m, OptimizerConfig(degree=degree, max_iter=60, gauge_every=5))
     assert recentered and gates and all(gates)
     outer_values = [c for within, c in values if not within]
@@ -216,3 +217,92 @@ def test_line_search_stalls_instead_of_accepting_equal_values():
     trace = minimize(u0, 3, OptimizerConfig(degree=32, max_iter=200))
     assert trace.termination_reason == "line_search_stall"
     assert all(b < a for a, b in zip(trace.values, trace.values[1:]))
+
+
+def _line_searches(monkeypatch, u0, m, config):
+    """Run minimize without the gauge; return the trace and, per iterate,
+    (I, slope, first step length, step lengths of the trials made).
+
+    The step lengths are those of the rule under test: the first search
+    starts at step_init, each rejected trial halves the step, and after a
+    step alpha is accepted with decrease ratio rho the next search starts
+    at 2 alpha if rho >= (1 + sigma) / 2 and at alpha otherwise.  Every
+    trial's coefficients must equal c - alpha d bit for bit, with d the
+    preconditioned gradient at the iterate c.
+    """
+    events = []
+
+    def spy(owner, name, tag):
+        real = getattr(owner, name)
+
+        def logged(*args):
+            out = real(*args)
+            events.append((tag, args, out))
+            return out
+
+        monkeypatch.setattr(owner, name, logged)
+
+    spy(Discretization, "values", "trial")
+    spy(extremize, "_step_terms", "iterate")
+    trace = minimize(u0, m, replace(config, gauge_every=10**6))
+    precond = 1.0 + np.abs(packed_multipliers(u0.n, m, u0.degree))
+    threshold = (1.0 + config.armijo_factor) / 2.0
+    searches, alpha = [], config.step_init
+    for tag, args, out in events[1:]:  # the first synthesis is the start
+        if tag == "iterate":
+            if searches:
+                before, slope, _, trials = searches[-1]
+                rho = (before - trace.values[len(searches)]) / (trials[-1] * slope)
+                alpha = 2.0 * trials[-1] if rho >= threshold else trials[-1]
+            c, direction = args[0][0], out / precond
+            searches.append((trace.values[len(searches)], float(out @ direction), alpha, []))
+        else:
+            trials = searches[-1][3]
+            step = trials[-1] * 0.5 if trials else alpha
+            assert np.array_equal(args[1], c - step * direction)
+            trials.append(step)
+    return trace, searches
+
+
+#: the rounding floor of the line search, relative to |I|
+NOISE = 4.0 * 2.0**-52
+
+
+@pytest.mark.parametrize(
+    "n,m,degree,seed,step_init",
+    [(1, 1, 32, 1, 1.0), (1, 2, 32, 3, 1.0), (3, 2, 64, 3, 1.0), (3, 3, 64, 7, 1.0), (3, 3, 64, 1, 2.0**-6)],
+)
+def test_line_search_grows_the_step_only_when_the_ratio_predicts_it(monkeypatch, n, m, degree, seed, step_init):
+    u0 = random_positive_function(n, degree, 8, np.random.default_rng(seed))
+    config = OptimizerConfig(degree=degree, max_iter=300, step_init=step_init)
+    trace, searches = _line_searches(monkeypatch, u0, m, config)
+    assert len(searches) == trace.iterations + 1
+    # both branches of the rule ran
+    starts = [(first, prev[3][-1]) for prev, (_, _, first, trials) in zip(searches, searches[1:]) if trials]
+    assert any(first == 2.0 * alpha for first, alpha in starts)
+    assert any(first == alpha for first, alpha in starts)
+
+
+@pytest.mark.parametrize("n,m,degree,seed", [(1, 1, 32, 1), (3, 3, 32, 2), (3, 2, 64, 3)])
+def test_line_search_stops_at_the_rounding_floor(monkeypatch, n, m, degree, seed):
+    # no trial is made once alpha * slope < 4 ulps of |I|: the last search
+    # ends at that floor, short of its 60 halvings, in line_search_stall
+    u0 = random_positive_function(n, degree, 8, np.random.default_rng(seed))
+    trace, searches = _line_searches(monkeypatch, u0, m, OptimizerConfig(degree=degree, max_iter=300))
+    for value, slope, _, trials in searches:
+        assert all(alpha * slope >= NOISE * abs(value) for alpha in trials)
+    value, slope, first, trials = searches[-1]
+    assert trace.termination_reason == "line_search_stall"
+    assert len(trials) < 60
+    assert (trials[-1] * 0.5 if trials else first) * slope < NOISE * abs(value)
+
+
+def test_budget_spending_start_reaches_the_gradient_tolerance():
+    # this (1,2) start once spent its 400 steps (criterion 02's budget) on
+    # 808 syntheses, a doubled trial rejected at nearly every step, and
+    # ended 1.2e-5 from 9 pi^4
+    target = 9 * math.pi**4
+    u0 = random_positive_function(1, 32, 4, np.random.default_rng(144))
+    trace = minimize(u0, 2, OptimizerConfig(degree=32, max_iter=400, grad_tol=1e-3 * target))
+    assert trace.termination_reason == "gradient_tolerance"
+    assert abs(trace.values[-1] - target) / target < 1e-5

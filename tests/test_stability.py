@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from confsphere.errors import NotUnstable
+from confsphere import stability
+from confsphere.errors import ClosedFormMismatch, NotUnstable
 from confsphere.functional import functional_value
 from confsphere.spectral import constant_function, harmonic_basis_function
 from confsphere.stability import (
@@ -89,6 +90,14 @@ def test_closed_form_cross_check_h2_h3():
             assert hessian_eigenvalue(n, m, 2) == h2_eigenvalue_closed(n, m), (n, m)
         else:
             assert hessian_eigenvalue(n, m, 3) == h3_eigenvalue_closed(n, m), (n, m)
+
+
+@pytest.mark.parametrize("closed,m", [("h2_eigenvalue_closed", 3), ("h3_eigenvalue_closed", 4)])
+def test_closed_form_mismatch_is_typed(monkeypatch, closed, m):
+    # (1, 3) is checked against the degree-2 formula, (1, 4) against degree 3
+    monkeypatch.setattr(stability, closed, lambda n, m: Fraction(1))
+    with pytest.raises(ClosedFormMismatch, match="!= closed form 1"):
+        hessian_spectrum(1, m, 8)
 
 
 def test_instability_witness_values():

@@ -69,15 +69,16 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     """Projected-gradient descent from u0; the trace is non-increasing.
 
     Acceptance is tested on the max-rescaled candidate so the recorded
-    values are monotone in exact float comparison.  When no step length
-    keeps the grid minimum above the positivity floor the run stops with
-    ``positivity_breakdown``, the expected concentration signature in the
-    unstable range.  ``line_search_stall`` means no float-representable
-    decrease remains, i.e. stationarity at working precision: 60 halvings
-    gave no strictly smaller I, or the predicted decrease alpha * slope
-    fell below 4 ulps of |I|, where only rounding noise could pass the
-    Armijo test.  It usually arrives before the gradient tolerance because
-    exactly monotone acceptance cannot push the gradient below
+    values are monotone in exact float comparison.  When a search tries
+    step lengths and none keeps the grid minimum above the positivity floor
+    the run stops with ``positivity_breakdown``, the expected concentration
+    signature in the unstable range.  Otherwise a search without an
+    accepted step ends in ``line_search_stall``: no float-representable
+    decrease remains, i.e. stationarity at working precision.  The search
+    ends after 60 halvings, or once the predicted decrease alpha * slope
+    falls below 4 ulps of |I|, where only rounding noise could pass the
+    Armijo test.  A stall usually arrives before the gradient tolerance
+    because exactly monotone acceptance cannot push the gradient below
     ~sqrt(eps |I|).
 
     Step length: the first search tries ``step_init``.  After a step alpha
@@ -142,15 +143,14 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         noise = 4.0 * 2.0**-52 * abs(current)
         alpha = step
         found = None
-        # a stall, unless every candidate tried fell below the floor
-        stall = False
+        tried = any_positive = False
         for _ in range(60):
             if alpha * slope < noise:
-                stall = True
                 break
+            tried = True
             cand = admissible(c - alpha * direction)
             if cand is not None:
-                stall = True
+                any_positive = True
                 # strict decrease too: below half an ulp of I the Armijo
                 # bound admits an equal value, which is no progress
                 if cand[2] < current and cand[2] <= current - sigma * alpha * slope:
@@ -158,7 +158,11 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
                     break
             alpha *= 0.5
         if found is None:
-            trace.termination_reason = "line_search_stall" if stall else "positivity_breakdown"
+            # a breakdown only if candidates were tried and all fell below
+            # the floor; stopping at the rounding floor first is a stall
+            trace.termination_reason = (
+                "positivity_breakdown" if tried and not any_positive else "line_search_stall"
+            )
             break
 
         accepted += 1

@@ -174,6 +174,17 @@ def test_minimize_unstable_budget_exit_code(capsys):
     assert code == 3
 
 
+def test_minimize_positivity_breakdown_exits_3(capsys):
+    # an unstable start whose last search finds every trial below the
+    # positivity floor: a non-convergence, not a stall at working precision
+    code, out = run_cli(
+        capsys, "minimize", "--n", "1", "--m", "3", "--L", "16", "--seed", "9", "--max-iter", "100"
+    )
+    data = json.loads(out)
+    assert data["termination_reason"] == "positivity_breakdown"
+    assert code == 3
+
+
 def test_hessian_closed_form_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(stability, "h2_eigenvalue_closed", lambda n, m: Fraction(1))
     code = main(["hessian", "--n", "1", "--m", "3", "--L", "16"])

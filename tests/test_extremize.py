@@ -297,6 +297,17 @@ def test_line_search_stops_at_the_rounding_floor(monkeypatch, n, m, degree, seed
     assert (trials[-1] * 0.5 if trials else first) * slope < NOISE * abs(value)
 
 
+@pytest.mark.parametrize("m,degree,seed", [(3, 16, 9), (3, 32, 4), (4, 16, 7)])
+def test_unstable_start_ends_in_positivity_breakdown(m, degree, seed):
+    # the rounding floor must not relabel a search whose trials all fell
+    # below the positivity floor as a stall
+    u0 = random_positive_function(1, degree, degree // 4, np.random.default_rng(seed))
+    config = OptimizerConfig(degree=degree, max_iter=400)
+    trace = minimize(u0, m, config)
+    assert trace.termination_reason == "positivity_breakdown"
+    assert min(trace.min_values) > config.positivity_floor
+
+
 def test_budget_spending_start_reaches_the_gradient_tolerance():
     # this (1,2) start once spent its 400 steps (criterion 02's budget) on
     # 808 syntheses, a doubled trial rejected at nearly every step, and

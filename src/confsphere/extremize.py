@@ -90,6 +90,12 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     sigma, exactly when rho(alpha) >= (1 + sigma) / 2: where the model
     holds, only trials that would be rejected are skipped.
 
+    Gauge: every ``gauge_every`` accepted steps the iterate is recentered
+    if its volume barycenter V(0), the first moment of u^{-q} over its
+    integral, has |V(0)| / q > 0.01.  For u = 1 + eps phi, u^{-q} = 1 - q
+    eps phi + O(eps^2), so |V(0)| / q is to first order the first moment
+    of u over its integral.
+
     The iterate is held as coefficients.  Each candidate is synthesized
     once; the terms of the accepted one give its gradient and barycenter.
     """
@@ -115,7 +121,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     terms = admissible(u0.coeffs)
     if terms is None:
         raise ValueError("initial iterate violates the positivity floor")
-    c, vals, current = terms[:3]
+    c, current = terms[0], terms[2]
     grad = _step_terms(terms, disc, q)
 
     # descent direction is the gradient in a fixed diagonal metric
@@ -125,11 +131,16 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     step = config.step_init
     accepted = 0
 
+    def centroid() -> float:
+        """|V(0)| of the iterate: the first moment of u^{-q} over its integral."""
+        _, _, _, _, _, neg, integ = terms
+        return norm(disc.first_moment(neg, axis)) / integ
+
     def record():
         trace.values.append(current)
         trace.grad_norms.append(norm(grad))
-        trace.min_values.append(float(vals.min()))
-        trace.barycenter_norms.append(norm(disc.first_moment(vals, axis)))
+        trace.min_values.append(float(terms[1].min()))
+        trace.barycenter_norms.append(centroid())
 
     for _ in range(config.max_iter):
         record()
@@ -170,20 +181,20 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         # that the doubled step passes Armijo (see the docstring)
         rho = (current - found[2]) / (alpha * slope)
         step = min(alpha * 2.0, 1e6) if rho >= (1.0 + sigma) / 2.0 else alpha
-        c, vals, current = found[:3]
-        grad = _step_terms(found, disc, q)
+        terms = found
+        c, current = terms[0], terms[2]
+        grad = _step_terms(terms, disc, q)
 
-        if accepted % config.gauge_every == 0:
-            drift = norm(disc.first_moment(vals, axis)) / max(float(weights @ vals), 1e-300)
-            # recenter only against real Mobius drift: near the optimum the
-            # pullback's truncation noise would otherwise stall the gradient
-            if drift > 0.01:
-                centered, _ = recenter(SpectralFunction(n, c, axis), m)
-                cand = admissible(centered.coeffs)
-                # invariant up to truncation; keep only if monotone
-                if cand is not None and cand[2] <= current:
-                    c, vals, current = cand[:3]
-                    grad = _step_terms(cand, disc, q)
+        # recenter only against real Mobius drift: near the optimum the
+        # pullback's truncation noise would otherwise stall the gradient
+        if accepted % config.gauge_every == 0 and centroid() > 0.01 * q:
+            centered, _ = recenter(SpectralFunction(n, c, axis), m)
+            cand = admissible(centered.coeffs)
+            # invariant up to truncation; keep only if monotone
+            if cand is not None and cand[2] <= current:
+                terms = cand
+                c, current = terms[0], terms[2]
+                grad = _step_terms(terms, disc, q)
     else:
         record()
         trace.termination_reason = "max_iterations"

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .spectral import (
     SpectralFunction,
     _aligned,
     discretization,
-    discretization_for,
     min_on_grid,
 )
 
@@ -84,49 +82,44 @@ def _positivity_gate(c: np.ndarray, disc: Discretization) -> np.ndarray:
     return vals
 
 
-def _discretization(u: SpectralFunction, rule: Optional[QuadratureRule]) -> Discretization:
-    # negative powers are not band-limited: 4x oversampling by default
-    return discretization_for(u.n, u.degree, rule, oversample=4)
-
-
-def neg_power_integral(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None) -> float:
+def neg_power_integral(u: SpectralFunction, m: int) -> float:
     """integral of u^{-q} over S^n by quadrature (q = 2n/(2m-n)).
 
-    Without ``rule`` the cached 4x-oversampled discretization is used; on a
-    caller's rule the basis is built for each call.
+    Negative powers are not band-limited: the rule is the 4x-oversampled
+    one of the cached discretization.
     """
-    disc = _discretization(u, rule)
+    disc = discretization(u.n, u.degree, oversample=4)
     q = exponent_q(u.n, m)
     vals = _positivity_gate(u.coeffs, disc)
     return float(disc.rule.weights @ vals ** (-q))
 
 
-def neg_power_norm(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None) -> float:
+def neg_power_norm(u: SpectralFunction, m: int) -> float:
     """|u^{-1}|^2_{L^q}; computed through the log to survive large powers."""
     q = exponent_q(u.n, m)
-    integ = neg_power_integral(u, m, rule)
+    integ = neg_power_integral(u, m)
     return math.exp((2.0 / q) * math.log(integ))
 
 
-def functional_value(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None) -> float:
+def functional_value(u: SpectralFunction, m: int) -> float:
     """I_2m(u), evaluated on u divided by its minimum on the nodes.
 
     u passes the positivity gate as given.  I is scale invariant, and at
     minimum one u^{-q} lies in (0, 1], so neither it nor its integral can
     underflow whatever the scale of u.
     """
-    vals = _positivity_gate(u.coeffs, _discretization(u, rule))
+    vals = _positivity_gate(u.coeffs, discretization(u.n, u.degree, oversample=4))
     v = u.scaled(1.0 / float(vals.min()))
-    return neg_power_norm(v, m, rule) * energy_quadratic(v, m)
+    return neg_power_norm(v, m) * energy_quadratic(v, m)
 
 
-def el_residual(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None) -> float:
+def el_residual(u: SpectralFunction, m: int) -> float:
     """L^2 norm of P_2m u - kappa u^{-q-1} with kappa = E(u) / integral(u^{-q}).
 
     kappa is the unique multiplier making the residual orthogonal to u, so
     the residual vanishes exactly at critical points of the functional.
     """
-    disc = _discretization(u, rule)
+    disc = discretization(u.n, u.degree, oversample=4)
     q = exponent_q(u.n, m)
     vals = _positivity_gate(u.coeffs, disc)
     pu_vals = disc.synthesize(apply_operator(u, m))
@@ -135,18 +128,16 @@ def el_residual(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = No
     return math.sqrt(float(disc.rule.weights @ res**2))
 
 
-def functional_report(
-    u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None
-) -> EnergyReport:
+def functional_report(u: SpectralFunction, m: int) -> EnergyReport:
     e = energy_quadratic(u, m)
-    nn = neg_power_norm(u, m, rule)
+    nn = neg_power_norm(u, m)
     return EnergyReport(
         n=u.n,
         m=m,
         energy=e,
         neg_norm=nn,
         functional=nn * e,
-        el_residual=el_residual(u, m, rule),
+        el_residual=el_residual(u, m),
         min_value=min_on_grid(u, oversample=4),
     )
 
@@ -176,14 +167,14 @@ def _step_terms(terms: tuple, disc: Discretization, q: float) -> np.ndarray:
     return disc.project(pointwise) + pc * (2.0 * integ ** (2.0 / q))
 
 
-def gradient(u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None) -> SpectralFunction:
+def gradient(u: SpectralFunction, m: int) -> SpectralFunction:
     """Spectral projection of the L^2 gradient of the functional.
 
     grad I = 2 |u^{-1}|^2 P_2m u - 2 (integral u^{-q})^{2/q - 1} E(u) u^{-q-1},
     truncated at the degree of u.  The kernel is the one of the descent:
     gate, :func:`_value_terms`, :func:`_step_terms`.
     """
-    disc = _discretization(u, rule)
+    disc = discretization(u.n, u.degree, oversample=4)
     q = exponent_q(u.n, m)
     vals = _positivity_gate(u.coeffs, disc)
     terms = _value_terms(u.coeffs, vals, packed_multipliers(u.n, m, disc.degree), q, disc.rule.weights)

@@ -416,24 +416,23 @@ class Discretization:
     functions, since Gauss-Jacobi nodes are interior), ``grid_basis`` the
     basis on that grid, ``points`` the node coordinates of
     :func:`_node_points` and ``oversample`` the factor of the canonical
-    rule.  Every cached array is read-only.  Built directly on a caller's
-    rule, it holds no matrices, its ``oversample`` is None and its
-    transforms build the basis on each call.
+    rule, None for a rule of another size.  Every cached array is
+    read-only.
     """
 
     rule: QuadratureRule
     degree: int
-    basis: Optional[np.ndarray] = None
-    grid: Optional[np.ndarray] = None
-    grid_basis: Optional[np.ndarray] = None
-    points: Optional[np.ndarray] = None
+    basis: np.ndarray
+    grid: np.ndarray
+    grid_basis: np.ndarray
+    points: np.ndarray
     oversample: Optional[int] = None
 
     @property
     def nbytes(self) -> int:
         arrays = (self.rule.nodes, self.rule.weights, self.basis, self.grid, self.grid_basis, self.points)
         # on the circle the grid and its basis are the rule's own arrays
-        distinct = {id(a): a for a in arrays if a is not None}
+        distinct = {id(a): a for a in arrays}
         return sum(a.nbytes for a in distinct.values())
 
     def synthesize(self, u: SpectralFunction) -> np.ndarray:
@@ -446,15 +445,10 @@ class Discretization:
 
     def values(self, c: np.ndarray) -> np.ndarray:
         """Values on the rule nodes of the packed coefficients ``c`` of this degree."""
-        basis = self.basis
-        if basis is None:
-            basis = basis_matrix(self.rule.n, self.degree, self.rule.nodes)
-        return basis.T @ c
+        return self.basis.T @ c
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Packed coefficients of the projection of values on the rule nodes."""
-        if self.basis is None:
-            return self.analyze(values).coeffs
         return self.basis @ (self.rule.weights * values)
 
     def grid_minimum(self, c: np.ndarray, values: Optional[np.ndarray] = None) -> float:
@@ -478,8 +472,7 @@ class Discretization:
         """
         w = self.rule.weights
         if self.rule.n == 1:
-            y = self.points if self.points is not None else _node_points(self.rule)
-            return y.T @ (w * values)
+            return self.points.T @ (w * values)
         return float(w @ (values * self.rule.nodes)) * axis
 
 
@@ -494,43 +487,36 @@ def _node_points(rule: QuadratureRule) -> np.ndarray:
     return rule.nodes[:, None]
 
 
-def _ball_moment(
-    disc: Discretization, values: np.ndarray, a: np.ndarray, p: float, slope: bool = False
-):
-    """First moment C(a) of the sigma_a pullback, from the values u_i of u on the nodes.
+def _ball_moment(disc: Discretization, values: np.ndarray, a: np.ndarray, slope: bool = False):
+    """First moment of the measure f dmu moved by sigma_{-a}, from the values f_i of f on the nodes.
 
-    With y = sigma_a(x) the integral of x times the pullback becomes
+        V(a) = sum_i w_i f_i sigma_{-a}(y_i),   sigma_{-a}(y) = (s y + (2 + 2 a.y) a) / D,
 
-        C(a) = sum_i w_i u_i K(a, y_i),   K = s^p D^{-p-1} (s y + (2 + 2 a.y) a),
-
-    s = 1 - |a|^2, D = 1 + 2 a.y + |a|^2 and p = (n + 2m)/2, since
-    sigma_a^{-1} = sigma_{-a} and J_{sigma_{-a}} = (s/D)^n.  ``a`` and the
-    result are in the coordinates of :func:`_node_points`; with ``slope``
-    the result is (C, dC/da), the derivative taken in closed form in the
-    same pass.  The weight concentrates near -a/|a| as |a| -> 1, which the
-    nodes stop resolving; callers keep |a| small.  At a = 0, K = y and C is
-    the first moment.
+    s = 1 - |a|^2 and D = 1 + 2 a.y + |a|^2.  With f = u^{-q} it is the
+    first moment of the volume of the sigma_a pullback of u, since
+    u_a^{-q} dmu = sigma_a^*(u^{-q} dmu).  ``a`` and the result are in the
+    coordinates of :func:`_node_points`; with ``slope`` the result is
+    (V, dV/da), the derivative taken in closed form in the same pass.  At
+    a = 0, sigma_0 is the identity and V is the first moment.
     """
-    y = disc.points if disc.points is not None else _node_points(disc.rule)
-    w = disc.rule.weights
+    y, w = disc.points, disc.rule.weights
     a2 = float(a @ a)
-    s = 1.0 - a2
     if a2 == 0.0:
         ya, dd, f, v = 0.0, 1.0, values, y
     else:
         ya = y @ a
         dd = (1.0 + a2) + 2.0 * ya
-        f = values * (s**p * dd ** (-p - 1.0))
-        v = s * y + (2.0 + 2.0 * ya)[:, None] * a
-    # a zonal moment is summed as w . (f t), the order of first_moment: C(0) agrees bit for bit
+        f = values / dd
+        v = (1.0 - a2) * y + (2.0 + 2.0 * ya)[:, None] * a
+    # a zonal moment is summed as w . (f t), the order of first_moment: V(0) agrees bit for bit
     c = v.T @ (w * f) if disc.rule.n == 1 else np.array([w @ (f * v[:, 0])])
     if not slope:
         return c
-    # dK/da = K (-2p a/s - 2(p+1) (y + a)/D)^T + s^p D^{-p-1} dV/da with
-    # V = s y + (2 + 2 a.y) a, dV/da = (2 + 2 a.y) I + 2 (a y^T - y a^T)
+    # d sigma_{-a}/da = -2 sigma_{-a} (y + a)^T / D + D^{-1} dK/da with
+    # K = s y + (2 + 2 a.y) a, dK/da = (2 + 2 a.y) I + 2 (a y^T - y a^T)
     g = w * f
     gy = y.T @ g
-    jac = c[:, None] * ((-2.0 * p / s) * a) - (2.0 * p + 2.0) * (v.T @ ((g / dd)[:, None] * (y + a)))
+    jac = -2.0 * (v.T @ ((g / dd)[:, None] * (y + a)))
     jac += 2.0 * (a[:, None] * gy - gy[:, None] * a)
     jac.flat[:: a.size + 1] += float(np.sum(g * (2.0 + 2.0 * ya)))
     return c, jac
@@ -574,13 +560,6 @@ def discretization(n: int, degree: int, oversample: int = 2) -> Discretization:
             while held > DISCRETIZATION_CACHE_BYTES:
                 held -= _cache.popitem(last=False)[1].nbytes
     return disc
-
-
-def discretization_for(
-    n: int, degree: int, rule: Optional[QuadratureRule], oversample: int
-) -> Discretization:
-    """The cached discretization, or a bare one on the caller's ``rule``."""
-    return discretization(n, degree, oversample) if rule is None else Discretization(rule, degree)
 
 
 def clear_caches() -> None:

@@ -105,10 +105,12 @@ def test_minimize_writes_reports(tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert abs(summary["final_I"] + math.pi**2) / math.pi**2 < 1e-6
-    csv_text = open(base + ".csv").read().splitlines()
+    with open(base + ".csv") as f:
+        csv_text = f.read().splitlines()
     assert csv_text[0] == "iter,I,gradNorm,minU,baryNorm"
     assert len(csv_text) >= 3
-    assert json.load(open(base + ".json"))["final_I"] == summary["final_I"]
+    with open(base + ".json") as f:
+        assert json.load(f)["final_I"] == summary["final_I"]
 
 
 def test_green_check_ratio_constant(capsys):

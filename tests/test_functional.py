@@ -20,13 +20,11 @@ from confsphere.functional import (
 from confsphere.gjms import packed_multipliers
 from confsphere.mobius import extremal
 from confsphere.spectral import (
-    Discretization,
     SpectralFunction,
     circle_quadrature,
     constant_function,
     discretization,
     harmonic_basis_function,
-    quadrature_for_degree,
     random_band_limited,
     random_positive_function,
 )
@@ -111,13 +109,9 @@ def test_gate_tests_the_poles_without_looking_up_its_own_grid(monkeypatch):
     with pytest.raises(NonPositiveFunction):
         functional._positivity_gate(c, disc)
     assert lookups == []
-    # a caller's rule is gated on the cached 4x grid, which it looks up
-    with pytest.raises(NonPositiveFunction):
-        functional._positivity_gate(c, Discretization(disc.rule, 16))
-    assert len(lookups) == 1
     c[0] *= 3.0
     assert np.array_equal(functional._positivity_gate(c, disc), disc.values(c))
-    assert len(lookups) == 1
+    assert lookups == []
 
 
 def test_report_consistency():
@@ -209,14 +203,13 @@ def test_functional_value_of_huge_constants(n, value, m):
 def test_local_minimality_at_one(n, m):
     rng = np.random.default_rng(100 + 10 * n + m)
     degree = 24
-    rule = quadrature_for_degree(n, degree, oversample=4)
     one = constant_function(n, 1.0, degree)
-    base = functional_value(one, m, rule)
+    base = functional_value(one, m)
     for _ in range(200):
         phi = random_band_limited(n, degree, degree // 2, rng)
         phi = phi.scaled(1.0 / math.sqrt(phi.norm_sq()))
         for eps in (1e-2, 1e-3):
-            gap = functional_value(one + phi.scaled(eps), m, rule) - base
+            gap = functional_value(one + phi.scaled(eps), m) - base
             assert gap >= -1e-9
 
 

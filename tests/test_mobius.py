@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from confsphere.errors import AxisMismatch, NonPositiveFunction
-from confsphere.functional import energy_quadratic, functional_value
+from confsphere.functional import energy_quadratic, exponent_q, functional_value
 from confsphere.geometry import (
     AxisDilation,
     BallPoint,
@@ -14,11 +14,7 @@ from confsphere.geometry import (
 )
 from confsphere import mobius
 from confsphere.mobius import (
-    NODE_FORM_RADIUS,
-    _mapped_axis_moments,
-    _pullback_values,
     barycenter,
-    boundary_moment_constant,
     extremal,
     extremal_values,
     find_center,
@@ -26,13 +22,10 @@ from confsphere.mobius import (
     recenter,
 )
 from confsphere.spectral import (
-    Discretization,
-    QuadratureRule,
     SpectralFunction,
     _ball_moment,
     circle_quadrature,
     constant_function,
-    discretization,
     harmonic_basis_function,
     random_positive_function,
     synthesize,
@@ -149,6 +142,31 @@ def test_extremal_positive():
     assert np.min(synthesize(u, rule.nodes)) > 0
 
 
+STABLE_ORDERS = ((1, 1), (1, 2), (3, 2), (3, 3))
+
+
+def _dense_reference(u, a, m):
+    """V(a) on a 32x-oversampled rule: u summed off-grid at the nodes y, then u^{-q} and sigma_{-a}(y).
+
+    On S^n, n >= 3, the rule is the midpoint rule in the polar angle, which
+    is spectrally accurate for zonal integrands and needs no eigensolver.
+    """
+    size = 32 * (2 * u.degree + 2 if u.n == 1 else u.degree + 1)
+    theta = (np.arange(size) + 0.5) * (2.0 if u.n == 1 else 1.0) * math.pi / size
+    if u.n == 1:
+        points, y, x = theta, np.column_stack([np.cos(theta), np.sin(theta)]), np.asarray(a, dtype=float)
+        weights = np.full(size, 2.0 * math.pi / size)
+    else:
+        points, x = np.cos(theta), np.array([a @ u.axis])
+        y = points[:, None]
+        weights = sphere_surface_area(u.n) * np.sin(theta) ** (u.n - 1) * (math.pi / size)
+    mass = weights * synthesize(u, points) ** (-exponent_q(u.n, m))
+    x2, yx = float(x @ x), y @ x
+    mapped = ((1.0 - x2) * y + (2.0 + 2.0 * yx)[:, None] * x) / (1.0 + x2 + 2.0 * yx)[:, None]
+    v = mapped.T @ mass / mass.sum()
+    return v if u.n == 1 else float(v[0]) * u.axis
+
+
 def test_barycenter_of_constant_at_zero():
     one = constant_function(1, 1.0, 16)
     c = barycenter(one, np.zeros(2), 1)
@@ -159,14 +177,15 @@ def test_barycenter_of_constant_at_zero():
 
 
 def test_barycenter_direction_and_dense_oracle():
-    # sigma_a with a = 0.5 e1 pushes mass toward -e1; verified against an
-    # independent dense-grid quadrature
-    one = constant_function(1, 1.0, 16)
-    a = np.array([0.5, 0.0])
-    c = barycenter(one, a, 1)
-    assert c[0] < 0
-    dense = barycenter(one, a, 1, circle_quadrature(1 << 14))
-    assert np.max(np.abs(c - dense)) < 1e-8
+    # sigma_a with a = 0.5 e1 moves the volume toward e1; verified against
+    # the dense reference
+    for n, m in ((1, 1), (3, 2)):
+        one = constant_function(n, 1.0, 16)
+        a = np.zeros(n + 1)
+        a[0] = 0.5
+        c = barycenter(one, a, m)
+        assert c[0] > 0
+        assert np.max(np.abs(c - _dense_reference(one, a, m))) < 1e-8
 
 
 def test_barycenter_requires_positive():
@@ -211,39 +230,35 @@ def test_find_center_degree_one_perturbation():
     u = constant_function(1, 1.0, 32) + harmonic_basis_function(1, 1, 32).scaled(0.5)
     res = find_center(u, 1)
     assert res.converged and res.residual < 1e-8
-    dense = barycenter(u, res.a, 1, circle_quadrature(1 << 14))
-    assert np.linalg.norm(dense) < 1e-8
+    assert np.linalg.norm(_dense_reference(u, res.a, 1)) < 1e-8
 
 
-def test_find_center_reports_the_steps_taken_when_it_stops_early():
-    # for these two draws no root is found at m = 1: the line search stalls
-    # long before the budget of 80, and the count says so
+def test_find_center_converges_where_the_u_moment_has_no_root():
+    # the first moment of u_a itself has no root for these two draws at
+    # m = 1; the volume barycenter has one, well inside the ball
     rng = np.random.default_rng(5)
     draws = [random_positive_function(1, 32, 6, rng, amplitude=0.8) for _ in range(5)]
-    for u in (draws[1], draws[4]):
+    for u, radius in ((draws[1], 0.74), (draws[4], 0.70)):
         res = find_center(u, 1)
-        assert not res.converged
-        assert res.iterations < 80
+        assert res.converged and res.residual < 1e-8
+        assert abs(float(np.linalg.norm(res.a)) - radius) < 0.01
 
 
-STABLE_ORDERS = ((1, 1), (1, 2), (3, 2), (3, 3))
-
-
-def _mapped_reference(u, a, m):
-    """C(a) at the mapped points of a 32x-oversampled rule.
-
-    On S^n, n >= 3, the rule is the midpoint rule in the polar angle, which
-    is spectrally accurate for zonal integrands and needs no eigensolver.
-    """
-    size = 32 * (2 * u.degree + 2 if u.n == 1 else u.degree + 1)
-    if u.n == 1:
-        rule = circle_quadrature(size)
-    else:
-        theta = (np.arange(size) + 0.5) * math.pi / size
-        weights = sphere_surface_area(u.n) * np.sin(theta) ** (u.n - 1) * (math.pi / size)
-        rule = QuadratureRule(u.n, np.cos(theta), weights)
-    vals = _pullback_values(u, BallPoint(center=a), m, rule.nodes)
-    return Discretization(rule, u.degree).first_moment(vals, u.axis)
+def test_find_center_converges_on_random_starts():
+    # 300 starts: the four stable orders, three amplitudes, 25 draws each.
+    # At |a*| <= 0.5 the root agrees with the dense reference: within 1e-7
+    # up to amplitude 0.8; at 0.95, where u^{-q} (q = 6 at (3, 2)) is most
+    # concentrated, within 1e-5, the 4x rule's error for u^{-q}
+    rng = np.random.default_rng(11)
+    for n, m in STABLE_ORDERS:
+        for amplitude in (0.45, 0.8, 0.95):
+            for _ in range(25):
+                u = random_positive_function(n, 32, 8, rng, amplitude=amplitude)
+                res = find_center(u, m)
+                assert res.converged and res.iterations <= 10, (n, m, amplitude, res)
+                if np.linalg.norm(res.a) <= 0.5:
+                    err = np.linalg.norm(_dense_reference(u, res.a, m))
+                    assert err < (1e-7 if amplitude < 0.9 else 1e-5), (n, m, amplitude, err)
 
 
 def _ball_point(u, radius, rng):
@@ -256,51 +271,30 @@ def _ball_point(u, radius, rng):
 @pytest.mark.parametrize("n,m", STABLE_ORDERS)
 @pytest.mark.parametrize("degree", [32, 64])
 def test_node_form_agrees_with_mapped_points(n, m, degree):
-    # below the cut, barycenter sums C(a) from the node values of u
+    # barycenter sums V(a) over u^{-q} on the 4x nodes; the reference maps
+    # the points of a 32x rule
     rng = np.random.default_rng(100 * n + 10 * m + degree)
-    disc = discretization(n, degree, 4)
     for _ in range(3):
         u = random_positive_function(n, degree, 10, rng)
-        mass = float(disc.rule.weights @ disc.values(u.coeffs))
-        for radius in (0.1, 0.3, NODE_FORM_RADIUS):
+        for radius in (0.1, 0.3, 0.5):
             a = _ball_point(u, radius, rng)
-            err = np.max(np.abs(barycenter(u, a, m) - _mapped_reference(u, a, m)))
-            assert err < 1e-13 * mass, (radius, err / mass)
-
-
-def test_node_form_fails_near_the_sphere():
-    # why the cut exists: at |a| = 0.95 the node weight concentrates below
-    # the resolution of the nodes, while the mapped points still hold
-    rng = np.random.default_rng(12)
-    u = random_positive_function(3, 32, 10, rng)
-    disc = discretization(3, 32, 4)
-    vals = disc.values(u.coeffs)
-    mass = float(disc.rule.weights @ vals)
-    a = 0.95 * u.axis
-    ref = _mapped_reference(u, a, 3)
-    node = float(_ball_moment(disc, vals, np.array([0.95]), 4.5)[0]) * u.axis
-    assert np.max(np.abs(node - ref)) > 1e-2 * mass
-    assert np.max(np.abs(barycenter(u, a, 3) - ref)) < 1e-6 * mass
+            err = np.max(np.abs(barycenter(u, a, m) - _dense_reference(u, a, m)))
+            assert err < 1e-13, (radius, err)
 
 
 @pytest.mark.parametrize("n,m", STABLE_ORDERS)
 def test_node_form_jacobian_matches_central_differences(n, m):
     rng = np.random.default_rng(13 + n + m)
     u = random_positive_function(n, 32, 8, rng)
-    disc = discretization(n, 32, 4)
-    vals = disc.values(u.coeffs)
-    p = (n + 2 * m) / 2.0
+    disc, neg = mobius._volume(u, m)
     dim = 2 if n == 1 else 1
     h = 1e-5
-    for radius in (0.0, 0.2, NODE_FORM_RADIUS):
+    for radius in (0.0, 0.2, 0.5, 0.9):
         d = rng.standard_normal(dim)
         a = radius * d / np.linalg.norm(d)
-        _, jac = _ball_moment(disc, vals, a, p, slope=True)
+        _, jac = _ball_moment(disc, neg, a, slope=True)
         fd = np.column_stack(
-            [
-                (_ball_moment(disc, vals, a + h * e, p) - _ball_moment(disc, vals, a - h * e, p)) / (2 * h)
-                for e in np.eye(dim)
-            ]
+            [(_ball_moment(disc, neg, a + h * e) - _ball_moment(disc, neg, a - h * e)) / (2 * h) for e in np.eye(dim)]
         )
         assert np.max(np.abs(jac - fd)) < 1e-6 * np.max(np.abs(jac)), radius
 
@@ -314,64 +308,6 @@ def test_find_center_undoes_the_dilation(n, m):
         expected[0] = (lam - 1.0) / (lam + 1.0)
         assert res.converged
         assert np.max(np.abs(res.a - expected)) < 1e-8, (lam, res.a)
-
-
-def test_boundary_limit_direction():
-    # as a approaches the boundary point xi the barycenter direction
-    # approaches -xi (regression rates, not closed-form claims)
-    rng = np.random.default_rng(6)
-    u = random_positive_function(1, 8, 4, rng)
-    xi = north_pole(1)
-    for r, max_angle in ((0.9, 0.1), (0.99, 0.02), (0.999, 0.005)):
-        rule = circle_quadrature(1 << 17)
-        c = barycenter(u, r * xi, 1, rule)
-        cosang = float(c @ (-xi)) / float(np.linalg.norm(c))
-        angle = math.acos(min(1.0, max(-1.0, cosang)))
-        assert angle < max_angle, (r, angle)
-
-
-BRACKET = (-0.999999, 0.999999)
-
-
-@pytest.mark.parametrize("n,m", [(3, 2), (3, 3), (3, 4), (5, 3), (5, 4), (7, 4)])
-def test_bracket_end_signs_follow_the_boundary_limit(n, m):
-    # find_center's zonal bracket takes C . xi > 0 at r -> -1 and < 0 at
-    # r -> 1 from the boundary limit, without evaluating either end
-    rng = np.random.default_rng(10 * n + m)
-    for degree in (16, 32, 64):
-        disc = discretization(n, degree, 4)
-        cases = [
-            random_positive_function(n, degree, degree // 2, rng, amplitude=amp)
-            for amp in (0.45, 0.8, 0.95)
-            for _ in range(2)
-        ]
-        for lam in (0.25, 0.5, 2.0, 4.0):
-            u = extremal(n, m, degree, lam)
-            try:
-                functional_value(u, m)
-            except NonPositiveFunction:
-                continue
-            cases.append(u)
-        for u in cases:
-            low, high = _mapped_axis_moments(u, m, disc, BRACKET)
-            assert low > 0.0 > high, (degree, low, high)
-
-
-@pytest.mark.parametrize("m", [2, 3])
-def test_zonal_find_center_evaluates_no_mapped_points(monkeypatch, m):
-    # on these extremals every iterate stays inside NODE_FORM_RADIUS, so no
-    # C(a) needs the mapped points, the bracket ends included
-    calls = []
-    real = mobius._mapped_axis_moments
-    monkeypatch.setattr(mobius, "_mapped_axis_moments", lambda *a: calls.append(a) or real(*a))
-    for lam in (0.5, 2.0 / 3.0, 1.0, 1.5, 2.0):
-        assert find_center(extremal(3, m, 64, lam), m).converged
-    assert calls == []
-
-
-def test_boundary_moment_constant_positive():
-    for n, m in ((1, 1), (1, 2), (3, 2)):
-        assert boundary_moment_constant(n, m) > 0
 
 
 def test_functional_invariance_under_pullback():

@@ -84,7 +84,7 @@ def _validate_sphere(n: int, m: int, degree: Optional[int] = None, functional: b
     _require(m >= 1, "m must be >= 1")
     if functional:
         _require(2 * m > n, f"functional subcommands require 2m > n, got n={n}, m={m}")
-        _require(n == 1 or n % 2 == 1, "spectral representation covers n = 1 and odd n >= 3")
+        _require(n % 2 == 1, "spectral representation covers n = 1 and odd n >= 3")
     if degree is not None:
         _require(degree >= 8, "L must be >= 8")
 

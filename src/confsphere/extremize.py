@@ -23,6 +23,7 @@ from .mobius import recenter
 from .spectral import (
     DEFAULT_DEGREE,
     SpectralFunction,
+    _ball_moment,
     constant_function,
     discretization,
     random_band_limited,
@@ -102,6 +103,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     n, axis = u0.n, u0.axis
     q = exponent_q(n, m)
     disc = discretization(n, u0.degree, oversample=4)
+    origin = np.zeros(disc.points.shape[1])
     p = packed_multipliers(n, m, u0.degree)
     weights = disc.rule.weights
     trace = DescentTrace()
@@ -134,7 +136,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     def centroid() -> float:
         """|V(0)| of the iterate: the first moment of u^{-q} over its integral."""
         _, _, _, _, _, neg, integ = terms
-        return norm(disc.first_moment(neg, axis)) / integ
+        return norm(_ball_moment(disc, neg, origin)) / integ
 
     def record():
         trace.values.append(current)

@@ -67,16 +67,13 @@ def energy_quadratic(u: SpectralFunction, m: int) -> float:
 def _positivity_gate(c: np.ndarray, disc: Discretization) -> np.ndarray:
     """Values of the coefficients c on the rule nodes, once c passed the gate.
 
-    The gate is the minimum over the 4x-oversampled positivity grid of
-    :func:`min_on_grid`.  When ``disc`` is that discretization the node
-    values are the grid, save the zonal poles, so the nodes are synthesized
-    once and the grid is not looked up.
+    ``disc`` is the 4x-oversampled discretization of c's degree, and the
+    gate is the minimum over its positivity grid, as in :func:`min_on_grid`.
+    The node values are that grid, save the zonal poles, so the nodes are
+    synthesized once.
     """
     vals = disc.values(c)
-    if disc.oversample == 4 and disc.degree >= 1:
-        low = disc.grid_minimum(c, vals)
-    else:
-        low = discretization(disc.rule.n, max(disc.degree, 1), oversample=4).grid_minimum(c)
+    low = disc.grid_minimum(c, vals)
     if low <= POSITIVITY_THRESHOLD:
         raise NonPositiveFunction(f"function is not strictly positive (grid minimum {low:.3e})")
     return vals
@@ -122,7 +119,7 @@ def el_residual(u: SpectralFunction, m: int) -> float:
     disc = discretization(u.n, u.degree, oversample=4)
     q = exponent_q(u.n, m)
     vals = _positivity_gate(u.coeffs, disc)
-    pu_vals = disc.synthesize(apply_operator(u, m))
+    pu_vals = disc.values(apply_operator(u, m).coeffs)
     kappa = energy_quadratic(u, m) / float(disc.rule.weights @ vals ** (-q))
     res = pu_vals - kappa * vals ** (-q - 1.0)
     return math.sqrt(float(disc.rule.weights @ res**2))

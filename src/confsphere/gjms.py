@@ -24,7 +24,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ConfSphereError, CriticalOrder, SingularOperator
-from .geometry import north_pole, unit_ball_volume
+from .geometry import unit_ball_volume
 from .spectral import SpectralFunction, packed_degrees, zonal_basis_matrix
 
 
@@ -175,17 +175,10 @@ def green_spectral(
     table = MultiplierTable.build(n, m, degree)
     if any(v == 0 for v in table.values):
         raise SingularOperator("a spectral multiplier vanishes; no inverse")
-    p = table.as_floats()
-    if n == 1:
-        coeffs = np.zeros(2 * degree + 1)
-        coeffs[0] = (1.0 / math.sqrt(2.0 * math.pi)) / p[0]
-        for k in range(1, degree + 1):
-            coeffs[2 * k - 1] = (1.0 / math.sqrt(math.pi)) / p[k]
-        return SpectralFunction(1, coeffs)
-    if axis is None:
-        axis = north_pole(n)
-    z_at_pole = zonal_basis_matrix(n, degree, np.array([1.0]))[:, 0]
-    return SpectralFunction(n, z_at_pole / p, axis)
+    # the packed basis at the reference pole: angle 0, or axis cosine 1
+    at_pole = spectral.basis_matrix(n, degree, np.array([0.0 if n == 1 else 1.0]))[:, 0]
+    p = table.as_floats()[packed_degrees(n, degree)]
+    return SpectralFunction(n, at_pole / p, spectral._new_axis(n, axis))
 
 
 def reproduce_at_pole(green: SpectralFunction, u: SpectralFunction, m: int) -> float:

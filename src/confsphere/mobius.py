@@ -48,26 +48,6 @@ def _dilation_angle_map(theta: np.ndarray, lam: float) -> np.ndarray:
     return np.mod(2.0 * np.arctan2(np.sin(half), lam * np.cos(half)), TWO_PI)
 
 
-def _circle_pullback_values(
-    u: SpectralFunction, phi: MobiusMap, m: int, theta: np.ndarray
-) -> np.ndarray:
-    n = 1
-    expo = (n - 2 * m) / (2.0 * n)
-    if isinstance(phi, Rotation):
-        pts = np.column_stack([np.cos(theta), np.sin(theta)]) @ phi.matrix.T
-        mapped = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), TWO_PI)
-        return synthesize(u, mapped)
-    if isinstance(phi, BallPoint):
-        if float(phi.center @ phi.center) == 0.0:
-            return synthesize(u, theta)
-        phi = as_axis_dilation(phi)
-    pole = _circle_axis_angle(phi.axis)
-    psi = theta - pole
-    jac = axis_dilation_jacobian_t(np.cos(psi), phi.scale, n)
-    mapped = np.mod(pole + _dilation_angle_map(psi, phi.scale), TWO_PI)
-    return jac**expo * synthesize(u, mapped)
-
-
 def _zonal_dilation(u: SpectralFunction, phi: MobiusMap) -> AxisDilation:
     """Reduce phi to a dilation about the axis of u (or fail)."""
     if isinstance(phi, BallPoint):
@@ -85,20 +65,36 @@ def _zonal_dilation(u: SpectralFunction, phi: MobiusMap) -> AxisDilation:
     raise AxisMismatch("Mobius map does not share the zonal axis")
 
 
-def _zonal_pullback_values(
-    u: SpectralFunction, phi: AxisDilation, m: int, t: np.ndarray
-) -> np.ndarray:
-    n = u.n
-    expo = (n - 2 * m) / (2.0 * n)
-    jac = axis_dilation_jacobian_t(t, phi.scale, n)
-    return jac**expo * synthesize(u, axis_dilation_t_map(t, phi.scale))
+def _acting_on(u: SpectralFunction, phi: MobiusMap) -> MobiusMap:
+    """phi, once it is known to be a map of the sphere of u; :class:`AxisMismatch` otherwise."""
+    if phi.n != u.n:
+        raise AxisMismatch(f"a Mobius map of S^{phi.n} does not act on S^{u.n}")
+    return phi
 
 
 def _pullback_values(u: SpectralFunction, phi: MobiusMap, m: int, points: np.ndarray) -> np.ndarray:
-    """Values of the pullback of u at ``points``: angles, or axis cosines for zonal u."""
-    if u.n == 1:
-        return _circle_pullback_values(u, phi, m, points)
-    return _zonal_pullback_values(u, _zonal_dilation(u, phi), m, points)
+    """J_phi^{(n-2m)/(2n)} (u o phi) at ``points``: angles, or axis cosines for zonal u.
+
+    A dilation weighs u o phi by its Jacobian at the axis cosine t of each
+    point; on the circle a rotation, or sigma_0, carries no weight.
+    """
+    _acting_on(u, phi)
+    if u.n != 1:
+        phi = _zonal_dilation(u, phi)
+        t, mapped = points, axis_dilation_t_map(points, phi.scale)
+    elif isinstance(phi, Rotation):
+        pts = np.column_stack([np.cos(points), np.sin(points)]) @ phi.matrix.T
+        return synthesize(u, np.mod(np.arctan2(pts[:, 1], pts[:, 0]), TWO_PI))
+    elif isinstance(phi, BallPoint) and float(phi.center @ phi.center) == 0.0:
+        return synthesize(u, points)
+    else:
+        if isinstance(phi, BallPoint):
+            phi = as_axis_dilation(phi)
+        pole = _circle_axis_angle(phi.axis)
+        psi = points - pole
+        t, mapped = np.cos(psi), np.mod(pole + _dilation_angle_map(psi, phi.scale), TWO_PI)
+    jac = axis_dilation_jacobian_t(t, phi.scale, u.n)
+    return jac ** ((u.n - 2 * m) / (2.0 * u.n)) * synthesize(u, mapped)
 
 
 def pullback(u: SpectralFunction, phi: MobiusMap, m: int) -> SpectralFunction:
@@ -134,14 +130,10 @@ def extremal(
     if not (lam > 0 and scale > 0):
         raise ValueError("extremal requires lam > 0 and scale > 0")
     disc = discretization(n, degree, oversample=2)
-    if axis is None:
-        axis = north_pole(n)
-    if n == 1:
-        pole = _circle_axis_angle(axis)
-        vals = extremal_values(n, m, np.cos(disc.rule.nodes - pole), lam, scale)
-        return disc.analyze(vals)
-    vals = extremal_values(n, m, disc.rule.nodes, lam, scale)
-    return disc.analyze(vals, axis=axis)
+    axis = north_pole(n) if axis is None else axis
+    # the axis cosine of each node; zonal nodes are axis cosines
+    t = np.cos(disc.rule.nodes - _circle_axis_angle(axis)) if n == 1 else disc.rule.nodes
+    return disc.analyze(extremal_values(n, m, t, lam, scale), axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +161,14 @@ def barycenter(u: SpectralFunction, a: np.ndarray, m: int) -> np.ndarray:
     integral of u^{-q}: the first moment of u_a^{-q} dmu, normalized.  It
     is summed over the nodes of the 4x discretization (see
     :func:`confsphere.spectral._ball_moment`), whose error grows with |a|
-    as the weight concentrates near -a/|a|.
+    as the weight concentrates near -a/|a|.  |a| >= 1 raises ``ValueError``.
     """
+    phi = _acting_on(u, BallPoint(center=a))
     disc, neg = _volume(u, m)
-    a = np.asarray(a, dtype=float)
     if u.n == 1:
-        return _ball_moment(disc, neg, a)
-    if float(a @ a) != 0.0:
-        _zonal_dilation(u, BallPoint(center=a))  # AxisMismatch off the axis of u
-    return float(_ball_moment(disc, neg, np.array([a @ u.axis]))[0]) * u.axis
+        return _ball_moment(disc, neg, phi.center)
+    _zonal_dilation(u, phi)  # AxisMismatch off the axis of u
+    return float(_ball_moment(disc, neg, np.array([phi.center @ u.axis]))[0]) * u.axis
 
 
 @dataclass(frozen=True)
@@ -205,7 +196,7 @@ def find_center(u: SpectralFunction, m: int, tol: float = 1e-8, max_iter: int = 
     of steps taken.
     """
     disc, neg = _volume(u, m)
-    x = np.zeros(2 if u.n == 1 else 1)
+    x = np.zeros(disc.points.shape[1])
     v, jac = _ball_moment(disc, neg, x, slope=True)
     res = float(np.linalg.norm(v))
     steps = 0

@@ -209,56 +209,6 @@ def _chebyshev_matrix(n: int, degree: int) -> np.ndarray:
     return _cached_array(out * _zonal_normalization(n, degree))
 
 
-def _evaluate(u: "SpectralFunction", points: np.ndarray, deriv: int = 0) -> np.ndarray:
-    """Values of u, or of its ``deriv``-th theta-derivative, at ``points`` without a basis matrix.
-
-    Both representations are a real part Re sum_j d_j z^j on the unit
-    circle: on the circle z = exp(i th) and d_k = (a_k - i b_k)/sqrt(pi);
-    for zonal u, z = t + i sqrt(1 - t^2) and d holds the Chebyshev
-    coefficients of u, since T_j(t) = Re z^j.  On the circle d^k/dth^k z^j
-    = (i j)^k z^j, so a derivative only rescales d.
-
-    The sum is taken in blocks (Paterson-Stockmeyer): with b = isqrt(len(d))
-    the powers z^0..z^{b-1} form one matrix, a single product with d
-    reshaped to (k, b) gives the k block polynomials, and Horner's rule in
-    w = z^b adds the blocks.  That is about 2 sqrt(L) array operations
-    instead of 2 L.
-    """
-    if deriv < 0:
-        raise ValueError("the derivative order must be >= 0")
-    if deriv != 0 and u.n != 1:
-        raise ValueError("derivative synthesis is only provided on the circle")
-    x = np.asarray(points, dtype=float).ravel()
-    c = u.coeffs
-    if u.n == 1:
-        d = np.empty(u.degree + 1, dtype=complex)
-        d[0] = c[0] * (1.0 / math.sqrt(TWO_PI))
-        d[1:] = (c[1::2] - 1j * c[2::2]) * (1.0 / math.sqrt(math.pi))
-        if deriv != 0:
-            d *= (1j * np.arange(u.degree + 1)) ** deriv
-        z = np.exp(1j * x)
-    else:
-        d = _chebyshev_matrix(u.n, u.degree) @ c
-        # (1 - t)(1 + t) keeps its relative accuracy near the poles
-        z = x + 1j * np.sqrt(np.maximum((1.0 - x) * (1.0 + x), 0.0))
-    # k blocks of b coefficients, the last one padded with zeros
-    b = math.isqrt(d.size)
-    k = -(-d.size // b)
-    padded = np.zeros(k * b, dtype=complex)
-    padded[: d.size] = d
-    powers = np.empty((b, x.size), dtype=complex)
-    powers[0] = 1.0
-    for j in range(1, b):
-        np.multiply(powers[j - 1], z, out=powers[j])
-    w = powers[-1] * z
-    blocks = padded.reshape(k, b) @ powers
-    acc = blocks[-1]
-    for row in blocks[-2::-1]:
-        acc *= w
-        acc += row
-    return acc.real
-
-
 def basis_matrix(n: int, degree: int, points: np.ndarray) -> np.ndarray:
     """Packed basis of degree-``degree`` functions on S^n at ``points``, one row per coefficient.
 
@@ -355,23 +305,60 @@ def _aligned(u: SpectralFunction, v: SpectralFunction):
     return a, b
 
 
-def synthesize(
-    u: SpectralFunction, points: np.ndarray, deriv: int = 0, basis: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Pointwise values of the expansion.
+def synthesize(u: SpectralFunction, points: np.ndarray, deriv: int = 0) -> np.ndarray:
+    """Values of u, or of its ``deriv``-th theta-derivative, at ``points`` without a basis matrix.
 
     ``points`` are angles for ``n = 1`` and axis cosines ``t`` for zonal
-    functions.  ``deriv`` (circle only, else ``ValueError``) evaluates the
-    theta-derivative of that order (>= 0), which is exact for the truncated
-    series.  ``basis`` is the basis already evaluated at ``points`` (a
-    :class:`Discretization` passes its cached one) and is used for values.
-    Without it, and for every derivative, the series is summed in blocks
-    with no basis matrix (see :func:`_evaluate`): the derivative of order k
-    scales the j-th complex coefficient by (i j)^k.
+    functions; one value per point, in the order given.  ``deriv`` (circle
+    only, else ``ValueError``) evaluates the theta-derivative of that order
+    (>= 0), which is exact for the truncated series.  Values on the nodes
+    of a cached rule come from :meth:`Discretization.values` instead.
+
+    Both representations are a real part Re sum_j d_j z^j on the unit
+    circle: on the circle z = exp(i th) and d_k = (a_k - i b_k)/sqrt(pi);
+    for zonal u, z = t + i sqrt(1 - t^2) and d holds the Chebyshev
+    coefficients of u, since T_j(t) = Re z^j.  On the circle d^k/dth^k z^j
+    = (i j)^k z^j, so a derivative only rescales d.
+
+    The sum is taken in blocks (Paterson-Stockmeyer): with b = isqrt(len(d))
+    the powers z^0..z^{b-1} form one matrix, a single product with d
+    reshaped to (k, b) gives the k block polynomials, and Horner's rule in
+    w = z^b adds the blocks.  That is about 2 sqrt(L) array operations
+    instead of 2 L.
     """
-    if basis is None or deriv != 0:
-        return _evaluate(u, points, deriv)
-    return basis.T @ u.coeffs
+    if deriv < 0:
+        raise ValueError("the derivative order must be >= 0")
+    if deriv != 0 and u.n != 1:
+        raise ValueError("derivative synthesis is only provided on the circle")
+    x = np.asarray(points, dtype=float).ravel()
+    c = u.coeffs
+    if u.n == 1:
+        d = np.empty(u.degree + 1, dtype=complex)
+        d[0] = c[0] * (1.0 / math.sqrt(TWO_PI))
+        d[1:] = (c[1::2] - 1j * c[2::2]) * (1.0 / math.sqrt(math.pi))
+        if deriv != 0:
+            d *= (1j * np.arange(u.degree + 1)) ** deriv
+        z = np.exp(1j * x)
+    else:
+        d = _chebyshev_matrix(u.n, u.degree) @ c
+        # (1 - t)(1 + t) keeps its relative accuracy near the poles
+        z = x + 1j * np.sqrt(np.maximum((1.0 - x) * (1.0 + x), 0.0))
+    # k blocks of b coefficients, the last one padded with zeros
+    b = math.isqrt(d.size)
+    k = -(-d.size // b)
+    padded = np.zeros(k * b, dtype=complex)
+    padded[: d.size] = d
+    powers = np.empty((b, x.size), dtype=complex)
+    powers[0] = 1.0
+    for j in range(1, b):
+        np.multiply(powers[j - 1], z, out=powers[j])
+    w = powers[-1] * z
+    blocks = padded.reshape(k, b) @ powers
+    acc = blocks[-1]
+    for row in blocks[-2::-1]:
+        acc *= w
+        acc += row
+    return acc.real
 
 
 def analyze(
@@ -393,12 +380,7 @@ def analyze(
         raise InsufficientNodes(f"{kind} of {rule.size} nodes cannot resolve degree {degree}")
     if basis is None:
         basis = basis_matrix(rule.n, degree, rule.nodes)
-    coeffs = basis @ (rule.weights * values)
-    if rule.n == 1:
-        return SpectralFunction(1, coeffs)
-    if axis is None:
-        axis = north_pole(rule.n)
-    return SpectralFunction(rule.n, coeffs, axis)
+    return SpectralFunction(rule.n, basis @ (rule.weights * values), _new_axis(rule.n, axis))
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +396,10 @@ class Discretization:
     caches it: ``basis`` is the packed basis on the rule nodes, ``grid`` the
     positivity grid (the rule nodes, plus the poles t = -1, 1 for zonal
     functions, since Gauss-Jacobi nodes are interior), ``grid_basis`` the
-    basis on that grid, ``points`` the node coordinates of
-    :func:`_node_points` and ``oversample`` the factor of the canonical
-    rule, None for a rule of another size.  Every cached array is
-    read-only.
+    basis on that grid and ``points`` the node coordinates y_i, one row per
+    node: (cos th, sin th) on the circle, and the one axis coordinate t on
+    a zonal rule, since a zonal function has its moments along its axis.
+    Every cached array is read-only.
     """
 
     rule: QuadratureRule
@@ -426,7 +408,6 @@ class Discretization:
     grid: np.ndarray
     grid_basis: np.ndarray
     points: np.ndarray
-    oversample: Optional[int] = None
 
     @property
     def nbytes(self) -> int:
@@ -434,10 +415,6 @@ class Discretization:
         # on the circle the grid and its basis are the rule's own arrays
         distinct = {id(a): a for a in arrays}
         return sum(a.nbytes for a in distinct.values())
-
-    def synthesize(self, u: SpectralFunction) -> np.ndarray:
-        """Values of u (of this degree) on the rule nodes."""
-        return synthesize(u, self.rule.nodes, basis=self.basis)
 
     def analyze(self, values: np.ndarray, axis: Optional[np.ndarray] = None) -> SpectralFunction:
         """Projection of values on the rule nodes onto degrees <= ``degree``."""
@@ -463,29 +440,6 @@ class Discretization:
         south, north = (self.grid_basis[:, :: self.grid.size - 1].T @ c).tolist()
         return min(float(values.min()), south, north)
 
-    def first_moment(self, values: np.ndarray, axis: Optional[np.ndarray] = None) -> np.ndarray:
-        """Integral of x f(x) over S^n, in R^{n+1}, from f's values on the rule nodes.
-
-        A zonal f has its moment along its ``axis``: the components
-        orthogonal to the axis cancel.  The sums are those of
-        :func:`_ball_moment` at a = 0, so the bits agree.
-        """
-        w = self.rule.weights
-        if self.rule.n == 1:
-            return self.points.T @ (w * values)
-        return float(w @ (values * self.rule.nodes)) * axis
-
-
-def _node_points(rule: QuadratureRule) -> np.ndarray:
-    """Node coordinates y_i, one row per node: (cos th, sin th) on the circle.
-
-    A zonal function has its moments along its axis, so a zonal rule keeps
-    the one axis coordinate t.
-    """
-    if rule.n == 1:
-        return np.column_stack([np.cos(rule.nodes), np.sin(rule.nodes)])
-    return rule.nodes[:, None]
-
 
 def _ball_moment(disc: Discretization, values: np.ndarray, a: np.ndarray, slope: bool = False):
     """First moment of the measure f dmu moved by sigma_{-a}, from the values f_i of f on the nodes.
@@ -495,12 +449,14 @@ def _ball_moment(disc: Discretization, values: np.ndarray, a: np.ndarray, slope:
     s = 1 - |a|^2 and D = 1 + 2 a.y + |a|^2.  With f = u^{-q} it is the
     first moment of the volume of the sigma_a pullback of u, since
     u_a^{-q} dmu = sigma_a^*(u^{-q} dmu).  ``a`` and the result are in the
-    coordinates of :func:`_node_points`; with ``slope`` the result is
+    node coordinates ``disc.points``; with ``slope`` the result is
     (V, dV/da), the derivative taken in closed form in the same pass.  At
     a = 0, sigma_0 is the identity and V is the first moment.
     """
     y, w = disc.points, disc.rule.weights
-    a2 = float(a @ a)
+    # ndarray.dot: the descent takes V(0) at every step, and @ costs a
+    # microsecond more on these 1- and 2-vectors
+    a2 = float(a.dot(a))
     if a2 == 0.0:
         ya, dd, f, v = 0.0, 1.0, values, y
     else:
@@ -508,7 +464,7 @@ def _ball_moment(disc: Discretization, values: np.ndarray, a: np.ndarray, slope:
         dd = (1.0 + a2) + 2.0 * ya
         f = values / dd
         v = (1.0 - a2) * y + (2.0 + 2.0 * ya)[:, None] * a
-    # a zonal moment is summed as w . (f t), the order of first_moment: V(0) agrees bit for bit
+    # a zonal moment is summed as w . (f t); v.T @ (w f) would round otherwise
     c = v.T @ (w * f) if disc.rule.n == 1 else np.array([w @ (f * v[:, 0])])
     if not slope:
         return c
@@ -528,11 +484,12 @@ def _build_discretization(n: int, degree: int, oversample: int) -> Discretizatio
     basis = _cached_array(basis_matrix(n, degree, rule.nodes))
     if n == 1:
         grid, grid_basis = rule.nodes, basis
+        points = np.column_stack([np.cos(rule.nodes), np.sin(rule.nodes)])
     else:
         grid = _cached_array(np.concatenate([[-1.0], rule.nodes, [1.0]]))
         grid_basis = _cached_array(basis_matrix(n, degree, grid))
-    points = _cached_array(_node_points(rule))
-    return Discretization(rule, degree, basis, grid, grid_basis, points, oversample)
+        points = rule.nodes[:, None]
+    return Discretization(rule, degree, basis, grid, grid_basis, _cached_array(points))
 
 
 _cache: "OrderedDict[tuple, Discretization]" = OrderedDict()
@@ -584,18 +541,21 @@ def min_on_grid(u: SpectralFunction, oversample: int = 4) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_count(n: int, degree: int) -> int:
-    return 2 * degree + 1 if n == 1 else degree + 1
+def _new_axis(n: int, axis: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """The axis of a new function on S^n: None on the circle, else ``axis`` or the north pole."""
+    if axis is not None and np.shape(axis) != (n + 1,):
+        raise AxisMismatch(f"an axis of S^{n} has {n + 1} entries, got shape {np.shape(axis)}")
+    if n == 1:
+        return None
+    return north_pole(n) if axis is None else axis
 
 
 def constant_function(
     n: int, value: float, degree: int = DEFAULT_DEGREE, axis: Optional[np.ndarray] = None
 ) -> SpectralFunction:
-    coeffs = np.zeros(_coeff_count(n, degree))
+    coeffs = np.zeros(packed_degrees(n, degree).size)
     coeffs[0] = value * math.sqrt(sphere_measure(n))
-    if n != 1 and axis is None:
-        axis = north_pole(n)
-    return SpectralFunction(n, coeffs, axis if n != 1 else None)
+    return SpectralFunction(n, coeffs, _new_axis(n, axis))
 
 
 def harmonic_basis_function(
@@ -605,21 +565,16 @@ def harmonic_basis_function(
     axis: Optional[np.ndarray] = None,
     component: str = "cos",
 ) -> SpectralFunction:
-    """Unit-norm basis element of one spherical-harmonic degree."""
-    if harmonic_degree > degree:
-        raise ValueError("harmonic degree exceeds the truncation degree")
-    coeffs = np.zeros(_coeff_count(n, degree))
-    if n == 1:
-        if harmonic_degree == 0:
-            coeffs[0] = 1.0
-        else:
-            offset = 0 if component == "cos" else 1
-            coeffs[2 * harmonic_degree - 1 + offset] = 1.0
-        return SpectralFunction(1, coeffs)
-    coeffs[harmonic_degree] = 1.0
-    if axis is None:
-        axis = north_pole(n)
-    return SpectralFunction(n, coeffs, axis)
+    """Unit-norm basis element of one spherical-harmonic degree; ``component`` matters on the circle."""
+    if not 0 <= harmonic_degree <= degree:
+        raise ValueError(f"harmonic degree {harmonic_degree} lies outside 0..{degree}")
+    if component not in ("cos", "sin"):
+        raise ValueError(f"component must be 'cos' or 'sin', got {component!r}")
+    degs = packed_degrees(n, degree)
+    slots = np.flatnonzero(degs == harmonic_degree)
+    coeffs = np.zeros(degs.size)
+    coeffs[slots[-1] if component == "sin" else slots[0]] = 1.0
+    return SpectralFunction(n, coeffs, _new_axis(n, axis))
 
 
 def random_band_limited(
@@ -631,13 +586,11 @@ def random_band_limited(
     axis: Optional[np.ndarray] = None,
 ) -> SpectralFunction:
     """Zero-mean random function supported on degrees 1..max_degree."""
-    if n != 1 and axis is None:
-        axis = north_pole(n)
-    coeffs = np.zeros(_coeff_count(n, degree))
     degs = packed_degrees(n, degree)
+    coeffs = np.zeros(degs.size)
     idx = (degs >= 1) & (degs <= max_degree)
     coeffs[idx] = rng.standard_normal(int(idx.sum())) * np.exp(-decay * degs[idx])
-    return SpectralFunction(n, coeffs, axis if n != 1 else None)
+    return SpectralFunction(n, coeffs, _new_axis(n, axis))
 
 
 def random_positive_function(
@@ -651,7 +604,7 @@ def random_positive_function(
 ) -> SpectralFunction:
     """1 + a bounded random ripple; strictly positive by construction."""
     ripple = random_band_limited(n, degree, max_degree, rng, decay=decay, axis=axis)
-    vals = discretization(n, degree, oversample=4).synthesize(ripple)
+    vals = discretization(n, degree, oversample=4).values(ripple.coeffs)
     peak = float(np.max(np.abs(vals)))
     if peak > 0:
         ripple = ripple.scaled(amplitude / peak)

@@ -160,6 +160,20 @@ def test_determinism_byte_identical(capsys):
     assert first == second
 
 
+def test_readme_library_example_runs_unchanged(capsys):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    for line in lines[:2]:
+        assert abs(float(line) + math.pi**2) <= 1e-12 * math.pi**2
+    # I is invariant under the pullback; the drift is the truncation's
+    assert abs(float(lines[2])) < 1e-12
+    assert Fraction(lines[3]) == Fraction(-315, 16)
+
+
 def test_output_dir_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CONFSPHERE_OUTPUT_DIR", str(tmp_path))
     code, _ = run_cli(capsys, "multiplier-table", "--n", "1", "--m", "1", "--output", "table.csv")

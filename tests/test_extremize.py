@@ -165,6 +165,9 @@ def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, see
     # once per candidate, each followed by its one grid check; the accepted
     # candidate's values feed the gradient and barycenter, so the gate runs
     # only inside recenter
+    # a dilated start drifts in the gauge, so recenter runs; it is built
+    # before the spies, since random_positive_function uses Discretization.values
+    u0 = pullback(seeded_start(n, degree, seed, max_degree=6), AxisDilation(north_pole(n), 3.0), m)
     inside, recentered, values, checks, gates = [], [], [], [], []
 
     def spy(owner, name, calls, tag):
@@ -189,8 +192,6 @@ def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, see
         spy(owner, "_positivity_gate", gates, lambda a: bool(inside))
     monkeypatch.setattr(extremize, "recenter", tracked_recenter)
 
-    # a dilated start drifts in the gauge, so recenter runs
-    u0 = pullback(seeded_start(n, degree, seed, max_degree=6), AxisDilation(north_pole(n), 3.0), m)
     trace = minimize(u0, m, OptimizerConfig(degree=degree, max_iter=60, gauge_every=5))
     assert recentered and gates and all(gates)
     outer_values = [c for within, c in values if not within]

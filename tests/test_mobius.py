@@ -102,6 +102,32 @@ def test_pullback_axis_mismatch():
         pullback(u, AxisDilation(off_axis, 2.0), 2)
 
 
+def test_circle_pullback_rejects_a_dilation_of_s3():
+    u = random_positive_function(1, 16, 4, np.random.default_rng(4))
+    with pytest.raises(AxisMismatch):
+        pullback(u, AxisDilation(north_pole(3), 2.0), 1)
+
+
+def test_circle_pullback_rejects_a_ball_point_of_r4():
+    u = random_positive_function(1, 16, 4, np.random.default_rng(4))
+    with pytest.raises(AxisMismatch):
+        pullback(u, BallPoint(np.array([0.1, 0.2, 0.3, 0.0])), 1)
+
+
+def test_zonal_pullback_rejects_a_circle_map():
+    u = random_positive_function(3, 16, 4, np.random.default_rng(4))
+    for phi in (AxisDilation(north_pole(1), 2.0), BallPoint(np.array([0.3, 0.0]))):
+        with pytest.raises(AxisMismatch):
+            pullback(u, phi, 2)
+
+
+def test_extremal_rejects_an_axis_of_another_sphere():
+    with pytest.raises(AxisMismatch):
+        extremal(1, 1, 16, 2.0, axis=north_pole(3))
+    with pytest.raises(AxisMismatch):
+        extremal(3, 2, 16, 2.0, axis=north_pole(1))
+
+
 def test_pullback_antipodal_axis_is_inverse_dilation():
     rng = np.random.default_rng(5)
     u = random_positive_function(3, 32, 6, rng)
@@ -198,6 +224,24 @@ def test_barycenter_off_axis_ball_point_rejected():
     u = constant_function(3, 1.0, 8)
     with pytest.raises(AxisMismatch):
         barycenter(u, np.array([0.0, 0.5, 0.0, 0.0]), 2)
+
+
+def test_barycenter_rejects_points_outside_the_open_ball():
+    # the circle too, where |a| >= 1 once returned a point
+    for n, m in ((1, 1), (3, 2)):
+        one = constant_function(n, 1.0, 8)
+        for r in (1.0, 2.0):
+            a = np.zeros(n + 1)
+            a[0] = r
+            with pytest.raises(ValueError):
+                barycenter(one, a, m)
+
+
+def test_barycenter_rejects_a_point_of_another_dimension():
+    with pytest.raises(AxisMismatch):
+        barycenter(constant_function(1, 1.0, 8), np.array([0.1, 0.2, 0.3, 0.0]), 1)
+    with pytest.raises(AxisMismatch):
+        barycenter(constant_function(3, 1.0, 8), np.array([0.3, 0.0]), 2)
 
 
 def test_find_center_constant():

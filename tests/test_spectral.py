@@ -267,6 +267,30 @@ def test_zonal_axis_must_have_n_plus_one_entries():
     assert SpectralFunction(3, [1.0, 0.0, 0.0], axis=[0.0, 2.0, 0.0, 0.0]).axis[1] == 1.0
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_harmonic_basis_function_rejects_degrees_outside_the_truncation(n):
+    for k in (-1, 17):
+        with pytest.raises(ValueError):
+            harmonic_basis_function(n, k, 16)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_harmonic_basis_function_rejects_an_unknown_component(n):
+    with pytest.raises(ValueError):
+        harmonic_basis_function(n, 2, 16, component="Cos")
+
+
+def test_harmonic_basis_function_slots():
+    # circle degree k >= 1: cos at 2k - 1, sin at 2k; degree 0 and zonal
+    # functions have one element, which both components give
+    assert harmonic_basis_function(1, 3, 8).coeffs[5] == 1.0
+    assert harmonic_basis_function(1, 3, 8, component="sin").coeffs[6] == 1.0
+    for n, k in ((1, 0), (3, 0), (3, 5)):
+        for component in ("cos", "sin"):
+            u = harmonic_basis_function(n, k, 8, component=component)
+            assert u.coeffs[k] == 1.0 and u.norm_sq() == 1.0
+
+
 # ---------------------------------------------------------------------------
 # off-grid evaluation
 # ---------------------------------------------------------------------------
@@ -434,10 +458,17 @@ def test_discretization_over_the_byte_bound_is_not_stored(monkeypatch):
     assert discretization(1, 4, 2) is not small
 
 
+def _node_coordinates(rule):
+    """(cos th, sin th) on the circle, the axis cosine t on a zonal rule."""
+    if rule.n == 1:
+        return np.column_stack([np.cos(rule.nodes), np.sin(rule.nodes)])
+    return rule.nodes[:, None]
+
+
 def _hand_built(rule, degree):
     """A discretization on a caller's rule with its grid given explicitly."""
     basis = basis_matrix(rule.n, degree, rule.nodes)
-    points = spectral._node_points(rule)
+    points = _node_coordinates(rule)
     if rule.n == 1:
         return spectral.Discretization(rule, degree, basis, rule.nodes, basis, points)
     grid = np.concatenate([[-1.0], rule.nodes, [1.0]])
@@ -447,11 +478,14 @@ def _hand_built(rule, degree):
 @pytest.mark.parametrize("n,L", [(1, 24), (3, 24), (3, 64)])
 def test_grid_minimum_and_first_moment_keep_their_bits(n, L):
     # pinned to the expressions they replaced: the pole minimum over numpy
-    # scalars, and the first moment as the ball moment at a = 0
+    # scalars, and the first moment, the ball moment at a = 0, as the plain
+    # weighted sum over the node coordinates
     own = zonal_quadrature(n, 3 * L + 7) if n != 1 else circle_quadrature(6 * L + 7)
     rng = np.random.default_rng(L + n)
-    for disc in (discretization(n, L, 4), _hand_built(own, L)):
-        K = disc.rule.size
+    cached = discretization(n, L, 4)
+    assert np.array_equal(cached.points, _node_coordinates(cached.rule))
+    for disc in (cached, _hand_built(own, L)):
+        K, w = disc.rule.size, disc.rule.weights
         for _ in range(20):
             u = random_positive_function(n, L, L // 2, rng, amplitude=float(rng.uniform(0.3, 1.2)))
             c, vals = u.coeffs, disc.values(u.coeffs)
@@ -460,7 +494,6 @@ def test_grid_minimum_and_first_moment_keep_their_bits(n, L):
             else:
                 old_min = float(min(vals.min(), (disc.grid_basis[:, :: K + 1].T @ c).min()))
             assert disc.grid_minimum(c, vals) == old_min
-            old = spectral._ball_moment(disc, vals, np.zeros(2 if n == 1 else 1))
-            if n != 1:
-                old = float(old[0]) * u.axis
-            assert np.array_equal(disc.first_moment(vals, u.axis), old)
+            moment = spectral._ball_moment(disc, vals, np.zeros(disc.points.shape[1]))
+            old = disc.points.T @ (w * vals) if n == 1 else np.array([w @ (vals * disc.rule.nodes)])
+            assert np.array_equal(moment, old)

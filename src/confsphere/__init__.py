@@ -34,6 +34,7 @@ from .errors import (
 )
 
 _EXPORTS = {
+    "exact": ("multiplier",),
     "extremize": ("DescentTrace", "OptimizerConfig", "minimize", "perturbation_sweep"),
     "flatcheck": (
         "FlatEnergyReport",
@@ -74,7 +75,6 @@ _EXPORTS = {
         "green_closed_form",
         "green_spectral",
         "kernel_degrees",
-        "multiplier",
         "q_constant",
     ),
     "mobius": ("CenterResult", "barycenter", "extremal", "find_center", "pullback", "recenter"),

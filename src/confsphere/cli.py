@@ -22,12 +22,11 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfSphereError, InvalidConfig
 
 if TYPE_CHECKING:
+    import numpy as np
     from .spectral import SpectralFunction
 
 
@@ -95,7 +94,7 @@ def _validate_sphere(n: int, m: int, degree: Optional[int] = None, functional: b
 
 
 def _cmd_multiplier_table(args) -> int:
-    from .gjms import multiplier
+    from .exact import multiplier
 
     _validate_sphere(args.n, args.m, functional=False)
     _require(args.max_degree >= 0, "--max-degree must be >= 0")
@@ -153,6 +152,7 @@ def _cmd_constants(args) -> int:
 
 
 def _load_function(args, degree: int) -> SpectralFunction:
+    import numpy as np
     from .spectral import constant_function, from_json_dict, random_positive_function
 
     if args.input:
@@ -192,6 +192,7 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_invariance_check(args) -> int:
+    import numpy as np
     from .functional import energy_quadratic
     from .geometry import AxisDilation, north_pole
     from .mobius import pullback
@@ -235,6 +236,7 @@ def _cmd_hessian(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
+    import numpy as np
     from .extremize import OptimizerConfig, minimize
     from .spectral import random_positive_function
 
@@ -278,6 +280,7 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_green_check(args) -> int:
+    import numpy as np
     from .gjms import (
         green_closed_values,
         green_constant,
@@ -323,6 +326,7 @@ def _cmd_green_check(args) -> int:
 
 
 def _cmd_flat_identity_check(args) -> int:
+    import numpy as np
     from .flatcheck import flat_energy_identity
 
     _require(args.m in (1, 2), "flat identities are implemented for m in {1, 2}")
@@ -348,6 +352,7 @@ def admissible_random_function(degree: int, m: int, rng: np.random.Generator) ->
     Subtracting a constant enforces u(N) = 0; for m = 2 a sine harmonic
     removes the first derivative as well, keeping the function band-limited.
     """
+    import numpy as np
     from .spectral import constant_function, harmonic_basis_function, random_band_limited, synthesize
 
     u = random_band_limited(1, degree, degree // 2, rng, decay=0.1)
@@ -362,6 +367,7 @@ def admissible_random_function(degree: int, m: int, rng: np.random.Generator) ->
 
 
 def _cmd_poly_identity(args) -> int:
+    import numpy as np
     from .polyident import check_delta_k_product, check_identity_2_1, random_polynomial
 
     _require(args.n >= 1, "the number of variables must be >= 1")
@@ -396,7 +402,7 @@ def _cmd_counterexample_sin(args) -> int:
     # integral of |sin|^{-2/3} reduces to the Gauss-Jacobi weight sum for
     # (1-t^2)^{-5/6}; the Beta function gives the independent closed form
     _, w = roots_jacobi(200, -5.0 / 6.0)
-    neg_integral = 2.0 * float(np.sum(w))
+    neg_integral = 2.0 * float(w.sum())
     beta_closed = 2.0 * math.gamma(0.5) * math.gamma(1.0 / 6.0) / math.gamma(2.0 / 3.0)
     norm_factor = neg_integral**3
     payload = _provenance(1, 2, degree, None)

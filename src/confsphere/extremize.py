@@ -18,8 +18,9 @@ from typing import List, Optional
 import numpy as np
 
 from .functional import _step_terms, _value_terms, exponent_q, functional_value
+from .geometry import BallPoint
 from .gjms import packed_multipliers
-from .mobius import recenter
+from .mobius import find_center, pullback
 from .spectral import (
     DEFAULT_DEGREE,
     SpectralFunction,
@@ -93,9 +94,9 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
 
     Gauge: every ``gauge_every`` accepted steps the iterate is recentered
     if its volume barycenter V(0), the first moment of u^{-q} over its
-    integral, has |V(0)| / q > 0.01.  For u = 1 + eps phi, u^{-q} = 1 - q
-    eps phi + O(eps^2), so |V(0)| / q is to first order the first moment
-    of u over its integral.
+    integral, has |V(0)| / q > 0.01 and the Newton solve for its center
+    converged.  For u = 1 + eps phi, u^{-q} = 1 - q eps phi + O(eps^2), so
+    |V(0)| / q is to first order the first moment of u over its integral.
 
     The iterate is held as coefficients.  Each candidate is synthesized
     once; the terms of the accepted one give its gradient and barycenter.
@@ -142,8 +143,9 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         trace.values.append(current)
         trace.grad_norms.append(norm(grad))
         trace.min_values.append(float(terms[1].min()))
-        trace.barycenter_norms.append(centroid())
+        trace.barycenter_norms.append(centroid() if v0 is None else v0)
 
+    v0 = None  # |V(0)| of the iterate, once the gauge check has taken it
     for _ in range(config.max_iter):
         record()
         if trace.grad_norms[-1] < config.grad_tol:
@@ -189,12 +191,15 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
 
         # recenter only against real Mobius drift: near the optimum the
         # pullback's truncation noise would otherwise stall the gradient
-        if accepted % config.gauge_every == 0 and centroid() > 0.01 * q:
-            centered, _ = recenter(SpectralFunction(n, c, axis), m)
-            cand = admissible(centered.coeffs)
+        v0 = centroid() if accepted % config.gauge_every == 0 else None
+        if v0 is not None and v0 > 0.01 * q:
+            u = SpectralFunction(n, c, axis)
+            center = find_center(u, m)
+            # an unconverged center sits at the clip radius: no pullback by it
+            cand = admissible(pullback(u, BallPoint(center.a), m).coeffs) if center.converged else None
             # invariant up to truncation; keep only if monotone
             if cand is not None and cand[2] <= current:
-                terms = cand
+                terms, v0 = cand, None
                 c, current = terms[0], terms[2]
                 grad = _step_terms(terms, disc, q)
     else:

@@ -4,7 +4,7 @@ S^n is the unit sphere in R^{n+1}.  The stereographic chart at a pole
 ``xi`` sends ``zeta = z' + t*xi`` (with ``z'`` orthogonal to ``xi``) to
 ``z'/(1-t)``; Mobius maps are either dilations in such a chart, the
 ball-based maps ``sigma_a``, or rotations.  Everything here is plain
-double-precision numpy; exact arithmetic lives in :mod:`confsphere.gjms`.
+double-precision numpy; exact arithmetic lives in :mod:`confsphere.exact`.
 """
 
 from __future__ import annotations

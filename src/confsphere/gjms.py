@@ -8,8 +8,8 @@ multiplier
     p_2m(alpha) = prod_{i=0}^{m-1} (alpha (alpha + n - 1) - (i + n/2)(i - n/2 + 1))
                 = 4^{-m}  prod_{i=0}^{m-1} ((2 alpha + n - 1)^2 - (2i + 1)^2).
 
-All kernel and sign statements are decided in exact arithmetic; floats
-appear only when a multiplier is applied to spectral coefficients.
+All kernel and sign statements are decided in exact arithmetic
+(:mod:`confsphere.exact`); floats appear only when a multiplier is applied.
 """
 
 from __future__ import annotations
@@ -24,28 +24,9 @@ import numpy as np
 
 from . import spectral
 from .errors import ConfSphereError, CriticalOrder, SingularOperator
+from .exact import multiplier
 from .geometry import unit_ball_volume
 from .spectral import SpectralFunction, packed_degrees, zonal_basis_matrix
-
-
-def multiplier(n: int, m: int, degree: int) -> Fraction:
-    """Exact eigenvalue of the order-2m operator on degree-``degree`` harmonics."""
-    if n < 1 or m < 1 or degree < 0:
-        raise ValueError("require n >= 1, m >= 1, degree >= 0")
-    lam = Fraction(degree * (degree + n - 1))
-    out = Fraction(1)
-    for i in range(m):
-        out *= lam - Fraction(2 * i + n, 2) * Fraction(2 * i - n + 2, 2)
-    return out
-
-
-def multiplier_shifted_squares(n: int, m: int, degree: int) -> Fraction:
-    """Same eigenvalue via the integer product ((2a+n-1)^2 - (2i+1)^2) / 4^m."""
-    num = 1
-    s = 2 * degree + n - 1
-    for i in range(m):
-        num *= s * s - (2 * i + 1) ** 2
-    return Fraction(num, 4**m)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,8 @@ from .spectral import (
 
 
 def _circle_axis_angle(axis: np.ndarray) -> float:
+    if np.shape(axis) != (2,):
+        raise AxisMismatch(f"an axis of S^1 has 2 entries, got shape {np.shape(axis)}")
     return math.atan2(float(axis[1]), float(axis[0]))
 
 
@@ -131,9 +133,10 @@ def extremal(
         raise ValueError("extremal requires lam > 0 and scale > 0")
     disc = discretization(n, degree, oversample=2)
     axis = north_pole(n) if axis is None else axis
-    # the axis cosine of each node; zonal nodes are axis cosines
+    # the axis cosine of each node; zonal nodes are axis cosines.  A circle
+    # function carries no axis: the bump is centred at the axis angle
     t = np.cos(disc.rule.nodes - _circle_axis_angle(axis)) if n == 1 else disc.rule.nodes
-    return disc.analyze(extremal_values(n, m, t, lam, scale), axis=axis)
+    return disc.analyze(extremal_values(n, m, t, lam, scale), axis=None if n == 1 else axis)
 
 
 # ---------------------------------------------------------------------------

@@ -542,12 +542,13 @@ def min_on_grid(u: SpectralFunction, oversample: int = 4) -> float:
 
 
 def _new_axis(n: int, axis: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """The axis of a new function on S^n: None on the circle, else ``axis`` or the north pole."""
-    if axis is not None and np.shape(axis) != (n + 1,):
-        raise AxisMismatch(f"an axis of S^{n} has {n + 1} entries, got shape {np.shape(axis)}")
-    if n == 1:
-        return None
-    return north_pole(n) if axis is None else axis
+    """The axis of a new function on S^n: ``axis`` or the north pole; the circle takes none."""
+    if axis is None:
+        return None if n == 1 else north_pole(n)
+    if n == 1 or np.shape(axis) != (n + 1,):
+        want = "no axis" if n == 1 else f"an axis of {n + 1} entries"
+        raise AxisMismatch(f"a function on S^{n} takes {want}, got shape {np.shape(axis)}")
+    return axis
 
 
 def constant_function(

@@ -9,20 +9,21 @@ quadratic form of the self-adjoint operator
 which is diagonal on spherical harmonics.  All eigenvalues are exact
 rationals: constants and degree-1 harmonics are always neutral (scaling
 and the Mobius family), and for odd n a negative eigenvalue appears at
-degree 2 or 3 exactly when m >= (n+5)/2.
+degree 2 or 3 exactly when m >= (n+5)/2.  Only :func:`hessian_apply` and
+:func:`instability_witness`, which build spectral functions, load numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .errors import ClosedFormMismatch, NotUnstable
-from .gjms import multiplier
-from .spectral import SpectralFunction, harmonic_basis_function
+from .exact import multiplier
+
+if TYPE_CHECKING:
+    from .spectral import SpectralFunction
 
 
 def hessian_eigenvalue(n: int, m: int, degree: int) -> Fraction:
@@ -38,11 +39,11 @@ def hessian_eigenvalue(n: int, m: int, degree: int) -> Fraction:
 
 def hessian_apply(phi: SpectralFunction, m: int) -> SpectralFunction:
     """Coefficientwise action of the second-variation operator."""
-    n = phi.n
-    mu = np.array(
-        [float(hessian_eigenvalue(n, m, a)) for a in range(phi.degree + 1)]
-    )
-    return SpectralFunction(n, mu[phi.degree_of_coeff()] * phi.coeffs, phi.axis)
+    import numpy as np
+    from .spectral import SpectralFunction
+
+    mu = np.array([float(hessian_eigenvalue(phi.n, m, a)) for a in range(phi.degree + 1)])
+    return SpectralFunction(phi.n, mu[phi.degree_of_coeff()] * phi.coeffs, phi.axis)
 
 
 def h2_eigenvalue_closed(n: int, m: int) -> Fraction:
@@ -130,5 +131,6 @@ def instability_witness(
         raise NotUnstable(
             f"eigenvalue at degree {witness_degree} is {value}, not negative"
         )
+    from .spectral import harmonic_basis_function
     phi = harmonic_basis_function(n, witness_degree, degree)
     return witness_degree, value, phi

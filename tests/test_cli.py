@@ -282,14 +282,19 @@ print("RESULT", code, ",".join(loaded))
 """
 
 
-def _run_python(code, *argv):
-    """Last stdout line of ``code`` run in a fresh interpreter importing confsphere from this checkout."""
+def _python(code, *argv):
+    """``code`` run in a fresh interpreter importing confsphere from this checkout."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def _run_python(code, *argv):
+    """Last stdout line of :func:`_python`, which must exit 0."""
+    proc = _python(code, *argv)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 
@@ -299,6 +304,58 @@ def _run_python(code, *argv):
 )
 def test_runtime_never_loads_scipy(argv):
     assert _run_python(_NO_SCIPY, *argv) == "RESULT 0 "
+
+
+_NO_NUMPY = """
+import sys
+
+class _NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError("numpy is blocked: " + name)
+        return None
+
+if sys.argv[1] == "blocked":
+    sys.meta_path.insert(0, _NoNumpy())
+if sys.argv[2:] == ["spectrum"]:
+    import confsphere
+    s = confsphere.hessian_spectrum(3, 5, 8)
+    print(*s.eigenvalues, s.has_negative, s.first_negative_degree)
+    code = 0
+else:
+    from confsphere.cli import main
+    code = main(sys.argv[2:])
+print("RESULT", code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("multiplier-table", "--n", "3", "--m", "2", "--max-degree", "16"),
+        ("hessian", "--n", "1", "--m", "3", "--L", "16"),
+        ("hessian", "--n", "5", "--m", "6", "--L", "8"),
+        ("spectrum",),
+    ],
+    ids=lambda argv: "-".join(argv[:1] + argv[2:3]),
+)
+def test_exact_paths_run_without_numpy(capsys, argv):
+    if argv == ("spectrum",):
+        s = stability.hessian_spectrum(3, 5, 8)
+        print(*s.eigenvalues, s.has_negative, s.first_negative_degree)
+    else:
+        assert main(list(argv)) == 0
+    expected = capsys.readouterr().out + "RESULT 0 False\n"
+    blocked, free = (_python(_NO_NUMPY, mode, *argv) for mode in ("blocked", "free"))
+    assert blocked.returncode == free.returncode == 0, blocked.stderr + free.stderr
+    assert blocked.stdout == free.stdout == expected
+
+
+def test_numpy_subcommands_still_run_and_the_blocker_stops_them():
+    argv = ("energy", "--n", "1", "--m", "1", "--L", "16")
+    assert _run_python(_NO_NUMPY, "free", *argv) == "RESULT 0 True"
+    blocked = _python(_NO_NUMPY, "blocked", *argv)
+    assert blocked.returncode != 0 and "numpy is blocked" in blocked.stderr
 
 
 _LOADED = """
@@ -370,6 +427,10 @@ def test_each_subcommand_loads_only_what_it_needs(argv):
     loaded = set(_run_python(_LOADED.format(body=body), *argv).split())
     if argv[0] == "poly-identity":
         assert loaded == {"confsphere.cli", "confsphere.errors", "confsphere.polyident"}
+    if argv[0] == "multiplier-table":
+        assert loaded == {"confsphere.cli", "confsphere.errors", "confsphere.exact"}
+    if argv[0] == "hessian":
+        assert loaded == {"confsphere.cli", "confsphere.errors", "confsphere.exact", "confsphere.stability"}
     if argv[0] in ("multiplier-table", "green-check"):
         assert not loaded & {"confsphere.functional", "confsphere.mobius"}
     assert ("confsphere.extremize" in loaded) == (argv[0] == "minimize")

@@ -164,11 +164,11 @@ def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, see
     # outside the gauge, Discretization.values runs once for the start and
     # once per candidate, each followed by its one grid check; the accepted
     # candidate's values feed the gradient and barycenter, so the gate runs
-    # only inside recenter
-    # a dilated start drifts in the gauge, so recenter runs; it is built
+    # only inside the gauge's find_center and pullback
+    # a dilated start drifts in the gauge, so the gauge runs; it is built
     # before the spies, since random_positive_function uses Discretization.values
     u0 = pullback(seeded_start(n, degree, seed, max_degree=6), AxisDilation(north_pole(n), 3.0), m)
-    inside, recentered, values, checks, gates = [], [], [], [], []
+    inside, centers, recentered, values, checks, gates = [], [], [], [], [], []
 
     def spy(owner, name, calls, tag):
         real = getattr(owner, name)
@@ -179,26 +179,60 @@ def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, see
 
         monkeypatch.setattr(owner, name, counted)
 
-    def tracked_recenter(*args, real=extremize.recenter):
-        inside.append(True)
-        try:
-            return real(*args)
-        finally:
-            recentered.append(inside.pop())
+    def tracked(name, calls):
+        real = getattr(extremize, name)
+
+        def run(*args):
+            inside.append(True)
+            try:
+                return real(*args)
+            finally:
+                calls.append(inside.pop())
+
+        monkeypatch.setattr(extremize, name, run)
 
     spy(Discretization, "values", values, lambda a: (bool(inside), a[1]))
     spy(Discretization, "grid_minimum", checks, lambda a: (bool(inside), a[1]))
     for owner in (functional, mobius):
         spy(owner, "_positivity_gate", gates, lambda a: bool(inside))
-    monkeypatch.setattr(extremize, "recenter", tracked_recenter)
+    tracked("find_center", centers)
+    tracked("pullback", recentered)
 
     trace = minimize(u0, m, OptimizerConfig(degree=degree, max_iter=60, gauge_every=5))
-    assert recentered and gates and all(gates)
+    assert centers and recentered and gates and all(gates)
     outer_values = [c for within, c in values if not within]
     outer_checks = [c for within, c in checks if not within]
     assert outer_values[0] is u0.coeffs
     assert len(outer_values) == len(outer_checks) >= 1 + trace.iterations + len(recentered)
     assert all(v is g for v, g in zip(outer_values, outer_checks))
+
+
+def test_minimize_takes_v0_once_per_trace_row(monkeypatch):
+    # the gauge check's V(0) is the next row's baryNorm unless the pullback
+    # is kept.  This draw checks the gauge at steps 10 and 20 and keeps the
+    # first pullback: one sum per row, plus one for the iterate it replaced
+    summed = []
+    real = extremize._ball_moment
+    monkeypatch.setattr(extremize, "_ball_moment", lambda disc, neg, a: summed.append(neg) or real(disc, neg, a))
+    u0 = random_positive_function(1, 32, 8, np.random.default_rng(3))
+    trace = minimize(u0, 1, OptimizerConfig(degree=32, max_iter=300))
+    assert len(trace.barycenter_norms) == 26
+    # no iterate's u^{-q} is summed twice
+    assert len({id(neg) for neg in summed}) == len(summed) == 26 + 1
+
+
+def test_minimize_pulls_back_by_converged_centers_only(monkeypatch):
+    # on this unstable draw the second center stops at the clip radius
+    # unconverged; a pullback by it would only be rejected
+    centers, pulled = [], []
+    real_center, real_pullback = extremize.find_center, extremize.pullback
+    monkeypatch.setattr(extremize, "find_center", lambda *a: centers.append(real_center(*a)) or centers[-1])
+    monkeypatch.setattr(extremize, "pullback", lambda u, phi, m: pulled.append(phi.center) or real_pullback(u, phi, m))
+    u0 = random_positive_function(1, 16, 4, np.random.default_rng(9))
+    trace = minimize(u0, 3, OptimizerConfig(degree=16, max_iter=400))
+    assert trace.termination_reason == "positivity_breakdown"
+    assert [c.converged for c in centers] == [True, False]
+    assert len(pulled) == 1 and pulled[0] is centers[0].a
 
 
 def test_line_search_rejects_a_dip_at_a_pole():

@@ -6,6 +6,7 @@ import pytest
 
 from confsphere import gjms
 from confsphere.errors import ConfSphereError, CriticalOrder, SingularOperator
+from confsphere.exact import multiplier, multiplier_shifted_squares
 from confsphere.gjms import (
     MultiplierTable,
     apply_operator,
@@ -15,8 +16,6 @@ from confsphere.gjms import (
     green_series_values,
     green_spectral,
     kernel_degrees,
-    multiplier,
-    multiplier_shifted_squares,
     q_constant,
     reproduce_at_pole,
     s1_derivative_form_coefficients,

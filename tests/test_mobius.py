@@ -128,6 +128,16 @@ def test_extremal_rejects_an_axis_of_another_sphere():
         extremal(3, 2, 16, 2.0, axis=north_pole(1))
 
 
+def test_circle_extremal_centres_its_bump_at_the_axis_angle():
+    # the circle function carries no axis; the axis only rotates the bump
+    base = extremal(1, 2, 16, 2.0)
+    turned = extremal(1, 2, 16, 2.0, axis=np.array([0.0, 1.0]))
+    assert base.axis is None and turned.axis is None
+    theta = np.linspace(0.0, 2.0 * np.pi, 37)
+    assert np.allclose(synthesize(turned, theta + np.pi / 2), synthesize(base, theta), atol=1e-12)
+    assert not np.allclose(synthesize(turned, theta), synthesize(base, theta), atol=1e-3)
+
+
 def test_pullback_antipodal_axis_is_inverse_dilation():
     rng = np.random.default_rng(5)
     u = random_positive_function(3, 32, 6, rng)

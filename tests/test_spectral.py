@@ -267,6 +267,23 @@ def test_zonal_axis_must_have_n_plus_one_entries():
     assert SpectralFunction(3, [1.0, 0.0, 0.0], axis=[0.0, 2.0, 0.0, 0.0]).axis[1] == 1.0
 
 
+def test_circle_constructors_reject_a_given_axis():
+    # a circle function carries no axis; a dropped axis would silently
+    # ignore the rotation the caller asked for
+    rng = np.random.default_rng(2)
+    builds = (
+        lambda axis: constant_function(1, 1.0, 8, axis=axis),
+        lambda axis: harmonic_basis_function(1, 1, 8, axis=axis),
+        lambda axis: random_band_limited(1, 8, 4, rng, axis=axis),
+        lambda axis: random_positive_function(1, 8, 4, rng, axis=axis),
+    )
+    for build in builds:
+        assert build(None).axis is None
+        for axis in (np.array([0.0, 1.0]), north_pole(1), north_pole(3)):
+            with pytest.raises(AxisMismatch):
+                build(axis)
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_harmonic_basis_function_rejects_degrees_outside_the_truncation(n):
     for k in (-1, 17):

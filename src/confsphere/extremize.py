@@ -17,6 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .errors import InvalidConfig
 from .functional import _step_terms, _value_terms, exponent_q, functional_value
 from .geometry import BallPoint
 from .gjms import packed_multipliers
@@ -98,13 +99,15 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     converged.  For u = 1 + eps phi, u^{-q} = 1 - q eps phi + O(eps^2), so
     |V(0)| / q is to first order the first moment of u over its integral.
 
-    The iterate is held as coefficients.  Each candidate is synthesized
+    The iterate is held as coefficients of u0's degree, the config's
+    ``degree`` (else :class:`InvalidConfig`).  Each candidate is synthesized
     once; the terms of the accepted one give its gradient and barycenter.
     """
+    if config.degree != u0.degree:
+        raise InvalidConfig(f"config degree {config.degree} is not the degree {u0.degree} of the start")
     n, axis = u0.n, u0.axis
     q = exponent_q(n, m)
     disc = discretization(n, u0.degree, oversample=4)
-    origin = np.zeros(disc.points.shape[1])
     p = packed_multipliers(n, m, u0.degree)
     weights = disc.rule.weights
     trace = DescentTrace()
@@ -112,6 +115,9 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     def norm(x: np.ndarray) -> float:
         # np.linalg.norm of a 1-D float array, without its overhead
         return math.sqrt(float(x @ x))
+
+    # a = 0 in node coordinates: a 2-vector on the circle, the float r on the axis
+    origin, size = (np.zeros(2), norm) if n == 1 else (0.0, abs)
 
     def admissible(c: np.ndarray) -> Optional[tuple]:
         """:func:`_value_terms` of c rescaled to maximum one; None at or below the floor."""
@@ -137,7 +143,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     def centroid() -> float:
         """|V(0)| of the iterate: the first moment of u^{-q} over its integral."""
         _, _, _, _, _, neg, integ = terms
-        return norm(_ball_moment(disc, neg, origin)) / integ
+        return size(_ball_moment(disc, neg, origin)) / integ
 
     def record():
         trace.values.append(current)

@@ -171,7 +171,7 @@ def barycenter(u: SpectralFunction, a: np.ndarray, m: int) -> np.ndarray:
     if u.n == 1:
         return _ball_moment(disc, neg, phi.center)
     _zonal_dilation(u, phi)  # AxisMismatch off the axis of u
-    return float(_ball_moment(disc, neg, np.array([phi.center @ u.axis]))[0]) * u.axis
+    return _ball_moment(disc, neg, float(phi.center @ u.axis)) * u.axis
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,8 @@ class CenterResult:
     iterations: int
 
 
-def _clip_ball(a: np.ndarray, limit: float = 0.999999) -> np.ndarray:
-    r = float(np.linalg.norm(a))
+def _clip_ball(a, norm, limit: float = 0.999999):
+    r = norm(a)
     return a if r < limit else a * (limit / r)
 
 
@@ -192,26 +192,31 @@ def find_center(u: SpectralFunction, m: int, tol: float = 1e-8, max_iter: int = 
 
     u passes the positivity gate once; V and its derivative are then sums
     over u^{-q} on the nodes, in node coordinates: a itself on the circle
-    and r = a . xi on the axis xi of zonal u.  V lies in the unit ball, so
-    ``tol`` is scale-free.  Each step halves the Newton step until |V|
-    decreases; if 30 halvings find no decrease, or the budget runs out,
-    the last iterate is returned with ``converged=False`` and the number
-    of steps taken.
+    and the float r = a . xi on the axis xi of zonal u, where the Newton
+    step is -V / V'.  V lies in the unit ball, so ``tol`` is scale-free.
+    Each step halves the Newton step until |V| decreases; if 30 halvings
+    find no decrease, or the budget runs out, the last iterate is returned
+    with ``converged=False`` and the number of steps taken.
     """
     disc, neg = _volume(u, m)
-    x = np.zeros(disc.points.shape[1])
+    zonal = u.n != 1
+    size = abs if zonal else (lambda x: float(np.linalg.norm(x)))
+    x = 0.0 if zonal else np.zeros(2)
     v, jac = _ball_moment(disc, neg, x, slope=True)
-    res = float(np.linalg.norm(v))
+    res = size(v)
     steps = 0
     while res >= tol and steps < max_iter:
-        try:
-            step = np.linalg.solve(jac, -v)
-        except np.linalg.LinAlgError:
-            step = -v
+        if zonal:
+            step = -v / jac if jac else -v
+        else:
+            try:
+                step = np.linalg.solve(jac, -v)
+            except np.linalg.LinAlgError:
+                step = -v
         for _ in range(30):
-            cand = _clip_ball(x + step)
+            cand = _clip_ball(x + step, size)
             cv, cjac = _ball_moment(disc, neg, cand, slope=True)
-            cres = float(np.linalg.norm(cv))
+            cres = size(cv)
             if cres < res:
                 break
             step = step / 2.0
@@ -220,8 +225,7 @@ def find_center(u: SpectralFunction, m: int, tol: float = 1e-8, max_iter: int = 
             break
         x, v, jac, res = cand, cv, cjac, cres
         steps += 1
-    a = x if u.n == 1 else float(x[0]) * u.axis
-    return CenterResult(a, res, res < tol, steps)
+    return CenterResult(x * u.axis if zonal else x, res, res < tol, steps)
 
 
 def recenter(u: SpectralFunction, m: int) -> tuple:

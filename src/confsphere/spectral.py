@@ -396,9 +396,9 @@ class Discretization:
     caches it: ``basis`` is the packed basis on the rule nodes, ``grid`` the
     positivity grid (the rule nodes, plus the poles t = -1, 1 for zonal
     functions, since Gauss-Jacobi nodes are interior), ``grid_basis`` the
-    basis on that grid and ``points`` the node coordinates y_i, one row per
-    node: (cos th, sin th) on the circle, and the one axis coordinate t on
-    a zonal rule, since a zonal function has its moments along its axis.
+    basis on that grid and ``points`` the node coordinates y_i: a row
+    (cos th, sin th) per node on the circle, and the axis cosines t (the
+    rule nodes) on a zonal rule, whose moments lie along its axis.
     Every cached array is read-only.
     """
 
@@ -412,7 +412,7 @@ class Discretization:
     @property
     def nbytes(self) -> int:
         arrays = (self.rule.nodes, self.rule.weights, self.basis, self.grid, self.grid_basis, self.points)
-        # on the circle the grid and its basis are the rule's own arrays
+        # the circle's grid and its basis, and zonal points, are the rule's own arrays
         distinct = {id(a): a for a in arrays}
         return sum(a.nbytes for a in distinct.values())
 
@@ -441,40 +441,48 @@ class Discretization:
         return min(float(values.min()), south, north)
 
 
-def _ball_moment(disc: Discretization, values: np.ndarray, a: np.ndarray, slope: bool = False):
+def _ball_moment(disc: Discretization, values: np.ndarray, a, slope: bool = False):
     """First moment of the measure f dmu moved by sigma_{-a}, from the values f_i of f on the nodes.
 
-        V(a) = sum_i w_i f_i sigma_{-a}(y_i),   sigma_{-a}(y) = (s y + (2 + 2 a.y) a) / D,
+        V(a) = sum_i w_i f_i sigma_{-a}(y_i),   sigma_{-a}(y) = (s y + b a) / D,
 
-    s = 1 - |a|^2 and D = 1 + 2 a.y + |a|^2.  With f = u^{-q} it is the
-    first moment of the volume of the sigma_a pullback of u, since
-    u_a^{-q} dmu = sigma_a^*(u^{-q} dmu).  ``a`` and the result are in the
-    node coordinates ``disc.points``; with ``slope`` the result is
-    (V, dV/da), the derivative taken in closed form in the same pass.  At
-    a = 0, sigma_0 is the identity and V is the first moment.
+    s = 1 - |a|^2, b = 2 + 2 a.y and D = 1 + 2 a.y + |a|^2.  With f =
+    u^{-q} it is the first moment of the volume of the sigma_a pullback of
+    u, since u_a^{-q} dmu = sigma_a^*(u^{-q} dmu).  ``a`` and the result
+    are in the node coordinates ``disc.points``: 2-vectors on the circle,
+    floats on a zonal rule (r = a . xi, summed over the axis cosines t).
+    With ``slope`` the result is (V, dV/da), the derivative taken in closed
+    form in the same pass.  At a = 0, sigma_0 is the identity and V is the
+    first moment.
     """
     y, w = disc.points, disc.rule.weights
+    zonal = disc.rule.n != 1
     # ndarray.dot: the descent takes V(0) at every step, and @ costs a
-    # microsecond more on these 1- and 2-vectors
-    a2 = float(a.dot(a))
+    # microsecond more on these 2-vectors
+    a2 = a * a if zonal else float(a.dot(a))
     if a2 == 0.0:
-        ya, dd, f, v = 0.0, 1.0, values, y
+        dd, b, f, v = 1.0, 2.0, values, y
     else:
-        ya = y @ a
+        ya = y * a if zonal else y @ a
         dd = (1.0 + a2) + 2.0 * ya
+        b = 2.0 + 2.0 * ya
         f = values / dd
-        v = (1.0 - a2) * y + (2.0 + 2.0 * ya)[:, None] * a
-    # a zonal moment is summed as w . (f t); v.T @ (w f) would round otherwise
-    c = v.T @ (w * f) if disc.rule.n == 1 else np.array([w @ (f * v[:, 0])])
+        v = (1.0 - a2) * y + np.multiply.outer(b, a)
+    # a zonal moment is summed as w . (f t); t . (w f) would round otherwise
+    c = float(w @ (f * v)) if zonal else v.T @ (w * f)
     if not slope:
         return c
     # d sigma_{-a}/da = -2 sigma_{-a} (y + a)^T / D + D^{-1} dK/da with
-    # K = s y + (2 + 2 a.y) a, dK/da = (2 + 2 a.y) I + 2 (a y^T - y a^T)
+    # K = s y + b a, dK/da = b I + 2 (a y^T - y a^T);
+    # on one coordinate the antisymmetric part vanishes
     g = w * f
+    diagonal = float(np.sum(g * b))
+    if zonal:
+        return c, -2.0 * float(v @ ((g / dd) * (y + a))) + diagonal
     gy = y.T @ g
     jac = -2.0 * (v.T @ ((g / dd)[:, None] * (y + a)))
     jac += 2.0 * (a[:, None] * gy - gy[:, None] * a)
-    jac.flat[:: a.size + 1] += float(np.sum(g * (2.0 + 2.0 * ya)))
+    jac.flat[:: a.size + 1] += diagonal
     return c, jac
 
 
@@ -484,12 +492,12 @@ def _build_discretization(n: int, degree: int, oversample: int) -> Discretizatio
     basis = _cached_array(basis_matrix(n, degree, rule.nodes))
     if n == 1:
         grid, grid_basis = rule.nodes, basis
-        points = np.column_stack([np.cos(rule.nodes), np.sin(rule.nodes)])
+        points = _cached_array(np.column_stack([np.cos(rule.nodes), np.sin(rule.nodes)]))
     else:
         grid = _cached_array(np.concatenate([[-1.0], rule.nodes, [1.0]]))
         grid_basis = _cached_array(basis_matrix(n, degree, grid))
-        points = rule.nodes[:, None]
-    return Discretization(rule, degree, basis, grid, grid_basis, _cached_array(points))
+        points = rule.nodes
+    return Discretization(rule, degree, basis, grid, grid_basis, points)
 
 
 _cache: "OrderedDict[tuple, Discretization]" = OrderedDict()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from confsphere import extremize, functional, mobius
+from confsphere.errors import InvalidConfig
 from confsphere.extremize import OptimizerConfig, minimize, perturbation_sweep
 from confsphere.functional import el_residual, exponent_q, functional_value, gradient, neg_power_integral
 from confsphere.geometry import AxisDilation, north_pole
@@ -38,6 +39,15 @@ def test_config_has_no_unused_knobs():
     for knob in ("seed", "precondition"):
         with pytest.raises(TypeError):
             OptimizerConfig(**{knob: 0})
+
+
+def test_minimize_rejects_a_config_of_another_degree():
+    # the descent runs at the degree of its start, so a config that names
+    # another degree is an error, not a setting that is silently ignored
+    u0 = random_positive_function(1, 16, 4, np.random.default_rng(0))
+    with pytest.raises(InvalidConfig, match="degree 32"):
+        minimize(u0, 1, OptimizerConfig(max_iter=5))
+    assert minimize(u0, 1, OptimizerConfig(degree=16, max_iter=5)).final.degree == 16
 
 
 def test_minimize_reaches_first_sharp_constant():

@@ -346,11 +346,103 @@ def test_node_form_jacobian_matches_central_differences(n, m):
     for radius in (0.0, 0.2, 0.5, 0.9):
         d = rng.standard_normal(dim)
         a = radius * d / np.linalg.norm(d)
+        # zonal V and its slope are floats of the float r = a . xi
+        steps = np.eye(dim) if n == 1 else (1.0,)
+        a = a if n == 1 else float(a[0])
         _, jac = _ball_moment(disc, neg, a, slope=True)
         fd = np.column_stack(
-            [(_ball_moment(disc, neg, a + h * e) - _ball_moment(disc, neg, a - h * e)) / (2 * h) for e in np.eye(dim)]
+            [(_ball_moment(disc, neg, a + h * e) - _ball_moment(disc, neg, a - h * e)) / (2 * h) for e in steps]
         )
         assert np.max(np.abs(jac - fd)) < 1e-6 * np.max(np.abs(jac)), radius
+
+
+def _array_ball_moment(disc, values, a, slope=False):
+    """The zonal V(a) and dV/da summed on (K, 1) arrays of the node coordinates, a of shape (1,).
+
+    The d-dimensional node formula with d = 1, as the zonal kernel ran
+    before it took the float r; the reference its float arithmetic keeps.
+    """
+    y, w = disc.rule.nodes[:, None], disc.rule.weights
+    a2 = float(a.dot(a))
+    if a2 == 0.0:
+        ya, dd, f, v = 0.0, 1.0, values, y
+    else:
+        ya = y @ a
+        dd = (1.0 + a2) + 2.0 * ya
+        f = values / dd
+        v = (1.0 - a2) * y + (2.0 + 2.0 * ya)[:, None] * a
+    c = np.array([w @ (f * v[:, 0])])
+    if not slope:
+        return c
+    g = w * f
+    gy = y.T @ g
+    jac = -2.0 * (v.T @ ((g / dd)[:, None] * (y + a)))
+    jac += 2.0 * (a[:, None] * gy - gy[:, None] * a)
+    jac.flat[:: a.size + 1] += float(np.sum(g * (2.0 + 2.0 * ya)))
+    return c, jac
+
+
+def _array_find_center(u, m, tol=1e-8, max_iter=80):
+    """find_center's damped Newton loop on :func:`_array_ball_moment`: 1x1 solves and 1-vector norms."""
+    disc, neg = mobius._volume(u, m)
+    x = np.zeros(1)
+    v, jac = _array_ball_moment(disc, neg, x, slope=True)
+    res = float(np.linalg.norm(v))
+    steps = 0
+    while res >= tol and steps < max_iter:
+        try:
+            step = np.linalg.solve(jac, -v)
+        except np.linalg.LinAlgError:
+            step = -v
+        for _ in range(30):
+            cand = x + step
+            r = float(np.linalg.norm(cand))
+            cand = cand if r < 0.999999 else cand * (0.999999 / r)
+            cv, cjac = _array_ball_moment(disc, neg, cand, slope=True)
+            cres = float(np.linalg.norm(cv))
+            if cres < res:
+                break
+            step = step / 2.0
+        else:
+            break
+        x, v, jac, res = cand, cv, cjac, cres
+        steps += 1
+    return float(x[0]) * u.axis, res, steps
+
+
+def _zonal_gauge_cases():
+    """(u, m): the zonal starts of the 300-start set, then the L=64 extremals with lambda in 1/4..8."""
+    rng = np.random.default_rng(11)
+    for n, m in STABLE_ORDERS:
+        for amplitude in (0.45, 0.8, 0.95):
+            for _ in range(25):
+                # circle draws too, so the zonal ones are those of the set
+                u = random_positive_function(n, 32, 8, rng, amplitude=amplitude)
+                if n != 1:
+                    yield u, m
+    for n, m in STABLE_ORDERS[2:]:
+        for lam in (0.25, 0.5, 2.0 / 3.0, 1.0, 1.5, 2.0, 4.0, 8.0):
+            yield extremal(n, m, 64, lam), m
+
+
+def test_zonal_gauge_keeps_the_bits_of_the_array_formula():
+    # the float axis kernel runs the (K, 1)-array arithmetic in its order,
+    # so V, dV/dr and every center match the reference bit for bit
+    h = float.hex
+    cases = 0
+    for u, m in _zonal_gauge_cases():
+        disc, neg = mobius._volume(u, m)
+        for r in (0.0, -0.9, -0.6, -0.3, -1e-3, 1e-3, 0.3, 0.6, 0.9):
+            v, dv = _ball_moment(disc, neg, r, slope=True)
+            ref_v, ref_dv = _array_ball_moment(disc, neg, np.array([r]), slope=True)
+            assert (h(v), h(dv)) == (h(float(ref_v[0])), h(float(ref_dv[0, 0]))), (u.degree, m, r)
+            assert h(_ball_moment(disc, neg, r)) == h(v)
+        res = find_center(u, m)
+        a, residual, steps = _array_find_center(u, m)
+        assert [h(x) for x in res.a] == [h(x) for x in a]
+        assert (h(res.residual), res.iterations, res.converged) == (h(residual), steps, residual < 1e-8)
+        cases += 1
+    assert cases == 150 + 16
 
 
 @pytest.mark.parametrize("n,m", STABLE_ORDERS)

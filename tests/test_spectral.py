@@ -479,7 +479,7 @@ def _node_coordinates(rule):
     """(cos th, sin th) on the circle, the axis cosine t on a zonal rule."""
     if rule.n == 1:
         return np.column_stack([np.cos(rule.nodes), np.sin(rule.nodes)])
-    return rule.nodes[:, None]
+    return rule.nodes
 
 
 def _hand_built(rule, degree):
@@ -511,6 +511,6 @@ def test_grid_minimum_and_first_moment_keep_their_bits(n, L):
             else:
                 old_min = float(min(vals.min(), (disc.grid_basis[:, :: K + 1].T @ c).min()))
             assert disc.grid_minimum(c, vals) == old_min
-            moment = spectral._ball_moment(disc, vals, np.zeros(disc.points.shape[1]))
-            old = disc.points.T @ (w * vals) if n == 1 else np.array([w @ (vals * disc.rule.nodes)])
+            moment = spectral._ball_moment(disc, vals, np.zeros(2) if n == 1 else 0.0)
+            old = disc.points.T @ (w * vals) if n == 1 else float(w @ (vals * disc.rule.nodes))
             assert np.array_equal(moment, old)

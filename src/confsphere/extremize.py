@@ -1,6 +1,6 @@
 """Constrained minimization of the invariant functional.
 
-Projected gradient descent in coefficient space with Armijo backtracking.
+Quasi-Newton descent in coefficient space with Armijo backtracking.
 Scale and Mobius gauge freedom are fixed the way compactness is restored
 in the underlying variational argument: after every accepted step the
 iterate is rescaled to maximum one, and periodically it is recentered by
@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, NonPositiveFunction
 from .functional import _step_terms, _value_terms, exponent_q, functional_value
 from .geometry import BallPoint
 from .gjms import packed_multipliers
@@ -69,7 +69,7 @@ class DescentTrace:
 
 
 def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTrace:
-    """Projected-gradient descent from u0; the trace is non-increasing.
+    """Quasi-Newton descent from u0; the trace is non-increasing.
 
     Acceptance is tested on the max-rescaled candidate so the recorded
     values are monotone in exact float comparison.  When a search tries
@@ -82,20 +82,27 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     falls below 4 ulps of |I|, where only rounding noise could pass the
     Armijo test.  A stall usually arrives before the gradient tolerance
     because exactly monotone acceptance cannot push the gradient below
-    ~sqrt(eps |I|).
+    ~sqrt(eps |I|).  The floor is relative: a candidate c passes when its
+    grid minimum exceeds ``positivity_floor`` times its maximum on the
+    nodes, so a start at any scale is tested as if at maximum one, and a
+    start that fails raises :class:`NonPositiveFunction`.
 
-    Step length: the first search tries ``step_init``.  After a step alpha
-    is accepted with decrease ratio rho = (I_k - I_{k+1}) / (alpha slope),
-    the next search starts at 2 alpha (at most 1e6) if rho >= (1 + sigma) / 2,
-    sigma the Armijo factor, and at alpha otherwise.  Along the search line
-    a quadratic model with minimizer alpha* gives rho(alpha) = 1 - alpha /
-    (2 alpha*), so the doubled trial passes Armijo, 1 - alpha / alpha* >=
-    sigma, exactly when rho(alpha) >= (1 + sigma) / 2: where the model
-    holds, only trials that would be rejected are skipped.
+    Direction: memoryless BFGS (Shanno 1978; Nocedal-Wright section 7.2)
+    in the diagonal metric D = 1 + |p_2m(alpha)|.  From the pair (s, y) of
+    the last accepted step, d = H grad with H = V^T (gamma D^-1) V + rho s s^T,
+    V = I - rho y s^T, rho = 1 / s.y and gamma = s.y / y.D^-1 y.  I is
+    homogeneous of degree 0, so grad I(c / k) = k grad I(c): when the
+    candidate c - alpha d is rescaled by its maximum k, the pair is stored
+    as s = -alpha d / k and y = grad_new - k grad.  A pair with s.y <= 0 is
+    dropped, as is the pair before a kept recenter, and a pair direction
+    whose slope grad.d is not positive; without a pair, d = D^-1 grad.  The
+    first trial is 1 along a pair direction and otherwise the last accepted
+    step (``step_init`` at the start); each rejected trial halves it.
 
     Gauge: every ``gauge_every`` accepted steps the iterate is recentered
-    if its volume barycenter V(0), the first moment of u^{-q} over its
-    integral, has |V(0)| / q > 0.01 and the Newton solve for its center
+    if its gradient norm is not below ``grad_tol`` (else it is the last
+    iterate), its volume barycenter V(0), the first moment of u^{-q} over
+    its integral, has |V(0)| / q > 0.01 and the Newton solve for its center
     converged.  For u = 1 + eps phi, u^{-q} = 1 - q eps phi + O(eps^2), so
     |V(0)| / q is to first order the first moment of u over its integral.
 
@@ -120,29 +127,29 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     origin, size = (np.zeros(2), norm) if n == 1 else (0.0, abs)
 
     def admissible(c: np.ndarray) -> Optional[tuple]:
-        """:func:`_value_terms` of c rescaled to maximum one; None at or below the floor."""
+        """:func:`_value_terms` of c at maximum one, then that maximum; None at or below the floor."""
         vals = disc.values(c)
-        if not disc.grid_minimum(c, vals) > config.positivity_floor:
-            return None
         cmax = float(vals.max())
-        return _value_terms(c * (1.0 / cmax), vals / cmax, p, q, weights)
+        if not disc.grid_minimum(c, vals) > config.positivity_floor * cmax:
+            return None
+        return _value_terms(c * (1.0 / cmax), vals / cmax, p, q, weights) + (cmax,)
 
     terms = admissible(u0.coeffs)
     if terms is None:
-        raise ValueError("initial iterate violates the positivity floor")
+        raise NonPositiveFunction("the start is not above the positivity floor relative to its maximum")
     c, current = terms[0], terms[2]
     grad = _step_terms(terms, disc, q)
 
-    # descent direction is the gradient in a fixed diagonal metric
-    # (1 + |p_2m(alpha)|), which evens out the 2m-th order stiffness
-    precond = 1.0 + np.abs(p)
+    # the metric D = 1 + |p_2m(alpha)| evens out the 2m-th order stiffness
+    inv_d = 1.0 / (1.0 + np.abs(p))
     sigma = config.armijo_factor
     step = config.step_init
+    pair = None  # (s, y, rho, gamma D^-1) of the last accepted step
     accepted = 0
 
     def centroid() -> float:
         """|V(0)| of the iterate: the first moment of u^{-q} over its integral."""
-        _, _, _, _, _, neg, integ = terms
+        neg, integ = terms[5:7]
         return size(_ball_moment(disc, neg, origin)) / integ
 
     def record():
@@ -158,11 +165,19 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
             trace.termination_reason = "gradient_tolerance"
             break
 
-        direction = grad / precond
-        slope = float(grad @ direction)
+        if pair is not None:
+            s, y, rho, scaled_inv_d = pair
+            a = rho * float(s @ grad)
+            r = scaled_inv_d * (grad - a * y)
+            direction = r + (a - rho * float(y @ r)) * s
+            slope = float(grad @ direction)
+            pair = pair if slope > 0 else None
+        if pair is None:
+            direction = grad * inv_d
+            slope = float(grad @ direction)
         # below a few ulps of I the predicted decrease is rounding noise
         noise = 4.0 * 2.0**-52 * abs(current)
-        alpha = step
+        alpha = step if pair is None else 1.0
         found = None
         tried = any_positive = False
         for _ in range(60):
@@ -187,17 +202,17 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
             break
 
         accepted += 1
-        # grow the next trial only if this step's decrease ratio predicts
-        # that the doubled step passes Armijo (see the docstring)
-        rho = (current - found[2]) / (alpha * slope)
-        step = min(alpha * 2.0, 1e6) if rho >= (1.0 + sigma) / 2.0 else alpha
-        terms = found
-        c, current = terms[0], terms[2]
-        grad = _step_terms(terms, disc, q)
+        # the pair in the scale of the new iterate (see the docstring)
+        terms, k, step = found, found[7], alpha
+        new_grad = _step_terms(terms, disc, q)
+        s, y = direction * (-alpha / k), new_grad - k * grad
+        sy = float(s @ y)
+        pair = (s, y, 1.0 / sy, (sy / float(y @ (y * inv_d))) * inv_d) if sy > 0 else None
+        c, current, grad = terms[0], terms[2], new_grad
 
         # recenter only against real Mobius drift: near the optimum the
         # pullback's truncation noise would otherwise stall the gradient
-        v0 = centroid() if accepted % config.gauge_every == 0 else None
+        v0 = centroid() if accepted % config.gauge_every == 0 and norm(grad) >= config.grad_tol else None
         if v0 is not None and v0 > 0.01 * q:
             u = SpectralFunction(n, c, axis)
             center = find_center(u, m)
@@ -205,7 +220,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
             cand = admissible(pullback(u, BallPoint(center.a), m).coeffs) if center.converged else None
             # invariant up to truncation; keep only if monotone
             if cand is not None and cand[2] <= current:
-                terms, v0 = cand, None
+                terms, v0, pair = cand, None, None
                 c, current = terms[0], terms[2]
                 grad = _step_terms(terms, disc, q)
     else:

@@ -157,9 +157,9 @@ def _step_terms(terms: tuple, disc: Discretization, q: float) -> np.ndarray:
     """Gradient coefficients from :func:`_value_terms`.
 
     They come from the node values held in ``terms``: no synthesis and no
-    gate.  u^{-q-1} is taken as u^{-q} / u.
+    gate; entries past the seventh are ignored.  u^{-q-1} is taken as u^{-q} / u.
     """
-    _, vals, _, pc, e, neg, integ = terms
+    _, vals, _, pc, e, neg, integ = terms[:7]
     pointwise = (-2.0 * integ ** (2.0 / q - 1.0) * e) * (neg / vals)
     return disc.project(pointwise) + pc * (2.0 * integ ** (2.0 / q))
 

@@ -1,11 +1,10 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from confsphere import extremize, functional, mobius
-from confsphere.errors import InvalidConfig
+from confsphere.errors import InvalidConfig, NonPositiveFunction
 from confsphere.extremize import OptimizerConfig, minimize, perturbation_sweep
 from confsphere.functional import el_residual, exponent_q, functional_value, gradient, neg_power_integral
 from confsphere.geometry import AxisDilation, north_pole
@@ -48,6 +47,25 @@ def test_minimize_rejects_a_config_of_another_degree():
     with pytest.raises(InvalidConfig, match="degree 32"):
         minimize(u0, 1, OptimizerConfig(max_iter=5))
     assert minimize(u0, 1, OptimizerConfig(degree=16, max_iter=5)).final.degree == 16
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 2)])
+@pytest.mark.parametrize("scale", [1e-12, 1e150])
+def test_minimize_tests_the_start_at_maximum_one(n, m, scale):
+    # the floor is relative to the maximum, so a positive start descends at
+    # any scale as it does at scale one, and a constant is a critical point
+    config = OptimizerConfig(max_iter=300)
+    u0 = random_positive_function(n, 32, 8, np.random.default_rng(1))
+    base, scaled = minimize(u0, m, config), minimize(u0.scaled(scale), m, config)
+    assert scaled.termination_reason == base.termination_reason
+    assert abs(scaled.values[-1] - base.values[-1]) <= 1e-12 * abs(base.values[-1])
+    one = functional_value(constant_function(n, 1.0, 32), m)
+    assert abs(minimize(constant_function(n, scale, 32), m, config).values[-1] - one) <= 1e-13 * abs(one)
+    # a start that is not positive raises the typed error at any scale
+    dipped = constant_function(n, 1.0, 32) + harmonic_basis_function(n, 1, 32).scaled(10.0)
+    for start in (dipped.scaled(scale), constant_function(n, -scale, 32)):
+        with pytest.raises(NonPositiveFunction, match="positivity floor"):
+            minimize(start, m, config)
 
 
 def test_minimize_reaches_first_sharp_constant():
@@ -219,16 +237,30 @@ def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, see
 
 def test_minimize_takes_v0_once_per_trace_row(monkeypatch):
     # the gauge check's V(0) is the next row's baryNorm unless the pullback
-    # is kept.  This draw checks the gauge at steps 10 and 20 and keeps the
-    # first pullback: one sum per row, plus one for the iterate it replaced
-    summed = []
-    real = extremize._ball_moment
+    # is kept.  This draw checks the gauge at steps 5 and 10, keeps the first
+    # pullback and finds no drift at the second: one sum per row, plus one
+    # for the iterate the pullback replaced
+    summed, centers = [], []
+    real, real_center = extremize._ball_moment, extremize.find_center
     monkeypatch.setattr(extremize, "_ball_moment", lambda disc, neg, a: summed.append(neg) or real(disc, neg, a))
-    u0 = random_positive_function(1, 32, 8, np.random.default_rng(3))
-    trace = minimize(u0, 1, OptimizerConfig(degree=32, max_iter=300))
-    assert len(trace.barycenter_norms) == 26
+    monkeypatch.setattr(extremize, "find_center", lambda *a: centers.append(real_center(*a)) or centers[-1])
+    u0 = random_positive_function(1, 32, 8, np.random.default_rng(0))
+    trace = minimize(u0, 1, OptimizerConfig(degree=32, max_iter=300, gauge_every=5))
+    assert len(trace.barycenter_norms) == 15 and len(centers) == 1
     # no iterate's u^{-q} is summed twice
-    assert len({id(neg) for neg in summed}) == len(summed) == 26 + 1
+    assert len({id(neg) for neg in summed}) == len(summed) == 15 + 1
+
+
+def test_minimize_does_not_recenter_its_last_iterate(monkeypatch):
+    # this draw meets the gradient tolerance at step 10, a gauge step, with
+    # |V(0)| / q above 0.01; the descent ends there, so no center is sought
+    centers = []
+    monkeypatch.setattr(extremize, "find_center", lambda *a: centers.append(a))
+    u0 = random_positive_function(1, 32, 8, np.random.default_rng(0))
+    trace = minimize(u0, 1, OptimizerConfig(degree=32, max_iter=300, grad_tol=1e-3 * math.pi**2))
+    assert trace.termination_reason == "gradient_tolerance" and trace.iterations == 10
+    assert trace.barycenter_norms[-1] > 0.01 * exponent_q(1, 1)
+    assert centers == []
 
 
 def test_minimize_pulls_back_by_converged_centers_only(monkeypatch):
@@ -238,7 +270,7 @@ def test_minimize_pulls_back_by_converged_centers_only(monkeypatch):
     real_center, real_pullback = extremize.find_center, extremize.pullback
     monkeypatch.setattr(extremize, "find_center", lambda *a: centers.append(real_center(*a)) or centers[-1])
     monkeypatch.setattr(extremize, "pullback", lambda u, phi, m: pulled.append(phi.center) or real_pullback(u, phi, m))
-    u0 = random_positive_function(1, 16, 4, np.random.default_rng(9))
+    u0 = random_positive_function(1, 16, 4, np.random.default_rng(16))
     trace = minimize(u0, 3, OptimizerConfig(degree=16, max_iter=400))
     assert trace.termination_reason == "positivity_breakdown"
     assert [c.converged for c in centers] == [True, False]
@@ -264,48 +296,119 @@ def test_line_search_stalls_instead_of_accepting_equal_values():
     assert all(b < a for a, b in zip(trace.values, trace.values[1:]))
 
 
-def _line_searches(monkeypatch, u0, m, config):
-    """Run minimize without the gauge; return the trace and, per iterate,
-    (I, slope, first step length, step lengths of the trials made).
-
-    The step lengths are those of the rule under test: the first search
-    starts at step_init, each rejected trial halves the step, and after a
-    step alpha is accepted with decrease ratio rho the next search starts
-    at 2 alpha if rho >= (1 + sigma) / 2 and at alpha otherwise.  Every
-    trial's coefficients must equal c - alpha d bit for bit, with d the
-    preconditioned gradient at the iterate c.
+def _descent_events(monkeypatch, u0, m, config):
+    """Run minimize and return its trace and, in call order, the events
+    ("trial", c, values) of each synthesis, ("floor", c, (minimum, values))
+    of each grid check, ("iterate", terms, gradient) of each gradient and
+    ("pullback", coefficients, None) of each recenter candidate.  Syntheses
+    and checks inside find_center and pullback are left out.
     """
-    events = []
+    events, inside = [], []
 
-    def spy(owner, name, tag):
+    def spy(owner, name, log):
         real = getattr(owner, name)
 
         def logged(*args):
             out = real(*args)
-            events.append((tag, args, out))
+            if not inside:
+                log(args, out)
             return out
 
         monkeypatch.setattr(owner, name, logged)
 
-    spy(Discretization, "values", "trial")
-    spy(extremize, "_step_terms", "iterate")
-    trace = minimize(u0, m, replace(config, gauge_every=10**6))
-    precond = 1.0 + np.abs(packed_multipliers(u0.n, m, u0.degree))
-    threshold = (1.0 + config.armijo_factor) / 2.0
-    searches, alpha = [], config.step_init
-    for tag, args, out in events[1:]:  # the first synthesis is the start
-        if tag == "iterate":
-            if searches:
-                before, slope, _, trials = searches[-1]
-                rho = (before - trace.values[len(searches)]) / (trials[-1] * slope)
-                alpha = 2.0 * trials[-1] if rho >= threshold else trials[-1]
-            c, direction = args[0][0], out / precond
-            searches.append((trace.values[len(searches)], float(out @ direction), alpha, []))
-        else:
+    def gauge(name):
+        real = getattr(extremize, name)
+
+        def run(*args):
+            inside.append(name)
+            try:
+                out = real(*args)
+            finally:
+                inside.pop()
+            if name == "pullback":
+                events.append(("pullback", out.coeffs, None))
+            return out
+
+        monkeypatch.setattr(extremize, name, run)
+
+    spy(Discretization, "values", lambda a, out: events.append(("trial", a[1], out)))
+    spy(Discretization, "grid_minimum", lambda a, out: events.append(("floor", a[1], (out, a[2]))))
+    spy(extremize, "_step_terms", lambda a, out: events.append(("iterate", a[0], out)))
+    gauge("find_center")
+    gauge("pullback")
+    return minimize(u0, m, config), events
+
+
+def _one_pair_direction(grad, inv_d, pair):
+    """The memoryless BFGS direction H grad, H = V^T (gamma D^-1) V + rho s s^T."""
+    if pair is None:
+        return grad * inv_d
+    s, y = pair
+    sy = float(s @ y)
+    rho, gamma = 1.0 / sy, sy / float(y @ (y * inv_d))
+    a = rho * float(s @ grad)
+    r = (gamma * inv_d) * (grad - a * y)
+    direction = r + (a - rho * float(y @ r)) * s
+    # the two-term recursion is the product with the dense matrix
+    v = np.eye(s.size) - rho * np.outer(y, s)
+    dense = v.T @ np.diag(gamma * inv_d) @ v @ grad + rho * s * float(s @ grad)
+    assert np.linalg.norm(direction - dense) <= 1e-10 * np.linalg.norm(dense)
+    return direction
+
+
+def _line_searches(monkeypatch, u0, m, config):
+    """Run minimize; return the trace and, per iterate, (I, slope, first
+    step length, step lengths of the trials made, source of the direction).
+
+    The direction is recomputed here from the rule under test: the one-pair
+    direction of the last accepted step's (s, y), stored in the scale of the
+    new iterate as s = -alpha d / k and y = grad_new - k grad, with k the
+    candidate's maximum on the nodes.  The source is "pair", or the reason
+    the direction is D^-1 grad: "start", "curvature" (s.y <= 0), "slope"
+    (the pair direction's slope is not positive) or "recenter" (a kept
+    pullback).  A pair direction's first trial is 1, any other the last
+    accepted step length (step_init at the start), and each rejected trial
+    halves the step.  Every trial's coefficients must equal c - alpha d bit
+    for bit at the iterate c.
+    """
+    trace, events = _descent_events(monkeypatch, u0, m, config)
+    inv_d = 1.0 / (1.0 + np.abs(packed_multipliers(u0.n, m, u0.degree)))
+    searches, pulled, step, accepted_vals = [], [], config.step_init, None
+    gauge = False
+    for tag, x, out in events[1:]:  # the first synthesis is the start
+        if tag == "pullback":
+            pulled.append(x)
+        elif tag == "trial":
+            # the gauge's candidate is no trial of a search
+            gauge = any(x is p for p in pulled)
+            if gauge:
+                continue
             trials = searches[-1][3]
-            step = trials[-1] * 0.5 if trials else alpha
-            assert np.array_equal(args[1], c - step * direction)
-            trials.append(step)
+            alpha = trials[-1] * 0.5 if trials else searches[-1][2]
+            assert np.array_equal(x, c - alpha * direction)
+            trials.append(alpha)
+            accepted_vals = out
+        elif tag == "iterate":
+            pair, source = None, "recenter" if gauge else "start"
+            if gauge:
+                # the kept pullback replaces the iterate before its search
+                searches.pop()
+            elif searches:
+                alpha = searches[-1][3][-1]
+                k = float(accepted_vals.max())
+                s, y = direction * (-alpha / k), out - k * grad
+                pair, source, step = (s, y), "pair", alpha
+                if not float(s @ y) > 0:
+                    pair, source = None, "curvature"
+            c, grad, gauge = x[0], out, False
+            direction = _one_pair_direction(grad, inv_d, pair)
+            slope = float(grad @ direction)
+            if pair is not None and not slope > 0:
+                pair, source = None, "slope"
+                direction = _one_pair_direction(grad, inv_d, None)
+                slope = float(grad @ direction)
+            first = 1.0 if pair is not None else step
+            searches.append((trace.values[len(searches)], slope, first, [], source))
     return trace, searches
 
 
@@ -317,15 +420,39 @@ NOISE = 4.0 * 2.0**-52
     "n,m,degree,seed,step_init",
     [(1, 1, 32, 1, 1.0), (1, 2, 32, 3, 1.0), (3, 2, 64, 3, 1.0), (3, 3, 64, 7, 1.0), (3, 3, 64, 1, 2.0**-6)],
 )
-def test_line_search_grows_the_step_only_when_the_ratio_predicts_it(monkeypatch, n, m, degree, seed, step_init):
+def test_line_search_follows_the_one_pair_direction(monkeypatch, n, m, degree, seed, step_init):
     u0 = random_positive_function(n, degree, 8, np.random.default_rng(seed))
-    config = OptimizerConfig(degree=degree, max_iter=300, step_init=step_init)
+    config = OptimizerConfig(degree=degree, max_iter=300, step_init=step_init, gauge_every=10**6)
     trace, searches = _line_searches(monkeypatch, u0, m, config)
     assert len(searches) == trace.iterations + 1
-    # both branches of the rule ran
-    starts = [(first, prev[3][-1]) for prev, (_, _, first, trials) in zip(searches, searches[1:]) if trials]
-    assert any(first == 2.0 * alpha for first, alpha in starts)
-    assert any(first == alpha for first, alpha in starts)
+    assert searches[0][2] == step_init and searches[0][4] == "start"
+    # the first trial is 1 once a pair is held
+    assert sum(source == "pair" for *_, source in searches) >= trace.iterations // 2
+    assert all(first == 1.0 for _, _, first, _, source in searches if source == "pair")
+
+
+def test_a_pair_without_positive_curvature_restarts_from_the_metric(monkeypatch):
+    # in the unstable range a step can cross negative curvature, s.y <= 0;
+    # the next search then runs along D^-1 grad from the last accepted step
+    u0 = random_positive_function(1, 32, 8, np.random.default_rng(4))
+    config = OptimizerConfig(degree=32, max_iter=400, gauge_every=10**6)
+    trace, searches = _line_searches(monkeypatch, u0, 3, config)
+    restarts = [i for i, search in enumerate(searches) if search[4] == "curvature"]
+    assert restarts and trace.termination_reason != "max_iterations"
+    assert all(searches[i][2] == searches[i - 1][3][-1] for i in restarts)
+    assert any(searches[i][2] < 1.0 for i in restarts)
+
+
+def test_a_kept_recenter_drops_the_pair(monkeypatch):
+    # the pullback moves the iterate off the line of the last step, so the
+    # pair no longer describes it: the search after it runs along D^-1 grad
+    # (checked bit for bit on its trials) from the last accepted step
+    u0 = random_positive_function(1, 32, 8, np.random.default_rng(0))
+    trace, searches = _line_searches(monkeypatch, u0, 1, OptimizerConfig(degree=32, max_iter=300, gauge_every=5))
+    assert len(searches) == trace.iterations + 1
+    assert [i for i, search in enumerate(searches) if search[4] == "recenter"] == [5]
+    assert searches[4][4] == "pair" and searches[5][2] == searches[4][3][-1]
+    assert searches[5][3] and searches[6][4] == "pair"
 
 
 @pytest.mark.parametrize("n,m,degree,seed", [(1, 1, 32, 1), (3, 3, 32, 2), (3, 2, 64, 3)])
@@ -333,23 +460,34 @@ def test_line_search_stops_at_the_rounding_floor(monkeypatch, n, m, degree, seed
     # no trial is made once alpha * slope < 4 ulps of |I|: the last search
     # ends at that floor, short of its 60 halvings, in line_search_stall
     u0 = random_positive_function(n, degree, 8, np.random.default_rng(seed))
-    trace, searches = _line_searches(monkeypatch, u0, m, OptimizerConfig(degree=degree, max_iter=300))
-    for value, slope, _, trials in searches:
+    config = OptimizerConfig(degree=degree, max_iter=300, gauge_every=10**6)
+    trace, searches = _line_searches(monkeypatch, u0, m, config)
+    for value, slope, _, trials, _ in searches:
         assert all(alpha * slope >= NOISE * abs(value) for alpha in trials)
-    value, slope, first, trials = searches[-1]
+    value, slope, first, trials, _ = searches[-1]
     assert trace.termination_reason == "line_search_stall"
     assert len(trials) < 60
     assert (trials[-1] * 0.5 if trials else first) * slope < NOISE * abs(value)
 
 
-@pytest.mark.parametrize("m,degree,seed", [(3, 16, 9), (3, 32, 4), (4, 16, 7)])
-def test_unstable_start_ends_in_positivity_breakdown(m, degree, seed):
-    # the rounding floor must not relabel a search whose trials all fell
-    # below the positivity floor as a stall
+@pytest.mark.parametrize("m,degree,seed", [(3, 16, 9), (3, 32, 4), (4, 16, 7), (3, 16, 6)])
+def test_unstable_start_is_labelled_by_its_last_search(monkeypatch, m, degree, seed):
+    # positivity_breakdown iff the last search made trials and none kept the
+    # grid minimum above the floor relative to the maximum; the rounding
+    # floor must not relabel such a search as a stall
     u0 = random_positive_function(1, degree, degree // 4, np.random.default_rng(seed))
     config = OptimizerConfig(degree=degree, max_iter=400)
-    trace = minimize(u0, m, config)
-    assert trace.termination_reason == "positivity_breakdown"
+    trace, events = _descent_events(monkeypatch, u0, m, config)
+    last = max(i for i, event in enumerate(events) if event[0] == "iterate")
+    pulled = [x for tag, x, _ in events if tag == "pullback"]
+    checks = [
+        low > config.positivity_floor * float(vals.max())
+        for tag, x, (low, vals) in (e for e in events[last:] if e[0] == "floor")
+        if not any(x is p for p in pulled)
+    ]
+    breakdown = bool(checks) and not any(checks)
+    assert (trace.termination_reason == "positivity_breakdown") == breakdown
+    assert trace.termination_reason in ("positivity_breakdown", "line_search_stall")
     assert min(trace.min_values) > config.positivity_floor
 
 

@@ -123,8 +123,8 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         # np.linalg.norm of a 1-D float array, without its overhead
         return math.sqrt(float(x @ x))
 
-    # a = 0 in node coordinates: a 2-vector on the circle, the float r on the axis
-    origin, size = (np.zeros(2), norm) if n == 1 else (0.0, abs)
+    # a = 0 in node coordinates: a complex number on the circle, the float r on the axis
+    origin = 0j if n == 1 else 0.0
 
     def admissible(c: np.ndarray) -> Optional[tuple]:
         """:func:`_value_terms` of c at maximum one, then that maximum; None at or below the floor."""
@@ -150,7 +150,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     def centroid() -> float:
         """|V(0)| of the iterate: the first moment of u^{-q} over its integral."""
         neg, integ = terms[5:7]
-        return size(_ball_moment(disc, neg, origin)) / integ
+        return abs(_ball_moment(disc, neg, origin)) / integ
 
     def record():
         trace.values.append(current)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveFunction
+from .errors import ConfSphereError, NonPositiveFunction
 from .gjms import apply_operator, packed_multipliers, s1_derivative_form_coefficients
 from .spectral import (
     POSITIVITY_THRESHOLD,
@@ -91,23 +91,27 @@ def neg_power_integral(u: SpectralFunction, m: int) -> float:
     return float(disc.rule.weights @ vals ** (-q))
 
 
+def _at_minimum_one(u: SpectralFunction) -> tuple:
+    """(u / k, the 4x node values of u, k), k their minimum once u passed the gate: (u/k)^{-q} is in (0, 1]."""
+    vals = _positivity_gate(u.coeffs, discretization(u.n, u.degree, oversample=4))
+    k = float(vals.min())
+    return u.scaled(1.0 / k), vals, k
+
+
+def _neg_power_norm(u: SpectralFunction, m: int) -> float:
+    return math.exp((2.0 / exponent_q(u.n, m)) * math.log(neg_power_integral(u, m)))  # survives large powers
+
+
 def neg_power_norm(u: SpectralFunction, m: int) -> float:
-    """|u^{-1}|^2_{L^q}; computed through the log to survive large powers."""
-    q = exponent_q(u.n, m)
-    integ = neg_power_integral(u, m)
-    return math.exp((2.0 / q) * math.log(integ))
+    """|u^{-1}|^2_{L^q}, homogeneous of degree -2: taken on u / k at minimum one, then over k^2."""
+    v, _, k = _at_minimum_one(u)
+    return _neg_power_norm(v, m) / (k * k)
 
 
 def functional_value(u: SpectralFunction, m: int) -> float:
-    """I_2m(u), evaluated on u divided by its minimum on the nodes.
-
-    u passes the positivity gate as given.  I is scale invariant, and at
-    minimum one u^{-q} lies in (0, 1], so neither it nor its integral can
-    underflow whatever the scale of u.
-    """
-    vals = _positivity_gate(u.coeffs, discretization(u.n, u.degree, oversample=4))
-    v = u.scaled(1.0 / float(vals.min()))
-    return neg_power_norm(v, m) * energy_quadratic(v, m)
+    """I_2m(u), scale invariant: evaluated on u divided by its minimum on the nodes, u gated as given."""
+    v, _, _ = _at_minimum_one(u)
+    return _neg_power_norm(v, m) * energy_quadratic(v, m)
 
 
 def el_residual(u: SpectralFunction, m: int) -> float:
@@ -115,19 +119,25 @@ def el_residual(u: SpectralFunction, m: int) -> float:
 
     kappa is the unique multiplier making the residual orthogonal to u, so
     the residual vanishes exactly at critical points of the functional.
+    Homogeneous of degree 1: taken on u / k at minimum one, times k.
     """
+    u, vals, k = _at_minimum_one(u)
+    vals = vals / k
     disc = discretization(u.n, u.degree, oversample=4)
     q = exponent_q(u.n, m)
-    vals = _positivity_gate(u.coeffs, disc)
     pu_vals = disc.values(apply_operator(u, m).coeffs)
     kappa = energy_quadratic(u, m) / float(disc.rule.weights @ vals ** (-q))
     res = pu_vals - kappa * vals ** (-q - 1.0)
-    return math.sqrt(float(disc.rule.weights @ res**2))
+    return math.sqrt(float(disc.rule.weights @ res**2)) * k
 
 
 def functional_report(u: SpectralFunction, m: int) -> EnergyReport:
-    e = energy_quadratic(u, m)
+    """The diagnostics of u; :class:`ConfSphereError` if E or the norm is not finite at the scale of u."""
+    with np.errstate(over="ignore"):
+        e = energy_quadratic(u, m)
     nn = neg_power_norm(u, m)
+    if not (math.isfinite(e) and math.isfinite(nn)):
+        raise ConfSphereError(f"E ({e!r}) or the negative-power norm ({nn!r}) overflows at this scale")
     return EnergyReport(
         n=u.n,
         m=m,
@@ -169,13 +179,13 @@ def gradient(u: SpectralFunction, m: int) -> SpectralFunction:
 
     grad I = 2 |u^{-1}|^2 P_2m u - 2 (integral u^{-q})^{2/q - 1} E(u) u^{-q-1},
     truncated at the degree of u.  The kernel is the one of the descent:
-    gate, :func:`_value_terms`, :func:`_step_terms`.
+    gate, :func:`_value_terms`, :func:`_step_terms`, on u / k at minimum one, then over k.
     """
+    v, vals, k = _at_minimum_one(u)
     disc = discretization(u.n, u.degree, oversample=4)
     q = exponent_q(u.n, m)
-    vals = _positivity_gate(u.coeffs, disc)
-    terms = _value_terms(u.coeffs, vals, packed_multipliers(u.n, m, disc.degree), q, disc.rule.weights)
-    return SpectralFunction(u.n, _step_terms(terms, disc, q), u.axis)
+    terms = _value_terms(v.coeffs, vals / k, packed_multipliers(u.n, m, disc.degree), q, disc.rule.weights)
+    return SpectralFunction(u.n, _step_terms(terms, disc, q) / k, u.axis)
 
 
 def s1_energy_from_derivatives(

@@ -6,7 +6,10 @@ it.  The extremal family is the pullback of constants.  The barycenter
 ``V(a)`` is the first moment of the volume ``u_a^{-q} dmu`` of the metric
 ``u_a^{4/(n-2m)} g_0``, u_a the pullback under the ball map ``sigma_a``.
 It has exactly one zero in the open ball (Hersch 1970; Douady-Earle
-1986), and driving it there fixes the Mobius gauge.
+1986), and driving it there fixes the Mobius gauge.  On S^1 the ball is
+the unit disk, every Mobius map is z -> e^{i th} (z - a) / (1 - conj(a) z),
+and the gauge is held in complex scalars; on zonal S^n it is the float
+r = a . xi on the axis.
 """
 
 from __future__ import annotations
@@ -30,24 +33,12 @@ from .geometry import (
     north_pole,
 )
 from .spectral import (
-    TWO_PI,
     SpectralFunction,
     _ball_moment,
+    _unit_circle_sum,
     discretization,
     synthesize,
 )
-
-
-def _circle_axis_angle(axis: np.ndarray) -> float:
-    if np.shape(axis) != (2,):
-        raise AxisMismatch(f"an axis of S^1 has 2 entries, got shape {np.shape(axis)}")
-    return math.atan2(float(axis[1]), float(axis[0]))
-
-
-def _dilation_angle_map(theta: np.ndarray, lam: float) -> np.ndarray:
-    """Image angle of the dilation about the angle-zero pole on the circle."""
-    half = theta / 2.0
-    return np.mod(2.0 * np.arctan2(np.sin(half), lam * np.cos(half)), TWO_PI)
 
 
 def _zonal_dilation(u: SpectralFunction, phi: MobiusMap) -> AxisDilation:
@@ -74,40 +65,37 @@ def _acting_on(u: SpectralFunction, phi: MobiusMap) -> MobiusMap:
     return phi
 
 
-def _pullback_values(u: SpectralFunction, phi: MobiusMap, m: int, points: np.ndarray) -> np.ndarray:
-    """J_phi^{(n-2m)/(2n)} (u o phi) at ``points``: angles, or axis cosines for zonal u.
-
-    A dilation weighs u o phi by its Jacobian at the axis cosine t of each
-    point; on the circle a rotation, or sigma_0, carries no weight.
-    """
-    _acting_on(u, phi)
-    if u.n != 1:
-        phi = _zonal_dilation(u, phi)
-        t, mapped = points, axis_dilation_t_map(points, phi.scale)
-    elif isinstance(phi, Rotation):
-        pts = np.column_stack([np.cos(points), np.sin(points)]) @ phi.matrix.T
-        return synthesize(u, np.mod(np.arctan2(pts[:, 1], pts[:, 0]), TWO_PI))
-    elif isinstance(phi, BallPoint) and float(phi.center @ phi.center) == 0.0:
-        return synthesize(u, points)
-    else:
-        if isinstance(phi, BallPoint):
-            phi = as_axis_dilation(phi)
-        pole = _circle_axis_angle(phi.axis)
-        psi = points - pole
-        t, mapped = np.cos(psi), np.mod(pole + _dilation_angle_map(psi, phi.scale), TWO_PI)
-    jac = axis_dilation_jacobian_t(t, phi.scale, u.n)
-    return jac ** ((u.n - 2 * m) / (2.0 * u.n)) * synthesize(u, mapped)
-
-
 def pullback(u: SpectralFunction, phi: MobiusMap, m: int) -> SpectralFunction:
     """Conformal pullback, re-projected onto the representation of u.
 
-    The Jacobian weight is not band-limited, so the sampling rule is
-    oversampled 2x before re-projection; the energy invariance checks are
-    the accuracy meter for this truncation.
+    It is taken on the nodes of the 2x rule, since the Jacobian weight is
+    not band-limited; the energy invariance checks are the accuracy meter
+    for this truncation.  A zonal dilation weighs u o phi by its Jacobian
+    at the axis cosine of each node.  At the complex nodes z of the circle,
+    a rotation or reflection is w = c1 z + c2 conj(z), unweighted; a ball
+    point a is w = (z - a) / (1 - conj(a) z), weighed by |w'(z)|, and a
+    dilation of scale lam about xi is the ball point xi (1 - lam) / (1 + lam).
     """
+    _acting_on(u, phi)
     disc = discretization(u.n, u.degree, oversample=2)
-    return disc.analyze(_pullback_values(u, phi, m, disc.rule.nodes), axis=u.axis)
+    z = disc.points
+    if u.n != 1:
+        phi = _zonal_dilation(u, phi)
+        jac = axis_dilation_jacobian_t(z, phi.scale, u.n)
+        values = jac ** ((u.n - 2 * m) / (2.0 * u.n)) * synthesize(u, axis_dilation_t_map(z, phi.scale))
+    elif isinstance(phi, Rotation):
+        (r00, r01), (r10, r11) = phi.matrix.tolist()
+        w = complex(r00 + r11, r10 - r01) / 2.0 * z + complex(r00 - r11, r10 + r01) / 2.0 * z.conjugate()
+        values = _unit_circle_sum(u, w)
+    else:
+        if isinstance(phi, AxisDilation):
+            a = complex(*phi.axis.tolist()) * ((1.0 - phi.scale) / (1.0 + phi.scale))
+        else:
+            a = complex(*phi.center.tolist())
+        den = 1.0 - a.conjugate() * z
+        weight = (1.0 - (a.real * a.real + a.imag * a.imag)) / (den.real * den.real + den.imag * den.imag)
+        values = weight ** ((1 - 2 * m) / 2.0) * _unit_circle_sum(u, (z - a) / den)
+    return disc.analyze(values, axis=u.axis)
 
 
 def extremal_values(n: int, m: int, t: np.ndarray, lam: float, scale: float = 1.0) -> np.ndarray:
@@ -135,7 +123,9 @@ def extremal(
     axis = north_pole(n) if axis is None else axis
     # the axis cosine of each node; zonal nodes are axis cosines.  A circle
     # function carries no axis: the bump is centred at the axis angle
-    t = np.cos(disc.rule.nodes - _circle_axis_angle(axis)) if n == 1 else disc.rule.nodes
+    if n == 1 and np.shape(axis) != (2,):
+        raise AxisMismatch(f"an axis of S^1 has 2 entries, got shape {np.shape(axis)}")
+    t = np.cos(disc.rule.nodes - math.atan2(axis[1], axis[0])) if n == 1 else disc.rule.nodes
     return disc.analyze(extremal_values(n, m, t, lam, scale), axis=None if n == 1 else axis)
 
 
@@ -169,7 +159,8 @@ def barycenter(u: SpectralFunction, a: np.ndarray, m: int) -> np.ndarray:
     phi = _acting_on(u, BallPoint(center=a))
     disc, neg = _volume(u, m)
     if u.n == 1:
-        return _ball_moment(disc, neg, phi.center)
+        v = _ball_moment(disc, neg, complex(*phi.center.tolist()))
+        return np.array([v.real, v.imag])
     _zonal_dilation(u, phi)  # AxisMismatch off the axis of u
     return _ball_moment(disc, neg, float(phi.center @ u.axis)) * u.axis
 
@@ -182,41 +173,36 @@ class CenterResult:
     iterations: int
 
 
-def _clip_ball(a, norm, limit: float = 0.999999):
-    r = norm(a)
-    return a if r < limit else a * (limit / r)
-
-
 def find_center(u: SpectralFunction, m: int, tol: float = 1e-8, max_iter: int = 80) -> CenterResult:
-    """Solve V(a) = 0 by damped Newton from a = 0 with the closed-form Jacobian.
+    """Solve V(a) = 0 by damped Newton from a = 0 with the closed-form derivatives.
 
-    u passes the positivity gate once; V and its derivative are then sums
-    over u^{-q} on the nodes, in node coordinates: a itself on the circle
-    and the float r = a . xi on the axis xi of zonal u, where the Newton
-    step is -V / V'.  V lies in the unit ball, so ``tol`` is scale-free.
-    Each step halves the Newton step until |V| decreases; if 30 halvings
-    find no decrease, or the budget runs out, the last iterate is returned
-    with ``converged=False`` and the number of steps taken.
+    u passes the positivity gate once; V and its derivatives are then sums
+    over u^{-q} on the nodes, in node coordinates.  On the axis xi of zonal
+    u, a is the float r = a . xi and the step is -V / V'; on the circle a
+    is complex and the step d solves V + A d + B conj(d) = 0 for the
+    Wirtinger pair (A, B) of V; a zero derivative gives -V.  V lies in the
+    unit ball, so ``tol`` is scale-free.  Each step halves the Newton step
+    until |V| decreases; if 30 halvings find no decrease, or the budget
+    runs out, the last iterate is returned with ``converged=False``.
     """
     disc, neg = _volume(u, m)
     zonal = u.n != 1
-    size = abs if zonal else (lambda x: float(np.linalg.norm(x)))
-    x = 0.0 if zonal else np.zeros(2)
+    x = 0.0 if zonal else 0j
     v, jac = _ball_moment(disc, neg, x, slope=True)
-    res = size(v)
-    steps = 0
+    res, steps = abs(v), 0
     while res >= tol and steps < max_iter:
         if zonal:
             step = -v / jac if jac else -v
         else:
-            try:
-                step = np.linalg.solve(jac, -v)
-            except np.linalg.LinAlgError:
-                step = -v
+            da, db = jac
+            det = abs(da) ** 2 - abs(db) ** 2
+            step = (db * v.conjugate() - da.conjugate() * v) / det if det else -v
         for _ in range(30):
-            cand = _clip_ball(x + step, size)
+            cand = x + step
+            r = abs(cand)
+            cand = cand if r < 0.999999 else cand * (0.999999 / r)
             cv, cjac = _ball_moment(disc, neg, cand, slope=True)
-            cres = size(cv)
+            cres = abs(cv)
             if cres < res:
                 break
             step = step / 2.0
@@ -225,7 +211,7 @@ def find_center(u: SpectralFunction, m: int, tol: float = 1e-8, max_iter: int = 
             break
         x, v, jac, res = cand, cv, cjac, cres
         steps += 1
-    return CenterResult(x * u.axis if zonal else x, res, res < tol, steps)
+    return CenterResult(x * u.axis if zonal else np.array([x.real, x.imag]), res, res < tol, steps)
 
 
 def recenter(u: SpectralFunction, m: int) -> tuple:

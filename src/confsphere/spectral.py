@@ -331,6 +331,16 @@ def synthesize(u: SpectralFunction, points: np.ndarray, deriv: int = 0) -> np.nd
     if deriv != 0 and u.n != 1:
         raise ValueError("derivative synthesis is only provided on the circle")
     x = np.asarray(points, dtype=float).ravel()
+    if u.n == 1:
+        z = np.exp(1j * x)
+    else:
+        # (1 - t)(1 + t) keeps its relative accuracy near the poles
+        z = x + 1j * np.sqrt(np.maximum((1.0 - x) * (1.0 + x), 0.0))
+    return _unit_circle_sum(u, z, deriv)
+
+
+def _unit_circle_sum(u: SpectralFunction, z: np.ndarray, deriv: int = 0) -> np.ndarray:
+    """Re sum_j d_j z^j at the complex points z of :func:`synthesize`, summed in blocks."""
     c = u.coeffs
     if u.n == 1:
         d = np.empty(u.degree + 1, dtype=complex)
@@ -338,17 +348,14 @@ def synthesize(u: SpectralFunction, points: np.ndarray, deriv: int = 0) -> np.nd
         d[1:] = (c[1::2] - 1j * c[2::2]) * (1.0 / math.sqrt(math.pi))
         if deriv != 0:
             d *= (1j * np.arange(u.degree + 1)) ** deriv
-        z = np.exp(1j * x)
     else:
         d = _chebyshev_matrix(u.n, u.degree) @ c
-        # (1 - t)(1 + t) keeps its relative accuracy near the poles
-        z = x + 1j * np.sqrt(np.maximum((1.0 - x) * (1.0 + x), 0.0))
     # k blocks of b coefficients, the last one padded with zeros
     b = math.isqrt(d.size)
     k = -(-d.size // b)
     padded = np.zeros(k * b, dtype=complex)
     padded[: d.size] = d
-    powers = np.empty((b, x.size), dtype=complex)
+    powers = np.empty((b, z.size), dtype=complex)
     powers[0] = 1.0
     for j in range(1, b):
         np.multiply(powers[j - 1], z, out=powers[j])
@@ -396,10 +403,10 @@ class Discretization:
     caches it: ``basis`` is the packed basis on the rule nodes, ``grid`` the
     positivity grid (the rule nodes, plus the poles t = -1, 1 for zonal
     functions, since Gauss-Jacobi nodes are interior), ``grid_basis`` the
-    basis on that grid and ``points`` the node coordinates y_i: a row
-    (cos th, sin th) per node on the circle, and the axis cosines t (the
-    rule nodes) on a zonal rule, whose moments lie along its axis.
-    Every cached array is read-only.
+    basis on that grid and ``points`` the node coordinates y_i: the complex
+    unit nodes z = cos th + i sin th on the circle, the unit disk's
+    boundary, and the axis cosines t (the rule nodes) on a zonal rule,
+    whose moments lie along its axis.  Every cached array is read-only.
     """
 
     rule: QuadratureRule
@@ -444,46 +451,43 @@ class Discretization:
 def _ball_moment(disc: Discretization, values: np.ndarray, a, slope: bool = False):
     """First moment of the measure f dmu moved by sigma_{-a}, from the values f_i of f on the nodes.
 
-        V(a) = sum_i w_i f_i sigma_{-a}(y_i),   sigma_{-a}(y) = (s y + b a) / D,
+        V(a) = sum_i w_i f_i sigma_{-a}(y_i),   a and V in the node coordinates ``disc.points``.
 
-    s = 1 - |a|^2, b = 2 + 2 a.y and D = 1 + 2 a.y + |a|^2.  With f =
-    u^{-q} it is the first moment of the volume of the sigma_a pullback of
-    u, since u_a^{-q} dmu = sigma_a^*(u^{-q} dmu).  ``a`` and the result
-    are in the node coordinates ``disc.points``: 2-vectors on the circle,
-    floats on a zonal rule (r = a . xi, summed over the axis cosines t).
-    With ``slope`` the result is (V, dV/da), the derivative taken in closed
-    form in the same pass.  At a = 0, sigma_0 is the identity and V is the
-    first moment.
+    With f = u^{-q} it is the first moment of the volume of the sigma_a
+    pullback of u, since u_a^{-q} dmu = sigma_a^*(u^{-q} dmu); at a = 0 it
+    is the first moment.  On the unit disk a is complex, sigma_{-a}(z) =
+    (z + a) / (1 + conj(a) z), and ``slope`` adds the Wirtinger pair
+    (dV/da, dV/d conj(a)).  On a zonal rule a is the float r = a . xi,
+    sigma_{-a}(y) = ((1 - |a|^2) y + b a) / D with b = 2 + 2 a.y and
+    D = 1 + 2 a.y + |a|^2, and ``slope`` adds dV/dr.
     """
     y, w = disc.points, disc.rule.weights
-    zonal = disc.rule.n != 1
-    # ndarray.dot: the descent takes V(0) at every step, and @ costs a
-    # microsecond more on these 2-vectors
-    a2 = a * a if zonal else float(a.dot(a))
+    if disc.rule.n == 1:
+        if a == 0:
+            den, f, z = 1.0, w * values, y
+        else:
+            den = 1.0 + a.conjugate() * y
+            f, z = w * values / den, y + a
+        v = complex(f @ z)
+        if not slope:
+            return v
+        return v, (complex(f.sum()), -complex((f / den) @ (y * z)))
+    a2 = a * a
     if a2 == 0.0:
         dd, b, f, v = 1.0, 2.0, values, y
     else:
-        ya = y * a if zonal else y @ a
+        ya = y * a
         dd = (1.0 + a2) + 2.0 * ya
         b = 2.0 + 2.0 * ya
         f = values / dd
-        v = (1.0 - a2) * y + np.multiply.outer(b, a)
-    # a zonal moment is summed as w . (f t); t . (w f) would round otherwise
-    c = float(w @ (f * v)) if zonal else v.T @ (w * f)
+        v = (1.0 - a2) * y + b * a
+    # summed as w . (f t); t . (w f) would round otherwise
+    c = float(w @ (f * v))
     if not slope:
         return c
-    # d sigma_{-a}/da = -2 sigma_{-a} (y + a)^T / D + D^{-1} dK/da with
-    # K = s y + b a, dK/da = b I + 2 (a y^T - y a^T);
-    # on one coordinate the antisymmetric part vanishes
+    # d sigma_{-a}/da = -2 sigma_{-a} (y + a) / D + b / D on one coordinate
     g = w * f
-    diagonal = float(np.sum(g * b))
-    if zonal:
-        return c, -2.0 * float(v @ ((g / dd) * (y + a))) + diagonal
-    gy = y.T @ g
-    jac = -2.0 * (v.T @ ((g / dd)[:, None] * (y + a)))
-    jac += 2.0 * (a[:, None] * gy - gy[:, None] * a)
-    jac.flat[:: a.size + 1] += diagonal
-    return c, jac
+    return c, -2.0 * float(v @ ((g / dd) * (y + a))) + float(np.sum(g * b))
 
 
 def _build_discretization(n: int, degree: int, oversample: int) -> Discretization:
@@ -492,7 +496,7 @@ def _build_discretization(n: int, degree: int, oversample: int) -> Discretizatio
     basis = _cached_array(basis_matrix(n, degree, rule.nodes))
     if n == 1:
         grid, grid_basis = rule.nodes, basis
-        points = _cached_array(np.column_stack([np.cos(rule.nodes), np.sin(rule.nodes)]))
+        points = _cached_array(np.cos(rule.nodes) + 1j * np.sin(rule.nodes))
     else:
         grid = _cached_array(np.concatenate([[-1.0], rule.nodes, [1.0]]))
         grid_basis = _cached_array(basis_matrix(n, degree, grid))

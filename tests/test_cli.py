@@ -10,7 +10,7 @@ import pytest
 
 from confsphere import stability
 from confsphere.cli import main
-from confsphere.spectral import dumps, random_positive_function
+from confsphere.spectral import constant_function, dumps, random_positive_function
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +60,19 @@ def test_energy_from_json_input(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["minValue"] > 0
+
+
+@pytest.mark.parametrize("n,m,value,expected", [(3, 2, 1e150, 0), (1, 1, 1e200, 2)])
+def test_energy_of_a_huge_constant_exits_cleanly(tmp_path, n, m, value, expected):
+    # a report where E is finite at that scale, else a typed error: exit 2, no traceback
+    path = tmp_path / "u.json"
+    path.write_text(dumps(constant_function(n, value, 16)))
+    argv = ["energy", "--n", str(n), "--m", str(m), "--L", "16", "--input", str(path)]
+    proc = _python("import sys; from confsphere.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if expected == 0:
+        assert math.isfinite(json.loads(proc.stdout)["I"])
 
 
 def test_energy_input_with_short_zonal_axis_exits_two(tmp_path, capsys):

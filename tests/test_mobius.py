@@ -8,7 +8,10 @@ from confsphere.functional import energy_quadratic, exponent_q, functional_value
 from confsphere.geometry import (
     AxisDilation,
     BallPoint,
+    Rotation,
     axis_dilation_jacobian_t,
+    mobius_apply,
+    mobius_jacobian,
     north_pole,
     sphere_surface_area,
 )
@@ -93,6 +96,51 @@ def test_pullback_group_action():
     one_step = pullback(u, AxisDilation(xi, l1 * l2), 1)
     diff = np.max(np.abs(two_step.coeffs - one_step.coeffs))
     assert diff < 1e-7
+
+
+def _pointwise_pullback(u, phi, m, points):
+    """J_phi^{(n-2m)/(2n)}(x) u(phi(x)) at angles, or at axis cosines of u, mapped point by point."""
+    n = u.n
+    out = []
+    for x in points:
+        if n == 1:
+            zeta = np.array([math.cos(x), math.sin(x)])
+        else:
+            # a point at axis cosine x, off the axis along the next coordinate
+            zeta = x * u.axis + math.sqrt(max((1.0 - x) * (1.0 + x), 0.0)) * np.eye(n + 1)[1]
+        image = mobius_apply(phi, zeta)
+        at = math.atan2(image[1], image[0]) if n == 1 else float(image @ u.axis)
+        weight = mobius_jacobian(phi, zeta) ** ((n - 2 * m) / (2.0 * n))
+        out.append(weight * float(synthesize(u, np.array([at]))[0]))
+    return np.array(out)
+
+
+def _pullback_oracle_cases():
+    turn = 0.7
+    c, s = math.cos(turn), math.sin(turn)
+    circle = [
+        Rotation(np.array([[c, -s], [s, c]])),
+        Rotation(np.array([[c, s], [s, -c]])),  # a reflection, det -1
+        BallPoint(np.array([0.2, -0.3])),
+        AxisDilation(np.array([math.cos(1.0), math.sin(1.0)]), 2.5),
+        AxisDilation(north_pole(1), 0.4),
+    ]
+    zonal = [AxisDilation(north_pole(3), lam) for lam in (0.4, 2.5)] + [AxisDilation(-north_pole(3), 2.5)]
+    return [(1, m, phi) for m in (1, 2) for phi in circle] + [(3, m, phi) for m in (2, 3) for phi in zonal]
+
+
+@pytest.mark.parametrize("n,m,phi", _pullback_oracle_cases())
+def test_pullback_matches_the_pointwise_map(n, m, phi):
+    # the pullback off the grid against J^{(n-2m)/(2n)} u o phi from the
+    # pointwise Mobius maps: pins the direction of each map and the exponent
+    # of its weight; what remains is the truncation at the degree of u and
+    # the rounding (measured: 8.3e-14 relative at most)
+    rng = np.random.default_rng(31 + n + m)
+    u = random_positive_function(n, 64, 6, rng)
+    points = rng.uniform(0.0, 2.0 * math.pi, 40) if n == 1 else rng.uniform(-1.0, 1.0, 40)
+    expected = _pointwise_pullback(u, phi, m, points)
+    err = np.max(np.abs(synthesize(pullback(u, phi, m), points) - expected))
+    assert err <= 1e-12 * np.max(np.abs(expected)), err
 
 
 def test_pullback_axis_mismatch():
@@ -336,6 +384,16 @@ def test_node_form_agrees_with_mapped_points(n, m, degree):
             assert err < 1e-13, (radius, err)
 
 
+def _real_parts(v):
+    """A complex V as the 2-vector (Re V, Im V); a float as a 1-vector."""
+    return np.array([v.real, v.imag]) if isinstance(v, complex) else np.array([v])
+
+
+def _real_jacobian(da, db):
+    """dV/d(a_0, a_1) from the Wirtinger pair: dV/da_0 = A + B and dV/da_1 = i (A - B)."""
+    return np.column_stack([_real_parts(complex(da + db)), _real_parts(complex(1j * (da - db)))])
+
+
 @pytest.mark.parametrize("n,m", STABLE_ORDERS)
 def test_node_form_jacobian_matches_central_differences(n, m):
     rng = np.random.default_rng(13 + n + m)
@@ -346,12 +404,18 @@ def test_node_form_jacobian_matches_central_differences(n, m):
     for radius in (0.0, 0.2, 0.5, 0.9):
         d = rng.standard_normal(dim)
         a = radius * d / np.linalg.norm(d)
-        # zonal V and its slope are floats of the float r = a . xi
-        steps = np.eye(dim) if n == 1 else (1.0,)
-        a = a if n == 1 else float(a[0])
-        _, jac = _ball_moment(disc, neg, a, slope=True)
+        # zonal V and its slope are floats of the float r = a . xi; circle V
+        # is complex in the complex a, its Wirtinger pair assembled into the
+        # real 2x2 Jacobian
+        if n == 1:
+            a, steps = complex(*a), (1.0, 1j)
+            _, wirtinger = _ball_moment(disc, neg, a, slope=True)
+            jac = _real_jacobian(*wirtinger)
+        else:
+            a, steps = float(a[0]), (1.0,)
+            _, jac = _ball_moment(disc, neg, a, slope=True)
         fd = np.column_stack(
-            [(_ball_moment(disc, neg, a + h * e) - _ball_moment(disc, neg, a - h * e)) / (2 * h) for e in steps]
+            [_real_parts((_ball_moment(disc, neg, a + h * e) - _ball_moment(disc, neg, a - h * e)) / (2 * h)) for e in steps]
         )
         assert np.max(np.abs(jac - fd)) < 1e-6 * np.max(np.abs(jac)), radius
 
@@ -408,6 +472,103 @@ def _array_find_center(u, m, tol=1e-8, max_iter=80):
         x, v, jac, res = cand, cv, cjac, cres
         steps += 1
     return float(x[0]) * u.axis, res, steps
+
+
+def _array_circle_moment(disc, values, a, slope=False):
+    """The circle V(a) and its 2x2 Jacobian dV/da on (K, 2) arrays of the nodes (cos th, sin th).
+
+    The real 2-vector formula the circle kernel ran before it took the
+    complex a of the unit disk; the reference for that kernel.
+    """
+    y, w = np.column_stack([disc.points.real, disc.points.imag]), disc.rule.weights
+    a2 = float(a.dot(a))
+    if a2 == 0.0:
+        dd, b, f, v = 1.0, 2.0, values, y
+    else:
+        ya = y @ a
+        dd = (1.0 + a2) + 2.0 * ya
+        b = 2.0 + 2.0 * ya
+        f = values / dd
+        v = (1.0 - a2) * y + np.multiply.outer(b, a)
+    c = v.T @ (w * f)
+    if not slope:
+        return c
+    g = w * f
+    gy = y.T @ g
+    jac = -2.0 * (v.T @ ((g / dd)[:, None] * (y + a)))
+    jac += 2.0 * (a[:, None] * gy - gy[:, None] * a)
+    jac.flat[::3] += float(np.sum(g * b))
+    return c, jac
+
+
+def _array_circle_find_center(u, m, tol=1e-8, max_iter=80):
+    """find_center's damped Newton loop on :func:`_array_circle_moment`: 2x2 solves and 2-norms."""
+    disc, neg = mobius._volume(u, m)
+    x = np.zeros(2)
+    v, jac = _array_circle_moment(disc, neg, x, slope=True)
+    res = float(np.linalg.norm(v))
+    steps = 0
+    while res >= tol and steps < max_iter:
+        try:
+            step = np.linalg.solve(jac, -v)
+        except np.linalg.LinAlgError:
+            step = -v
+        for _ in range(30):
+            cand = x + step
+            r = float(np.linalg.norm(cand))
+            cand = cand if r < 0.999999 else cand * (0.999999 / r)
+            cv, cjac = _array_circle_moment(disc, neg, cand, slope=True)
+            cres = float(np.linalg.norm(cv))
+            if cres < res:
+                break
+            step = step / 2.0
+        else:
+            break
+        x, v, jac, res = cand, cv, cjac, cres
+        steps += 1
+    return x, res, steps
+
+
+def _circle_gauge_cases():
+    """(u, m): the circle starts of the 300-start set, then the L=64 extremals with lambda in 1/4..8."""
+    rng = np.random.default_rng(11)
+    for n, m in STABLE_ORDERS:
+        for amplitude in (0.45, 0.8, 0.95):
+            for _ in range(25):
+                u = random_positive_function(n, 32, 8, rng, amplitude=amplitude)
+                if n == 1:
+                    yield u, m
+    for m in (1, 2):
+        for lam in (0.25, 0.5, 2.0 / 3.0, 1.0, 1.5, 2.0, 4.0, 8.0):
+            yield extremal(1, m, 64, lam), m
+
+
+def test_circle_gauge_matches_the_real_array_formula():
+    # the disk kernel sums in another order than the (K, 2) formula: V and
+    # the assembled Jacobian agree within 16 eps / (1 - |a|)^2, absolute and
+    # relative to the largest entry (measured: 4 and 7.5 eps at most); the
+    # Newton solves take the same steps to centers within 1e-14
+    eps = 2.0**-52
+    cases = 0
+    for u, m in _circle_gauge_cases():
+        disc, neg = mobius._volume(u, m)
+        rng = np.random.default_rng(cases)
+        for radius in (0.0, 0.3, 0.6, 0.9, 0.99):
+            d = rng.standard_normal(2)
+            a = radius * d / np.linalg.norm(d)
+            v, wirtinger = _ball_moment(disc, neg, complex(*a), slope=True)
+            ref_v, ref_jac = _array_circle_moment(disc, neg, a, slope=True)
+            bound = 16.0 * eps / (1.0 - radius) ** 2
+            assert np.max(np.abs(_real_parts(v) - ref_v)) <= bound, (cases, radius)
+            jac_err = np.max(np.abs(_real_jacobian(*wirtinger) - ref_jac))
+            assert jac_err <= bound * np.max(np.abs(ref_jac)), (cases, radius)
+            assert _ball_moment(disc, neg, complex(*a)) == v
+        res = find_center(u, m)
+        a, residual, steps = _array_circle_find_center(u, m)
+        assert (res.iterations, res.converged) == (steps, residual < 1e-8), cases
+        assert np.max(np.abs(res.a - a)) <= 1e-14, cases
+        cases += 1
+    assert cases == 150 + 16
 
 
 def _zonal_gauge_cases():

@@ -13,7 +13,6 @@ from confsphere.errors import AxisMismatch, InsufficientNodes
 from confsphere.extremize import OptimizerConfig, minimize
 from confsphere.gjms import apply_operator, packed_multipliers
 from confsphere.geometry import axis_dilation_t_map, north_pole, sphere_measure, sphere_surface_area
-from confsphere.mobius import _dilation_angle_map
 from confsphere.spectral import (
     SpectralFunction,
     analyze,
@@ -36,6 +35,12 @@ from confsphere.spectral import (
 )
 
 TWO_PI = 2 * math.pi
+
+
+def _dilation_angle_map(theta, lam):
+    """Image angle of the dilation of scale lam about the angle-zero pole, in [0, 2 pi)."""
+    half = theta / 2.0
+    return np.mod(2.0 * np.arctan2(np.sin(half), lam * np.cos(half)), TWO_PI)
 
 
 def test_constant_basis_circle():
@@ -476,9 +481,11 @@ def test_discretization_over_the_byte_bound_is_not_stored(monkeypatch):
 
 
 def _node_coordinates(rule):
-    """(cos th, sin th) on the circle, the axis cosine t on a zonal rule."""
+    """cos th + i sin th, with the bits of both, on the circle; the axis cosine t on a zonal rule."""
     if rule.n == 1:
-        return np.column_stack([np.cos(rule.nodes), np.sin(rule.nodes)])
+        z = np.empty(rule.size, dtype=complex)
+        z.real, z.imag = np.cos(rule.nodes), np.sin(rule.nodes)
+        return z
     return rule.nodes
 
 
@@ -511,6 +518,6 @@ def test_grid_minimum_and_first_moment_keep_their_bits(n, L):
             else:
                 old_min = float(min(vals.min(), (disc.grid_basis[:, :: K + 1].T @ c).min()))
             assert disc.grid_minimum(c, vals) == old_min
-            moment = spectral._ball_moment(disc, vals, np.zeros(2) if n == 1 else 0.0)
-            old = disc.points.T @ (w * vals) if n == 1 else float(w @ (vals * disc.rule.nodes))
+            moment = spectral._ball_moment(disc, vals, 0j if n == 1 else 0.0)
+            old = (w * vals) @ disc.points if n == 1 else float(w @ (vals * disc.rule.nodes))
             assert np.array_equal(moment, old)

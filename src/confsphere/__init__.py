@@ -27,7 +27,6 @@ from .errors import (
     InvalidConfig,
     NonPositiveFunction,
     NotUnstable,
-    PoleSingularity,
     PrecondViolated,
     SingularOperator,
     SupportViolation,
@@ -58,15 +57,8 @@ _EXPORTS = {
         "BallPoint",
         "MobiusMap",
         "Rotation",
-        "mobius_apply",
-        "mobius_compose",
-        "mobius_inverse",
-        "mobius_jacobian",
         "north_pole",
-        "south_pole",
         "sphere_measure",
-        "stereographic_inverse",
-        "stereographic_project",
         "unit_ball_volume",
     ),
     "gjms": (
@@ -117,7 +109,6 @@ __all__ = [
     "InvalidConfig",
     "NonPositiveFunction",
     "NotUnstable",
-    "PoleSingularity",
     "PrecondViolated",
     "SingularOperator",
     "SupportViolation",

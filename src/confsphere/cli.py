@@ -55,9 +55,12 @@ def _emit_text(text: str, path: Optional[str]) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidConfig(f"cannot write --output {path}: {exc}") from exc
 
 
 def _csv_text(header, rows) -> str:

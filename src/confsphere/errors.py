@@ -5,10 +5,6 @@ class ConfSphereError(Exception):
     """Base class for all library-specific errors."""
 
 
-class PoleSingularity(ConfSphereError):
-    """Stereographic projection evaluated too close to its pole."""
-
-
 class AxisMismatch(ConfSphereError):
     """Operation requires Mobius maps / zonal functions sharing one axis."""
 

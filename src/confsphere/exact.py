@@ -12,12 +12,3 @@ def multiplier(n: int, m: int, degree: int) -> Fraction:
     for i in range(m):
         out *= lam - Fraction(2 * i + n, 2) * Fraction(2 * i - n + 2, 2)
     return out
-
-
-def multiplier_shifted_squares(n: int, m: int, degree: int) -> Fraction:
-    """Same eigenvalue via the integer product ((2a+n-1)^2 - (2i+1)^2) / 4^m."""
-    num = 1
-    s = 2 * degree + n - 1
-    for i in range(m):
-        num *= s * s - (2 * i + 1) ** 2
-    return Fraction(num, 4**m)

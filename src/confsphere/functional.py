@@ -145,7 +145,7 @@ def functional_report(u: SpectralFunction, m: int) -> EnergyReport:
         neg_norm=nn,
         functional=nn * e,
         el_residual=el_residual(u, m),
-        min_value=min_on_grid(u, oversample=4),
+        min_value=min_on_grid(u),
     )
 
 

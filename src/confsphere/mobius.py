@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AxisMismatch
+from .errors import AxisMismatch, ConfSphereError
 from .functional import _positivity_gate, exponent_q
 from .geometry import (
     AxisDilation,
@@ -75,27 +75,35 @@ def pullback(u: SpectralFunction, phi: MobiusMap, m: int) -> SpectralFunction:
     a rotation or reflection is w = c1 z + c2 conj(z), unweighted; a ball
     point a is w = (z - a) / (1 - conj(a) z), weighed by |w'(z)|, and a
     dilation of scale lam about xi is the ball point xi (1 - lam) / (1 + lam).
+    A map so strong that the weight leaves the float range at some node
+    raises :class:`ConfSphereError`: (1 - lam) / (1 + lam) rounds to -1
+    near lam = 1e16 on the circle, and the zonal Jacobian underflows near
+    lam = 1e-200.
     """
     _acting_on(u, phi)
     disc = discretization(u.n, u.degree, oversample=2)
     z = disc.points
-    if u.n != 1:
-        phi = _zonal_dilation(u, phi)
-        jac = axis_dilation_jacobian_t(z, phi.scale, u.n)
-        values = jac ** ((u.n - 2 * m) / (2.0 * u.n)) * synthesize(u, axis_dilation_t_map(z, phi.scale))
-    elif isinstance(phi, Rotation):
-        (r00, r01), (r10, r11) = phi.matrix.tolist()
-        w = complex(r00 + r11, r10 - r01) / 2.0 * z + complex(r00 - r11, r10 + r01) / 2.0 * z.conjugate()
-        values = _unit_circle_sum(u, w)
-    else:
-        if isinstance(phi, AxisDilation):
-            a = complex(*phi.axis.tolist()) * ((1.0 - phi.scale) / (1.0 + phi.scale))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if u.n != 1:
+            phi = _zonal_dilation(u, phi)
+            jac = axis_dilation_jacobian_t(z, phi.scale, u.n)
+            values = jac ** ((u.n - 2 * m) / (2.0 * u.n)) * synthesize(u, axis_dilation_t_map(z, phi.scale))
+        elif isinstance(phi, Rotation):
+            (r00, r01), (r10, r11) = phi.matrix.tolist()
+            w = complex(r00 + r11, r10 - r01) / 2.0 * z + complex(r00 - r11, r10 + r01) / 2.0 * z.conjugate()
+            values = _unit_circle_sum(u, w)
         else:
-            a = complex(*phi.center.tolist())
-        den = 1.0 - a.conjugate() * z
-        weight = (1.0 - (a.real * a.real + a.imag * a.imag)) / (den.real * den.real + den.imag * den.imag)
-        values = weight ** ((1 - 2 * m) / 2.0) * _unit_circle_sum(u, (z - a) / den)
-    return disc.analyze(values, axis=u.axis)
+            if isinstance(phi, AxisDilation):
+                a = complex(*phi.axis.tolist()) * ((1.0 - phi.scale) / (1.0 + phi.scale))
+            else:
+                a = complex(*phi.center.tolist())
+            den = 1.0 - a.conjugate() * z
+            weight = (1.0 - (a.real * a.real + a.imag * a.imag)) / (den.real * den.real + den.imag * den.imag)
+            values = weight ** ((1 - 2 * m) / 2.0) * _unit_circle_sum(u, (z - a) / den)
+        try:
+            return disc.analyze(values, axis=u.axis)
+        except ValueError as exc:  # non-finite coefficients
+            raise ConfSphereError("the pullback by this Mobius map leaves the float range") from exc
 
 
 def extremal_values(n: int, m: int, t: np.ndarray, lam: float, scale: float = 1.0) -> np.ndarray:

@@ -144,11 +144,6 @@ def one_plus_norm_sq(num_vars: int) -> RationalPolynomial:
     return RationalPolynomial(num_vars, out)
 
 
-def half_one_plus_norm_sq(num_vars: int) -> RationalPolynomial:
-    """The weight polynomial W = (1 + |x|^2) / 2 = V / 2."""
-    return one_plus_norm_sq(num_vars).scaled(Fraction(1, 2))
-
-
 def identity_2_1_sides(u: RationalPolynomial, m: int):
     """(lhs, rhs) of the induction identity in V = 2W: 2^{m+1} times its sides in W."""
     if m < 0:

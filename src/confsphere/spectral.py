@@ -539,13 +539,13 @@ def clear_caches() -> None:
     _chebyshev_matrix.cache_clear()
 
 
-def min_on_grid(u: SpectralFunction, oversample: int = 4) -> float:
-    """Minimum of u over an oversampled grid; the positivity surrogate.
+def min_on_grid(u: SpectralFunction) -> float:
+    """Minimum of u over the 4x-oversampled grid; the positivity surrogate.
 
     Gauss-Jacobi nodes are interior, so for zonal functions the poles
     t = +-1 are appended; a dip exactly at a pole must not pass the gate.
     """
-    return discretization(u.n, max(u.degree, 1), oversample).grid_minimum(u.coeffs)
+    return discretization(u.n, max(u.degree, 1), oversample=4).grid_minimum(u.coeffs)
 
 
 # ---------------------------------------------------------------------------

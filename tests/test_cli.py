@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -246,11 +247,19 @@ def test_green_check_zonal(capsys):
         ("poly-identity", "--n", "2", "--m", "1", "--deg", "-1"),
         ("poly-identity", "--n", "2", "--m", "1", "--trials", "0"),
         ("counterexample-sin", "--L", "0"),
+        # an --output that cannot be written: a directory, a path under a file
+        ("multiplier-table", "--n", "1", "--m", "1", "--max-degree", "2", "--output", "."),
+        ("multiplier-table", "--n", "1", "--m", "1", "--max-degree", "2", "--output", os.path.join(os.devnull, "x")),
+        # a pullback whose weight leaves the float range (circle, then zonal)
+        ("invariance-check", "--n", "1", "--m", "1", "--L", "16", "--trials", "1", "--lambda", "1e300"),
+        ("invariance-check", "--n", "3", "--m", "2", "--L", "16", "--trials", "1", "--lambda", "1e-300"),
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_invalid_arguments_exit_two_with_one_line(capsys, argv):
-    code = main(list(argv))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -218,7 +218,7 @@ def test_norm_residual_and_gradient_are_homogeneous(n, m, log10_c, seed):
     u = random_positive_function(n, 16, 6, np.random.default_rng(seed))
     c = 10.0**log10_c
     cu = u.scaled(c)
-    if min_on_grid(cu, oversample=4) <= POSITIVITY_THRESHOLD:
+    if min_on_grid(cu) <= POSITIVITY_THRESHOLD:
         for entry in (neg_power_norm, el_residual, gradient):
             with pytest.raises(NonPositiveFunction):
                 entry(cu, m)

@@ -6,7 +6,7 @@ import pytest
 
 from confsphere import gjms
 from confsphere.errors import ConfSphereError, CriticalOrder, SingularOperator
-from confsphere.exact import multiplier, multiplier_shifted_squares
+from confsphere.exact import multiplier
 from confsphere.gjms import (
     MultiplierTable,
     apply_operator,
@@ -42,6 +42,15 @@ def test_multiplier_polynomial_s1_m2():
     for a in range(0, 20):
         a2 = Fraction(a * a)
         assert multiplier(1, 2, a) == a2 * a2 - Fraction(5, 2) * a2 + Fraction(9, 16)
+
+
+def multiplier_shifted_squares(n: int, m: int, degree: int) -> Fraction:
+    """The eigenvalue of :func:`multiplier` via the integer product ((2a+n-1)^2 - (2i+1)^2) / 4^m."""
+    num = 1
+    s = 2 * degree + n - 1
+    for i in range(m):
+        num *= s * s - (2 * i + 1) ** 2
+    return Fraction(num, 4**m)
 
 
 def test_factorizations_agree_exactly():

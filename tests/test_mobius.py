@@ -1,17 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from confsphere.errors import AxisMismatch, NonPositiveFunction
+from confsphere.errors import AxisMismatch, ConfSphereError, NonPositiveFunction
 from confsphere.functional import energy_quadratic, exponent_q, functional_value
 from confsphere.geometry import (
     AxisDilation,
     BallPoint,
     Rotation,
     axis_dilation_jacobian_t,
-    mobius_apply,
-    mobius_jacobian,
     north_pole,
     sphere_surface_area,
 )
@@ -33,6 +32,7 @@ from confsphere.spectral import (
     random_positive_function,
     synthesize,
 )
+from pointwise_maps import mobius_apply, mobius_jacobian
 
 
 def test_pullback_identity_map():
@@ -96,6 +96,20 @@ def test_pullback_group_action():
     one_step = pullback(u, AxisDilation(xi, l1 * l2), 1)
     diff = np.max(np.abs(two_step.coeffs - one_step.coeffs))
     assert diff < 1e-7
+
+
+@pytest.mark.parametrize("n,m,works,fails", [(1, 1, 1e14, 1e16), (1, 1, 1e-14, 1e300), (3, 2, 1e-100, 1e-200), (3, 2, 1e100, 1e300)])
+def test_pullback_out_of_float_range_is_a_typed_error(n, m, works, fails):
+    # on the circle (1 - lam) / (1 + lam) rounds to -1 near lam = 1e16 and
+    # the weight is 0 to a negative power; on S^3 the Jacobian underflows
+    # to 0 near lam = 1e-200.  No RuntimeWarning either way
+    u = random_positive_function(n, 16, 4, np.random.default_rng(0))
+    axis = north_pole(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(pullback(u, AxisDilation(axis, works), m).coeffs).all()
+        with pytest.raises(ConfSphereError):
+            pullback(u, AxisDilation(axis, fails), m)
 
 
 def _pointwise_pullback(u, phi, m, points):

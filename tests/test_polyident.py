@@ -8,13 +8,18 @@ from confsphere.polyident import (
     check_delta_k_product,
     check_identity_2_1,
     delta_k_product_sides,
-    half_one_plus_norm_sq,
     identity_2_1_sides,
     iterated_laplacian,
     laplacian,
+    one_plus_norm_sq,
     partial,
     random_polynomial,
 )
+
+
+def half_one_plus_norm_sq(num_vars):
+    """The weight polynomial W = (1 + |x|^2) / 2 = V / 2."""
+    return one_plus_norm_sq(num_vars).scaled(Fraction(1, 2))
 
 
 def var(n, i):

@@ -6,8 +6,9 @@ rationals split into numerator/denominator columns.  Identical
 configuration and seed produce byte-identical output.
 
 Exit codes: 0 success, 2 validation failure (one line on stderr, never a
-traceback), 3 numerical non-convergence, and 1 when an exact identity check
-reports a nonzero residual.
+traceback), 3 numerical non-convergence or an ``invariance-check`` row
+drifting by 1 or more, and 1 when an exact identity check reports a nonzero
+residual.
 """
 
 from __future__ import annotations
@@ -206,6 +207,7 @@ def _cmd_invariance_check(args) -> int:
     _require(args.lam is None or args.lam > 0, "--lambda must be positive")
     rng = np.random.default_rng(args.seed)
     rows = []
+    truncated = None  # the first row whose drift is 1 or more
     for trial in range(args.trials):
         # band-limit with margin: a lambda-dilation multiplies local
         # frequencies by up to lambda, so the image must fit under L
@@ -218,10 +220,21 @@ def _cmd_invariance_check(args) -> int:
         after = energy_quadratic(pullback(u, phi, args.m), args.m)
         drift = abs(after - before) / max(abs(before), 1e-300)
         rows.append((trial, _fmt(lam), _fmt(before), _fmt(after), _fmt(drift)))
+        if truncated is None and not drift < 1.0:
+            truncated = rows[-1]
     _emit_text(
         _csv_text(("trial", "lambda", "energy_before", "energy_after", "rel_drift"), rows),
         args.output,
     )
+    if truncated is not None:
+        # the weight varies far beyond degree L, so the pullback's
+        # re-projection keeps little or nothing of u o phi
+        trial, lam, _, _, drift = truncated
+        sys.stderr.write(
+            f"error: trial {trial} at lambda {lam} has rel_drift {drift} >= 1: "
+            f"the pullback is lost to truncation at L={args.degree}\n"
+        )
+        return 3
     return 0
 
 

@@ -127,12 +127,14 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     origin = 0j if n == 1 else 0.0
 
     def admissible(c: np.ndarray) -> Optional[tuple]:
-        """:func:`_value_terms` of c at maximum one, then that maximum; None at or below the floor."""
+        """:func:`_value_terms` of c at maximum one, then that maximum and the
+        node minimum at maximum one; None at or below the floor."""
         vals = disc.values(c)
-        cmax = float(vals.max())
-        if not disc.grid_minimum(c, vals) > config.positivity_floor * cmax:
+        cmax, low = float(vals.max()), float(vals.min())
+        if not disc.grid_minimum(c, vals, low) > config.positivity_floor * cmax:
             return None
-        return _value_terms(c * (1.0 / cmax), vals / cmax, p, q, weights) + (cmax,)
+        # division by cmax > 0 is monotone, so low / cmax is the minimum of vals / cmax
+        return _value_terms(c * (1.0 / cmax), vals / cmax, p, q, weights) + (cmax, low / cmax)
 
     terms = admissible(u0.coeffs)
     if terms is None:
@@ -155,7 +157,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     def record():
         trace.values.append(current)
         trace.grad_norms.append(norm(grad))
-        trace.min_values.append(float(terms[1].min()))
+        trace.min_values.append(terms[8])
         trace.barycenter_norms.append(centroid() if v0 is None else v0)
 
     v0 = None  # |V(0)| of the iterate, once the gauge check has taken it

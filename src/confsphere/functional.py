@@ -61,7 +61,9 @@ def energy(u: SpectralFunction, v: SpectralFunction, m: int) -> float:
 
 
 def energy_quadratic(u: SpectralFunction, m: int) -> float:
-    return energy(u, u, m)
+    """E_2m(u, u) = p . (c c), the products of :func:`energy` without its alignment."""
+    c = u.coeffs
+    return float(packed_multipliers(u.n, m, u.degree) @ (c * c))
 
 
 def _positivity_gate(c: np.ndarray, disc: Discretization) -> np.ndarray:
@@ -170,8 +172,13 @@ def _step_terms(terms: tuple, disc: Discretization, q: float) -> np.ndarray:
     gate; entries past the seventh are ignored.  u^{-q-1} is taken as u^{-q} / u.
     """
     _, vals, _, pc, e, neg, integ = terms[:7]
-    pointwise = (-2.0 * integ ** (2.0 / q - 1.0) * e) * (neg / vals)
-    return disc.project(pointwise) + pc * (2.0 * integ ** (2.0 / q))
+    # basis @ (weights * pointwise) + pc * (...), built in place in that order
+    pointwise = np.divide(neg, vals)
+    pointwise *= -2.0 * integ ** (2.0 / q - 1.0) * e
+    pointwise *= disc.rule.weights
+    out = disc.basis @ pointwise
+    out += pc * (2.0 * integ ** (2.0 / q))
+    return out
 
 
 def gradient(u: SpectralFunction, m: int) -> SpectralFunction:

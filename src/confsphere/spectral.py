@@ -245,7 +245,7 @@ class SpectralFunction:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("spectral coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
         if self.n == 1:
@@ -406,7 +406,9 @@ class Discretization:
     basis on that grid and ``points`` the node coordinates y_i: the complex
     unit nodes z = cos th + i sin th on the circle, the unit disk's
     boundary, and the axis cosines t (the rule nodes) on a zonal rule,
-    whose moments lie along its axis.  Every cached array is read-only.
+    whose moments lie along its axis.  ``poles`` is the (2, degree + 1)
+    view of the basis at t = -1, 1, the first and last grid columns, and
+    None on the circle.  Every cached array is read-only.
     """
 
     rule: QuadratureRule
@@ -415,6 +417,12 @@ class Discretization:
     grid: np.ndarray
     grid_basis: np.ndarray
     points: np.ndarray
+    poles: Optional[np.ndarray] = field(init=False)
+
+    def __post_init__(self):
+        # a strided view, no copy: a contiguous one rounds the product differently
+        poles = None if self.grid is self.rule.nodes else self.grid_basis[:, :: self.grid.size - 1].T
+        object.__setattr__(self, "poles", poles)
 
     @property
     def nbytes(self) -> int:
@@ -431,21 +439,22 @@ class Discretization:
         """Values on the rule nodes of the packed coefficients ``c`` of this degree."""
         return self.basis.T @ c
 
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """Packed coefficients of the projection of values on the rule nodes."""
-        return self.basis @ (self.rule.weights * values)
-
-    def grid_minimum(self, c: np.ndarray, values: Optional[np.ndarray] = None) -> float:
+    def grid_minimum(
+        self, c: np.ndarray, values: Optional[np.ndarray] = None, low: Optional[float] = None
+    ) -> float:
         """Minimum of the coefficients ``c`` over the positivity grid.
 
-        Given c's ``values`` on the rule nodes, only the zonal poles remain.
+        Given c's ``values`` on the rule nodes, only the zonal poles remain;
+        ``low`` is the minimum of those values when the caller has it.
         """
         if values is None:
             return float((self.grid_basis[: c.size].T @ c).min())
-        if self.grid is self.rule.nodes:
-            return float(values.min())
-        south, north = (self.grid_basis[:, :: self.grid.size - 1].T @ c).tolist()
-        return min(float(values.min()), south, north)
+        if low is None:
+            low = float(values.min())
+        if self.poles is None:
+            return low
+        south, north = (self.poles @ c).tolist()
+        return min(low, south, north)
 
 
 def _ball_moment(disc: Discretization, values: np.ndarray, a, slope: bool = False):

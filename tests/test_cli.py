@@ -102,6 +102,32 @@ def test_invariance_check_csv(capsys):
     assert max(drifts) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "argv,trials",
+    [
+        (("--n", "1", "--m", "1", "--L", "16", "--trials", "1", "--lambda", "1e-16"), 1),
+        (("--n", "1", "--m", "1", "--L", "16", "--trials", "1", "--lambda", "1e14"), 1),
+        (("--n", "3", "--m", "2", "--L", "16", "--lambda", "1e-100"), 20),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, tuple) else None,
+)
+def test_invariance_check_exits_three_on_a_truncated_pullback(capsys, argv, trials):
+    # the weight varies far beyond degree L: every row is printed as it
+    # is, and one stderr line names the first row that drifts by 1 or more
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["invariance-check", *argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    lines = captured.out.strip().splitlines()
+    assert lines[0] == "trial,lambda,energy_before,energy_after,rel_drift"
+    rows = [row.split(",") for row in lines[1:]]
+    assert len(rows) == trials
+    assert float(rows[0][4]) >= 1.0
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: trial 0 at lambda {rows[0][1]} has rel_drift {rows[0][4]} >= 1")
+
+
 def test_hessian_row_for_unstable_order(capsys):
     code, out = run_cli(capsys, "hessian", "--n", "1", "--m", "3", "--L", "8")
     assert code == 0

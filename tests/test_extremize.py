@@ -235,6 +235,31 @@ def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, see
     assert all(v is g for v, g in zip(outer_values, outer_checks))
 
 
+@pytest.mark.parametrize("n,m,degree,seed", [(1, 1, 32, 11), (3, 2, 32, 1), (3, 3, 64, 2)])
+def test_min_values_are_the_node_minima_at_maximum_one(monkeypatch, n, m, degree, seed):
+    # each row's minU is the gate's node minimum over the maximum, which
+    # equals the minimum of the node values _value_terms received; the
+    # dilated start recenters, so a pulled-back iterate is covered too
+    u0 = pullback(seeded_start(n, degree, seed, max_degree=6), AxisDilation(north_pole(n), 3.0), m)
+    minima = {}
+    real = extremize._value_terms
+
+    def spy(*args):
+        out = real(*args)
+        assert float(args[1].max()) == 1.0
+        minima.setdefault(out[2], set()).add(float(args[1].min()))
+        return out
+
+    monkeypatch.setattr(extremize, "_value_terms", spy)
+    recentered = []
+    real_pullback = extremize.pullback
+    monkeypatch.setattr(extremize, "pullback", lambda *a: recentered.append(a) or real_pullback(*a))
+    trace = minimize(u0, m, OptimizerConfig(degree=degree, max_iter=60, gauge_every=5))
+    assert recentered and len(trace.min_values) == len(trace.values) > 2
+    for value, low in zip(trace.values, trace.min_values):
+        assert minima[value] == {low}
+
+
 def test_minimize_takes_v0_once_per_trace_row(monkeypatch):
     # the gauge check's V(0) is the next row's baryNorm unless the pullback
     # is kept.  This draw checks the gauge at steps 5 and 10, keeps the first

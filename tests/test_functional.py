@@ -64,6 +64,17 @@ def test_energy_symmetry():
     assert energy(u, v, 2) == energy(v, u, 2)
 
 
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (3, 2), (3, 3)])
+@pytest.mark.parametrize("degree", [16, 32, 64])
+def test_energy_quadratic_keeps_the_bits_of_energy(n, m, degree):
+    # the quadratic form skips the alignment's zero-padded copies; its
+    # products and their sum are those of the bilinear form
+    rng = np.random.default_rng(10 * degree + n + m)
+    for _ in range(5):
+        u = random_positive_function(n, degree, degree // 2, rng, amplitude=float(rng.uniform(0.2, 0.9)))
+        assert energy_quadratic(u, m).hex() == energy(u, u, m).hex()
+
+
 def test_neg_power_norm_constants():
     one = constant_function(1, 1.0, 8)
     assert abs(neg_power_norm(one, 1) - TWO_PI) < 1e-12  # q = 2

@@ -461,6 +461,20 @@ def test_zonal_grid_appends_the_poles():
     assert np.array_equal(disc.grid[1:-1], disc.rule.nodes)
     circle = discretization(1, 8, 4)
     assert circle.grid is circle.rule.nodes and circle.grid_basis is circle.basis
+    assert circle.poles is None
+
+
+@pytest.mark.parametrize("L", [8, 32])
+def test_zonal_poles_are_a_view_of_the_grid_basis(L):
+    disc = discretization(3, L, 4)
+    assert disc.poles.shape == (2, L + 1)
+    assert np.shares_memory(disc.poles, disc.grid_basis)
+    assert np.array_equal(disc.poles[0], disc.grid_basis[:, 0])
+    assert np.array_equal(disc.poles[1], disc.grid_basis[:, -1])
+    # the view holds no memory of its own, so nbytes counts what it did
+    held = (disc.rule.nodes, disc.rule.weights, disc.basis, disc.grid, disc.grid_basis)
+    assert disc.points is disc.rule.nodes
+    assert disc.nbytes == sum(a.nbytes for a in held)
 
 
 def test_discretization_over_the_byte_bound_is_not_stored(monkeypatch):

@@ -209,8 +209,8 @@ def _cmd_invariance_check(args) -> int:
     rows = []
     truncated = None  # the first row whose drift is 1 or more
     for trial in range(args.trials):
-        # band-limit with margin: a lambda-dilation multiplies local
-        # frequencies by up to lambda, so the image must fit under L
+        # band-limit with margin: a lambda-dilation multiplies local frequencies by up to
+        # lambda, so at small L the image can exceed L (at L = 16, default (3, 2): trial 18)
         u = random_positive_function(
             args.n, args.degree, max_degree=min(10, args.degree // 6 + 2), rng=rng
         )

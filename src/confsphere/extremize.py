@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import InvalidConfig, NonPositiveFunction
-from .functional import _step_terms, _value_terms, exponent_q, functional_value
+from .functional import _positivity_gate, _step_terms, _value_terms, exponent_q, functional_value
 from .geometry import BallPoint
 from .gjms import packed_multipliers
 from .mobius import find_center, pullback
@@ -31,24 +31,21 @@ from .spectral import (
     random_band_limited,
 )
 
+#: sufficient-decrease factor of the Armijo test of each trial
+ARMIJO_FACTOR = 1e-4
+#: accepted steps between two gauge checks
+GAUGE_EVERY = 10
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     degree: int = DEFAULT_DEGREE
     max_iter: int = 200
-    step_init: float = 1.0
-    armijo_factor: float = 1e-4
-    positivity_floor: float = 1e-6
-    gauge_every: int = 10
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if min(self.degree, self.max_iter, self.gauge_every) <= 0:
-            raise ValueError("degree, max_iter and gauge_every must be positive")
-        if min(self.step_init, self.armijo_factor, self.positivity_floor, self.grad_tol) <= 0:
-            raise ValueError("step, Armijo factor, floor and tolerance must be positive")
-        if not self.positivity_floor < 1e-3:
-            raise ValueError("positivity floor must stay below 1e-3")
+        if min(self.degree, self.max_iter, self.grad_tol) <= 0:
+            raise ValueError("degree, max_iter and grad_tol must be positive")
 
 
 @dataclass
@@ -82,10 +79,9 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     falls below 4 ulps of |I|, where only rounding noise could pass the
     Armijo test.  A stall usually arrives before the gradient tolerance
     because exactly monotone acceptance cannot push the gradient below
-    ~sqrt(eps |I|).  The floor is relative: a candidate c passes when its
-    grid minimum exceeds ``positivity_floor`` times its maximum on the
-    nodes, so a start at any scale is tested as if at maximum one, and a
-    start that fails raises :class:`NonPositiveFunction`.
+    ~sqrt(eps |I|).  Every candidate passes the relative positivity gate of
+    :mod:`confsphere.functional`, so a start at any scale is tested as if at
+    maximum one, and a start that fails raises :class:`NonPositiveFunction`.
 
     Direction: memoryless BFGS (Shanno 1978; Nocedal-Wright section 7.2)
     in the diagonal metric D = 1 + |p_2m(alpha)|.  From the pair (s, y) of
@@ -97,9 +93,9 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     dropped, as is the pair before a kept recenter, and a pair direction
     whose slope grad.d is not positive; without a pair, d = D^-1 grad.  The
     first trial is 1 along a pair direction and otherwise the last accepted
-    step (``step_init`` at the start); each rejected trial halves it.
+    step (1 at the start); each rejected trial halves it.
 
-    Gauge: every ``gauge_every`` accepted steps the iterate is recentered
+    Gauge: every ``GAUGE_EVERY`` accepted steps the iterate is recentered
     if its gradient norm is not below ``grad_tol`` (else it is the last
     iterate), its volume barycenter V(0), the first moment of u^{-q} over
     its integral, has |V(0)| / q > 0.01 and the Newton solve for its center
@@ -123,36 +119,31 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         # np.linalg.norm of a 1-D float array, without its overhead
         return math.sqrt(float(x @ x))
 
-    # a = 0 in node coordinates: a complex number on the circle, the float r on the axis
-    origin = 0j if n == 1 else 0.0
-
     def admissible(c: np.ndarray) -> Optional[tuple]:
         """:func:`_value_terms` of c at maximum one, then that maximum and the
-        node minimum at maximum one; None at or below the floor."""
-        vals = disc.values(c)
-        cmax, low = float(vals.max()), float(vals.min())
-        if not disc.grid_minimum(c, vals, low) > config.positivity_floor * cmax:
+        node minimum at maximum one; None if c fails the positivity gate."""
+        if (gated := _positivity_gate(c, disc, refuse=False)) is None:
             return None
+        vals, low, cmax = gated
         # division by cmax > 0 is monotone, so low / cmax is the minimum of vals / cmax
         return _value_terms(c * (1.0 / cmax), vals / cmax, p, q, weights) + (cmax, low / cmax)
 
     terms = admissible(u0.coeffs)
     if terms is None:
-        raise NonPositiveFunction("the start is not above the positivity floor relative to its maximum")
+        raise NonPositiveFunction("the start fails the positivity floor relative to its maximum")
     c, current = terms[0], terms[2]
     grad = _step_terms(terms, disc, q)
 
     # the metric D = 1 + |p_2m(alpha)| evens out the 2m-th order stiffness
     inv_d = 1.0 / (1.0 + np.abs(p))
-    sigma = config.armijo_factor
-    step = config.step_init
+    step = 1.0
     pair = None  # (s, y, rho, gamma D^-1) of the last accepted step
     accepted = 0
 
     def centroid() -> float:
         """|V(0)| of the iterate: the first moment of u^{-q} over its integral."""
         neg, integ = terms[5:7]
-        return abs(_ball_moment(disc, neg, origin)) / integ
+        return abs(_ball_moment(disc, neg, 0)) / integ
 
     def record():
         trace.values.append(current)
@@ -191,7 +182,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
                 any_positive = True
                 # strict decrease too: below half an ulp of I the Armijo
                 # bound admits an equal value, which is no progress
-                if cand[2] < current and cand[2] <= current - sigma * alpha * slope:
+                if cand[2] < current and cand[2] <= current - ARMIJO_FACTOR * alpha * slope:
                     found = cand
                     break
             alpha *= 0.5
@@ -214,7 +205,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
 
         # recenter only against real Mobius drift: near the optimum the
         # pullback's truncation noise would otherwise stall the gradient
-        v0 = centroid() if accepted % config.gauge_every == 0 and norm(grad) >= config.grad_tol else None
+        v0 = centroid() if accepted % GAUGE_EVERY == 0 and norm(grad) >= config.grad_tol else None
         if v0 is not None and v0 > 0.01 * q:
             u = SpectralFunction(n, c, axis)
             center = find_center(u, m)

@@ -7,13 +7,14 @@ For ``2m > n`` the objects are
     I_2m(u) = |u^{-1}|^2_{L^q} * E_2m(u),
 
 the last being invariant under rescaling u -> c u and under conformal
-pullback.  Negative powers require strict positivity, enforced by the
-oversampled-grid gate of :mod:`confsphere.spectral`.
+pullback.  Negative powers require strict positivity, enforced by one
+gate on the oversampled grid, relative to the maximum as I is scale free.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ import numpy as np
 from .errors import ConfSphereError, NonPositiveFunction
 from .gjms import apply_operator, packed_multipliers, s1_derivative_form_coefficients
 from .spectral import (
-    POSITIVITY_THRESHOLD,
     Discretization,
     QuadratureRule,
     SpectralFunction,
@@ -29,6 +29,9 @@ from .spectral import (
     discretization,
     min_on_grid,
 )
+
+#: the positivity gate passes c when its grid minimum exceeds this times its node maximum
+POSITIVITY_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,19 +69,25 @@ def energy_quadratic(u: SpectralFunction, m: int) -> float:
     return float(packed_multipliers(u.n, m, u.degree) @ (c * c))
 
 
-def _positivity_gate(c: np.ndarray, disc: Discretization) -> np.ndarray:
-    """Values of the coefficients c on the rule nodes, once c passed the gate.
+def _positivity_gate(c: np.ndarray, disc: Discretization, refuse: bool = True) -> tuple | None:
+    """(values, minimum, maximum) of the coefficients c on the rule nodes, once c passed the gate.
 
-    ``disc`` is the 4x-oversampled discretization of c's degree, and the
-    gate is the minimum over its positivity grid, as in :func:`min_on_grid`.
-    The node values are that grid, save the zonal poles, so the nodes are
-    synthesized once.
+    ``disc`` is the 4x discretization of c's degree.  c passes when its grid minimum, as in
+    :func:`min_on_grid`, is a normal float (1 / minimum is finite) above ``POSITIVITY_FLOOR``
+    times its node maximum, so the gate decides c u as u.  The nodes are that grid save the
+    zonal poles, synthesized once.  Else :class:`NonPositiveFunction`, or None if not ``refuse``.
     """
     vals = disc.values(c)
-    low = disc.grid_minimum(c, vals)
-    if low <= POSITIVITY_THRESHOLD:
-        raise NonPositiveFunction(f"function is not strictly positive (grid minimum {low:.3e})")
-    return vals
+    low, high = float(vals.min()), float(vals.max())
+    grid_low = disc.grid_minimum(c, vals, low)
+    if grid_low > POSITIVITY_FLOOR * high and grid_low >= sys.float_info.min:
+        return vals, low, high
+    if refuse:
+        raise NonPositiveFunction(
+            f"function fails the positivity floor: grid minimum {grid_low:.3e} is not a normal float"
+            f" above {POSITIVITY_FLOOR:g} times the node maximum {high:.3e}"
+        )
+    return None
 
 
 def neg_power_integral(u: SpectralFunction, m: int) -> float:
@@ -89,14 +98,13 @@ def neg_power_integral(u: SpectralFunction, m: int) -> float:
     """
     disc = discretization(u.n, u.degree, oversample=4)
     q = exponent_q(u.n, m)
-    vals = _positivity_gate(u.coeffs, disc)
+    vals = _positivity_gate(u.coeffs, disc)[0]
     return float(disc.rule.weights @ vals ** (-q))
 
 
 def _at_minimum_one(u: SpectralFunction) -> tuple:
     """(u / k, the 4x node values of u, k), k their minimum once u passed the gate: (u/k)^{-q} is in (0, 1]."""
-    vals = _positivity_gate(u.coeffs, discretization(u.n, u.degree, oversample=4))
-    k = float(vals.min())
+    vals, k, _ = _positivity_gate(u.coeffs, discretization(u.n, u.degree, oversample=4))
     return u.scaled(1.0 / k), vals, k
 
 
@@ -105,9 +113,9 @@ def _neg_power_norm(u: SpectralFunction, m: int) -> float:
 
 
 def neg_power_norm(u: SpectralFunction, m: int) -> float:
-    """|u^{-1}|^2_{L^q}, homogeneous of degree -2: taken on u / k at minimum one, then over k^2."""
+    """|u^{-1}|^2_{L^q}, of degree -2: on u / k at minimum one, then over k twice (k * k can underflow)."""
     v, _, k = _at_minimum_one(u)
-    return _neg_power_norm(v, m) / (k * k)
+    return _neg_power_norm(v, m) / k / k
 
 
 def functional_value(u: SpectralFunction, m: int) -> float:
@@ -186,13 +194,18 @@ def gradient(u: SpectralFunction, m: int) -> SpectralFunction:
 
     grad I = 2 |u^{-1}|^2 P_2m u - 2 (integral u^{-q})^{2/q - 1} E(u) u^{-q-1},
     truncated at the degree of u.  The kernel is the one of the descent:
-    gate, :func:`_value_terms`, :func:`_step_terms`, on u / k at minimum one, then over k.
+    gate, :func:`_value_terms`, :func:`_step_terms`, on u / k at minimum one, then over k
+    (:class:`ConfSphereError` if that overflows, for k near the smallest normal float).
     """
     v, vals, k = _at_minimum_one(u)
     disc = discretization(u.n, u.degree, oversample=4)
     q = exponent_q(u.n, m)
     terms = _value_terms(v.coeffs, vals / k, packed_multipliers(u.n, m, disc.degree), q, disc.rule.weights)
-    return SpectralFunction(u.n, _step_terms(terms, disc, q) / k, u.axis)
+    with np.errstate(over="ignore"):
+        g = _step_terms(terms, disc, q) / k
+    if not np.isfinite(g).all():
+        raise ConfSphereError(f"the gradient overflows at this scale (node minimum {k:.3e})")
+    return SpectralFunction(u.n, g, u.axis)
 
 
 def s1_energy_from_derivatives(

@@ -150,8 +150,8 @@ def _volume(u: SpectralFunction, m: int) -> tuple:
     overflow nor underflow.
     """
     disc = discretization(u.n, u.degree, oversample=4)
-    vals = _positivity_gate(u.coeffs, disc)
-    neg = (vals / float(vals.min())) ** (-exponent_q(u.n, m))
+    vals, low, _ = _positivity_gate(u.coeffs, disc)
+    neg = (vals / low) ** (-exponent_q(u.n, m))
     return disc, neg / float(disc.rule.weights @ neg)
 
 

@@ -37,9 +37,6 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_DEGREE = 32
 REFINED_DEGREE = 64
 
-#: strict-positivity threshold used by the oversampled-grid gate
-POSITIVITY_THRESHOLD = 1e-8
-
 #: bytes the discretization cache may hold.  It fits the circle basis at
 #: degree 512 with 4x oversampling (1025 x 4104 doubles, 33.6 MB); a single
 #: discretization larger than this is built, used and not stored.
@@ -444,13 +441,11 @@ class Discretization:
     ) -> float:
         """Minimum of the coefficients ``c`` over the positivity grid.
 
-        Given c's ``values`` on the rule nodes, only the zonal poles remain;
-        ``low`` is the minimum of those values when the caller has it.
+        Given c's ``values`` on the rule nodes and ``low``, their minimum,
+        only the zonal poles remain.
         """
         if values is None:
             return float((self.grid_basis[: c.size].T @ c).min())
-        if low is None:
-            low = float(values.min())
         if self.poles is None:
             return low
         south, north = (self.poles @ c).tolist()

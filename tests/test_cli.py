@@ -63,9 +63,14 @@ def test_energy_from_json_input(tmp_path, capsys):
     assert data["minValue"] > 0
 
 
-@pytest.mark.parametrize("n,m,value,expected", [(3, 2, 1e150, 0), (1, 1, 1e200, 2)])
+@pytest.mark.parametrize(
+    "n,m,value,expected",
+    [(3, 2, 1e150, 0), (1, 1, 1e200, 2), (1, 2, 1e-12, 0), (1, 1, 1e-200, 2), (3, 2, 1e-310, 2)],
+)
 def test_energy_of_a_huge_constant_exits_cleanly(tmp_path, n, m, value, expected):
-    # a report where E is finite at that scale, else a typed error: exit 2, no traceback
+    # a report where E and the norm are finite at that scale, else a typed
+    # error: exit 2, no traceback.  The gate is relative, so 1e-12 passes it;
+    # at 1e-200 the norm overflows, and at 1e-310 the minimum is subnormal
     path = tmp_path / "u.json"
     path.write_text(dumps(constant_function(n, value, 16)))
     argv = ["energy", "--n", str(n), "--m", str(m), "--L", "16", "--input", str(path)]

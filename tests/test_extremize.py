@@ -28,14 +28,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_iter=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(positivity_floor=1e-2)
+        OptimizerConfig(degree=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(step_init=-1.0)
+        OptimizerConfig(grad_tol=0.0)
 
 
 def test_config_has_no_unused_knobs():
-    # the descent is always preconditioned, and it draws no random numbers
-    for knob in ("seed", "precondition"):
+    # the descent is always preconditioned, and it draws no random numbers;
+    # the floor is the gate's, and the first trial, the Armijo factor and
+    # the gauge period are constants of the descent
+    for knob in ("seed", "precondition", "positivity_floor", "step_init", "armijo_factor", "gauge_every"):
         with pytest.raises(TypeError):
             OptimizerConfig(**{knob: 0})
 
@@ -139,9 +141,8 @@ def test_truncation_robustness():
 def test_positivity_floor_is_respected():
     degree = 32
     u0 = constant_function(1, 1.0, degree) + harmonic_basis_function(1, 2, degree).scaled(0.05)
-    cfg = OptimizerConfig(degree=degree, max_iter=400)
-    trace = minimize(u0, 3, cfg)
-    assert min(trace.min_values) > cfg.positivity_floor * 0.999999
+    trace = minimize(u0, 3, OptimizerConfig(degree=degree, max_iter=400))
+    assert min(trace.min_values) > functional.POSITIVITY_FLOOR * 0.999999
     assert trace.termination_reason in ("max_iterations", "positivity_breakdown", "line_search_stall")
 
 
@@ -189,10 +190,9 @@ def test_descent_rows_equal_public_functions(n, m, degree):
 
 @pytest.mark.parametrize("n,m,degree,seed", [(1, 1, 32, 11), (3, 2, 32, 1)])
 def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, seed):
-    # outside the gauge, Discretization.values runs once for the start and
-    # once per candidate, each followed by its one grid check; the accepted
-    # candidate's values feed the gradient and barycenter, so the gate runs
-    # only inside the gauge's find_center and pullback
+    # outside the gauge, the one positivity gate runs once for the start and
+    # once per candidate, each with one Discretization.values and one grid
+    # check; the accepted candidate's values feed the gradient and barycenter
     # a dilated start drifts in the gauge, so the gauge runs; it is built
     # before the spies, since random_positive_function uses Discretization.values
     u0 = pullback(seeded_start(n, degree, seed, max_degree=6), AxisDilation(north_pole(n), 3.0), m)
@@ -201,9 +201,9 @@ def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, see
     def spy(owner, name, calls, tag):
         real = getattr(owner, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(tag(args))
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
@@ -221,18 +221,20 @@ def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, see
 
     spy(Discretization, "values", values, lambda a: (bool(inside), a[1]))
     spy(Discretization, "grid_minimum", checks, lambda a: (bool(inside), a[1]))
-    for owner in (functional, mobius):
-        spy(owner, "_positivity_gate", gates, lambda a: bool(inside))
+    for owner in (functional, mobius, extremize):
+        spy(owner, "_positivity_gate", gates, lambda a: (bool(inside), a[0]))
     tracked("find_center", centers)
     tracked("pullback", recentered)
 
-    trace = minimize(u0, m, OptimizerConfig(degree=degree, max_iter=60, gauge_every=5))
-    assert centers and recentered and gates and all(gates)
+    monkeypatch.setattr(extremize, "GAUGE_EVERY", 5)
+    trace = minimize(u0, m, OptimizerConfig(degree=degree, max_iter=60))
+    assert centers and recentered and any(within for within, _ in gates)
     outer_values = [c for within, c in values if not within]
     outer_checks = [c for within, c in checks if not within]
+    outer_gates = [c for within, c in gates if not within]
     assert outer_values[0] is u0.coeffs
-    assert len(outer_values) == len(outer_checks) >= 1 + trace.iterations + len(recentered)
-    assert all(v is g for v, g in zip(outer_values, outer_checks))
+    assert len(outer_values) == len(outer_checks) == len(outer_gates) >= 1 + trace.iterations + len(recentered)
+    assert all(v is g is c for v, g, c in zip(outer_values, outer_checks, outer_gates))
 
 
 @pytest.mark.parametrize("n,m,degree,seed", [(1, 1, 32, 11), (3, 2, 32, 1), (3, 3, 64, 2)])
@@ -254,7 +256,8 @@ def test_min_values_are_the_node_minima_at_maximum_one(monkeypatch, n, m, degree
     recentered = []
     real_pullback = extremize.pullback
     monkeypatch.setattr(extremize, "pullback", lambda *a: recentered.append(a) or real_pullback(*a))
-    trace = minimize(u0, m, OptimizerConfig(degree=degree, max_iter=60, gauge_every=5))
+    monkeypatch.setattr(extremize, "GAUGE_EVERY", 5)
+    trace = minimize(u0, m, OptimizerConfig(degree=degree, max_iter=60))
     assert recentered and len(trace.min_values) == len(trace.values) > 2
     for value, low in zip(trace.values, trace.min_values):
         assert minima[value] == {low}
@@ -270,7 +273,8 @@ def test_minimize_takes_v0_once_per_trace_row(monkeypatch):
     monkeypatch.setattr(extremize, "_ball_moment", lambda disc, neg, a: summed.append(neg) or real(disc, neg, a))
     monkeypatch.setattr(extremize, "find_center", lambda *a: centers.append(real_center(*a)) or centers[-1])
     u0 = random_positive_function(1, 32, 8, np.random.default_rng(0))
-    trace = minimize(u0, 1, OptimizerConfig(degree=32, max_iter=300, gauge_every=5))
+    monkeypatch.setattr(extremize, "GAUGE_EVERY", 5)
+    trace = minimize(u0, 1, OptimizerConfig(degree=32, max_iter=300))
     assert len(trace.barycenter_norms) == 15 and len(centers) == 1
     # no iterate's u^{-q} is summed twice
     assert len({id(neg) for neg in summed}) == len(summed) == 15 + 1
@@ -306,9 +310,8 @@ def test_line_search_rejects_a_dip_at_a_pole():
     # Gauss-Jacobi nodes are interior: a zonal candidate can be positive on
     # them and not at t = +-1, where the gate of gradient() also looks
     u0 = random_positive_function(3, 64, 16, np.random.default_rng(1))
-    config = OptimizerConfig(degree=64, max_iter=12)
-    trace = minimize(u0, 4, config)
-    assert min_on_grid(trace.final) > config.positivity_floor
+    trace = minimize(u0, 4, OptimizerConfig(degree=64, max_iter=12))
+    assert min_on_grid(trace.final) > functional.POSITIVITY_FLOOR
     assert trace.values[-1] < trace.values[0]
 
 
@@ -392,13 +395,13 @@ def _line_searches(monkeypatch, u0, m, config):
     the direction is D^-1 grad: "start", "curvature" (s.y <= 0), "slope"
     (the pair direction's slope is not positive) or "recenter" (a kept
     pullback).  A pair direction's first trial is 1, any other the last
-    accepted step length (step_init at the start), and each rejected trial
+    accepted step length (1 at the start), and each rejected trial
     halves the step.  Every trial's coefficients must equal c - alpha d bit
     for bit at the iterate c.
     """
     trace, events = _descent_events(monkeypatch, u0, m, config)
     inv_d = 1.0 / (1.0 + np.abs(packed_multipliers(u0.n, m, u0.degree)))
-    searches, pulled, step, accepted_vals = [], [], config.step_init, None
+    searches, pulled, step, accepted_vals = [], [], 1.0, None
     gauge = False
     for tag, x, out in events[1:]:  # the first synthesis is the start
         if tag == "pullback":
@@ -441,16 +444,13 @@ def _line_searches(monkeypatch, u0, m, config):
 NOISE = 4.0 * 2.0**-52
 
 
-@pytest.mark.parametrize(
-    "n,m,degree,seed,step_init",
-    [(1, 1, 32, 1, 1.0), (1, 2, 32, 3, 1.0), (3, 2, 64, 3, 1.0), (3, 3, 64, 7, 1.0), (3, 3, 64, 1, 2.0**-6)],
-)
-def test_line_search_follows_the_one_pair_direction(monkeypatch, n, m, degree, seed, step_init):
+@pytest.mark.parametrize("n,m,degree,seed", [(1, 1, 32, 1), (1, 2, 32, 3), (3, 2, 64, 3), (3, 3, 64, 7)])
+def test_line_search_follows_the_one_pair_direction(monkeypatch, n, m, degree, seed):
     u0 = random_positive_function(n, degree, 8, np.random.default_rng(seed))
-    config = OptimizerConfig(degree=degree, max_iter=300, step_init=step_init, gauge_every=10**6)
-    trace, searches = _line_searches(monkeypatch, u0, m, config)
+    monkeypatch.setattr(extremize, "GAUGE_EVERY", 10**6)
+    trace, searches = _line_searches(monkeypatch, u0, m, OptimizerConfig(degree=degree, max_iter=300))
     assert len(searches) == trace.iterations + 1
-    assert searches[0][2] == step_init and searches[0][4] == "start"
+    assert searches[0][2] == 1.0 and searches[0][4] == "start"
     # the first trial is 1 once a pair is held
     assert sum(source == "pair" for *_, source in searches) >= trace.iterations // 2
     assert all(first == 1.0 for _, _, first, _, source in searches if source == "pair")
@@ -460,8 +460,8 @@ def test_a_pair_without_positive_curvature_restarts_from_the_metric(monkeypatch)
     # in the unstable range a step can cross negative curvature, s.y <= 0;
     # the next search then runs along D^-1 grad from the last accepted step
     u0 = random_positive_function(1, 32, 8, np.random.default_rng(4))
-    config = OptimizerConfig(degree=32, max_iter=400, gauge_every=10**6)
-    trace, searches = _line_searches(monkeypatch, u0, 3, config)
+    monkeypatch.setattr(extremize, "GAUGE_EVERY", 10**6)
+    trace, searches = _line_searches(monkeypatch, u0, 3, OptimizerConfig(degree=32, max_iter=400))
     restarts = [i for i, search in enumerate(searches) if search[4] == "curvature"]
     assert restarts and trace.termination_reason != "max_iterations"
     assert all(searches[i][2] == searches[i - 1][3][-1] for i in restarts)
@@ -473,7 +473,8 @@ def test_a_kept_recenter_drops_the_pair(monkeypatch):
     # pair no longer describes it: the search after it runs along D^-1 grad
     # (checked bit for bit on its trials) from the last accepted step
     u0 = random_positive_function(1, 32, 8, np.random.default_rng(0))
-    trace, searches = _line_searches(monkeypatch, u0, 1, OptimizerConfig(degree=32, max_iter=300, gauge_every=5))
+    monkeypatch.setattr(extremize, "GAUGE_EVERY", 5)
+    trace, searches = _line_searches(monkeypatch, u0, 1, OptimizerConfig(degree=32, max_iter=300))
     assert len(searches) == trace.iterations + 1
     assert [i for i, search in enumerate(searches) if search[4] == "recenter"] == [5]
     assert searches[4][4] == "pair" and searches[5][2] == searches[4][3][-1]
@@ -485,8 +486,8 @@ def test_line_search_stops_at_the_rounding_floor(monkeypatch, n, m, degree, seed
     # no trial is made once alpha * slope < 4 ulps of |I|: the last search
     # ends at that floor, short of its 60 halvings, in line_search_stall
     u0 = random_positive_function(n, degree, 8, np.random.default_rng(seed))
-    config = OptimizerConfig(degree=degree, max_iter=300, gauge_every=10**6)
-    trace, searches = _line_searches(monkeypatch, u0, m, config)
+    monkeypatch.setattr(extremize, "GAUGE_EVERY", 10**6)
+    trace, searches = _line_searches(monkeypatch, u0, m, OptimizerConfig(degree=degree, max_iter=300))
     for value, slope, _, trials, _ in searches:
         assert all(alpha * slope >= NOISE * abs(value) for alpha in trials)
     value, slope, first, trials, _ = searches[-1]
@@ -501,19 +502,18 @@ def test_unstable_start_is_labelled_by_its_last_search(monkeypatch, m, degree, s
     # grid minimum above the floor relative to the maximum; the rounding
     # floor must not relabel such a search as a stall
     u0 = random_positive_function(1, degree, degree // 4, np.random.default_rng(seed))
-    config = OptimizerConfig(degree=degree, max_iter=400)
-    trace, events = _descent_events(monkeypatch, u0, m, config)
+    trace, events = _descent_events(monkeypatch, u0, m, OptimizerConfig(degree=degree, max_iter=400))
     last = max(i for i, event in enumerate(events) if event[0] == "iterate")
     pulled = [x for tag, x, _ in events if tag == "pullback"]
     checks = [
-        low > config.positivity_floor * float(vals.max())
+        low > functional.POSITIVITY_FLOOR * float(vals.max())
         for tag, x, (low, vals) in (e for e in events[last:] if e[0] == "floor")
         if not any(x is p for p in pulled)
     ]
     breakdown = bool(checks) and not any(checks)
     assert (trace.termination_reason == "positivity_breakdown") == breakdown
     assert trace.termination_reason in ("positivity_breakdown", "line_search_stall")
-    assert min(trace.min_values) > config.positivity_floor
+    assert min(trace.min_values) > functional.POSITIVITY_FLOOR
 
 
 def test_budget_spending_start_reaches_the_gradient_tolerance():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from confsphere import functional
 from confsphere.errors import ConfSphereError, NonPositiveFunction
+from confsphere.extremize import OptimizerConfig, minimize
 from confsphere.functional import (
     el_residual,
     energy,
@@ -18,15 +19,13 @@ from confsphere.functional import (
     s1_energy_from_derivatives,
 )
 from confsphere.gjms import packed_multipliers
-from confsphere.mobius import extremal
+from confsphere.mobius import extremal, find_center
 from confsphere.spectral import (
-    POSITIVITY_THRESHOLD,
     SpectralFunction,
     circle_quadrature,
     constant_function,
     discretization,
     harmonic_basis_function,
-    min_on_grid,
     random_band_limited,
     random_positive_function,
 )
@@ -123,7 +122,9 @@ def test_gate_tests_the_poles_without_looking_up_its_own_grid(monkeypatch):
         functional._positivity_gate(c, disc)
     assert lookups == []
     c[0] *= 3.0
-    assert np.array_equal(functional._positivity_gate(c, disc), disc.values(c))
+    vals, low, high = functional._positivity_gate(c, disc)
+    assert np.array_equal(vals, disc.values(c))
+    assert (low, high) == (vals.min(), vals.max())
     assert lookups == []
 
 
@@ -222,22 +223,77 @@ def test_gradient_is_homogeneous_of_degree_minus_one(n, m, log10_k, seed):
 @settings(max_examples=25, deadline=None)
 @given(log10_c=st.floats(-150.0, 150.0), seed=st.integers(0, 2**16))
 def test_norm_residual_and_gradient_are_homogeneous(n, m, log10_c, seed):
-    # each is taken at minimum one and rescaled: |(cu)^-1|^2 = c^-2 |u^-1|^2,
-    # el_residual(cu) = c el_residual(u) and grad I(cu) = grad I(u) / c
-    # wherever c u passes the absolute gate.  Measured worst over 600 draws
-    # with c in [1e-8, 1e150]: 1.4e-15 relative
+    # the gate is relative and each entry point is taken at minimum one and
+    # rescaled: I(cu) = I(u), |(cu)^-1|^2 = c^-2 |u^-1|^2, el_residual(cu) =
+    # c el_residual(u), grad I(cu) = grad I(u) / c, and the Mobius center of
+    # cu is that of u.  Measured worst over 160 draws: 8.8e-15 relative for
+    # I and E (cancellation in E, scaled here by its condition number kappa),
+    # at most 1.1e-15 for the others and 2.5e-16 for the center
     u = random_positive_function(n, 16, 6, np.random.default_rng(seed))
     c = 10.0**log10_c
     cu = u.scaled(c)
-    if min_on_grid(cu) <= POSITIVITY_THRESHOLD:
-        for entry in (neg_power_norm, el_residual, gradient):
-            with pytest.raises(NonPositiveFunction):
-                entry(cu, m)
-        return
+    p = packed_multipliers(n, m, u.degree)
+    kappa = float(np.abs(p) @ u.coeffs**2) / abs(float(p @ u.coeffs**2))
+    assert abs(functional_value(cu, m) - functional_value(u, m)) <= 1e-13 * abs(functional_value(u, m)) * kappa
     assert abs(neg_power_norm(cu, m) * c * c - neg_power_norm(u, m)) <= 1e-13 * neg_power_norm(u, m)
     assert abs(el_residual(cu, m) / c - el_residual(u, m)) <= 1e-13 * el_residual(u, m)
     g = gradient(u, m).coeffs
     assert np.linalg.norm(gradient(cu, m).coeffs * c - g) <= 1e-13 * np.linalg.norm(g)
+    base, scaled = functional_report(u, m), functional_report(cu, m)
+    assert abs(scaled.energy / c / c - base.energy) <= 1e-13 * abs(base.energy) * kappa
+    assert abs(scaled.neg_norm * c * c - base.neg_norm) <= 1e-13 * base.neg_norm
+    assert abs(scaled.functional - base.functional) <= 1e-13 * abs(base.functional) * kappa
+    assert abs(scaled.el_residual / c - base.el_residual) <= 1e-13 * base.el_residual
+    assert abs(scaled.min_value / c - base.min_value) <= 1e-13 * base.min_value
+    center, scaled_center = find_center(u, m), find_center(cu, m)
+    assert scaled_center.converged == center.converged
+    assert np.max(np.abs(scaled_center.a - center.a)) <= 1e-13
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 2)])
+@pytest.mark.parametrize("ratio", [1e-6 * (1 + 1e-3), 1e-6 * (1 - 1e-3)], ids=["above", "below"])
+def test_one_relative_gate_decides_at_every_scale(n, m, ratio):
+    # u is shifted so that its grid minimum over its node maximum is ratio,
+    # just above or just below the floor; every entry point, minimize's start
+    # among them, decides as the gate does, at any scale
+    disc = discretization(n, 32, 4)
+    bump = random_positive_function(n, 32, 8, np.random.default_rng(5))
+    vals = disc.values(bump.coeffs)
+    low, high = disc.grid_minimum(bump.coeffs, vals, float(vals.min())), float(vals.max())
+    u = bump + constant_function(n, (ratio * high - low) / (1.0 - ratio), 32)
+    vals = disc.values(u.coeffs)
+    assert abs(disc.grid_minimum(u.coeffs, vals, float(vals.min())) / vals.max() / ratio - 1.0) < 1e-6
+    descent = lambda v, m: minimize(v, m, OptimizerConfig(degree=32, max_iter=1))
+    for scale in (1e-12, 1.0, 1e150):
+        for entry in (functional_value, neg_power_norm, el_residual, gradient, functional_report, find_center, descent):
+            if ratio > functional.POSITIVITY_FLOOR:
+                entry(u.scaled(scale), m)
+            else:
+                with pytest.raises(NonPositiveFunction, match="positivity floor"):
+                    entry(u.scaled(scale), m)
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (3, 2)])
+def test_tiny_scales_are_finite_or_refused(n, m):
+    # at 1e-200 the node minimum k is normal but k * k underflows: the norm
+    # overflows to inf, never a division by zero, and the report refuses it.
+    # At 1e-305 I is still taken, but grad I(u) / k overflows.  At 1e-310
+    # the minimum is subnormal and 1 / k overflows: every entry point
+    # refuses it at the gate
+    one = functional_value(constant_function(n, 1.0, 16), m)
+    u = constant_function(n, 1e-200, 16)
+    assert abs(functional_value(u, m) - one) <= 1e-13 * abs(one)
+    assert neg_power_norm(u, m) == math.inf
+    with pytest.raises(ConfSphereError, match="overflows"):
+        functional_report(u, m)
+    u = random_positive_function(n, 16, 6, np.random.default_rng(0))
+    assert abs(functional_value(u.scaled(1e-305), m) - functional_value(u, m)) <= 1e-13 * abs(functional_value(u, m))
+    with pytest.raises(ConfSphereError, match="gradient overflows"):
+        gradient(u.scaled(1e-305), m)
+    u = constant_function(n, 1e-310, 16)
+    for entry in (functional_value, neg_power_norm, el_residual, gradient, functional_report, find_center):
+        with pytest.raises(NonPositiveFunction, match="normal float"):
+            entry(u, m)
 
 
 @pytest.mark.parametrize("n,value,m", [(1, 1e200, 1), (3, 1e150, 2)])

@@ -531,7 +531,7 @@ def test_grid_minimum_and_first_moment_keep_their_bits(n, L):
                 old_min = float(vals.min())
             else:
                 old_min = float(min(vals.min(), (disc.grid_basis[:, :: K + 1].T @ c).min()))
-            assert disc.grid_minimum(c, vals) == old_min
+            assert disc.grid_minimum(c, vals, float(vals.min())) == old_min
             moment = spectral._ball_moment(disc, vals, 0j if n == 1 else 0.0)
             old = (w * vals) @ disc.points if n == 1 else float(w @ (vals * disc.rule.nodes))
             assert np.array_equal(moment, old)

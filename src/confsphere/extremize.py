@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import InvalidConfig, NonPositiveFunction
+from .errors import InvalidConfig
 from .functional import _positivity_gate, _step_terms, _value_terms, exponent_q, functional_value
 from .geometry import BallPoint
 from .gjms import packed_multipliers
@@ -119,18 +119,17 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         # np.linalg.norm of a 1-D float array, without its overhead
         return math.sqrt(float(x @ x))
 
-    def admissible(c: np.ndarray) -> Optional[tuple]:
+    def admissible(c: np.ndarray, refuse: bool = False) -> Optional[tuple]:
         """:func:`_value_terms` of c at maximum one, then that maximum and the
-        node minimum at maximum one; None if c fails the positivity gate."""
-        if (gated := _positivity_gate(c, disc, refuse=False)) is None:
+        node minimum at maximum one; None if c fails the positivity gate,
+        or the gate's :class:`NonPositiveFunction` if ``refuse``."""
+        if (gated := _positivity_gate(c, disc, refuse)) is None:
             return None
         vals, low, cmax = gated
         # division by cmax > 0 is monotone, so low / cmax is the minimum of vals / cmax
         return _value_terms(c * (1.0 / cmax), vals / cmax, p, q, weights) + (cmax, low / cmax)
 
-    terms = admissible(u0.coeffs)
-    if terms is None:
-        raise NonPositiveFunction("the start fails the positivity floor relative to its maximum")
+    terms = admissible(u0.coeffs, refuse=True)
     c, current = terms[0], terms[2]
     grad = _step_terms(terms, disc, q)
 

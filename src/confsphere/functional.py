@@ -9,6 +9,8 @@ For ``2m > n`` the objects are
 the last being invariant under rescaling u -> c u and under conformal
 pullback.  Negative powers require strict positivity, enforced by one
 gate on the oversampled grid, relative to the maximum as I is scale free.
+Every entry point reads the terms of u at node minimum one from one gated
+synthesis, :func:`neg_power_integral`; the descent gates at maximum one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfSphereError, NonPositiveFunction
-from .gjms import apply_operator, packed_multipliers, s1_derivative_form_coefficients
+from .gjms import packed_multipliers, s1_derivative_form_coefficients
 from .spectral import (
     Discretization,
     QuadratureRule,
@@ -83,45 +85,49 @@ def _positivity_gate(c: np.ndarray, disc: Discretization, refuse: bool = True) -
     if grid_low > POSITIVITY_FLOOR * high and grid_low >= sys.float_info.min:
         return vals, low, high
     if refuse:
-        raise NonPositiveFunction(
-            f"function fails the positivity floor: grid minimum {grid_low:.3e} is not a normal float"
-            f" above {POSITIVITY_FLOOR:g} times the node maximum {high:.3e}"
-        )
+        why = f"above {POSITIVITY_FLOOR:g} times the node maximum {high:.3e}"
+        why = "a normal float" if grid_low > POSITIVITY_FLOOR * high else why
+        raise NonPositiveFunction(f"function fails the positivity floor: grid minimum {grid_low:.3e} is not {why}")
     return None
 
 
-def neg_power_integral(u: SpectralFunction, m: int) -> float:
-    """integral of u^{-q} over S^n by quadrature (q = 2n/(2m-n)).
+def neg_power_integral(u: SpectralFunction, m: int) -> tuple:
+    """The one gated evaluation of u: :func:`_value_terms` of u / k, then k, the node minimum.
 
-    Negative powers are not band-limited: the rule is the 4x-oversampled
-    one of the cached discretization.
+    u passes :func:`_positivity_gate` once on the nodes of its 4x
+    discretization, as negative powers are not band-limited.  The tuple is
+    (c / k, u / k on the nodes, I, p c / k, E(u / k), (u / k)^{-q}, J, k):
+    J, the integral of (u / k)^{-q}, lies in (0, |S^n|], so the integral of
+    u^{-q} is J k^{-q} and the functional entry points all read from here.
     """
     disc = discretization(u.n, u.degree, oversample=4)
-    q = exponent_q(u.n, m)
-    vals = _positivity_gate(u.coeffs, disc)[0]
-    return float(disc.rule.weights @ vals ** (-q))
+    vals, k, _ = _positivity_gate(u.coeffs, disc)
+    p = packed_multipliers(u.n, m, u.degree)
+    return _value_terms(u.coeffs * (1.0 / k), vals / k, p, exponent_q(u.n, m), disc.rule.weights) + (k,)
 
 
-def _at_minimum_one(u: SpectralFunction) -> tuple:
-    """(u / k, the 4x node values of u, k), k their minimum once u passed the gate: (u/k)^{-q} is in (0, 1]."""
-    vals, k, _ = _positivity_gate(u.coeffs, discretization(u.n, u.degree, oversample=4))
-    return u.scaled(1.0 / k), vals, k
-
-
-def _neg_power_norm(u: SpectralFunction, m: int) -> float:
-    return math.exp((2.0 / exponent_q(u.n, m)) * math.log(neg_power_integral(u, m)))  # survives large powers
+def _neg_norm(terms: tuple, q: float) -> float:
+    """|u^{-1}|^2_{L^q} from :func:`neg_power_integral`: J^{2/q} (survives large powers), over k twice."""
+    k = terms[7]
+    return math.exp((2.0 / q) * math.log(terms[6])) / k / k  # k * k can underflow
 
 
 def neg_power_norm(u: SpectralFunction, m: int) -> float:
-    """|u^{-1}|^2_{L^q}, of degree -2: on u / k at minimum one, then over k twice (k * k can underflow)."""
-    v, _, k = _at_minimum_one(u)
-    return _neg_power_norm(v, m) / k / k
+    """|u^{-1}|^2_{L^q}, of degree -2: taken at node minimum one, then rescaled."""
+    return _neg_norm(neg_power_integral(u, m), exponent_q(u.n, m))
 
 
 def functional_value(u: SpectralFunction, m: int) -> float:
     """I_2m(u), scale invariant: evaluated on u divided by its minimum on the nodes, u gated as given."""
-    v, _, _ = _at_minimum_one(u)
-    return _neg_power_norm(v, m) * energy_quadratic(v, m)
+    return neg_power_integral(u, m)[2]
+
+
+def _residual(u: SpectralFunction, terms: tuple) -> float:
+    """:func:`el_residual` from the terms of u; u^{-q-1} is taken as u^{-q} / u, as in :func:`_step_terms`."""
+    disc = discretization(u.n, u.degree, oversample=4)
+    _, vals, _, pc, e, neg, integ, k = terms
+    res = disc.values(pc) - (e / integ) * (neg / vals)
+    return math.sqrt(float(disc.rule.weights @ res**2)) * k
 
 
 def el_residual(u: SpectralFunction, m: int) -> float:
@@ -131,21 +137,15 @@ def el_residual(u: SpectralFunction, m: int) -> float:
     the residual vanishes exactly at critical points of the functional.
     Homogeneous of degree 1: taken on u / k at minimum one, times k.
     """
-    u, vals, k = _at_minimum_one(u)
-    vals = vals / k
-    disc = discretization(u.n, u.degree, oversample=4)
-    q = exponent_q(u.n, m)
-    pu_vals = disc.values(apply_operator(u, m).coeffs)
-    kappa = energy_quadratic(u, m) / float(disc.rule.weights @ vals ** (-q))
-    res = pu_vals - kappa * vals ** (-q - 1.0)
-    return math.sqrt(float(disc.rule.weights @ res**2)) * k
+    return _residual(u, neg_power_integral(u, m))
 
 
 def functional_report(u: SpectralFunction, m: int) -> EnergyReport:
-    """The diagnostics of u; :class:`ConfSphereError` if E or the norm is not finite at the scale of u."""
+    """The diagnostics of u from one gate; :class:`ConfSphereError` if E or the norm is not finite at its scale."""
     with np.errstate(over="ignore"):
         e = energy_quadratic(u, m)
-    nn = neg_power_norm(u, m)
+    terms = neg_power_integral(u, m)
+    nn = _neg_norm(terms, exponent_q(u.n, m))
     if not (math.isfinite(e) and math.isfinite(nn)):
         raise ConfSphereError(f"E ({e!r}) or the negative-power norm ({nn!r}) overflows at this scale")
     return EnergyReport(
@@ -154,7 +154,7 @@ def functional_report(u: SpectralFunction, m: int) -> EnergyReport:
         energy=e,
         neg_norm=nn,
         functional=nn * e,
-        el_residual=el_residual(u, m),
+        el_residual=_residual(u, terms),
         min_value=min_on_grid(u),
     )
 
@@ -194,15 +194,13 @@ def gradient(u: SpectralFunction, m: int) -> SpectralFunction:
 
     grad I = 2 |u^{-1}|^2 P_2m u - 2 (integral u^{-q})^{2/q - 1} E(u) u^{-q-1},
     truncated at the degree of u.  The kernel is the one of the descent:
-    gate, :func:`_value_terms`, :func:`_step_terms`, on u / k at minimum one, then over k
+    :func:`_step_terms` of :func:`neg_power_integral`, on u / k at minimum one, then over k
     (:class:`ConfSphereError` if that overflows, for k near the smallest normal float).
     """
-    v, vals, k = _at_minimum_one(u)
-    disc = discretization(u.n, u.degree, oversample=4)
-    q = exponent_q(u.n, m)
-    terms = _value_terms(v.coeffs, vals / k, packed_multipliers(u.n, m, disc.degree), q, disc.rule.weights)
+    terms = neg_power_integral(u, m)
+    k = terms[7]
     with np.errstate(over="ignore"):
-        g = _step_terms(terms, disc, q) / k
+        g = _step_terms(terms, discretization(u.n, u.degree, oversample=4), exponent_q(u.n, m)) / k
     if not np.isfinite(g).all():
         raise ConfSphereError(f"the gradient overflows at this scale (node minimum {k:.3e})")
     return SpectralFunction(u.n, g, u.axis)

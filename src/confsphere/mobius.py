@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AxisMismatch, ConfSphereError
-from .functional import _positivity_gate, exponent_q
+from .functional import neg_power_integral
 from .geometry import (
     AxisDilation,
     BallPoint,
@@ -145,14 +145,12 @@ def extremal(
 def _volume(u: SpectralFunction, m: int) -> tuple:
     """(disc, u^{-q} / integral u^{-q}) on the nodes of the 4x discretization.
 
-    u passes the positivity gate first.  Divided by its minimum, u^{-q}
-    is at most one and one at a node, so its integral can neither
-    overflow nor underflow.
+    Both come from :func:`~confsphere.functional.neg_power_integral`, which
+    gates u once.  Divided by its minimum, u^{-q} is at most one and one at
+    a node, so its integral can neither overflow nor underflow.
     """
-    disc = discretization(u.n, u.degree, oversample=4)
-    vals, low, _ = _positivity_gate(u.coeffs, disc)
-    neg = (vals / low) ** (-exponent_q(u.n, m))
-    return disc, neg / float(disc.rule.weights @ neg)
+    terms = neg_power_integral(u, m)
+    return discretization(u.n, u.degree, oversample=4), terms[5] / terms[6]
 
 
 def barycenter(u: SpectralFunction, a: np.ndarray, m: int) -> np.ndarray:

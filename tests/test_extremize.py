@@ -70,6 +70,19 @@ def test_minimize_tests_the_start_at_maximum_one(n, m, scale):
             minimize(start, m, config)
 
 
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 2)])
+def test_minimize_refuses_its_start_with_the_gates_reason(n, m):
+    # the start is gated once, as every candidate is, and the gate names its
+    # cause: a subnormal minimum, although the minimum over the maximum is 1,
+    # or a minimum below the floor
+    with pytest.raises(NonPositiveFunction, match="grid minimum 1.000e-310 is not a normal float$"):
+        minimize(constant_function(n, 1e-310, 32), m, OptimizerConfig())
+    dipped = constant_function(n, 1.0, 32) + harmonic_basis_function(n, 1, 32).scaled(10.0)
+    with pytest.raises(NonPositiveFunction, match="is not above 1e-06 times the node maximum") as refused:
+        minimize(dipped, m, OptimizerConfig())
+    assert "normal float" not in str(refused.value)
+
+
 def test_minimize_reaches_first_sharp_constant():
     degree = 32
     u0 = (
@@ -180,7 +193,9 @@ def test_descent_rows_equal_public_functions(n, m, degree):
     for max_iter in (3, 40, 200):
         trace = minimize(seeded_start(n, degree, 3), m, OptimizerConfig(degree=degree, max_iter=max_iter))
         final = trace.final
-        energy_term = 2.0 * neg_power_integral(final, m) ** (2.0 / q) * p * final.coeffs
+        # the integral of u^{-q} is J k^{-q}, from J at node minimum one and k
+        terms = neg_power_integral(final, m)
+        energy_term = 2.0 * (terms[6] * terms[7] ** -q) ** (2.0 / q) * p * final.coeffs
         grad_gap = abs(trace.grad_norms[-1] - np.linalg.norm(gradient(final, m).coeffs))
         assert grad_gap <= 1e-14 * np.linalg.norm(energy_term)
         # the barycenter V(0) lies in the unit ball
@@ -221,7 +236,7 @@ def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, see
 
     spy(Discretization, "values", values, lambda a: (bool(inside), a[1]))
     spy(Discretization, "grid_minimum", checks, lambda a: (bool(inside), a[1]))
-    for owner in (functional, mobius, extremize):
+    for owner in (functional, extremize):
         spy(owner, "_positivity_gate", gates, lambda a: (bool(inside), a[0]))
     tracked("find_center", centers)
     tracked("pullback", recentered)
@@ -235,6 +250,34 @@ def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, see
     assert outer_values[0] is u0.coeffs
     assert len(outer_values) == len(outer_checks) == len(outer_gates) >= 1 + trace.iterations + len(recentered)
     assert all(v is g is c for v, g, c in zip(outer_values, outer_checks, outer_gates))
+
+
+@pytest.mark.parametrize("n,m,degree,seed", [(1, 1, 32, 11), (3, 2, 32, 1)])
+def test_minimize_calls_neg_power_integral_only_to_seek_centers(monkeypatch, n, m, degree, seed):
+    # the descent evaluates at maximum one through its own gate; the entry
+    # points' gated evaluation runs only inside find_center, once per center
+    # sought.  The short descent of the benchmark's self-check seeks none
+    u0 = pullback(seeded_start(n, degree, seed, max_degree=6), AxisDilation(north_pole(n), 3.0), m)
+    inside, centers, calls = [], [], []
+    for owner in (functional, mobius):
+        real = owner.neg_power_integral
+        monkeypatch.setattr(owner, "neg_power_integral", lambda *a, real=real: calls.append(bool(inside)) or real(*a))
+    real_center = extremize.find_center
+
+    def center(*args):
+        inside.append(True)
+        try:
+            return real_center(*args)
+        finally:
+            centers.append(inside.pop())
+
+    monkeypatch.setattr(extremize, "find_center", center)
+    monkeypatch.setattr(extremize, "GAUGE_EVERY", 5)
+    minimize(u0, m, OptimizerConfig(degree=degree, max_iter=60))
+    assert centers and calls == [True] * len(centers)
+    calls.clear()
+    minimize(constant_function(1, 1.0, 8), 1, OptimizerConfig(degree=8, max_iter=2))
+    assert calls == []
 
 
 @pytest.mark.parametrize("n,m,degree,seed", [(1, 1, 32, 11), (3, 2, 32, 1), (3, 3, 64, 2)])

@@ -19,8 +19,9 @@ from confsphere.functional import (
     s1_energy_from_derivatives,
 )
 from confsphere.gjms import packed_multipliers
-from confsphere.mobius import extremal, find_center
+from confsphere.mobius import barycenter, extremal, find_center
 from confsphere.spectral import (
+    Discretization,
     SpectralFunction,
     circle_quadrature,
     constant_function,
@@ -294,6 +295,60 @@ def test_tiny_scales_are_finite_or_refused(n, m):
     for entry in (functional_value, neg_power_norm, el_residual, gradient, functional_report, find_center):
         with pytest.raises(NonPositiveFunction, match="normal float"):
             entry(u, m)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 2)])
+def test_each_entry_point_synthesizes_u_once(monkeypatch, n, m):
+    # one gate per entry point: u is synthesized once on the 4x nodes, and
+    # the residual and the report synthesize P_2m u besides
+    u = random_positive_function(n, 32, 8, np.random.default_rng(0))
+    calls = []
+    real = Discretization.values
+    monkeypatch.setattr(Discretization, "values", lambda self, c: calls.append(c) or real(self, c))
+    entries = {
+        functional_value: 1,
+        neg_power_norm: 1,
+        gradient: 1,
+        find_center: 1,
+        lambda u, m: barycenter(u, np.zeros(n + 1), m): 1,
+        el_residual: 2,
+        functional_report: 2,
+    }
+    for entry, count in entries.items():
+        calls.clear()
+        entry(u, m)
+        assert len(calls) == count and calls[0] is u.coeffs
+
+
+def two_gate_norm_and_value(u, m):
+    """|u^{-1}|^2_{L^q}, I(u) and the scale of the terms of I by the two-gate formula.
+
+    The oracle of the one gated evaluation: u is gated on its 4x nodes and
+    divided by its node minimum k; u / k is then synthesized and gated again,
+    and the integral of (u / k)^{-q} with p . (c c) gives the norm and I.
+    neg_power_integral instead divides the first synthesis by k and takes E
+    as (p c) . c, so the two agree to rounding in |u^{-1}|^2 (|p| . (c c)),
+    which is |I| unless E cancels.
+    """
+    disc = discretization(u.n, u.degree, 4)
+    k = functional._positivity_gate(u.coeffs, disc)[1]
+    v = u.scaled(1.0 / k)
+    q = functional.exponent_q(u.n, m)
+    vals = functional._positivity_gate(v.coeffs, disc)[0]
+    norm = math.exp((2.0 / q) * math.log(float(disc.rule.weights @ vals ** (-q))))
+    terms = float(np.abs(packed_multipliers(u.n, m, u.degree)) @ (v.coeffs * v.coeffs))
+    return norm / k / k, norm * energy_quadratic(v, m), norm * terms
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (3, 2), (3, 3), (3, 4)])
+@settings(max_examples=25, deadline=None)
+@given(log10_c=st.floats(-150.0, 150.0), seed=st.integers(0, 2**16))
+@example(log10_c=49.42166566606426, seed=32353)  # at (1, 1) E cancels: I = -2.1e-3, its terms 23
+def test_one_gate_agrees_with_the_two_gate_formula(n, m, log10_c, seed):
+    u = random_positive_function(n, 32, 8, np.random.default_rng(seed)).scaled(10.0**log10_c)
+    norm, value, terms = two_gate_norm_and_value(u, m)
+    assert abs(neg_power_norm(u, m) - norm) <= 4e-15 * norm
+    assert abs(functional_value(u, m) - value) <= 4e-15 * terms
 
 
 @pytest.mark.parametrize("n,value,m", [(1, 1e200, 1), (3, 1e150, 2)])

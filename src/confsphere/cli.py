@@ -180,6 +180,7 @@ def _cmd_energy(args) -> int:
     _validate_sphere(args.n, args.m, args.degree)
     u = _load_function(args, args.degree)
     _require(u.n == args.n, "input function dimension does not match --n")
+    _require(u.degree == args.degree, f"input function degree {u.degree} does not match --L {args.degree}")
     report = functional_report(u, args.m)
     payload = _provenance(args.n, args.m, args.degree, args.seed)
     payload.update(

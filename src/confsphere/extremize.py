@@ -44,7 +44,8 @@ class OptimizerConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if min(self.degree, self.max_iter, self.grad_tol) <= 0:
+        # "not > 0" refuses NaN too, which no gradient norm could fall below
+        if not all(x > 0 for x in (self.degree, self.max_iter, self.grad_tol)):
             raise ValueError("degree, max_iter and grad_tol must be positive")
 
 

@@ -29,7 +29,6 @@ from .spectral import (
     SpectralFunction,
     _aligned,
     discretization,
-    min_on_grid,
 )
 
 #: the positivity gate passes c when its grid minimum exceeds this times its node maximum
@@ -81,7 +80,7 @@ def _positivity_gate(c: np.ndarray, disc: Discretization, refuse: bool = True) -
     """
     vals = disc.values(c)
     low, high = float(vals.min()), float(vals.max())
-    grid_low = disc.grid_minimum(c, vals, low)
+    grid_low = disc.grid_minimum(c, low)
     if grid_low > POSITIVITY_FLOOR * high and grid_low >= sys.float_info.min:
         return vals, low, high
     if refuse:
@@ -155,7 +154,7 @@ def functional_report(u: SpectralFunction, m: int) -> EnergyReport:
         neg_norm=nn,
         functional=nn * e,
         el_residual=_residual(u, terms),
-        min_value=min_on_grid(u),
+        min_value=discretization(u.n, u.degree, oversample=4).grid_minimum(u.coeffs, terms[7]),
     )
 
 

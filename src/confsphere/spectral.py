@@ -397,35 +397,27 @@ class Discretization:
     """A quadrature rule with the transforms of degree-``degree`` functions on it.
 
     :func:`discretization` builds one per ``(n, degree, oversample)`` and
-    caches it: ``basis`` is the packed basis on the rule nodes, ``grid`` the
-    positivity grid (the rule nodes, plus the poles t = -1, 1 for zonal
-    functions, since Gauss-Jacobi nodes are interior), ``grid_basis`` the
-    basis on that grid and ``points`` the node coordinates y_i: the complex
-    unit nodes z = cos th + i sin th on the circle, the unit disk's
-    boundary, and the axis cosines t (the rule nodes) on a zonal rule,
-    whose moments lie along its axis.  ``poles`` is the (2, degree + 1)
-    view of the basis at t = -1, 1, the first and last grid columns, and
-    None on the circle.  Every cached array is read-only.
+    caches it: ``basis`` is the packed basis on the rule nodes and
+    ``points`` the node coordinates y_i: the complex unit nodes
+    z = cos th + i sin th on the circle, the unit disk's boundary, and the
+    axis cosines t (the rule nodes) on a zonal rule, whose moments lie
+    along its axis.  The positivity grid is the rule nodes, plus the poles
+    t = -1, 1 on a zonal rule, since Gauss-Jacobi nodes are interior:
+    ``poles`` is the (2, degree + 1) basis there, and None on the circle.
+    Every cached array is read-only.
     """
 
     rule: QuadratureRule
     degree: int
     basis: np.ndarray
-    grid: np.ndarray
-    grid_basis: np.ndarray
     points: np.ndarray
-    poles: Optional[np.ndarray] = field(init=False)
-
-    def __post_init__(self):
-        # a strided view, no copy: a contiguous one rounds the product differently
-        poles = None if self.grid is self.rule.nodes else self.grid_basis[:, :: self.grid.size - 1].T
-        object.__setattr__(self, "poles", poles)
+    poles: Optional[np.ndarray]
 
     @property
     def nbytes(self) -> int:
-        arrays = (self.rule.nodes, self.rule.weights, self.basis, self.grid, self.grid_basis, self.points)
-        # the circle's grid and its basis, and zonal points, are the rule's own arrays
-        distinct = {id(a): a for a in arrays}
+        arrays = (self.rule.nodes, self.rule.weights, self.basis, self.points, self.poles)
+        # zonal points are the rule's own nodes
+        distinct = {id(a): a for a in arrays if a is not None}
         return sum(a.nbytes for a in distinct.values())
 
     def analyze(self, values: np.ndarray, axis: Optional[np.ndarray] = None) -> SpectralFunction:
@@ -436,16 +428,8 @@ class Discretization:
         """Values on the rule nodes of the packed coefficients ``c`` of this degree."""
         return self.basis.T @ c
 
-    def grid_minimum(
-        self, c: np.ndarray, values: Optional[np.ndarray] = None, low: Optional[float] = None
-    ) -> float:
-        """Minimum of the coefficients ``c`` over the positivity grid.
-
-        Given c's ``values`` on the rule nodes and ``low``, their minimum,
-        only the zonal poles remain.
-        """
-        if values is None:
-            return float((self.grid_basis[: c.size].T @ c).min())
+    def grid_minimum(self, c: np.ndarray, low: float) -> float:
+        """Minimum of the coefficients ``c`` over the positivity grid, given ``low``, their node minimum."""
         if self.poles is None:
             return low
         south, north = (self.poles @ c).tolist()
@@ -499,13 +483,10 @@ def _build_discretization(n: int, degree: int, oversample: int) -> Discretizatio
     rule = QuadratureRule(n, _cached_array(rule.nodes), _cached_array(rule.weights))
     basis = _cached_array(basis_matrix(n, degree, rule.nodes))
     if n == 1:
-        grid, grid_basis = rule.nodes, basis
         points = _cached_array(np.cos(rule.nodes) + 1j * np.sin(rule.nodes))
-    else:
-        grid = _cached_array(np.concatenate([[-1.0], rule.nodes, [1.0]]))
-        grid_basis = _cached_array(basis_matrix(n, degree, grid))
-        points = rule.nodes
-    return Discretization(rule, degree, basis, grid, grid_basis, points)
+        return Discretization(rule, degree, basis, points, None)
+    poles = _cached_array(basis_matrix(n, degree, np.array([-1.0, 1.0])).T)
+    return Discretization(rule, degree, basis, rule.nodes, poles)
 
 
 _cache: "OrderedDict[tuple, Discretization]" = OrderedDict()
@@ -544,12 +525,13 @@ def clear_caches() -> None:
 
 
 def min_on_grid(u: SpectralFunction) -> float:
-    """Minimum of u over the 4x-oversampled grid; the positivity surrogate.
+    """Minimum of u over the positivity grid of its 4x discretization; the positivity surrogate.
 
     Gauss-Jacobi nodes are interior, so for zonal functions the poles
-    t = +-1 are appended; a dip exactly at a pole must not pass the gate.
+    t = +-1 are added; a dip exactly at a pole must not pass the gate.
     """
-    return discretization(u.n, max(u.degree, 1), oversample=4).grid_minimum(u.coeffs)
+    disc = discretization(u.n, u.degree, oversample=4)
+    return disc.grid_minimum(u.coeffs, float(disc.values(u.coeffs).min()))
 
 
 # ---------------------------------------------------------------------------

@@ -304,8 +304,10 @@ def test_invalid_arguments_exit_two_with_one_line(capsys, argv):
         "{not json",
         json.dumps({"dim": 1, "kind": "circle", "coeffs": [1.0, 0.0]}),
         json.dumps([1.0, 0.0, 0.0]),
+        # the report names its L, so a degree-8 function is not reported under L = 16
+        json.dumps({"dim": 1, "kind": "circle", "coeffs": [3.0] + [0.0] * 16}),
     ],
-    ids=("missing-file", "malformed-json", "even-circle-length", "not-an-object"),
+    ids=("missing-file", "malformed-json", "even-circle-length", "not-an-object", "degree-other-than-L"),
 )
 def test_energy_unusable_input_exits_two(tmp_path, capsys, content):
     path = tmp_path / "u.json"

@@ -31,6 +31,9 @@ def test_config_validation():
         OptimizerConfig(degree=0)
     with pytest.raises(ValueError):
         OptimizerConfig(grad_tol=0.0)
+    # a NaN tolerance compares false both ways, so a run could never meet it
+    with pytest.raises(ValueError):
+        OptimizerConfig(grad_tol=float("nan"))
 
 
 def test_config_has_no_unused_knobs():
@@ -369,8 +372,8 @@ def test_line_search_stalls_instead_of_accepting_equal_values():
 
 def _descent_events(monkeypatch, u0, m, config):
     """Run minimize and return its trace and, in call order, the events
-    ("trial", c, values) of each synthesis, ("floor", c, (minimum, values))
-    of each grid check, ("iterate", terms, gradient) of each gradient and
+    ("trial", c, values) of each synthesis, ("floor", c, minimum) of each
+    grid check, ("iterate", terms, gradient) of each gradient and
     ("pullback", coefficients, None) of each recenter candidate.  Syntheses
     and checks inside find_center and pullback are left out.
     """
@@ -403,7 +406,7 @@ def _descent_events(monkeypatch, u0, m, config):
         monkeypatch.setattr(extremize, name, run)
 
     spy(Discretization, "values", lambda a, out: events.append(("trial", a[1], out)))
-    spy(Discretization, "grid_minimum", lambda a, out: events.append(("floor", a[1], (out, a[2]))))
+    spy(Discretization, "grid_minimum", lambda a, out: events.append(("floor", a[1], out)))
     spy(extremize, "_step_terms", lambda a, out: events.append(("iterate", a[0], out)))
     gauge("find_center")
     gauge("pullback")
@@ -548,11 +551,12 @@ def test_unstable_start_is_labelled_by_its_last_search(monkeypatch, m, degree, s
     trace, events = _descent_events(monkeypatch, u0, m, OptimizerConfig(degree=degree, max_iter=400))
     last = max(i for i, event in enumerate(events) if event[0] == "iterate")
     pulled = [x for tag, x, _ in events if tag == "pullback"]
-    checks = [
-        low > functional.POSITIVITY_FLOOR * float(vals.max())
-        for tag, x, (low, vals) in (e for e in events[last:] if e[0] == "floor")
-        if not any(x is p for p in pulled)
-    ]
+    # each grid check follows the synthesis of its candidate, whose maximum it is held to
+    checks = []
+    for (tag, x, vals), (then, y, low) in zip(events[last:], events[last + 1 :]):
+        if then == "floor" and not any(y is p for p in pulled):
+            assert tag == "trial" and x is y
+            checks.append(low > functional.POSITIVITY_FLOOR * float(vals.max()))
     breakdown = bool(checks) and not any(checks)
     assert (trace.termination_reason == "positivity_breakdown") == breakdown
     assert trace.termination_reason in ("positivity_breakdown", "line_search_stall")

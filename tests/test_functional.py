@@ -23,10 +23,12 @@ from confsphere.mobius import barycenter, extremal, find_center
 from confsphere.spectral import (
     Discretization,
     SpectralFunction,
+    basis_matrix,
     circle_quadrature,
     constant_function,
     discretization,
     harmonic_basis_function,
+    min_on_grid,
     random_band_limited,
     random_positive_function,
 )
@@ -111,9 +113,8 @@ def test_gate_tests_the_poles_without_looking_up_its_own_grid(monkeypatch):
     # u = s - Z_16 is positive on the Gauss-Jacobi nodes and negative at
     # t = 1; handed the 4x discretization, the gate needs no cache lookup
     disc = discretization(3, 16, 4)
-    z = disc.grid_basis[16]
     c = np.zeros(17)
-    c[0] = 0.5 * (z[1:-1].max() + z[-1]) / disc.grid_basis[0, 0]
+    c[0] = 0.5 * (disc.basis[16].max() + disc.poles[1, 16]) / disc.basis[0, 0]
     c[16] = -1.0
     assert disc.values(c).min() > 0.0
     lookups = []
@@ -251,6 +252,41 @@ def test_norm_residual_and_gradient_are_homogeneous(n, m, log10_c, seed):
     assert np.max(np.abs(scaled_center.a - center.a)) <= 1e-13
 
 
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (5, 3)])
+@pytest.mark.parametrize("L", [0, 1, 8, 32, 128])
+def test_grid_minimum_is_the_least_value_on_nodes_and_poles(monkeypatch, n, m, L):
+    # oracle: one basis matrix on the rule nodes, with t = -1 and 1 added on
+    # a zonal rule.  min_on_grid, the gate and the report's min_value agree
+    # with it; a kernel dip centred at each pole (at th = pi, 0 on the
+    # circle, off its nodes) puts a zonal minimum there, below every node
+    disc = discretization(n, L, 4)
+    grid = disc.rule.nodes if n == 1 else np.concatenate([[-1.0], disc.rule.nodes, [1.0]])
+    oracle = basis_matrix(n, L, grid)
+    ends = basis_matrix(n, L, np.array([math.pi, 0.0] if n == 1 else [-1.0, 1.0]))
+    seen = []
+    real = Discretization.grid_minimum
+    monkeypatch.setattr(Discretization, "grid_minimum", lambda *a: seen.append(real(*a)) or seen[-1])
+    rng = np.random.default_rng(L + n)
+    one = constant_function(n, 1.0, L)
+    draws = [random_positive_function(n, L, max(L // 2, 1), rng) for _ in range(4)]
+    for end in range(2):
+        kernel = ends[:, end] / float(ends[:, end] @ ends[:, end])
+        draws += [one - SpectralFunction(n, depth * kernel, one.axis) for depth in (0.5, 2.0)]
+    for i, u in enumerate(draws):
+        c = u.coeffs
+        values = oracle.T @ c
+        expected, bound = float(values.min()), 1e-15 * float(np.abs(values).max())
+        if n != 1 and L >= 1 and i >= 4:
+            assert values[[0, -1]].min() < values[1:-1].min()
+        low = min_on_grid(u)
+        assert abs(low - expected) <= bound
+        passed = functional._positivity_gate(c, disc, refuse=False)
+        assert seen[-1] == low
+        if passed is not None:
+            assert functional_report(u, m).min_value == low
+        assert (passed is not None) == (low > 0)
+
+
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2)])
 @pytest.mark.parametrize("ratio", [1e-6 * (1 + 1e-3), 1e-6 * (1 - 1e-3)], ids=["above", "below"])
 def test_one_relative_gate_decides_at_every_scale(n, m, ratio):
@@ -260,10 +296,10 @@ def test_one_relative_gate_decides_at_every_scale(n, m, ratio):
     disc = discretization(n, 32, 4)
     bump = random_positive_function(n, 32, 8, np.random.default_rng(5))
     vals = disc.values(bump.coeffs)
-    low, high = disc.grid_minimum(bump.coeffs, vals, float(vals.min())), float(vals.max())
+    low, high = disc.grid_minimum(bump.coeffs, float(vals.min())), float(vals.max())
     u = bump + constant_function(n, (ratio * high - low) / (1.0 - ratio), 32)
     vals = disc.values(u.coeffs)
-    assert abs(disc.grid_minimum(u.coeffs, vals, float(vals.min())) / vals.max() / ratio - 1.0) < 1e-6
+    assert abs(disc.grid_minimum(u.coeffs, float(vals.min())) / vals.max() / ratio - 1.0) < 1e-6
     descent = lambda v, m: minimize(v, m, OptimizerConfig(degree=32, max_iter=1))
     for scale in (1e-12, 1.0, 1e150):
         for entry in (functional_value, neg_power_norm, el_residual, gradient, functional_report, find_center, descent):

@@ -437,8 +437,8 @@ def test_minimize_cold_and_warm_cache_agree_bit_for_bit():
 def test_cached_arrays_are_read_only():
     for n in (1, 3):
         disc = discretization(n, 8, 4)
-        arrays = (disc.rule.nodes, disc.rule.weights, disc.basis, disc.grid, disc.grid_basis)
-        for a in arrays + (packed_multipliers(n, 2, 8),):
+        arrays = (disc.rule.nodes, disc.rule.weights, disc.basis, disc.points, packed_multipliers(n, 2, 8))
+        for a in arrays + ((disc.poles,) if n != 1 else ()):
             with pytest.raises(ValueError):
                 a[0] = 0.0
     # results computed from cached arrays stay writable
@@ -455,26 +455,22 @@ def test_oversampling_factors_do_not_alias():
         assert discretization(n, 12, 2) is d2 and discretization(n, 12, 4) is d4
 
 
-def test_zonal_grid_appends_the_poles():
-    disc = discretization(3, 8, 4)
-    assert disc.grid[0] == -1.0 and disc.grid[-1] == 1.0
-    assert np.array_equal(disc.grid[1:-1], disc.rule.nodes)
-    circle = discretization(1, 8, 4)
-    assert circle.grid is circle.rule.nodes and circle.grid_basis is circle.basis
-    assert circle.poles is None
-
-
 @pytest.mark.parametrize("L", [8, 32])
-def test_zonal_poles_are_a_view_of_the_grid_basis(L):
-    disc = discretization(3, L, 4)
-    assert disc.poles.shape == (2, L + 1)
-    assert np.shares_memory(disc.poles, disc.grid_basis)
-    assert np.array_equal(disc.poles[0], disc.grid_basis[:, 0])
-    assert np.array_equal(disc.poles[1], disc.grid_basis[:, -1])
-    # the view holds no memory of its own, so nbytes counts what it did
-    held = (disc.rule.nodes, disc.rule.weights, disc.basis, disc.grid, disc.grid_basis)
-    assert disc.points is disc.rule.nodes
-    assert disc.nbytes == sum(a.nbytes for a in held)
+def test_zonal_poles_are_the_basis_at_the_poles(L):
+    # the positivity grid is the rule nodes plus, on a zonal rule, the poles
+    # t = -1, 1: the pole basis is its own read-only array, counted once
+    for n in (3, 5):
+        disc = discretization(n, L, 4)
+        assert np.array_equal(disc.poles, basis_matrix(n, L, np.array([-1.0, 1.0])).T)
+        with pytest.raises(ValueError):
+            disc.poles[0, 0] = 0.0
+        assert disc.points is disc.rule.nodes
+        held = (disc.rule.nodes, disc.rule.weights, disc.basis, disc.poles)
+        assert disc.nbytes == sum(a.nbytes for a in held)
+    circle = discretization(1, L, 4)
+    assert circle.poles is None
+    held = (circle.rule.nodes, circle.rule.weights, circle.basis, circle.points)
+    assert circle.nbytes == sum(a.nbytes for a in held)
 
 
 def test_discretization_over_the_byte_bound_is_not_stored(monkeypatch):
@@ -504,34 +500,30 @@ def _node_coordinates(rule):
 
 
 def _hand_built(rule, degree):
-    """A discretization on a caller's rule with its grid given explicitly."""
+    """A discretization on a caller's rule, its pole basis built here."""
     basis = basis_matrix(rule.n, degree, rule.nodes)
-    points = _node_coordinates(rule)
-    if rule.n == 1:
-        return spectral.Discretization(rule, degree, basis, rule.nodes, basis, points)
-    grid = np.concatenate([[-1.0], rule.nodes, [1.0]])
-    return spectral.Discretization(rule, degree, basis, grid, basis_matrix(rule.n, degree, grid), points)
+    poles = None if rule.n == 1 else basis_matrix(rule.n, degree, np.array([-1.0, 1.0])).T
+    return spectral.Discretization(rule, degree, basis, _node_coordinates(rule), poles)
 
 
 @pytest.mark.parametrize("n,L", [(1, 24), (3, 24), (3, 64)])
 def test_grid_minimum_and_first_moment_keep_their_bits(n, L):
-    # pinned to the expressions they replaced: the pole minimum over numpy
-    # scalars, and the first moment, the ball moment at a = 0, as the plain
-    # weighted sum over the node coordinates
+    # pinned to plain expressions: the grid minimum as the least of the
+    # node minimum and the values at the poles, and the first moment, the
+    # ball moment at a = 0, as the plain weighted sum over the node coordinates
     own = zonal_quadrature(n, 3 * L + 7) if n != 1 else circle_quadrature(6 * L + 7)
     rng = np.random.default_rng(L + n)
     cached = discretization(n, L, 4)
     assert np.array_equal(cached.points, _node_coordinates(cached.rule))
     for disc in (cached, _hand_built(own, L)):
-        K, w = disc.rule.size, disc.rule.weights
+        w = disc.rule.weights
         for _ in range(20):
             u = random_positive_function(n, L, L // 2, rng, amplitude=float(rng.uniform(0.3, 1.2)))
             c, vals = u.coeffs, disc.values(u.coeffs)
-            if disc.grid is disc.rule.nodes:
-                old_min = float(vals.min())
-            else:
-                old_min = float(min(vals.min(), (disc.grid_basis[:, :: K + 1].T @ c).min()))
-            assert disc.grid_minimum(c, vals, float(vals.min())) == old_min
+            low = float(vals.min())
+            if n != 1:
+                low = float(min(low, (disc.poles @ c).min()))
+            assert disc.grid_minimum(c, float(vals.min())) == low
             moment = spectral._ball_moment(disc, vals, 0j if n == 1 else 0.0)
             old = (w * vals) @ disc.points if n == 1 else float(w @ (vals * disc.rule.nodes))
             assert np.array_equal(moment, old)

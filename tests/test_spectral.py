@@ -455,6 +455,38 @@ def test_oversampling_factors_do_not_alias():
         assert discretization(n, 12, 2) is d2 and discretization(n, 12, 4) is d4
 
 
+def test_zonal_grid_appends_the_poles():
+    # the positivity grid is [-1, *nodes, 1]: a dip below every node value at
+    # a pole is what min_on_grid reports
+    disc = discretization(3, 8, 4)
+    assert disc.poles.shape == (2, 9)
+    for end, t in ((0, -1.0), (1, 1.0)):
+        c = constant_function(3, 1.0, 8).coeffs - 0.1 * disc.poles[end]
+        u = SpectralFunction(3, c, north_pole(3))
+        south_north = disc.poles @ c
+        assert south_north[end] < disc.values(c).min()
+        assert min_on_grid(u) == south_north[end]
+        assert min_on_grid(u) == (basis_matrix(3, 8, np.array([t])).T @ c)[0]
+    circle = discretization(1, 8, 4)
+    assert circle.poles is None
+    c = constant_function(1, 1.0, 8).coeffs
+    assert min_on_grid(SpectralFunction(1, c, None)) == circle.values(c).min()
+
+
+@pytest.mark.parametrize("L", [8, 32])
+def test_zonal_poles_are_a_view_of_the_grid_basis(L):
+    # the grid basis basis_matrix(n, L, [-1, *nodes, 1]) is never stored: its
+    # end columns are the pole basis and its inner columns the node basis
+    for n in (3, 5):
+        disc = discretization(n, L, 4)
+        grid = np.concatenate(([-1.0], disc.rule.nodes, [1.0]))
+        grid_basis = basis_matrix(n, L, grid)
+        assert np.array_equal(disc.poles[0], grid_basis[:, 0])
+        assert np.array_equal(disc.poles[1], grid_basis[:, -1])
+        assert np.array_equal(disc.basis, grid_basis[:, 1:-1])
+        assert not np.shares_memory(disc.poles, disc.basis)
+
+
 @pytest.mark.parametrize("L", [8, 32])
 def test_zonal_poles_are_the_basis_at_the_poles(L):
     # the positivity grid is the rule nodes plus, on a zonal rule, the poles

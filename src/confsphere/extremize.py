@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import InvalidConfig
-from .functional import _positivity_gate, _step_terms, _value_terms, exponent_q, functional_value
+from .functional import POSITIVITY_FLOOR, _positivity_gate, _step_terms, _value_terms, exponent_q, functional_value
 from .geometry import BallPoint
 from .gjms import packed_multipliers
 from .mobius import find_center, pullback
@@ -83,6 +83,9 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     ~sqrt(eps |I|).  Every candidate passes the relative positivity gate of
     :mod:`confsphere.functional`, so a start at any scale is tested as if at
     maximum one, and a start that fails raises :class:`NonPositiveFunction`.
+    The iterate is kept at maximum one, c / cmax, which is gated again when
+    its grid minimum lies within 1e-3 of the floor, so ``final`` passes the
+    gate of every entry point.
 
     Direction: memoryless BFGS (Shanno 1978; Nocedal-Wright section 7.2)
     in the diagonal metric D = 1 + |p_2m(alpha)|.  From the pair (s, y) of
@@ -114,21 +117,29 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     disc = discretization(n, u0.degree, oversample=4)
     p = packed_multipliers(n, m, u0.degree)
     weights = disc.rule.weights
+    near_floor = (1.0 + 1e-3) * POSITIVITY_FLOOR
     trace = DescentTrace()
 
     def norm(x: np.ndarray) -> float:
         # np.linalg.norm of a 1-D float array, without its overhead
-        return math.sqrt(float(x @ x))
+        return math.sqrt(float(x.dot(x)))
 
     def admissible(c: np.ndarray, refuse: bool = False) -> Optional[tuple]:
         """:func:`_value_terms` of c at maximum one, then that maximum and the
-        node minimum at maximum one; None if c fails the positivity gate,
-        or the gate's :class:`NonPositiveFunction` if ``refuse``."""
+        node minimum at maximum one; None if c, or c at maximum one next to the
+        floor, fails the positivity gate, or the gate's :class:`NonPositiveFunction`
+        if ``refuse``."""
         if (gated := _positivity_gate(c, disc, refuse)) is None:
             return None
-        vals, low, cmax = gated
+        vals, low, cmax, grid_low = gated
         # division by cmax > 0 is monotone, so low / cmax is the minimum of vals / cmax
-        return _value_terms(c * (1.0 / cmax), vals / cmax, p, q, weights) + (cmax, low / cmax)
+        terms = _value_terms(c * (1.0 / cmax), vals / cmax, p, q, weights) + (cmax, low / cmax)
+        # the iterate is kept as c / cmax, whose synthesis rounds otherwise than
+        # vals / cmax, by about 1e-16 at maximum one; within 1e-3 of the floor
+        # it is gated too, so every iterate passes the entry points' gate
+        if grid_low <= near_floor * cmax and _positivity_gate(terms[0], disc, refuse) is None:
+            return None
+        return terms
 
     terms = admissible(u0.coeffs, refuse=True)
     c, current = terms[0], terms[2]
@@ -160,14 +171,14 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
 
         if pair is not None:
             s, y, rho, scaled_inv_d = pair
-            a = rho * float(s @ grad)
+            a = rho * float(s.dot(grad))
             r = scaled_inv_d * (grad - a * y)
-            direction = r + (a - rho * float(y @ r)) * s
-            slope = float(grad @ direction)
+            direction = r + (a - rho * float(y.dot(r))) * s
+            slope = float(grad.dot(direction))
             pair = pair if slope > 0 else None
         if pair is None:
             direction = grad * inv_d
-            slope = float(grad @ direction)
+            slope = float(grad.dot(direction))
         # below a few ulps of I the predicted decrease is rounding noise
         noise = 4.0 * 2.0**-52 * abs(current)
         alpha = step if pair is None else 1.0
@@ -199,8 +210,8 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         terms, k, step = found, found[7], alpha
         new_grad = _step_terms(terms, disc, q)
         s, y = direction * (-alpha / k), new_grad - k * grad
-        sy = float(s @ y)
-        pair = (s, y, 1.0 / sy, (sy / float(y @ (y * inv_d))) * inv_d) if sy > 0 else None
+        sy = float(s.dot(y))
+        pair = (s, y, 1.0 / sy, (sy / float(y.dot(y * inv_d))) * inv_d) if sy > 0 else None
         c, current, grad = terms[0], terms[2], new_grad
 
         # recenter only against real Mobius drift: near the optimum the

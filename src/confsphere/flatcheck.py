@@ -129,7 +129,7 @@ def flat_energy_identity(
         expr = _expression_dx(expr)
     deriv_vals = _expression_values(expr, u, rule.nodes)
     h = 1.0 - np.cos(rule.nodes)
-    flat = float(rule.weights @ (deriv_vals**2 / h))
+    flat = float(rule.weights.dot(deriv_vals**2 / h))
 
     sphere = energy_quadratic(u, m)
     rel = abs(sphere - flat) / max(abs(sphere), 1e-14)
@@ -175,8 +175,8 @@ def conjugation_check(
     rhs = _expression_values(expr, u, theta)
 
     region = ~near_pole
-    num = math.sqrt(float(rule.weights[region] @ (lhs[region] - rhs[region]) ** 2))
-    den = math.sqrt(float(rule.weights[region] @ lhs[region] ** 2))
+    num = math.sqrt(float(rule.weights[region].dot((lhs[region] - rhs[region]) ** 2)))
+    den = math.sqrt(float(rule.weights[region].dot(lhs[region] ** 2)))
     return num / max(den, 1e-14)
 
 

@@ -61,17 +61,17 @@ def energy(u: SpectralFunction, v: SpectralFunction, m: int) -> float:
     the floating-point rounding.
     """
     a, b = _aligned(u, v)
-    return float(packed_multipliers(u.n, m, max(u.degree, v.degree)) @ (a * b))
+    return float(packed_multipliers(u.n, m, max(u.degree, v.degree)).dot(a * b))
 
 
 def energy_quadratic(u: SpectralFunction, m: int) -> float:
     """E_2m(u, u) = p . (c c), the products of :func:`energy` without its alignment."""
     c = u.coeffs
-    return float(packed_multipliers(u.n, m, u.degree) @ (c * c))
+    return float(packed_multipliers(u.n, m, u.degree).dot(c * c))
 
 
 def _positivity_gate(c: np.ndarray, disc: Discretization, refuse: bool = True) -> tuple | None:
-    """(values, minimum, maximum) of the coefficients c on the rule nodes, once c passed the gate.
+    """(values, minimum, maximum) of the coefficients c on the rule nodes and their grid minimum, once c passed.
 
     ``disc`` is the 4x discretization of c's degree.  c passes when its grid minimum, as in
     :func:`min_on_grid`, is a normal float (1 / minimum is finite) above ``POSITIVITY_FLOOR``
@@ -82,7 +82,7 @@ def _positivity_gate(c: np.ndarray, disc: Discretization, refuse: bool = True) -
     low, high = float(vals.min()), float(vals.max())
     grid_low = disc.grid_minimum(c, low)
     if grid_low > POSITIVITY_FLOOR * high and grid_low >= sys.float_info.min:
-        return vals, low, high
+        return vals, low, high, grid_low
     if refuse:
         why = f"above {POSITIVITY_FLOOR:g} times the node maximum {high:.3e}"
         why = "a normal float" if grid_low > POSITIVITY_FLOOR * high else why
@@ -100,7 +100,7 @@ def neg_power_integral(u: SpectralFunction, m: int) -> tuple:
     u^{-q} is J k^{-q} and the functional entry points all read from here.
     """
     disc = discretization(u.n, u.degree, oversample=4)
-    vals, k, _ = _positivity_gate(u.coeffs, disc)
+    vals, k = _positivity_gate(u.coeffs, disc)[:2]
     p = packed_multipliers(u.n, m, u.degree)
     return _value_terms(u.coeffs * (1.0 / k), vals / k, p, exponent_q(u.n, m), disc.rule.weights) + (k,)
 
@@ -126,7 +126,7 @@ def _residual(u: SpectralFunction, terms: tuple) -> float:
     disc = discretization(u.n, u.degree, oversample=4)
     _, vals, _, pc, e, neg, integ, k = terms
     res = disc.values(pc) - (e / integ) * (neg / vals)
-    return math.sqrt(float(disc.rule.weights @ res**2)) * k
+    return math.sqrt(float(disc.rule.weights.dot(res**2))) * k
 
 
 def el_residual(u: SpectralFunction, m: int) -> float:
@@ -158,6 +158,12 @@ def functional_report(u: SpectralFunction, m: int) -> EnergyReport:
     )
 
 
+def _neg_power(vals: np.ndarray, q: float, weights: np.ndarray) -> tuple:
+    """(u^{-q}, integral u^{-q}) from the node values ``vals`` of u, which passed a positivity gate."""
+    neg = vals ** (-q)
+    return neg, float(weights.dot(neg))
+
+
 def _value_terms(c: np.ndarray, vals: np.ndarray, p: np.ndarray, q: float, weights: np.ndarray) -> tuple:
     """(c, vals, I, p c, E, u^{-q}, integral u^{-q}) of the coefficients c.
 
@@ -165,10 +171,9 @@ def _value_terms(c: np.ndarray, vals: np.ndarray, p: np.ndarray, q: float, weigh
     passed a positivity gate; ``p`` are the packed multipliers.  The tuple
     is what :func:`_step_terms` takes.
     """
-    neg = vals ** (-q)
-    integ = float(weights @ neg)
+    neg, integ = _neg_power(vals, q, weights)
     pc = p * c
-    e = float(pc @ c)
+    e = float(pc.dot(c))
     return c, vals, math.exp((2.0 / q) * math.log(integ)) * e, pc, e, neg, integ
 
 
@@ -179,11 +184,11 @@ def _step_terms(terms: tuple, disc: Discretization, q: float) -> np.ndarray:
     gate; entries past the seventh are ignored.  u^{-q-1} is taken as u^{-q} / u.
     """
     _, vals, _, pc, e, neg, integ = terms[:7]
-    # basis @ (weights * pointwise) + pc * (...), built in place in that order
+    # basis . (weights * pointwise) + pc * (...), built in place in that order
     pointwise = np.divide(neg, vals)
     pointwise *= -2.0 * integ ** (2.0 / q - 1.0) * e
     pointwise *= disc.rule.weights
-    out = disc.basis @ pointwise
+    out = disc.basis.dot(pointwise)
     out += pc * (2.0 * integ ** (2.0 / q))
     return out
 
@@ -223,5 +228,5 @@ def s1_energy_from_derivatives(
     total = 0.0
     for j, ej in enumerate(coeffs):
         vj = np.asarray(derivative_values[j], dtype=float)
-        total += float(ej) * float(rule.weights @ vj**2)
+        total += float(ej) * float(rule.weights.dot(vj**2))
     return total

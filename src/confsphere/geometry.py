@@ -44,7 +44,7 @@ def north_pole(n: int) -> np.ndarray:
 
 def unit_vector(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    r = math.sqrt(float(v @ v))
+    r = math.sqrt(float(v.dot(v)))
     if r == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return v / r
@@ -59,7 +59,7 @@ class AxisDilation:
 
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float)
-        if abs(math.sqrt(float(axis @ axis)) - 1.0) > UNIT_TOL:
+        if abs(math.sqrt(float(axis.dot(axis))) - 1.0) > UNIT_TOL:
             raise ValueError(f"dilation axis is not a unit vector within {UNIT_TOL}")
         object.__setattr__(self, "axis", axis)
         if not self.scale > 0:
@@ -79,7 +79,7 @@ class BallPoint:
     def __post_init__(self):
         a = np.asarray(self.center, dtype=float)
         object.__setattr__(self, "center", a)
-        if not math.sqrt(float(a @ a)) < 1.0:
+        if not math.sqrt(float(a.dot(a))) < 1.0:
             raise ValueError("ball point must satisfy |a| < 1")
 
     @property
@@ -96,7 +96,7 @@ class Rotation:
     def __post_init__(self):
         r = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", r)
-        if np.max(np.abs(r.T @ r - np.eye(r.shape[0]))) > UNIT_TOL:
+        if np.max(np.abs(r.T.dot(r) - np.eye(r.shape[0]))) > UNIT_TOL:
             raise ValueError("rotation matrix is not orthogonal within 1e-12")
 
     @property
@@ -113,7 +113,7 @@ def as_axis_dilation(phi: BallPoint) -> AxisDilation:
     sigma_a restricted to S^n equals sigma_{a/|a|, (1-|a|)/(1+|a|)}.
     """
     a = phi.center
-    r = math.sqrt(float(a @ a))
+    r = math.sqrt(float(a.dot(a)))
     if r == 0.0:
         raise ValueError("sigma_0 is the identity and has no preferred axis")
     return AxisDilation(axis=a / r, scale=(1.0 - r) / (1.0 + r))

@@ -140,7 +140,7 @@ def green_closed_values(n: int, m: int, t: np.ndarray) -> np.ndarray:
 
 
 def green_closed_form(n: int, m: int, xi: np.ndarray, zeta: np.ndarray) -> float:
-    t = float(np.asarray(xi) @ np.asarray(zeta))
+    t = float(np.asarray(xi).dot(np.asarray(zeta)))
     return float(green_closed_values(n, m, np.array([t]))[0])
 
 
@@ -166,7 +166,7 @@ def reproduce_at_pole(green: SpectralFunction, u: SpectralFunction, m: int) -> f
     """<P_2m G, u>, which should equal u at the pole of G."""
     pg = apply_operator(green, m)
     a, b = spectral._aligned(pg, u)
-    return float(a @ b)
+    return float(a.dot(b))
 
 
 def _float_shifted_squares(n: int, m: int, alpha: np.ndarray) -> np.ndarray:
@@ -204,11 +204,11 @@ def green_series_values(
             # sum cos(k th)/k^2 = pi^2/6 - pi th/2 + th^2/4 on [0, 2 pi]
             closed = math.pi**2 / 6.0 - math.pi * theta / 2.0 + theta**2 / 4.0
             out += closed / math.pi
-            out += (cos_kth @ (1.0 / pk - 1.0 / (k * k))) / math.pi
+            out += cos_kth.dot(1.0 / pk - 1.0 / (k * k)) / math.pi
         else:
-            out += (cos_kth @ (1.0 / pk)) / math.pi
+            out += cos_kth.dot(1.0 / pk) / math.pi
         return out
     p = _float_shifted_squares(n, m, np.arange(terms + 1, dtype=float))
     # one basis build: the samples and, last, the pole
     z = zonal_basis_matrix(n, terms, np.append(t, 1.0))
-    return z[:, :-1].T @ (z[:, -1] / p)
+    return (z[:, -1] / p).dot(z[:, :-1])

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AxisMismatch, ConfSphereError
-from .functional import neg_power_integral
+from .functional import _neg_power, _positivity_gate, exponent_q
 from .geometry import (
     AxisDilation,
     BallPoint,
@@ -44,12 +44,12 @@ from .spectral import (
 def _zonal_dilation(u: SpectralFunction, phi: MobiusMap) -> AxisDilation:
     """Reduce phi to a dilation about the axis of u (or fail)."""
     if isinstance(phi, BallPoint):
-        if float(phi.center @ phi.center) == 0.0:
+        if float(phi.center.dot(phi.center)) == 0.0:
             return AxisDilation(axis=u.axis, scale=1.0)
         phi = as_axis_dilation(phi)
     if not isinstance(phi, AxisDilation):
         raise AxisMismatch("zonal pullback supports axis dilations only")
-    dot = float(phi.axis @ u.axis)
+    dot = float(phi.axis.dot(u.axis))
     if abs(dot - 1.0) < 1e-12:
         return phi
     if abs(dot + 1.0) < 1e-12:
@@ -145,12 +145,16 @@ def extremal(
 def _volume(u: SpectralFunction, m: int) -> tuple:
     """(disc, u^{-q} / integral u^{-q}) on the nodes of the 4x discretization.
 
-    Both come from :func:`~confsphere.functional.neg_power_integral`, which
-    gates u once.  Divided by its minimum, u^{-q} is at most one and one at
-    a node, so its integral can neither overflow nor underflow.
+    u passes the positivity gate once on that discretization, and u^{-q}
+    is taken on u divided by its node minimum, as in
+    :func:`~confsphere.functional.neg_power_integral`, without the energy
+    terms.  So u^{-q} is at most one and one at a node, and its integral
+    can neither overflow nor underflow.
     """
-    terms = neg_power_integral(u, m)
-    return discretization(u.n, u.degree, oversample=4), terms[5] / terms[6]
+    disc = discretization(u.n, u.degree, oversample=4)
+    vals, k = _positivity_gate(u.coeffs, disc)[:2]
+    neg, integ = _neg_power(vals / k, exponent_q(u.n, m), disc.rule.weights)
+    return disc, neg / integ
 
 
 def barycenter(u: SpectralFunction, a: np.ndarray, m: int) -> np.ndarray:
@@ -168,7 +172,7 @@ def barycenter(u: SpectralFunction, a: np.ndarray, m: int) -> np.ndarray:
         v = _ball_moment(disc, neg, complex(*phi.center.tolist()))
         return np.array([v.real, v.imag])
     _zonal_dilation(u, phi)  # AxisMismatch off the axis of u
-    return _ball_moment(disc, neg, float(phi.center @ u.axis)) * u.axis
+    return _ball_moment(disc, neg, float(phi.center.dot(u.axis))) * u.axis
 
 
 @dataclass(frozen=True)
@@ -223,6 +227,6 @@ def find_center(u: SpectralFunction, m: int, tol: float = 1e-8, max_iter: int = 
 def recenter(u: SpectralFunction, m: int) -> tuple:
     """Pull u back by sigma_{a*} with V(a*) = 0; returns (function, CenterResult)."""
     res = find_center(u, m)
-    if float(res.a @ res.a) == 0.0:
+    if float(res.a.dot(res.a)) == 0.0:
         return u, res
     return pullback(u, BallPoint(center=res.a), m), res

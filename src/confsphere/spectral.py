@@ -127,7 +127,7 @@ def quadrature_for_degree(n: int, degree: int, oversample: int = 2) -> Quadratur
 
 def integrate(values: np.ndarray, rule: QuadratureRule) -> float:
     """Plain weighted sum; implements the surface integral over S^n."""
-    return float(rule.weights @ np.asarray(values, dtype=float))
+    return float(rule.weights.dot(np.asarray(values, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ class SpectralFunction:
 
     def norm_sq(self) -> float:
         """L^2(mu) norm squared; equals the integral of u^2 by Parseval."""
-        return float(self.coeffs @ self.coeffs)
+        return float(self.coeffs.dot(self.coeffs))
 
     def scaled(self, factor: float) -> "SpectralFunction":
         return SpectralFunction(self.n, self.coeffs * factor, self.axis)
@@ -292,7 +292,7 @@ class SpectralFunction:
 def _aligned(u: SpectralFunction, v: SpectralFunction):
     if u.n != v.n:
         raise ValueError("dimension mismatch")
-    if u.n != 1 and float(np.max(np.abs(u.axis - v.axis))) > 1e-12:
+    if u.n != 1 and float(np.abs(u.axis - v.axis).max()) > 1e-12:
         raise AxisMismatch("zonal functions have different axes")
     size = max(u.coeffs.size, v.coeffs.size)
     a = np.zeros(size)
@@ -346,7 +346,7 @@ def _unit_circle_sum(u: SpectralFunction, z: np.ndarray, deriv: int = 0) -> np.n
         if deriv != 0:
             d *= (1j * np.arange(u.degree + 1)) ** deriv
     else:
-        d = _chebyshev_matrix(u.n, u.degree) @ c
+        d = _chebyshev_matrix(u.n, u.degree).dot(c)
     # k blocks of b coefficients, the last one padded with zeros
     b = math.isqrt(d.size)
     k = -(-d.size // b)
@@ -357,7 +357,7 @@ def _unit_circle_sum(u: SpectralFunction, z: np.ndarray, deriv: int = 0) -> np.n
     for j in range(1, b):
         np.multiply(powers[j - 1], z, out=powers[j])
     w = powers[-1] * z
-    blocks = padded.reshape(k, b) @ powers
+    blocks = padded.reshape(k, b).dot(powers)
     acc = blocks[-1]
     for row in blocks[-2::-1]:
         acc *= w
@@ -384,7 +384,7 @@ def analyze(
         raise InsufficientNodes(f"{kind} of {rule.size} nodes cannot resolve degree {degree}")
     if basis is None:
         basis = basis_matrix(rule.n, degree, rule.nodes)
-    return SpectralFunction(rule.n, basis @ (rule.weights * values), _new_axis(rule.n, axis))
+    return SpectralFunction(rule.n, basis.dot(rule.weights * values), _new_axis(rule.n, axis))
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +426,13 @@ class Discretization:
 
     def values(self, c: np.ndarray) -> np.ndarray:
         """Values on the rule nodes of the packed coefficients ``c`` of this degree."""
-        return self.basis.T @ c
+        return self.basis.T.dot(c)
 
     def grid_minimum(self, c: np.ndarray, low: float) -> float:
         """Minimum of the coefficients ``c`` over the positivity grid, given ``low``, their node minimum."""
         if self.poles is None:
             return low
-        south, north = (self.poles @ c).tolist()
+        south, north = self.poles.dot(c).tolist()
         return min(low, south, north)
 
 
@@ -456,10 +456,10 @@ def _ball_moment(disc: Discretization, values: np.ndarray, a, slope: bool = Fals
         else:
             den = 1.0 + a.conjugate() * y
             f, z = w * values / den, y + a
-        v = complex(f @ z)
+        v = complex(f.dot(z))
         if not slope:
             return v
-        return v, (complex(f.sum()), -complex((f / den) @ (y * z)))
+        return v, (complex(f.sum()), -complex((f / den).dot(y * z)))
     a2 = a * a
     if a2 == 0.0:
         dd, b, f, v = 1.0, 2.0, values, y
@@ -470,12 +470,12 @@ def _ball_moment(disc: Discretization, values: np.ndarray, a, slope: bool = Fals
         f = values / dd
         v = (1.0 - a2) * y + b * a
     # summed as w . (f t); t . (w f) would round otherwise
-    c = float(w @ (f * v))
+    c = float(w.dot(f * v))
     if not slope:
         return c
     # d sigma_{-a}/da = -2 sigma_{-a} (y + a) / D + b / D on one coordinate
     g = w * f
-    return c, -2.0 * float(v @ ((g / dd) * (y + a))) + float(np.sum(g * b))
+    return c, -2.0 * float(v.dot((g / dd) * (y + a))) + float((g * b).sum())
 
 
 def _build_discretization(n: int, degree: int, oversample: int) -> Discretization:
@@ -604,7 +604,7 @@ def random_positive_function(
     """1 + a bounded random ripple; strictly positive by construction."""
     ripple = random_band_limited(n, degree, max_degree, rng, decay=decay, axis=axis)
     vals = discretization(n, degree, oversample=4).values(ripple.coeffs)
-    peak = float(np.max(np.abs(vals)))
+    peak = float(np.abs(vals).max())
     if peak > 0:
         ripple = ripple.scaled(amplitude / peak)
     return constant_function(n, 1.0, degree, axis=ripple.axis) + ripple

@@ -239,7 +239,8 @@ def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, see
 
     spy(Discretization, "values", values, lambda a: (bool(inside), a[1]))
     spy(Discretization, "grid_minimum", checks, lambda a: (bool(inside), a[1]))
-    for owner in (functional, extremize):
+    # find_center gates u through mobius._volume
+    for owner in (functional, extremize, mobius):
         spy(owner, "_positivity_gate", gates, lambda a: (bool(inside), a[0]))
     tracked("find_center", centers)
     tracked("pullback", recentered)
@@ -257,14 +258,17 @@ def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, see
 
 @pytest.mark.parametrize("n,m,degree,seed", [(1, 1, 32, 11), (3, 2, 32, 1)])
 def test_minimize_calls_neg_power_integral_only_to_seek_centers(monkeypatch, n, m, degree, seed):
-    # the descent evaluates at maximum one through its own gate; the entry
-    # points' gated evaluation runs only inside find_center, once per center
-    # sought.  The short descent of the benchmark's self-check seeks none
+    # the descent evaluates at maximum one through its own gate and never
+    # through the entry points' neg_power_integral, not even to seek a
+    # center: find_center gates u once per center sought and takes u^{-q}
+    # without the energy terms.  The short descent of the benchmark's
+    # self-check seeks none
     u0 = pullback(seeded_start(n, degree, seed, max_degree=6), AxisDilation(north_pole(n), 3.0), m)
-    inside, centers, calls = [], [], []
-    for owner in (functional, mobius):
-        real = owner.neg_power_integral
-        monkeypatch.setattr(owner, "neg_power_integral", lambda *a, real=real: calls.append(bool(inside)) or real(*a))
+    inside, centers, calls, gates = [], [], [], []
+    real = functional.neg_power_integral
+    monkeypatch.setattr(functional, "neg_power_integral", lambda *a: calls.append(bool(inside)) or real(*a))
+    real_gate = mobius._positivity_gate
+    monkeypatch.setattr(mobius, "_positivity_gate", lambda *a: gates.append(bool(inside)) or real_gate(*a))
     real_center = extremize.find_center
 
     def center(*args):
@@ -277,10 +281,10 @@ def test_minimize_calls_neg_power_integral_only_to_seek_centers(monkeypatch, n, 
     monkeypatch.setattr(extremize, "find_center", center)
     monkeypatch.setattr(extremize, "GAUGE_EVERY", 5)
     minimize(u0, m, OptimizerConfig(degree=degree, max_iter=60))
-    assert centers and calls == [True] * len(centers)
-    calls.clear()
+    assert centers and calls == [] and gates == [True] * len(centers)
+    gates.clear()
     minimize(constant_function(1, 1.0, 8), 1, OptimizerConfig(degree=8, max_iter=2))
-    assert calls == []
+    assert calls == gates == []
 
 
 @pytest.mark.parametrize("n,m,degree,seed", [(1, 1, 32, 11), (3, 2, 32, 1), (3, 3, 64, 2)])
@@ -340,16 +344,31 @@ def test_minimize_does_not_recenter_its_last_iterate(monkeypatch):
 
 def test_minimize_pulls_back_by_converged_centers_only(monkeypatch):
     # on this unstable draw the second center stops at the clip radius
-    # unconverged; a pullback by it would only be rejected
+    # unconverged; a pullback by it would only be rejected.  The run stalls
+    # next to the floor, from iterates that all pass the gate at maximum one
     centers, pulled = [], []
     real_center, real_pullback = extremize.find_center, extremize.pullback
     monkeypatch.setattr(extremize, "find_center", lambda *a: centers.append(real_center(*a)) or centers[-1])
     monkeypatch.setattr(extremize, "pullback", lambda u, phi, m: pulled.append(phi.center) or real_pullback(u, phi, m))
     u0 = random_positive_function(1, 16, 4, np.random.default_rng(16))
     trace = minimize(u0, 3, OptimizerConfig(degree=16, max_iter=400))
-    assert trace.termination_reason == "positivity_breakdown"
+    assert trace.termination_reason == "line_search_stall"
     assert [c.converged for c in centers] == [True, False]
     assert len(pulled) == 1 and pulled[0] is centers[0].a
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (3, 4)])
+def test_every_unstable_descent_ends_on_an_iterate_the_gate_passes(n, m):
+    # a candidate passes the gate at its own scale and is kept at maximum
+    # one, c / cmax, whose synthesis rounds otherwise; next to the floor the
+    # two decisions can differ.  Gated only at its own scale, (1,3) s = 3, 7
+    # and (3,4) s = 4, 7 ended on an iterate that functional_value refused
+    for s in range(1, 11):
+        u0 = random_positive_function(n, 32, 8, np.random.default_rng(s))
+        trace = minimize(u0, m, OptimizerConfig(degree=32, max_iter=200))
+        assert trace.termination_reason in ("positivity_breakdown", "line_search_stall")
+        final = functional_value(trace.final, m)
+        assert abs(final - trace.values[-1]) <= 1e-6 * abs(trace.values[-1])
 
 
 def test_line_search_rejects_a_dip_at_a_pole():
@@ -374,8 +393,10 @@ def _descent_events(monkeypatch, u0, m, config):
     """Run minimize and return its trace and, in call order, the events
     ("trial", c, values) of each synthesis, ("floor", c, minimum) of each
     grid check, ("iterate", terms, gradient) of each gradient and
-    ("pullback", coefficients, None) of each recenter candidate.  Syntheses
-    and checks inside find_center and pullback are left out.
+    ("pullback", coefficients, None) of each recenter candidate.  The
+    synthesis of a candidate at maximum one, c / cmax, gated again next to
+    the floor, is ("regate", c / cmax, values).  Syntheses and checks inside
+    find_center and pullback are left out.
     """
     events, inside = [], []
 
@@ -405,7 +426,12 @@ def _descent_events(monkeypatch, u0, m, config):
 
         monkeypatch.setattr(extremize, name, run)
 
-    spy(Discretization, "values", lambda a, out: events.append(("trial", a[1], out)))
+    def synthesis(a, out):
+        last = next((e for e in reversed(events) if e[0] == "trial"), None)
+        again = last is not None and np.array_equal(a[1], last[1] * (1.0 / float(last[2].max())))
+        events.append(("regate" if again else "trial", a[1], out))
+
+    spy(Discretization, "values", synthesis)
     spy(Discretization, "grid_minimum", lambda a, out: events.append(("floor", a[1], out)))
     spy(extremize, "_step_terms", lambda a, out: events.append(("iterate", a[0], out)))
     gauge("find_center")
@@ -542,21 +568,31 @@ def test_line_search_stops_at_the_rounding_floor(monkeypatch, n, m, degree, seed
     assert (trials[-1] * 0.5 if trials else first) * slope < NOISE * abs(value)
 
 
-@pytest.mark.parametrize("m,degree,seed", [(3, 16, 9), (3, 32, 4), (4, 16, 7), (3, 16, 6)])
+@pytest.mark.parametrize("m,degree,seed", [(3, 16, 9), (3, 32, 4), (4, 16, 7), (3, 16, 6), (3, 32, 6)])
 def test_unstable_start_is_labelled_by_its_last_search(monkeypatch, m, degree, seed):
     # positivity_breakdown iff the last search made trials and none kept the
-    # grid minimum above the floor relative to the maximum; the rounding
-    # floor must not relabel such a search as a stall
+    # grid minimum above the floor relative to the maximum, also at maximum
+    # one where it was gated again; the rounding floor must not relabel such
+    # a search as a stall.  (3, 32, 6) breaks down
     u0 = random_positive_function(1, degree, degree // 4, np.random.default_rng(seed))
     trace, events = _descent_events(monkeypatch, u0, m, OptimizerConfig(degree=degree, max_iter=400))
     last = max(i for i, event in enumerate(events) if event[0] == "iterate")
     pulled = [x for tag, x, _ in events if tag == "pullback"]
     # each grid check follows the synthesis of its candidate, whose maximum it is held to
-    checks = []
+    checks, gauge = [], False
     for (tag, x, vals), (then, y, low) in zip(events[last:], events[last + 1 :]):
-        if then == "floor" and not any(y is p for p in pulled):
-            assert tag == "trial" and x is y
-            checks.append(low > functional.POSITIVITY_FLOOR * float(vals.max()))
+        if then != "floor":
+            continue
+        assert tag in ("trial", "regate") and x is y
+        gauge = any(y is p for p in pulled) if tag == "trial" else gauge
+        if gauge:
+            continue
+        passed = low > functional.POSITIVITY_FLOOR * float(vals.max())
+        # a candidate gated again at maximum one passes only if both checks do
+        if tag == "regate":
+            checks[-1] = checks[-1] and passed
+        else:
+            checks.append(passed)
     breakdown = bool(checks) and not any(checks)
     assert (trace.termination_reason == "positivity_breakdown") == breakdown
     assert trace.termination_reason in ("positivity_breakdown", "line_search_stall")

@@ -124,9 +124,10 @@ def test_gate_tests_the_poles_without_looking_up_its_own_grid(monkeypatch):
         functional._positivity_gate(c, disc)
     assert lookups == []
     c[0] *= 3.0
-    vals, low, high = functional._positivity_gate(c, disc)
+    vals, low, high, grid_low = functional._positivity_gate(c, disc)
     assert np.array_equal(vals, disc.values(c))
     assert (low, high) == (vals.min(), vals.max())
+    assert grid_low == disc.grid_minimum(c, low) < low
     assert lookups == []
 
 

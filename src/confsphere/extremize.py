@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -26,6 +27,7 @@ from .spectral import (
     DEFAULT_DEGREE,
     SpectralFunction,
     _ball_moment,
+    _cached_array,
     constant_function,
     discretization,
     random_band_limited,
@@ -236,6 +238,13 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     return trace
 
 
+@lru_cache(maxsize=64)
+def _unit_constant(n: int, m: int, degree: int) -> tuple:
+    """(read-only coefficients of the constant 1 of this degree, its I), computed once."""
+    one = constant_function(n, 1.0, degree)
+    return _cached_array(one.coeffs), functional_value(one, m)
+
+
 def perturbation_sweep(
     n: int,
     m: int,
@@ -247,25 +256,28 @@ def perturbation_sweep(
 ) -> list:
     """Gaps I(1 + eps phi) - I(1) over random unit band-limited phi.
 
-    Returns rows (trial, eps, gap).  For the locally minimal orders every
-    gap is nonnegative up to quadrature noise; in the unstable range
-    suitable phi drive the gap negative.
+    Returns rows (trial, eps, gap).  phi is supported on degrees
+    1..``max_degree`` (default ``degree // 2``), which must lie in
+    1..``degree``, else ``ValueError``.  For the locally minimal orders
+    every gap is nonnegative up to quadrature noise; in the unstable range
+    suitable phi drive the gap negative.  I(1) is computed once per
+    ``(n, m, degree)`` and each 1 + eps phi is one coefficient array.
     """
     if not 2 * m > n:
         raise ValueError("the functional requires 2m > n")
-    rng = np.random.default_rng(seed)
     max_degree = max_degree if max_degree is not None else degree // 2
-    one = constant_function(n, 1.0, degree)
-    base = functional_value(one, m)
+    if not 1 <= max_degree <= degree:
+        raise ValueError(f"max_degree {max_degree} lies outside 1..{degree}")
+    rng = np.random.default_rng(seed)
+    one, base = _unit_constant(n, m, degree)
     rows = []
     for trial in range(trials):
         phi = random_band_limited(n, degree, max_degree, rng)
-        phi = phi.scaled(1.0 / math.sqrt(phi.norm_sq()))
+        unit = phi.coeffs * (1.0 / math.sqrt(phi.norm_sq()))
         for eps in epsilons:
             if eps == 0:
                 rows.append((trial, 0.0, 0.0))
                 continue
-            perturbed = one + phi.scaled(eps)
-            gap = functional_value(perturbed, m) - base
+            gap = functional_value(SpectralFunction(n, one + unit * eps, phi.axis), m) - base
             rows.append((trial, float(eps), float(gap)))
     return rows

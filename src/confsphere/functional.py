@@ -91,18 +91,20 @@ def _positivity_gate(c: np.ndarray, disc: Discretization, refuse: bool = True) -
 
 
 def neg_power_integral(u: SpectralFunction, m: int) -> tuple:
-    """The one gated evaluation of u: :func:`_value_terms` of u / k, then k, the node minimum.
+    """The one gated evaluation of u: :func:`_value_terms` of u / k, then k, the node minimum, and the grid minimum.
 
     u passes :func:`_positivity_gate` once on the nodes of its 4x
     discretization, as negative powers are not band-limited.  The tuple is
-    (c / k, u / k on the nodes, I, p c / k, E(u / k), (u / k)^{-q}, J, k):
-    J, the integral of (u / k)^{-q}, lies in (0, |S^n|], so the integral of
-    u^{-q} is J k^{-q} and the functional entry points all read from here.
+    (c / k, u / k on the nodes, I, p c / k, E(u / k), (u / k)^{-q}, J, k,
+    min_on_grid(u)): J, the integral of (u / k)^{-q}, lies in (0, |S^n|], so
+    the integral of u^{-q} is J k^{-q} and the functional entry points all
+    read from here.
     """
     disc = discretization(u.n, u.degree, oversample=4)
-    vals, k = _positivity_gate(u.coeffs, disc)[:2]
+    vals, k, _, grid_low = _positivity_gate(u.coeffs, disc)
     p = packed_multipliers(u.n, m, u.degree)
-    return _value_terms(u.coeffs * (1.0 / k), vals / k, p, exponent_q(u.n, m), disc.rule.weights) + (k,)
+    terms = _value_terms(u.coeffs * (1.0 / k), vals / k, p, exponent_q(u.n, m), disc.rule.weights)
+    return terms + (k, grid_low)
 
 
 def _neg_norm(terms: tuple, q: float) -> float:
@@ -124,7 +126,7 @@ def functional_value(u: SpectralFunction, m: int) -> float:
 def _residual(u: SpectralFunction, terms: tuple) -> float:
     """:func:`el_residual` from the terms of u; u^{-q-1} is taken as u^{-q} / u, as in :func:`_step_terms`."""
     disc = discretization(u.n, u.degree, oversample=4)
-    _, vals, _, pc, e, neg, integ, k = terms
+    _, vals, _, pc, e, neg, integ, k = terms[:8]
     res = disc.values(pc) - (e / integ) * (neg / vals)
     return math.sqrt(float(disc.rule.weights.dot(res**2))) * k
 
@@ -154,7 +156,7 @@ def functional_report(u: SpectralFunction, m: int) -> EnergyReport:
         neg_norm=nn,
         functional=nn * e,
         el_residual=_residual(u, terms),
-        min_value=discretization(u.n, u.degree, oversample=4).grid_minimum(u.coeffs, terms[7]),
+        min_value=terms[8],
     )
 
 

@@ -445,9 +445,13 @@ def _ball_moment(disc: Discretization, values: np.ndarray, a, slope: bool = Fals
     pullback of u, since u_a^{-q} dmu = sigma_a^*(u^{-q} dmu); at a = 0 it
     is the first moment.  On the unit disk a is complex, sigma_{-a}(z) =
     (z + a) / (1 + conj(a) z), and ``slope`` adds the Wirtinger pair
-    (dV/da, dV/d conj(a)).  On a zonal rule a is the float r = a . xi,
-    sigma_{-a}(y) = ((1 - |a|^2) y + b a) / D with b = 2 + 2 a.y and
-    D = 1 + 2 a.y + |a|^2, and ``slope`` adds dV/dr.
+    (dV/da, dV/d conj(a)).  On a zonal rule a is the float r = a . xi and
+    the node coordinate the axis cosine t, where sigma_{-a} acts as
+    t -> (t + rho) / (1 + rho t) with rho = 2r / (1 + r^2); ``slope`` adds
+
+        dV/dr = 2 (1 - r^2) / (1 + r^2)^2 sum_i w_i f_i (1 - t_i)(1 + t_i) / (1 + rho t_i)^2.
+
+    At r = 0 the moment is summed as w . (f t), the descent's V(0).
     """
     y, w = disc.points, disc.rule.weights
     if disc.rule.n == 1:
@@ -461,21 +465,18 @@ def _ball_moment(disc: Discretization, values: np.ndarray, a, slope: bool = Fals
             return v
         return v, (complex(f.sum()), -complex((f / den).dot(y * z)))
     a2 = a * a
-    if a2 == 0.0:
-        dd, b, f, v = 1.0, 2.0, values, y
+    if a == 0:
+        c = float(w.dot(values * y))
     else:
-        ya = y * a
-        dd = (1.0 + a2) + 2.0 * ya
-        b = 2.0 + 2.0 * ya
-        f = values / dd
-        v = (1.0 - a2) * y + b * a
-    # summed as w . (f t); t . (w f) would round otherwise
-    c = float(w.dot(f * v))
+        rho = 2.0 * a / (1.0 + a2)
+        den = 1.0 + rho * y
+        g = w * values / den
+        c = float(g.dot(y + rho))
     if not slope:
         return c
-    # d sigma_{-a}/da = -2 sigma_{-a} (y + a) / D + b / D on one coordinate
-    g = w * f
-    return c, -2.0 * float(v.dot((g / dd) * (y + a))) + float((g * b).sum())
+    g = w * values if a == 0 else g / den
+    # (1 - t)(1 + t) keeps its relative accuracy near the poles
+    return c, 2.0 * (1.0 - a2) / (1.0 + a2) ** 2 * float(g.dot((1.0 - y) * (1.0 + y)))
 
 
 def _build_discretization(n: int, degree: int, oversample: int) -> Discretization:

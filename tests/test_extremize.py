@@ -15,6 +15,7 @@ from confsphere.spectral import (
     constant_function,
     harmonic_basis_function,
     min_on_grid,
+    random_band_limited,
     random_positive_function,
 )
 
@@ -178,6 +179,49 @@ def test_perturbation_sweep_unstable_direction():
 def test_perturbation_sweep_zero_eps():
     rows = perturbation_sweep(1, 1, [0.0], trials=3, seed=1)
     assert all(gap == 0.0 for _, _, gap in rows)
+
+
+def _inline_sweep(n, m, epsilons, trials, seed, degree, max_degree):
+    """The sweep as a formula on spectral functions, with I(1) taken afresh."""
+    rng = np.random.default_rng(seed)
+    one = constant_function(n, 1.0, degree)
+    base = functional_value(one, m)
+    rows = []
+    for trial in range(trials):
+        phi = random_band_limited(n, degree, max_degree, rng)
+        phi = phi.scaled(1.0 / math.sqrt(phi.norm_sq()))
+        for eps in epsilons:
+            gap = functional_value(one + phi.scaled(eps), m) - base if eps != 0 else 0.0
+            rows.append((trial, float(eps), float(gap)))
+    return rows
+
+
+def test_perturbation_sweep_rows_equal_the_inline_formula():
+    # I(1) is cached per (n, m, degree): calls interleaved over the orders and
+    # degrees of both representations each read their own, and every row is
+    # the formula's bit for bit
+    extremize._unit_constant.cache_clear()
+    epsilons = [1e-2, 0, -3e-2, 0.1]
+    calls = [(1, 1, 16), (3, 2, 16), (1, 1, 24), (3, 3, 24), (1, 3, 16), (3, 2, 24), (1, 1, 16), (3, 4, 16)]
+    for i, (n, m, degree) in enumerate(calls):
+        for max_degree in (None, 1, degree):
+            rows = perturbation_sweep(n, m, epsilons, 3, i, degree=degree, max_degree=max_degree)
+            want = _inline_sweep(n, m, epsilons, 3, i, degree, max_degree or degree // 2)
+            assert [(t, float.hex(e), float.hex(g)) for t, e, g in rows] == [
+                (t, float.hex(e), float.hex(g)) for t, e, g in want
+            ], (n, m, degree, max_degree)
+    assert extremize._unit_constant.cache_info().currsize == len(set(calls))
+
+
+@pytest.mark.parametrize("degree,max_degree", [(16, 0), (16, -2), (16, 17), (1, None), (0, None)])
+def test_perturbation_sweep_refuses_max_degree_outside_1_to_degree(monkeypatch, degree, max_degree):
+    # a max_degree below 1 leaves phi zero, 1 / |phi| divides by zero; one
+    # above degree was clamped.  Both are refused before I(1) is computed
+    extremize._unit_constant.cache_clear()
+    monkeypatch.setattr(extremize, "functional_value", lambda *a: pytest.fail("I was computed"))
+    with pytest.raises(ValueError, match=rf"max_degree -?\d+ lies outside 1\.\.{degree}"):
+        perturbation_sweep(1, 1, [1e-2], 2, 0, degree=degree, max_degree=max_degree)
+    assert extremize._unit_constant.cache_info().currsize == 0
 
 
 def test_minimize_zonal_reaches_closed_form_constant():

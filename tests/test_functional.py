@@ -335,6 +335,23 @@ def test_tiny_scales_are_finite_or_refused(n, m):
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2)])
+def test_report_min_value_is_the_grid_minimum_of_its_gate(monkeypatch, n, m):
+    # the report's min_value is the grid minimum its one gate took, with the
+    # bits of min_on_grid, at any scale; no second grid minimum is taken
+    rng = np.random.default_rng(17 + n)
+    draws = [random_positive_function(n, L, 8, rng) for L in (8, 32, 64)]
+    draws += [u.scaled(scale) for u in draws for scale in (1e-100, 1e100)]
+    seen = []
+    real = Discretization.grid_minimum
+    monkeypatch.setattr(Discretization, "grid_minimum", lambda *a: seen.append(a) or real(*a))
+    for u in draws:
+        want = float.hex(min_on_grid(u))
+        seen.clear()
+        assert float.hex(functional_report(u, m).min_value) == want
+        assert len(seen) == 1
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 2)])
 def test_each_entry_point_synthesizes_u_once(monkeypatch, n, m):
     # one gate per entry point: u is synthesized once on the 4x nodes, and
     # the residual and the report synthesize P_2m u besides

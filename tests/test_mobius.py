@@ -601,23 +601,55 @@ def _zonal_gauge_cases():
 
 
 def test_zonal_gauge_keeps_the_bits_of_the_array_formula():
-    # the float axis kernel runs the (K, 1)-array arithmetic in its order,
-    # so V, dV/dr and every center match the reference bit for bit
+    # the axis kernel takes sigma_{-a} in closed form, t -> (t + rho) /
+    # (1 + rho t): V and dV/dr agree with the (K, 1)-array formula within
+    # 16 eps / (1 - |r|)^2, as on the circle, at |r| up to 0.99; V absolute,
+    # dV/dr absolute and relative where it exceeds 1 (measured: 1.0 and 8.5
+    # eps at most, in units of that factor).  The closed form sums positive
+    # terms, where the array formula cancels.  V(0) keeps its bits; the
+    # Newton solves take the same steps to centers within 1e-14
+    eps = 2.0**-52
     h = float.hex
     cases = 0
     for u, m in _zonal_gauge_cases():
         disc, neg = mobius._volume(u, m)
-        for r in (0.0, -0.9, -0.6, -0.3, -1e-3, 1e-3, 0.3, 0.6, 0.9):
+        for r in (0.0, -0.99, -0.9, -0.6, -0.3, -1e-3, 1e-3, 0.3, 0.6, 0.9, 0.99):
             v, dv = _ball_moment(disc, neg, r, slope=True)
             ref_v, ref_dv = _array_ball_moment(disc, neg, np.array([r]), slope=True)
-            assert (h(v), h(dv)) == (h(float(ref_v[0])), h(float(ref_dv[0, 0]))), (u.degree, m, r)
+            ref_v, ref_dv = float(ref_v[0]), float(ref_dv[0, 0])
+            bound = 16.0 * eps / (1.0 - abs(r)) ** 2
+            assert abs(v - ref_v) <= bound, (cases, r)
+            assert abs(dv - ref_dv) <= bound * max(1.0, abs(ref_dv)), (cases, r)
             assert h(_ball_moment(disc, neg, r)) == h(v)
+            if r == 0.0:
+                assert h(v) == h(ref_v)
         res = find_center(u, m)
         a, residual, steps = _array_find_center(u, m)
-        assert [h(x) for x in res.a] == [h(x) for x in a]
-        assert (h(res.residual), res.iterations, res.converged) == (h(residual), steps, residual < 1e-8)
+        assert (res.iterations, res.converged) == (steps, residual < 1e-8), cases
+        assert np.max(np.abs(res.a - a)) <= 1e-14, cases
         cases += 1
     assert cases == 150 + 16
+
+
+@pytest.mark.parametrize("n,m", STABLE_ORDERS)
+def test_moment_at_zero_keeps_its_bits(n, m):
+    # V(0), the descent's centroid and the first residual of find_center, is
+    # the plain sum w . (f y) over the node coordinates, with or without the
+    # slope and at a = -0 too, so a descent that never recenters keeps its bits
+    rng = np.random.default_rng(40 + 10 * n + m)
+    zero = 0j if n == 1 else 0.0
+    for degree in (16, 32, 64):
+        u = random_positive_function(n, degree, 8, rng)
+        disc, neg = mobius._volume(u, m)
+        w = disc.rule.weights
+        plain = (w * neg).dot(disc.points) if n == 1 else float(w.dot(neg * disc.points))
+        for a in (zero, -zero):
+            assert _ball_moment(disc, neg, a) == plain
+            assert _ball_moment(disc, neg, a, slope=True)[0] == plain
+        if n != 1:
+            assert float.hex(plain) == float.hex(float(_array_ball_moment(disc, neg, np.zeros(1))[0]))
+        # a tolerance above |V(0)| stops the solve at its start
+        assert find_center(u, m, tol=1.0).residual == abs(plain)
 
 
 @pytest.mark.parametrize("n,m", STABLE_ORDERS)

@@ -12,6 +12,7 @@ objective stays exactly the invariant functional.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional
@@ -46,9 +47,15 @@ class OptimizerConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        # "not > 0" refuses NaN too, which no gradient norm could fall below
-        if not all(x > 0 for x in (self.degree, self.max_iter, self.grad_tol)):
-            raise ValueError("degree, max_iter and grad_tol must be positive")
+        # operator.index refuses a size such as 2.5, inf or NaN, which range()
+        # would refuse mid-run; "not > 0" refuses a NaN tolerance too, which
+        # no gradient norm could fall below
+        try:
+            sizes = [operator.index(x) for x in (self.degree, self.max_iter)]
+        except TypeError:
+            sizes = [0]
+        if not all(x > 0 for x in (*sizes, self.grad_tol)):
+            raise ValueError("degree and max_iter must be positive integers and grad_tol positive")
 
 
 @dataclass
@@ -90,9 +97,12 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     gate of every entry point.
 
     Direction: memoryless BFGS (Shanno 1978; Nocedal-Wright section 7.2)
-    in the diagonal metric D = 1 + |p_2m(alpha)|.  From the pair (s, y) of
-    the last accepted step, d = H grad with H = V^T (gamma D^-1) V + rho s s^T,
-    V = I - rho y s^T, rho = 1 / s.y and gamma = s.y / y.D^-1 y.  I is
+    in the diagonal metric D = 2 N0 (1 + |p_2m(alpha)|), N0 = |u0^{-1}|^2_{L^q}
+    of the start at maximum one: the energy part of grad is 2 N p c, so
+    D^-1 grad is a Newton-like step whose unit trial is in scale.  From the
+    pair (s, y) of the last accepted step, d = H grad with
+    H = V^T (gamma D^-1) V + rho s s^T, V = I - rho y s^T, rho = 1 / s.y and
+    gamma = s.y / y.D^-1 y, which absorbs any constant factor of D.  I is
     homogeneous of degree 0, so grad I(c / k) = k grad I(c): when the
     candidate c - alpha d is rescaled by its maximum k, the pair is stored
     as s = -alpha d / k and y = grad_new - k grad.  A pair with s.y <= 0 is
@@ -147,8 +157,10 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     c, current = terms[0], terms[2]
     grad = _step_terms(terms, disc, q)
 
-    # the metric D = 1 + |p_2m(alpha)| evens out the 2m-th order stiffness
-    inv_d = 1.0 / (1.0 + np.abs(p))
+    # the metric D = 2 N0 (1 + |p_2m(alpha)|) evens out the 2m-th order
+    # stiffness in the scale of the energy part 2 N p c of grad, with
+    # N0 = |u0^{-1}|^2_{L^q} of the start at maximum one
+    inv_d = 1.0 / (2.0 * math.exp((2.0 / q) * math.log(terms[6])) * (1.0 + np.abs(p)))
     step = 1.0
     pair = None  # (s, y, rho, gamma D^-1) of the last accepted step
     accepted = 0

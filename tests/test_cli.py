@@ -241,7 +241,7 @@ def test_minimize_positivity_breakdown_exits_3(capsys):
     # Each of its iterates passes the gate at maximum one, so this is no
     # search from an iterate already below the floor
     code, out = run_cli(
-        capsys, "minimize", "--n", "1", "--m", "3", "--L", "32", "--seed", "6", "--max-iter", "100"
+        capsys, "minimize", "--n", "1", "--m", "3", "--L", "16", "--seed", "7", "--max-iter", "100"
     )
     data = json.loads(out)
     assert data["termination_reason"] == "positivity_breakdown"

@@ -252,6 +252,16 @@ def _cmd_hessian(args) -> int:
     return 0
 
 
+def round_distance(u: SpectralFunction, m: int) -> Optional[float]:
+    """|c_{>=1}| / |c_0| of u centered by :func:`~confsphere.mobius.recenter`: 0 exactly
+    for a pullback of a constant (the round metric), None if the center does not converge."""
+    from .mobius import recenter
+
+    centered, center = recenter(u, m)
+    c = centered.coeffs
+    return math.sqrt(float(c[1:].dot(c[1:]))) / abs(float(c[0])) if center.converged else None
+
+
 def _cmd_minimize(args) -> int:
     import numpy as np
     from .extremize import OptimizerConfig, minimize
@@ -279,6 +289,7 @@ def _cmd_minimize(args) -> int:
     payload.update(
         {
             "final_I": trace.values[-1],
+            "round_distance": round_distance(trace.final, args.m),
             "best_I": trace.best_value,
             "iterations": trace.iterations,
             "termination_reason": trace.termination_reason,

@@ -1,12 +1,12 @@
 """Constrained minimization of the invariant functional.
 
-Quasi-Newton descent in coefficient space with Armijo backtracking.
-Scale and Mobius gauge freedom are fixed the way compactness is restored
-in the underlying variational argument: after every accepted step the
-iterate is rescaled to maximum one, and periodically it is recentered by
-the barycenter map.  Positivity is enforced by step-length backtracking
-against the oversampled-grid minimum, never by a barrier term, so the
-objective stays exactly the invariant functional.
+Quasi-Newton descent in coefficient space with Armijo backtracking.  The
+scale freedom is fixed by rescaling every accepted iterate to maximum
+one.  The Mobius freedom is left alone: I is invariant under it, so the
+descent does not gauge, and the answer is centered once where it is
+reported (:func:`confsphere.mobius.recenter`).  Positivity is enforced by
+step-length backtracking against the oversampled-grid minimum, never by a
+barrier term, so the objective stays exactly the invariant functional.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .functional import POSITIVITY_FLOOR, _positivity_gate, _step_terms, _value_terms, exponent_q, functional_value
-from .geometry import BallPoint
 from .gjms import packed_multipliers
-from .mobius import find_center, pullback
 from .spectral import (
     DEFAULT_DEGREE,
     SpectralFunction,
@@ -36,8 +34,6 @@ from .spectral import (
 
 #: sufficient-decrease factor of the Armijo test of each trial
 ARMIJO_FACTOR = 1e-4
-#: accepted steps between two gauge checks
-GAUGE_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -106,17 +102,16 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     homogeneous of degree 0, so grad I(c / k) = k grad I(c): when the
     candidate c - alpha d is rescaled by its maximum k, the pair is stored
     as s = -alpha d / k and y = grad_new - k grad.  A pair with s.y <= 0 is
-    dropped, as is the pair before a kept recenter, and a pair direction
-    whose slope grad.d is not positive; without a pair, d = D^-1 grad.  The
-    first trial is 1 along a pair direction and otherwise the last accepted
-    step (1 at the start); each rejected trial halves it.
+    dropped, as is a pair direction whose slope grad.d is not positive;
+    without a pair, d = D^-1 grad.  The first trial is 1 along a pair
+    direction and otherwise the last accepted step (1 at the start); each
+    rejected trial halves it.
 
-    Gauge: every ``GAUGE_EVERY`` accepted steps the iterate is recentered
-    if its gradient norm is not below ``grad_tol`` (else it is the last
-    iterate), its volume barycenter V(0), the first moment of u^{-q} over
-    its integral, has |V(0)| / q > 0.01 and the Newton solve for its center
-    converged.  For u = 1 + eps phi, u^{-q} = 1 - q eps phi + O(eps^2), so
-    |V(0)| / q is to first order the first moment of u over its integral.
+    No Mobius gauge is fixed: I is invariant under pullback, so ``final``
+    is one point of its conformal orbit, and :func:`confsphere.mobius.recenter`
+    picks the representative with barycenter zero.  Each row records
+    |V(0)|, the norm of the volume barycenter: the first moment of u^{-q}
+    over its integral.
 
     The iterate is held as coefficients of u0's degree, the config's
     ``degree`` (else :class:`InvalidConfig`).  Each candidate is synthesized
@@ -165,18 +160,14 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     pair = None  # (s, y, rho, gamma D^-1) of the last accepted step
     accepted = 0
 
-    def centroid() -> float:
-        """|V(0)| of the iterate: the first moment of u^{-q} over its integral."""
-        neg, integ = terms[5:7]
-        return abs(_ball_moment(disc, neg, 0)) / integ
-
     def record():
+        neg, integ = terms[5:7]
         trace.values.append(current)
         trace.grad_norms.append(norm(grad))
         trace.min_values.append(terms[8])
-        trace.barycenter_norms.append(centroid() if v0 is None else v0)
+        # |V(0)|: the first moment of u^{-q} over its integral
+        trace.barycenter_norms.append(abs(_ball_moment(disc, neg, 0)) / integ)
 
-    v0 = None  # |V(0)| of the iterate, once the gauge check has taken it
     for _ in range(config.max_iter):
         record()
         if trace.grad_norms[-1] < config.grad_tol:
@@ -227,20 +218,6 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         sy = float(s.dot(y))
         pair = (s, y, 1.0 / sy, (sy / float(y.dot(y * inv_d))) * inv_d) if sy > 0 else None
         c, current, grad = terms[0], terms[2], new_grad
-
-        # recenter only against real Mobius drift: near the optimum the
-        # pullback's truncation noise would otherwise stall the gradient
-        v0 = centroid() if accepted % GAUGE_EVERY == 0 and norm(grad) >= config.grad_tol else None
-        if v0 is not None and v0 > 0.01 * q:
-            u = SpectralFunction(n, c, axis)
-            center = find_center(u, m)
-            # an unconverged center sits at the clip radius: no pullback by it
-            cand = admissible(pullback(u, BallPoint(center.a), m).coeffs) if center.converged else None
-            # invariant up to truncation; keep only if monotone
-            if cand is not None and cand[2] <= current:
-                terms, v0, pair = cand, None, None
-                c, current = terms[0], terms[2]
-                grad = _step_terms(terms, disc, q)
     else:
         record()
         trace.termination_reason = "max_iterations"

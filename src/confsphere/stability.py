@@ -1,7 +1,9 @@
 """Second variation of the invariant functional at the constant function.
 
-At ``u = 1`` the second variation is, up to a positive prefactor, the
-quadratic form of the self-adjoint operator
+At ``u = 1`` the second variation, d^2/d eps^2 I(1 + eps phi) at eps = 0,
+is 2 |S^n|^{2/q} <A phi, phi>, with q = 2n/(2m-n) and |S^n| the
+measure of :func:`~confsphere.geometry.sphere_measure`, for the
+self-adjoint operator
 
     A phi = P_2m phi + ((2m+n)/(2m-n)) P_2m 1 . phi
             - (4m/(2m-n)) (P_2m 1 / mu(S^n)) integral(phi),

@@ -150,6 +150,9 @@ def test_minimize_writes_reports(tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert abs(summary["final_I"] + math.pi**2) / math.pi**2 < 1e-6
+    # centered in its Mobius gauge, the answer is the round metric
+    assert list(summary).index("round_distance") == list(summary).index("final_I") + 1
+    assert summary["round_distance"] < 1e-7
     with open(base + ".csv") as f:
         csv_text = f.read().splitlines()
     assert csv_text[0] == "iter,I,gradNorm,minU,baryNorm"
@@ -246,6 +249,8 @@ def test_minimize_positivity_breakdown_exits_3(capsys):
     data = json.loads(out)
     assert data["termination_reason"] == "positivity_breakdown"
     assert code == 3
+    # the center of this concentrated answer does not converge
+    assert data["round_distance"] is None
 
 
 def test_hessian_closed_form_mismatch_exits_2(capsys, monkeypatch):

@@ -6,7 +6,8 @@ import pytest
 
 from confsphere import stability
 from confsphere.errors import ClosedFormMismatch, NotUnstable
-from confsphere.functional import functional_value
+from confsphere.functional import exponent_q, functional_value
+from confsphere.geometry import sphere_measure
 from confsphere.spectral import constant_function, harmonic_basis_function
 from confsphere.stability import (
     h2_eigenvalue_closed,
@@ -155,3 +156,23 @@ def test_sign_matches_quadratic_behavior_stable():
     predicted = (2 * math.pi) * float(hessian_eigenvalue(n, m, 2))
     assert fitted > 0
     assert abs(fitted - predicted) / predicted < 0.05
+
+
+@pytest.mark.parametrize(
+    "n,m", [(1, 1), (1, 2), (1, 3), (1, 4), (3, 2), (3, 3), (3, 4), (5, 3), (5, 4), (5, 5)]
+)
+def test_central_difference_is_the_exact_second_variation(n, m):
+    # the float functional against the exact eigenvalues: for the unit
+    # harmonic phi of degree k, (I(1 + eps phi) + I(1 - eps phi) - 2 I(1)) / eps^2
+    # is 2 |S^n|^{2/q} lambda_k up to O(eps^2).  Worst error 4.8e-7 of the
+    # largest |2 |S^n|^{2/q} lambda_k|, k >= 2, over these orders at L = 32
+    degree, eps = 32, 1e-3
+    one = constant_function(n, 1.0, degree)
+    base = functional_value(one, m)
+    prefactor = 2.0 * sphere_measure(n) ** (2.0 / exponent_q(n, m))
+    exact = [prefactor * float(hessian_eigenvalue(n, m, k)) for k in range(13)]
+    scale = max(abs(x) for x in exact[2:])
+    for k, want in enumerate(exact):
+        phi = harmonic_basis_function(n, k, degree)
+        plus, minus = functional_value(one + phi.scaled(eps), m), functional_value(one + phi.scaled(-eps), m)
+        assert abs((plus + minus - 2.0 * base) / eps**2 - want) <= 2e-6 * scale, k

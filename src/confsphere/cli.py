@@ -395,14 +395,15 @@ def admissible_random_function(degree: int, m: int, rng: np.random.Generator) ->
 
 
 def _cmd_poly_identity(args) -> int:
-    import numpy as np
+    import random
+
     from .polyident import check_delta_k_product, check_identity_2_1, random_polynomial
 
     _require(args.n >= 1, "the number of variables must be >= 1")
     _require(args.m >= 0, "m must be >= 0")
     _require(args.deg >= 0, "--deg must be >= 0")
     _require(args.trials >= 1, "--trials must be >= 1")
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     rows = []
     failures = 0
     for trial in range(args.trials):

@@ -157,7 +157,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     # N0 = |u0^{-1}|^2_{L^q} of the start at maximum one
     inv_d = 1.0 / (2.0 * math.exp((2.0 / q) * math.log(terms[6])) * (1.0 + np.abs(p)))
     step = 1.0
-    pair = None  # (s, y, rho, gamma D^-1) of the last accepted step
+    last_grad = None  # grad before the last accepted step
     accepted = 0
 
     def record():
@@ -174,6 +174,14 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
             trace.termination_reason = "gradient_tolerance"
             break
 
+        pair = None  # (s, y, rho, gamma D^-1) of the last accepted step
+        if last_grad is not None:
+            # the pair in the scale of the new iterate (see the docstring),
+            # formed only once a search follows the step
+            k = terms[7]
+            s, y = direction * (-step / k), grad - k * last_grad
+            sy = float(s.dot(y))
+            pair = (s, y, 1.0 / sy, (sy / float(y.dot(y * inv_d))) * inv_d) if sy > 0 else None
         if pair is not None:
             s, y, rho, scaled_inv_d = pair
             a = rho * float(s.dot(grad))
@@ -211,13 +219,8 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
             break
 
         accepted += 1
-        # the pair in the scale of the new iterate (see the docstring)
-        terms, k, step = found, found[7], alpha
-        new_grad = _step_terms(terms, disc, q)
-        s, y = direction * (-alpha / k), new_grad - k * grad
-        sy = float(s.dot(y))
-        pair = (s, y, 1.0 / sy, (sy / float(y.dot(y * inv_d))) * inv_d) if sy > 0 else None
-        c, current, grad = terms[0], terms[2], new_grad
+        terms, step, last_grad = found, alpha, grad
+        c, current, grad = terms[0], terms[2], _step_terms(terms, disc, q)
     else:
         record()
         trace.termination_reason = "max_iterations"

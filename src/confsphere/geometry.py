@@ -3,8 +3,8 @@
 S^n is the unit sphere in R^{n+1}.  A Mobius map is a dilation by
 ``scale`` in the stereographic chart at a pole ``xi``, a ball-based map
 ``sigma_a``, or a rotation; :func:`confsphere.mobius.pullback` acts with
-them on the nodes of a rule, through the axis maps below.  The pointwise
-charts and group laws live in the tests, as the oracle for the pullback.
+them on the nodes of a rule.  The pointwise charts, axis maps and group
+laws live in the tests, as the oracle for the pullback.
 Everything here is plain double-precision numpy; exact arithmetic lives
 in :mod:`confsphere.exact`.
 """
@@ -105,33 +105,3 @@ class Rotation:
 
 
 MobiusMap = Union[AxisDilation, BallPoint, Rotation]
-
-
-def as_axis_dilation(phi: BallPoint) -> AxisDilation:
-    """Sphere restriction of sigma_a as an axis dilation (a != 0).
-
-    sigma_a restricted to S^n equals sigma_{a/|a|, (1-|a|)/(1+|a|)}.
-    """
-    a = phi.center
-    r = math.sqrt(float(a.dot(a)))
-    if r == 0.0:
-        raise ValueError("sigma_0 is the identity and has no preferred axis")
-    return AxisDilation(axis=a / r, scale=(1.0 - r) / (1.0 + r))
-
-
-def axis_dilation_t_map(t: np.ndarray, lam: float) -> np.ndarray:
-    """Axis component t' = sigma_{xi,lam}(zeta) . xi as a function of t = zeta . xi."""
-    t = np.asarray(t, dtype=float)
-    num = lam * lam * (1.0 + t) - (1.0 - t)
-    den = lam * lam * (1.0 + t) + (1.0 - t)
-    return num / den
-
-
-def axis_dilation_jacobian_t(t: np.ndarray, lam: float, n: int) -> np.ndarray:
-    """J_{sigma_{xi,lam}} as a function of t = zeta . xi.
-
-    Equals (lam (1+|pi_xi|^2) / (1 + lam^2 |pi_xi|^2))^n written in the
-    pole-safe form (2 lam / ((1-t) + lam^2 (1+t)))^n.
-    """
-    t = np.asarray(t, dtype=float)
-    return (2.0 * lam / ((1.0 - t) + lam * lam * (1.0 + t))) ** n

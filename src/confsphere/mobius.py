@@ -22,39 +22,29 @@ import numpy as np
 
 from .errors import AxisMismatch, ConfSphereError
 from .functional import _neg_power, _positivity_gate, exponent_q
-from .geometry import (
-    AxisDilation,
-    BallPoint,
-    MobiusMap,
-    Rotation,
-    as_axis_dilation,
-    axis_dilation_jacobian_t,
-    axis_dilation_t_map,
-    north_pole,
-)
-from .spectral import (
-    SpectralFunction,
-    _ball_moment,
-    _unit_circle_sum,
-    discretization,
-    synthesize,
-)
+from .geometry import AxisDilation, BallPoint, MobiusMap, Rotation, north_pole
+from .spectral import SpectralFunction, _ball_moment, _unit_circle_sum, discretization
 
 
-def _zonal_dilation(u: SpectralFunction, phi: MobiusMap) -> AxisDilation:
-    """Reduce phi to a dilation about the axis of u (or fail)."""
+def _zonal_scale(u: SpectralFunction, phi: MobiusMap) -> float:
+    """The scale lam of phi as a dilation about the axis xi of u (or fail).
+
+    A ball point r xi is the dilation of scale (1 - r) / (1 + r), and a
+    dilation about -xi the inverse dilation about xi.
+    """
     if isinstance(phi, BallPoint):
-        if float(phi.center.dot(phi.center)) == 0.0:
-            return AxisDilation(axis=u.axis, scale=1.0)
-        phi = as_axis_dilation(phi)
+        a = phi.center
+        r = float(a.dot(u.axis))
+        if abs(r) < (1.0 - 1e-12) * math.sqrt(float(a.dot(a))):
+            raise AxisMismatch("Mobius map does not share the zonal axis")
+        return (1.0 - r) / (1.0 + r)
     if not isinstance(phi, AxisDilation):
         raise AxisMismatch("zonal pullback supports axis dilations only")
     dot = float(phi.axis.dot(u.axis))
     if abs(dot - 1.0) < 1e-12:
-        return phi
+        return phi.scale
     if abs(dot + 1.0) < 1e-12:
-        # dilation about the antipode is the inverse dilation about the axis
-        return AxisDilation(axis=u.axis, scale=1.0 / phi.scale)
+        return 1.0 / phi.scale
     raise AxisMismatch("Mobius map does not share the zonal axis")
 
 
@@ -70,10 +60,14 @@ def pullback(u: SpectralFunction, phi: MobiusMap, m: int) -> SpectralFunction:
 
     It is taken on the nodes of the 2x rule, since the Jacobian weight is
     not band-limited; the energy invariance checks are the accuracy meter
-    for this truncation.  A zonal dilation weighs u o phi by its Jacobian
-    at the axis cosine of each node.  At the complex nodes z of the circle,
-    a rotation or reflection is w = c1 z + c2 conj(z), unweighted; a ball
-    point a is w = (z - a) / (1 - conj(a) z), weighed by |w'(z)|, and a
+    for this truncation.  Either way u o phi is summed at unit-circle
+    points w (see :func:`confsphere.spectral.synthesize`).  A zonal map is
+    a dilation of scale lam about the axis; with d = lam^2 (1 + t) + (1 - t)
+    at the axis cosine t of a node, the image of t + i sqrt((1 - t)(1 + t))
+    is w = (lam^2 (1 + t) - (1 - t) + 2 i lam sqrt((1 - t)(1 + t))) / d,
+    weighed by the Jacobian (2 lam / d)^n.  At the complex nodes z of the
+    circle, a rotation or reflection is w = c1 z + c2 conj(z), unweighted; a
+    ball point a is w = (z - a) / (1 - conj(a) z), weighed by |w'(z)|, and a
     dilation of scale lam about xi is the ball point xi (1 - lam) / (1 + lam).
     A map so strong that the weight leaves the float range at some node
     raises :class:`ConfSphereError`: (1 - lam) / (1 + lam) rounds to -1
@@ -85,9 +79,14 @@ def pullback(u: SpectralFunction, phi: MobiusMap, m: int) -> SpectralFunction:
     z = disc.points
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if u.n != 1:
-            phi = _zonal_dilation(u, phi)
-            jac = axis_dilation_jacobian_t(z, phi.scale, u.n)
-            values = jac ** ((u.n - 2 * m) / (2.0 * u.n)) * synthesize(u, axis_dilation_t_map(z, phi.scale))
+            lam = _zonal_scale(u, phi)
+            up, down = (lam * lam) * (1.0 + z), 1.0 - z
+            den = up + down
+            conformal = 2.0 * lam / den
+            w = np.empty(z.size, dtype=complex)
+            np.divide(up - down, den, out=w.real)
+            np.multiply(conformal, np.sqrt(disc.sin_sq), out=w.imag)
+            values = (conformal ** u.n) ** ((u.n - 2 * m) / (2.0 * u.n)) * _unit_circle_sum(u, w)
         elif isinstance(phi, Rotation):
             (r00, r01), (r10, r11) = phi.matrix.tolist()
             w = complex(r00 + r11, r10 - r01) / 2.0 * z + complex(r00 - r11, r10 + r01) / 2.0 * z.conjugate()
@@ -171,7 +170,7 @@ def barycenter(u: SpectralFunction, a: np.ndarray, m: int) -> np.ndarray:
     if u.n == 1:
         v = _ball_moment(disc, neg, complex(*phi.center.tolist()))
         return np.array([v.real, v.imag])
-    _zonal_dilation(u, phi)  # AxisMismatch off the axis of u
+    _zonal_scale(u, phi)  # AxisMismatch off the axis of u
     return _ball_moment(disc, neg, float(phi.center.dot(u.axis))) * u.axis
 
 
@@ -187,18 +186,20 @@ def find_center(u: SpectralFunction, m: int, tol: float = 1e-8, max_iter: int = 
     """Solve V(a) = 0 by damped Newton from a = 0 with the closed-form derivatives.
 
     u passes the positivity gate once; V and its derivatives are then sums
-    over u^{-q} on the nodes, in node coordinates.  On the axis xi of zonal
-    u, a is the float r = a . xi and the step is -V / V'; on the circle a
-    is complex and the step d solves V + A d + B conj(d) = 0 for the
-    Wirtinger pair (A, B) of V; a zero derivative gives -V.  V lies in the
+    over u^{-q} on the nodes, in node coordinates, and the product of u^{-q}
+    with the weights is taken once.  On the axis xi of zonal u, a is the
+    float r = a . xi and the step is -V / V'; on the circle a is complex and
+    the step d solves V + A d + B conj(d) = 0 for the Wirtinger pair (A, B)
+    of V; a zero derivative gives -V.  V lies in the
     unit ball, so ``tol`` is scale-free.  Each step halves the Newton step
     until |V| decreases; if 30 halvings find no decrease, or the budget
     runs out, the last iterate is returned with ``converged=False``.
     """
     disc, neg = _volume(u, m)
+    weighted = disc.rule.weights * neg
     zonal = u.n != 1
     x = 0.0 if zonal else 0j
-    v, jac = _ball_moment(disc, neg, x, slope=True)
+    v, jac = _ball_moment(disc, neg, x, slope=True, weighted=weighted)
     res, steps = abs(v), 0
     while res >= tol and steps < max_iter:
         if zonal:
@@ -211,7 +212,7 @@ def find_center(u: SpectralFunction, m: int, tol: float = 1e-8, max_iter: int = 
             cand = x + step
             r = abs(cand)
             cand = cand if r < 0.999999 else cand * (0.999999 / r)
-            cv, cjac = _ball_moment(disc, neg, cand, slope=True)
+            cv, cjac = _ball_moment(disc, neg, cand, slope=True, weighted=weighted)
             cres = abs(cv)
             if cres < res:
                 break
@@ -225,8 +226,12 @@ def find_center(u: SpectralFunction, m: int, tol: float = 1e-8, max_iter: int = 
 
 
 def recenter(u: SpectralFunction, m: int) -> tuple:
-    """Pull u back by sigma_{a*} with V(a*) = 0; returns (function, CenterResult)."""
+    """Pull u back by sigma_{a*} with V(a*) = 0; returns (function, CenterResult).
+
+    When :func:`find_center` does not converge, u is returned as it is,
+    not pulled back by the last iterate.
+    """
     res = find_center(u, m)
-    if float(res.a.dot(res.a)) == 0.0:
+    if not res.converged or float(res.a.dot(res.a)) == 0.0:
         return u, res
     return pullback(u, BallPoint(center=res.a), m), res

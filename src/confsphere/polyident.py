@@ -29,11 +29,10 @@ the negative power of V is never formed.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple, Union
-
-import numpy as np
 
 Monomial = Tuple[int, ...]
 Coefficient = Union[int, Fraction]
@@ -186,19 +185,17 @@ def check_delta_k_product(u: RationalPolynomial, k: int) -> bool:
     return (lhs - rhs).is_zero
 
 
-def random_polynomial(
-    num_vars: int, degree: int, rng: np.random.Generator, num_terms: int = 8
-) -> RationalPolynomial:
+def random_polynomial(num_vars: int, degree: int, rng: random.Random, num_terms: int = 8) -> RationalPolynomial:
     """Random sparse polynomial with small integer coefficients."""
     terms: Dict[Monomial, int] = {}
     for _ in range(num_terms):
         exps = []
         remaining = degree
         for _ in range(num_vars):
-            e = int(rng.integers(0, remaining + 1))
+            e = rng.randint(0, remaining)
             exps.append(e)
             remaining -= e
-        coeff = int(rng.integers(-9, 10))
+        coeff = rng.randint(-9, 9)
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff
     return RationalPolynomial(num_vars, terms)

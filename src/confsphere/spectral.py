@@ -404,7 +404,9 @@ class Discretization:
     along its axis.  The positivity grid is the rule nodes, plus the poles
     t = -1, 1 on a zonal rule, since Gauss-Jacobi nodes are interior:
     ``poles`` is the (2, degree + 1) basis there, and None on the circle.
-    Every cached array is read-only.
+    ``sin_sq`` is (1 - t)(1 + t) at the nodes of a zonal rule, the squared
+    sine of their polar angle, and None on the circle.  Every cached array
+    is read-only.
     """
 
     rule: QuadratureRule
@@ -412,10 +414,11 @@ class Discretization:
     basis: np.ndarray
     points: np.ndarray
     poles: Optional[np.ndarray]
+    sin_sq: Optional[np.ndarray]
 
     @property
     def nbytes(self) -> int:
-        arrays = (self.rule.nodes, self.rule.weights, self.basis, self.points, self.poles)
+        arrays = (self.rule.nodes, self.rule.weights, self.basis, self.points, self.poles, self.sin_sq)
         # zonal points are the rule's own nodes
         distinct = {id(a): a for a in arrays if a is not None}
         return sum(a.nbytes for a in distinct.values())
@@ -436,7 +439,7 @@ class Discretization:
         return min(low, south, north)
 
 
-def _ball_moment(disc: Discretization, values: np.ndarray, a, slope: bool = False):
+def _ball_moment(disc: Discretization, values: np.ndarray, a, slope: bool = False, weighted=None):
     """First moment of the measure f dmu moved by sigma_{-a}, from the values f_i of f on the nodes.
 
         V(a) = sum_i w_i f_i sigma_{-a}(y_i),   a and V in the node coordinates ``disc.points``.
@@ -452,31 +455,35 @@ def _ball_moment(disc: Discretization, values: np.ndarray, a, slope: bool = Fals
         dV/dr = 2 (1 - r^2) / (1 + r^2)^2 sum_i w_i f_i (1 - t_i)(1 + t_i) / (1 + rho t_i)^2.
 
     At r = 0 the moment is summed as w . (f t), the descent's V(0).
+    ``weighted`` is the product w * f, taken here if absent.
     """
     y, w = disc.points, disc.rule.weights
     if disc.rule.n == 1:
+        f = w * values if weighted is None else weighted
         if a == 0:
-            den, f, z = 1.0, w * values, y
+            den, z = 1.0, y
         else:
             den = 1.0 + a.conjugate() * y
-            f, z = w * values / den, y + a
+            f, z = f / den, y + a
         v = complex(f.dot(z))
         if not slope:
             return v
         return v, (complex(f.sum()), -complex((f / den).dot(y * z)))
     a2 = a * a
+    if weighted is None and (a != 0 or slope):  # V(0) alone is summed without it
+        weighted = w * values
     if a == 0:
-        c = float(w.dot(values * y))
+        c, g = float(w.dot(values * y)), weighted
     else:
         rho = 2.0 * a / (1.0 + a2)
         den = 1.0 + rho * y
-        g = w * values / den
+        g = weighted / den
         c = float(g.dot(y + rho))
     if not slope:
         return c
-    g = w * values if a == 0 else g / den
-    # (1 - t)(1 + t) keeps its relative accuracy near the poles
-    return c, 2.0 * (1.0 - a2) / (1.0 + a2) ** 2 * float(g.dot((1.0 - y) * (1.0 + y)))
+    if a != 0:
+        g = g / den
+    return c, 2.0 * (1.0 - a2) / (1.0 + a2) ** 2 * float(g.dot(disc.sin_sq))
 
 
 def _build_discretization(n: int, degree: int, oversample: int) -> Discretization:
@@ -485,9 +492,11 @@ def _build_discretization(n: int, degree: int, oversample: int) -> Discretizatio
     basis = _cached_array(basis_matrix(n, degree, rule.nodes))
     if n == 1:
         points = _cached_array(np.cos(rule.nodes) + 1j * np.sin(rule.nodes))
-        return Discretization(rule, degree, basis, points, None)
+        return Discretization(rule, degree, basis, points, None, None)
     poles = _cached_array(basis_matrix(n, degree, np.array([-1.0, 1.0])).T)
-    return Discretization(rule, degree, basis, rule.nodes, poles)
+    # (1 - t)(1 + t) keeps its relative accuracy near the poles
+    sin_sq = _cached_array((1.0 - rule.nodes) * (1.0 + rule.nodes))
+    return Discretization(rule, degree, basis, rule.nodes, poles, sin_sq)
 
 
 _cache: "OrderedDict[tuple, Discretization]" = OrderedDict()

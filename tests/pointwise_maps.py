@@ -8,19 +8,12 @@ are the oracle the pullback is checked against.  The chart at a pole
 ``z'/(1-t)``.
 """
 
+import math
+
 import numpy as np
 
 from confsphere.errors import AxisMismatch, ConfSphereError
-from confsphere.geometry import (
-    UNIT_TOL,
-    AxisDilation,
-    BallPoint,
-    MobiusMap,
-    Rotation,
-    as_axis_dilation,
-    axis_dilation_jacobian_t,
-    north_pole,
-)
+from confsphere.geometry import UNIT_TOL, AxisDilation, BallPoint, MobiusMap, Rotation, north_pole
 
 # angle-to-pole threshold below which the chart is refused
 POLE_ANGLE_TOL = 1e-8
@@ -87,6 +80,36 @@ def stereographic_inverse(xi: np.ndarray, x: np.ndarray) -> np.ndarray:
     frame = orthonormal_frame(xi)
     r2 = float(x @ x)
     return (2.0 * (frame @ x) + (r2 - 1.0) * xi) / (r2 + 1.0)
+
+
+def as_axis_dilation(phi: BallPoint) -> AxisDilation:
+    """Sphere restriction of sigma_a as an axis dilation (a != 0).
+
+    sigma_a restricted to S^n equals sigma_{a/|a|, (1-|a|)/(1+|a|)}.
+    """
+    a = phi.center
+    r = math.sqrt(float(a.dot(a)))
+    if r == 0.0:
+        raise ValueError("sigma_0 is the identity and has no preferred axis")
+    return AxisDilation(axis=a / r, scale=(1.0 - r) / (1.0 + r))
+
+
+def axis_dilation_t_map(t: np.ndarray, lam: float) -> np.ndarray:
+    """Axis component t' = sigma_{xi,lam}(zeta) . xi as a function of t = zeta . xi."""
+    t = np.asarray(t, dtype=float)
+    num = lam * lam * (1.0 + t) - (1.0 - t)
+    den = lam * lam * (1.0 + t) + (1.0 - t)
+    return num / den
+
+
+def axis_dilation_jacobian_t(t: np.ndarray, lam: float, n: int) -> np.ndarray:
+    """J_{sigma_{xi,lam}} as a function of t = zeta . xi.
+
+    Equals (lam (1+|pi_xi|^2) / (1 + lam^2 |pi_xi|^2))^n written in the
+    pole-safe form (2 lam / ((1-t) + lam^2 (1+t)))^n.
+    """
+    t = np.asarray(t, dtype=float)
+    return (2.0 * lam / ((1.0 - t) + lam * lam * (1.0 + t))) ** n
 
 
 def mobius_apply(phi: MobiusMap, zeta: np.ndarray) -> np.ndarray:

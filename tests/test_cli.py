@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from confsphere import stability
+from confsphere import mobius, stability
 from confsphere.cli import main
 from confsphere.spectral import constant_function, dumps, random_positive_function
 
@@ -238,19 +238,28 @@ def test_minimize_unstable_budget_exit_code(capsys):
     assert code == 3
 
 
-def test_minimize_positivity_breakdown_exits_3(capsys):
+def test_minimize_positivity_breakdown_exits_3(capsys, monkeypatch):
     # an unstable start whose last search finds every trial below the
     # positivity floor: a non-convergence, not a stall at working precision.
     # Each of its iterates passes the gate at maximum one, so this is no
     # search from an iterate already below the floor
+    pulled, pullback = [], mobius.pullback
+
+    def spy(*args):
+        pulled.append(args)
+        return pullback(*args)
+
+    monkeypatch.setattr(mobius, "pullback", spy)
     code, out = run_cli(
         capsys, "minimize", "--n", "1", "--m", "3", "--L", "16", "--seed", "7", "--max-iter", "100"
     )
     data = json.loads(out)
     assert data["termination_reason"] == "positivity_breakdown"
     assert code == 3
-    # the center of this concentrated answer does not converge
+    # the center of this concentrated answer does not converge, so recenter
+    # does not pull the final iterate back by it
     assert data["round_distance"] is None
+    assert pulled == []
 
 
 def test_hessian_closed_form_mismatch_exits_2(capsys, monkeypatch):
@@ -397,6 +406,7 @@ print("RESULT", code, "numpy" in sys.modules)
         ("multiplier-table", "--n", "3", "--m", "2", "--max-degree", "16"),
         ("hessian", "--n", "1", "--m", "3", "--L", "16"),
         ("hessian", "--n", "5", "--m", "6", "--L", "8"),
+        ("poly-identity", "--n", "3", "--m", "4", "--deg", "6", "--trials", "20", "--seed", "0"),
         ("spectrum",),
     ],
     ids=lambda argv: "-".join(argv[:1] + argv[2:3]),

@@ -8,13 +8,13 @@ from confsphere.geometry import (
     AxisDilation,
     BallPoint,
     Rotation,
-    as_axis_dilation,
     north_pole,
     sphere_measure,
     unit_ball_volume,
 )
 from pointwise_maps import (
     PoleSingularity,
+    as_axis_dilation,
     mobius_apply,
     mobius_compose,
     mobius_inverse,

@@ -12,7 +12,7 @@ from confsphere.cli import main
 from confsphere.errors import AxisMismatch, InsufficientNodes
 from confsphere.extremize import OptimizerConfig, minimize
 from confsphere.gjms import apply_operator, packed_multipliers
-from confsphere.geometry import axis_dilation_t_map, north_pole, sphere_measure, sphere_surface_area
+from confsphere.geometry import north_pole, sphere_measure, sphere_surface_area
 from confsphere.spectral import (
     SpectralFunction,
     analyze,
@@ -33,6 +33,7 @@ from confsphere.spectral import (
     synthesize,
     zonal_quadrature,
 )
+from pointwise_maps import axis_dilation_t_map
 
 TWO_PI = 2 * math.pi
 
@@ -490,17 +491,21 @@ def test_zonal_poles_are_a_view_of_the_grid_basis(L):
 @pytest.mark.parametrize("L", [8, 32])
 def test_zonal_poles_are_the_basis_at_the_poles(L):
     # the positivity grid is the rule nodes plus, on a zonal rule, the poles
-    # t = -1, 1: the pole basis is its own read-only array, counted once
+    # t = -1, 1: the pole basis is its own read-only array, counted once; so
+    # is the squared sine (1 - t)(1 + t) of the nodes, with the bits of that product
     for n in (3, 5):
         disc = discretization(n, L, 4)
         assert np.array_equal(disc.poles, basis_matrix(n, L, np.array([-1.0, 1.0])).T)
-        with pytest.raises(ValueError):
-            disc.poles[0, 0] = 0.0
+        t = disc.rule.nodes
+        assert [x.hex() for x in disc.sin_sq] == [x.hex() for x in (1.0 - t) * (1.0 + t)]
+        for cached in (disc.poles, disc.sin_sq):
+            with pytest.raises(ValueError):
+                cached[0, ...] = 0.0
         assert disc.points is disc.rule.nodes
-        held = (disc.rule.nodes, disc.rule.weights, disc.basis, disc.poles)
+        held = (disc.rule.nodes, disc.rule.weights, disc.basis, disc.poles, disc.sin_sq)
         assert disc.nbytes == sum(a.nbytes for a in held)
     circle = discretization(1, L, 4)
-    assert circle.poles is None
+    assert circle.poles is None and circle.sin_sq is None
     held = (circle.rule.nodes, circle.rule.weights, circle.basis, circle.points)
     assert circle.nbytes == sum(a.nbytes for a in held)
 
@@ -532,10 +537,14 @@ def _node_coordinates(rule):
 
 
 def _hand_built(rule, degree):
-    """A discretization on a caller's rule, its pole basis built here."""
+    """A discretization on a caller's rule, its pole basis and squared sines built here."""
     basis = basis_matrix(rule.n, degree, rule.nodes)
-    poles = None if rule.n == 1 else basis_matrix(rule.n, degree, np.array([-1.0, 1.0])).T
-    return spectral.Discretization(rule, degree, basis, _node_coordinates(rule), poles)
+    if rule.n == 1:
+        poles = sin_sq = None
+    else:
+        poles = basis_matrix(rule.n, degree, np.array([-1.0, 1.0])).T
+        sin_sq = (1.0 - rule.nodes) * (1.0 + rule.nodes)
+    return spectral.Discretization(rule, degree, basis, _node_coordinates(rule), poles, sin_sq)
 
 
 @pytest.mark.parametrize("n,L", [(1, 24), (3, 24), (3, 64)])

@@ -20,15 +20,13 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import InvalidConfig
-from .functional import POSITIVITY_FLOOR, _positivity_gate, _step_terms, _value_terms, exponent_q, functional_value
-from .gjms import packed_multipliers
+from .functional import POSITIVITY_FLOOR, evaluator, functional_value
 from .spectral import (
     DEFAULT_DEGREE,
     SpectralFunction,
     _ball_moment,
     _cached_array,
     constant_function,
-    discretization,
     random_band_limited,
 )
 
@@ -115,15 +113,13 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
 
     The iterate is held as coefficients of u0's degree, the config's
     ``degree`` (else :class:`InvalidConfig`).  Each candidate is synthesized
-    once; the terms of the accepted one give its gradient and barycenter.
+    once, by the gate of the evaluator of ``(n, m, degree)``; the terms of
+    the accepted one give its gradient and barycenter.
     """
     if config.degree != u0.degree:
         raise InvalidConfig(f"config degree {config.degree} is not the degree {u0.degree} of the start")
     n, axis = u0.n, u0.axis
-    q = exponent_q(n, m)
-    disc = discretization(n, u0.degree, oversample=4)
-    p = packed_multipliers(n, m, u0.degree)
-    weights = disc.rule.weights
+    ev = evaluator(n, m, u0.degree)
     near_floor = (1.0 + 1e-3) * POSITIVITY_FLOOR
     trace = DescentTrace()
 
@@ -132,30 +128,30 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         return math.sqrt(float(x.dot(x)))
 
     def admissible(c: np.ndarray, refuse: bool = False) -> Optional[tuple]:
-        """:func:`_value_terms` of c at maximum one, then that maximum and the
+        """The value terms of c at maximum one, then that maximum and the
         node minimum at maximum one; None if c, or c at maximum one next to the
         floor, fails the positivity gate, or the gate's :class:`NonPositiveFunction`
         if ``refuse``."""
-        if (gated := _positivity_gate(c, disc, refuse)) is None:
+        if (gated := ev.gate(c, refuse)) is None:
             return None
         vals, low, cmax, grid_low = gated
         # division by cmax > 0 is monotone, so low / cmax is the minimum of vals / cmax
-        terms = _value_terms(c * (1.0 / cmax), vals / cmax, p, q, weights) + (cmax, low / cmax)
+        terms = ev.terms(c, vals, cmax) + (cmax, low / cmax)
         # the iterate is kept as c / cmax, whose synthesis rounds otherwise than
         # vals / cmax, by about 1e-16 at maximum one; within 1e-3 of the floor
         # it is gated too, so every iterate passes the entry points' gate
-        if grid_low <= near_floor * cmax and _positivity_gate(terms[0], disc, refuse) is None:
+        if grid_low <= near_floor * cmax and ev.gate(terms[0], refuse) is None:
             return None
         return terms
 
     terms = admissible(u0.coeffs, refuse=True)
     c, current = terms[0], terms[2]
-    grad = _step_terms(terms, disc, q)
+    grad = ev.gradient(terms)
 
     # the metric D = 2 N0 (1 + |p_2m(alpha)|) evens out the 2m-th order
     # stiffness in the scale of the energy part 2 N p c of grad, with
     # N0 = |u0^{-1}|^2_{L^q} of the start at maximum one
-    inv_d = 1.0 / (2.0 * math.exp((2.0 / q) * math.log(terms[6])) * (1.0 + np.abs(p)))
+    inv_d = 1.0 / (2.0 * math.exp(ev.two_q * math.log(terms[6])) * ev.metric)
     step = 1.0
     last_grad = None  # grad before the last accepted step
     accepted = 0
@@ -166,7 +162,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         trace.grad_norms.append(norm(grad))
         trace.min_values.append(terms[8])
         # |V(0)|: the first moment of u^{-q} over its integral
-        trace.barycenter_norms.append(abs(_ball_moment(disc, neg, 0)) / integ)
+        trace.barycenter_norms.append(abs(_ball_moment(ev.disc, neg, 0)) / integ)
 
     for _ in range(config.max_iter):
         record()
@@ -220,7 +216,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
 
         accepted += 1
         terms, step, last_grad = found, alpha, grad
-        c, current, grad = terms[0], terms[2], _step_terms(terms, disc, q)
+        c, current, grad = terms[0], terms[2], ev.gradient(terms)
     else:
         record()
         trace.termination_reason = "max_iterations"
@@ -253,7 +249,10 @@ def perturbation_sweep(
     1..``degree``, else ``ValueError``.  For the locally minimal orders
     every gap is nonnegative up to quadrature noise; in the unstable range
     suitable phi drive the gap negative.  I(1) is computed once per
-    ``(n, m, degree)`` and each 1 + eps phi is one coefficient array.
+    ``(n, m, degree)``, and each 1 + eps phi is one coefficient array,
+    evaluated as :func:`~confsphere.functional.functional_value` evaluates
+    it, by the evaluator of ``(n, m, degree)``.  A non-finite eps raises
+    ``ValueError``.
     """
     if not 2 * m > n:
         raise ValueError("the functional requires 2m > n")
@@ -262,6 +261,7 @@ def perturbation_sweep(
         raise ValueError(f"max_degree {max_degree} lies outside 1..{degree}")
     rng = np.random.default_rng(seed)
     one, base = _unit_constant(n, m, degree)
+    ev = evaluator(n, m, degree)
     rows = []
     for trial in range(trials):
         phi = random_band_limited(n, degree, max_degree, rng)
@@ -270,6 +270,9 @@ def perturbation_sweep(
             if eps == 0:
                 rows.append((trial, 0.0, 0.0))
                 continue
-            gap = functional_value(SpectralFunction(n, one + unit * eps, phi.axis), m) - base
-            rows.append((trial, float(eps), float(gap)))
+            if not math.isfinite(eps):
+                raise ValueError(f"eps {eps!r} is not finite")
+            c = one + unit * eps
+            vals, k = ev.gate(c)[:2]
+            rows.append((trial, float(eps), float(ev.terms(c, vals, k)[2] - base)))
     return rows

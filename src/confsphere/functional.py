@@ -9,8 +9,10 @@ For ``2m > n`` the objects are
 the last being invariant under rescaling u -> c u and under conformal
 pullback.  Negative powers require strict positivity, enforced by one
 gate on the oversampled grid, relative to the maximum as I is scale free.
-Every entry point reads the terms of u at node minimum one from one gated
-synthesis, :func:`neg_power_integral`; the descent gates at maximum one.
+One :class:`Evaluator` per ``(n, m, degree)`` holds the gate, the value
+terms and the gradient kernel.  Every entry point reads the terms of u at
+node minimum one from one gated synthesis, :func:`neg_power_integral`; the
+descent gates at maximum one, through the same evaluator.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .spectral import (
     QuadratureRule,
     SpectralFunction,
     _aligned,
+    _cached_array,
     discretization,
 )
 
@@ -70,52 +74,135 @@ def energy_quadratic(u: SpectralFunction, m: int) -> float:
     return float(packed_multipliers(u.n, m, u.degree).dot(c * c))
 
 
-def _positivity_gate(c: np.ndarray, disc: Discretization, refuse: bool = True) -> tuple | None:
-    """(values, minimum, maximum) of the coefficients c on the rule nodes and their grid minimum, once c passed.
+@dataclass(frozen=True, eq=False, slots=True)
+class Evaluator:
+    """The gate, the value terms and the gradient kernel of degree-``degree`` coefficients at order 2m.
 
-    ``disc`` is the 4x discretization of c's degree.  c passes when its grid minimum, as in
-    :func:`min_on_grid`, is a normal float (1 / minimum is finite) above ``POSITIVITY_FLOOR``
-    times its node maximum, so the gate decides c u as u.  The nodes are that grid save the
-    zonal poles, synthesized once.  Else :class:`NonPositiveFunction`, or None if not ``refuse``.
+    :func:`evaluator` builds one per ``(n, m, degree)`` on the 4x
+    discretization ``disc`` and keeps it there.  It holds what every
+    evaluation reads: the basis on the rule nodes and its transposed view
+    ``basis_t``, the rule ``weights``, the pole basis ``poles`` (None on the
+    circle), the packed multipliers ``p``, the exponent ``q`` and ``two_q`` =
+    2 / q, and ``metric`` = 1 + |p|, the descent's metric before its scale.
+    The node points of the moments are ``disc.points``.  Every array is
+    read-only.
     """
-    vals = disc.values(c)
-    low, high = float(vals.min()), float(vals.max())
-    grid_low = disc.grid_minimum(c, low)
-    if grid_low > POSITIVITY_FLOOR * high and grid_low >= sys.float_info.min:
-        return vals, low, high, grid_low
-    if refuse:
-        why = f"above {POSITIVITY_FLOOR:g} times the node maximum {high:.3e}"
-        why = "a normal float" if grid_low > POSITIVITY_FLOOR * high else why
-        raise NonPositiveFunction(f"function fails the positivity floor: grid minimum {grid_low:.3e} is not {why}")
-    return None
+
+    disc: Discretization
+    basis: np.ndarray
+    basis_t: np.ndarray
+    weights: np.ndarray
+    poles: Optional[np.ndarray]
+    p: np.ndarray
+    q: float
+    two_q: float
+    metric: np.ndarray
+
+    def gate(self, c: np.ndarray, refuse: bool = True) -> Optional[tuple]:
+        """(values, minimum, maximum) of the coefficients c on the rule nodes and their grid minimum, once c passed.
+
+        c passes when its grid minimum, as in :func:`min_on_grid`, is a normal
+        float (1 / minimum is finite) above ``POSITIVITY_FLOOR`` times its node
+        maximum, so the gate decides c u as u.  The nodes are that grid save
+        the zonal poles, synthesized once.  Else :class:`NonPositiveFunction`,
+        or None if not ``refuse``.
+        """
+        vals = self.basis_t.dot(c)
+        low, high = float(vals.min()), float(vals.max())
+        grid_low = low
+        if self.poles is not None:
+            south, north = self.poles.dot(c).tolist()
+            grid_low = min(low, south, north)
+        if grid_low > POSITIVITY_FLOOR * high and grid_low >= sys.float_info.min:
+            return vals, low, high, grid_low
+        if refuse:
+            why = f"above {POSITIVITY_FLOOR:g} times the node maximum {high:.3e}"
+            why = "a normal float" if grid_low > POSITIVITY_FLOOR * high else why
+            raise NonPositiveFunction(f"function fails the positivity floor: grid minimum {grid_low:.3e} is not {why}")
+        return None
+
+    def terms(self, c: np.ndarray, vals: np.ndarray, k: float) -> tuple:
+        """(c / k, vals / k, I, p c / k, E(u / k), (u / k)^{-q}, integral (u / k)^{-q}) of the coefficients c.
+
+        ``vals`` are the values of c on the nodes from :meth:`gate`, and k > 0
+        is a scale it returned.  The tuple is what :meth:`gradient` takes.
+        """
+        c = c * (1.0 / k)
+        vals = vals / k
+        neg = vals ** (-self.q)
+        integ = float(self.weights.dot(neg))
+        pc = self.p * c
+        e = float(pc.dot(c))
+        return c, vals, math.exp(self.two_q * math.log(integ)) * e, pc, e, neg, integ
+
+    def gradient(self, terms: tuple) -> np.ndarray:
+        """Gradient coefficients from :meth:`terms`.
+
+        They come from the node values held in ``terms``: no synthesis and no
+        gate; entries past the seventh are ignored.  u^{-q-1} is taken as u^{-q} / u.
+        """
+        _, vals, _, pc, e, neg, integ = terms[:7]
+        # basis . (weights * pointwise) + pc * (...), built in place in that order
+        pointwise = np.divide(neg, vals)
+        pointwise *= -2.0 * integ ** (self.two_q - 1.0) * e
+        pointwise *= self.weights
+        out = self.basis.dot(pointwise)
+        out += pc * (2.0 * integ ** self.two_q)
+        return out
+
+    def volume(self, c: np.ndarray) -> np.ndarray:
+        """(u / k)^{-q} over its integral on the nodes, k the node minimum of c, which passes :meth:`gate`."""
+        vals, k = self.gate(c)[:2]
+        neg = (vals / k) ** (-self.q)
+        return neg / float(self.weights.dot(neg))
+
+
+def evaluator(n: int, m: int, degree: int) -> Evaluator:
+    """The :class:`Evaluator` of degree-``degree`` functions on S^n at order 2m, built once.
+
+    It is kept in the ``evaluators`` of its cached 4x discretization, so it
+    lives as long as the cache holds that discretization and is emptied with
+    it (:func:`confsphere.spectral.clear_caches`).  On a discretization too
+    large to cache it is built for its call and not stored.
+    """
+    disc = discretization(n, degree, oversample=4)
+    held = disc.evaluators
+    ev = None if held is None else held.get(m)
+    if ev is None:
+        p = packed_multipliers(n, m, degree)
+        q = exponent_q(n, m)
+        ev = Evaluator(
+            disc, disc.basis, disc.basis.T, disc.rule.weights, disc.poles, p, q, 2.0 / q, _cached_array(1.0 + np.abs(p))
+        )
+        if held is not None:
+            held[m] = ev
+    return ev
 
 
 def neg_power_integral(u: SpectralFunction, m: int) -> tuple:
-    """The one gated evaluation of u: :func:`_value_terms` of u / k, then k, the node minimum, and the grid minimum.
+    """The one gated evaluation of u: :meth:`Evaluator.terms` of u / k, then k, the grid minimum and the evaluator.
 
-    u passes :func:`_positivity_gate` once on the nodes of its 4x
+    u passes :meth:`Evaluator.gate` once on the nodes of its 4x
     discretization, as negative powers are not band-limited.  The tuple is
     (c / k, u / k on the nodes, I, p c / k, E(u / k), (u / k)^{-q}, J, k,
-    min_on_grid(u)): J, the integral of (u / k)^{-q}, lies in (0, |S^n|], so
-    the integral of u^{-q} is J k^{-q} and the functional entry points all
-    read from here.
+    min_on_grid(u), evaluator): J, the integral of (u / k)^{-q}, lies in
+    (0, |S^n|], so the integral of u^{-q} is J k^{-q} and the functional entry
+    points all read from here.
     """
-    disc = discretization(u.n, u.degree, oversample=4)
-    vals, k, _, grid_low = _positivity_gate(u.coeffs, disc)
-    p = packed_multipliers(u.n, m, u.degree)
-    terms = _value_terms(u.coeffs * (1.0 / k), vals / k, p, exponent_q(u.n, m), disc.rule.weights)
-    return terms + (k, grid_low)
+    ev = evaluator(u.n, m, u.degree)
+    vals, k, _, grid_low = ev.gate(u.coeffs)
+    return ev.terms(u.coeffs, vals, k) + (k, grid_low, ev)
 
 
-def _neg_norm(terms: tuple, q: float) -> float:
+def _neg_norm(terms: tuple) -> float:
     """|u^{-1}|^2_{L^q} from :func:`neg_power_integral`: J^{2/q} (survives large powers), over k twice."""
     k = terms[7]
-    return math.exp((2.0 / q) * math.log(terms[6])) / k / k  # k * k can underflow
+    return math.exp(terms[9].two_q * math.log(terms[6])) / k / k  # k * k can underflow
 
 
 def neg_power_norm(u: SpectralFunction, m: int) -> float:
     """|u^{-1}|^2_{L^q}, of degree -2: taken at node minimum one, then rescaled."""
-    return _neg_norm(neg_power_integral(u, m), exponent_q(u.n, m))
+    return _neg_norm(neg_power_integral(u, m))
 
 
 def functional_value(u: SpectralFunction, m: int) -> float:
@@ -123,12 +210,11 @@ def functional_value(u: SpectralFunction, m: int) -> float:
     return neg_power_integral(u, m)[2]
 
 
-def _residual(u: SpectralFunction, terms: tuple) -> float:
-    """:func:`el_residual` from the terms of u; u^{-q-1} is taken as u^{-q} / u, as in :func:`_step_terms`."""
-    disc = discretization(u.n, u.degree, oversample=4)
-    _, vals, _, pc, e, neg, integ, k = terms[:8]
-    res = disc.values(pc) - (e / integ) * (neg / vals)
-    return math.sqrt(float(disc.rule.weights.dot(res**2))) * k
+def _residual(terms: tuple) -> float:
+    """:func:`el_residual` from the terms of u; u^{-q-1} is taken as u^{-q} / u, as in :meth:`Evaluator.gradient`."""
+    _, vals, _, pc, e, neg, integ, k, _, ev = terms
+    res = ev.basis_t.dot(pc) - (e / integ) * (neg / vals)
+    return math.sqrt(float(ev.weights.dot(res**2))) * k
 
 
 def el_residual(u: SpectralFunction, m: int) -> float:
@@ -138,7 +224,7 @@ def el_residual(u: SpectralFunction, m: int) -> float:
     the residual vanishes exactly at critical points of the functional.
     Homogeneous of degree 1: taken on u / k at minimum one, times k.
     """
-    return _residual(u, neg_power_integral(u, m))
+    return _residual(neg_power_integral(u, m))
 
 
 def functional_report(u: SpectralFunction, m: int) -> EnergyReport:
@@ -146,7 +232,7 @@ def functional_report(u: SpectralFunction, m: int) -> EnergyReport:
     with np.errstate(over="ignore"):
         e = energy_quadratic(u, m)
     terms = neg_power_integral(u, m)
-    nn = _neg_norm(terms, exponent_q(u.n, m))
+    nn = _neg_norm(terms)
     if not (math.isfinite(e) and math.isfinite(nn)):
         raise ConfSphereError(f"E ({e!r}) or the negative-power norm ({nn!r}) overflows at this scale")
     return EnergyReport(
@@ -155,44 +241,9 @@ def functional_report(u: SpectralFunction, m: int) -> EnergyReport:
         energy=e,
         neg_norm=nn,
         functional=nn * e,
-        el_residual=_residual(u, terms),
+        el_residual=_residual(terms),
         min_value=terms[8],
     )
-
-
-def _neg_power(vals: np.ndarray, q: float, weights: np.ndarray) -> tuple:
-    """(u^{-q}, integral u^{-q}) from the node values ``vals`` of u, which passed a positivity gate."""
-    neg = vals ** (-q)
-    return neg, float(weights.dot(neg))
-
-
-def _value_terms(c: np.ndarray, vals: np.ndarray, p: np.ndarray, q: float, weights: np.ndarray) -> tuple:
-    """(c, vals, I, p c, E, u^{-q}, integral u^{-q}) of the coefficients c.
-
-    ``vals`` are the values of c on the nodes of ``weights`` and have
-    passed a positivity gate; ``p`` are the packed multipliers.  The tuple
-    is what :func:`_step_terms` takes.
-    """
-    neg, integ = _neg_power(vals, q, weights)
-    pc = p * c
-    e = float(pc.dot(c))
-    return c, vals, math.exp((2.0 / q) * math.log(integ)) * e, pc, e, neg, integ
-
-
-def _step_terms(terms: tuple, disc: Discretization, q: float) -> np.ndarray:
-    """Gradient coefficients from :func:`_value_terms`.
-
-    They come from the node values held in ``terms``: no synthesis and no
-    gate; entries past the seventh are ignored.  u^{-q-1} is taken as u^{-q} / u.
-    """
-    _, vals, _, pc, e, neg, integ = terms[:7]
-    # basis . (weights * pointwise) + pc * (...), built in place in that order
-    pointwise = np.divide(neg, vals)
-    pointwise *= -2.0 * integ ** (2.0 / q - 1.0) * e
-    pointwise *= disc.rule.weights
-    out = disc.basis.dot(pointwise)
-    out += pc * (2.0 * integ ** (2.0 / q))
-    return out
 
 
 def gradient(u: SpectralFunction, m: int) -> SpectralFunction:
@@ -200,13 +251,13 @@ def gradient(u: SpectralFunction, m: int) -> SpectralFunction:
 
     grad I = 2 |u^{-1}|^2 P_2m u - 2 (integral u^{-q})^{2/q - 1} E(u) u^{-q-1},
     truncated at the degree of u.  The kernel is the one of the descent:
-    :func:`_step_terms` of :func:`neg_power_integral`, on u / k at minimum one, then over k
+    :meth:`Evaluator.gradient` of :func:`neg_power_integral`, on u / k at minimum one, then over k
     (:class:`ConfSphereError` if that overflows, for k near the smallest normal float).
     """
     terms = neg_power_integral(u, m)
     k = terms[7]
     with np.errstate(over="ignore"):
-        g = _step_terms(terms, discretization(u.n, u.degree, oversample=4), exponent_q(u.n, m)) / k
+        g = terms[9].gradient(terms) / k
     if not np.isfinite(g).all():
         raise ConfSphereError(f"the gradient overflows at this scale (node minimum {k:.3e})")
     return SpectralFunction(u.n, g, u.axis)

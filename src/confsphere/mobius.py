@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AxisMismatch, ConfSphereError
-from .functional import _neg_power, _positivity_gate, exponent_q
+from .functional import evaluator
 from .geometry import AxisDilation, BallPoint, MobiusMap, Rotation, north_pole
 from .spectral import SpectralFunction, _ball_moment, _unit_circle_sum, discretization
 
@@ -144,16 +144,14 @@ def extremal(
 def _volume(u: SpectralFunction, m: int) -> tuple:
     """(disc, u^{-q} / integral u^{-q}) on the nodes of the 4x discretization.
 
-    u passes the positivity gate once on that discretization, and u^{-q}
-    is taken on u divided by its node minimum, as in
-    :func:`~confsphere.functional.neg_power_integral`, without the energy
-    terms.  So u^{-q} is at most one and one at a node, and its integral
-    can neither overflow nor underflow.
+    u passes the positivity gate once, and u^{-q} is taken on u divided by
+    its node minimum, as in :func:`~confsphere.functional.neg_power_integral`,
+    without the energy terms (:meth:`~confsphere.functional.Evaluator.volume`).
+    So u^{-q} is at most one and one at a node, and its integral can neither
+    overflow nor underflow.
     """
-    disc = discretization(u.n, u.degree, oversample=4)
-    vals, k = _positivity_gate(u.coeffs, disc)[:2]
-    neg, integ = _neg_power(vals / k, exponent_q(u.n, m), disc.rule.weights)
-    return disc, neg / integ
+    ev = evaluator(u.n, m, u.degree)
+    return ev.disc, ev.volume(u.coeffs)
 
 
 def barycenter(u: SpectralFunction, a: np.ndarray, m: int) -> np.ndarray:

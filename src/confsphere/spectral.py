@@ -22,7 +22,7 @@ import math
 import mmap
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -255,11 +255,13 @@ class SpectralFunction:
                 raise ValueError("zonal representation requires odd n >= 3")
             if self.axis is None:
                 raise ValueError("zonal functions require an axis")
-            if np.shape(self.axis) != (self.n + 1,):
-                raise AxisMismatch(
-                    f"a zonal axis on S^{self.n} has {self.n + 1} entries, got shape {np.shape(self.axis)}"
-                )
-            object.__setattr__(self, "axis", unit_vector(self.axis))
+            axis = np.asarray(self.axis, dtype=float)
+            if axis.shape != (self.n + 1,):
+                raise AxisMismatch(f"a zonal axis on S^{self.n} has {self.n + 1} entries, got shape {axis.shape}")
+            # an axis of norm exactly 1.0 is kept as given: v / 1.0 is v
+            if math.sqrt(float(axis.dot(axis))) != 1.0:
+                axis = unit_vector(axis)
+            object.__setattr__(self, "axis", axis)
 
     @property
     def kind(self) -> str:
@@ -406,7 +408,10 @@ class Discretization:
     ``poles`` is the (2, degree + 1) basis there, and None on the circle.
     ``sin_sq`` is (1 - t)(1 + t) at the nodes of a zonal rule, the squared
     sine of their polar angle, and None on the circle.  Every cached array
-    is read-only.
+    is read-only.  ``evaluators`` holds the evaluators of the functional on
+    a cached 4x discretization, by order m (see
+    :func:`confsphere.functional.evaluator`); the cache empties it when it
+    drops the discretization, and it is None on one the cache does not hold.
     """
 
     rule: QuadratureRule
@@ -415,6 +420,7 @@ class Discretization:
     points: np.ndarray
     poles: Optional[np.ndarray]
     sin_sq: Optional[np.ndarray]
+    evaluators: Optional[dict] = None
 
     @property
     def nbytes(self) -> int:
@@ -508,7 +514,9 @@ def discretization(n: int, degree: int, oversample: int = 2) -> Discretization:
 
     Rules are canonical in their size, so the cache is keyed on the three
     integers.  It keeps the most recently used entries within
-    :data:`DISCRETIZATION_CACHE_BYTES`.
+    :data:`DISCRETIZATION_CACHE_BYTES`.  A discretization it drops takes
+    its evaluators along, as they hold it (no reference cycle outlives
+    the drop).
     """
     key = (int(n), int(degree), int(oversample))
     with _cache_lock:
@@ -518,17 +526,22 @@ def discretization(n: int, degree: int, oversample: int = 2) -> Discretization:
             return disc
     disc = _build_discretization(*key)
     if disc.nbytes <= DISCRETIZATION_CACHE_BYTES:
+        disc = replace(disc, evaluators={})
         with _cache_lock:
             _cache[key] = disc
             held = sum(d.nbytes for d in _cache.values())
             while held > DISCRETIZATION_CACHE_BYTES:
-                held -= _cache.popitem(last=False)[1].nbytes
+                dropped = _cache.popitem(last=False)[1]
+                dropped.evaluators.clear()
+                held -= dropped.nbytes
     return disc
 
 
 def clear_caches() -> None:
-    """Drop every cached discretization, zonal normalization and Chebyshev matrix."""
+    """Drop every cached discretization with its evaluators, every zonal normalization and Chebyshev matrix."""
     with _cache_lock:
+        for disc in _cache.values():
+            disc.evaluators.clear()
         _cache.clear()
     _zonal_normalization.cache_clear()
     _chebyshev_matrix.cache_clear()

@@ -7,19 +7,21 @@ from confsphere import extremize, functional, mobius
 from confsphere.cli import round_distance
 from confsphere.errors import InvalidConfig, NonPositiveFunction
 from confsphere.extremize import OptimizerConfig, minimize, perturbation_sweep
-from confsphere.functional import el_residual, exponent_q, functional_value, gradient, neg_power_integral
-from confsphere.geometry import AxisDilation, north_pole
+from confsphere.functional import Evaluator, el_residual, exponent_q, functional_value, gradient, neg_power_integral
+from confsphere.geometry import AxisDilation, north_pole, sphere_measure
 from confsphere.gjms import packed_multipliers
 from confsphere.mobius import barycenter, pullback
 from confsphere.spectral import (
-    Discretization,
     constant_function,
     discretization,
     harmonic_basis_function,
     min_on_grid,
+    packed_degrees,
     random_band_limited,
     random_positive_function,
 )
+from confsphere.stability import hessian_eigenvalue
+from layered_evaluation import logging_evaluator
 
 
 def seeded_start(n, degree, seed, max_degree=None):
@@ -191,6 +193,21 @@ def test_positivity_floor_is_respected():
 def test_perturbation_sweep_stable_case():
     rows = perturbation_sweep(3, 2, [1e-2], trials=200, seed=0, degree=24)
     assert min(gap for _, _, gap in rows) >= -1e-9
+    # each gap is the exact second variation, eps^2 |S^n|^{2/q} sum_k lam_k
+    # phi_k^2 with lam_k = hessian_eigenvalue(n, m, k), up to O(eps^3): the
+    # rest is at most 0.1 eps^3 |S^n|^{2/q} sum_k |lam_k| phi_k^2 (measured
+    # up to 0.017) at eps = 1e-2 and 1e-3, for both representations
+    for (n, m), degree in zip(STABLE_TOLERANCE, (16, 16, 24, 24)):
+        lam = np.array([float(hessian_eigenvalue(n, m, k)) for k in range(degree + 1)])[packed_degrees(n, degree)]
+        volume = sphere_measure(n) ** (2.0 / exponent_q(n, m))
+        for eps in (1e-2, 1e-3):
+            rows = perturbation_sweep(n, m, [eps], trials=20, seed=0, degree=degree)
+            rng = np.random.default_rng(0)  # the sweep's draws of phi, one per trial
+            for _, _, gap in rows:
+                phi = random_band_limited(n, degree, degree // 2, rng)
+                phi_sq = phi.coeffs * phi.coeffs / phi.norm_sq()
+                second = eps**2 * volume * float((lam * phi_sq).sum())
+                assert abs(gap - second) <= 0.1 * eps**3 * volume * float((np.abs(lam) * phi_sq).sum()), (n, m, eps)
 
 
 def test_perturbation_sweep_unstable_direction():
@@ -199,6 +216,14 @@ def test_perturbation_sweep_unstable_direction():
     phi = harmonic_basis_function(1, 2, 32)
     gap = functional_value(one + phi.scaled(1e-2), 3) - base
     assert gap < 0
+
+
+@pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+def test_perturbation_sweep_refuses_an_eps_that_is_not_finite(eps):
+    # 1 + eps phi is not a function; ValueError, as a SpectralFunction of it
+    # would raise, and no floating-point warning on the way
+    with pytest.raises(ValueError, match="not finite"):
+        perturbation_sweep(3, 2, [1e-2, eps], trials=2, seed=0, degree=16)
 
 
 def test_perturbation_sweep_zero_eps():
@@ -278,32 +303,24 @@ def test_descent_rows_equal_public_functions(n, m, degree):
 @pytest.mark.parametrize("n,m,degree,seed", [(1, 1, 32, 11), (3, 2, 32, 1)])
 def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, seed):
     # the one positivity gate runs once for the start and once per
-    # candidate, each with one Discretization.values and one grid check; the
-    # accepted candidate's values feed the gradient and barycenter.  A
-    # dilated start drifts in the gauge, which the descent leaves alone; it
-    # is built before the spies, since random_positive_function uses
-    # Discretization.values
+    # candidate, each with one synthesis on the nodes and, on a zonal rule,
+    # one product with the pole basis; the accepted candidate's values feed
+    # the gradient and barycenter.  A dilated start drifts in the gauge,
+    # which the descent leaves alone
     u0 = pullback(seeded_start(n, degree, seed, max_degree=6), AxisDilation(north_pole(n), 3.0), m)
-    values, checks, gates = [], [], []
-
-    def spy(owner, name, calls, tag):
-        real = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls.append(tag(args))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    spy(Discretization, "values", values, lambda a: a[1])
-    spy(Discretization, "grid_minimum", checks, lambda a: a[1])
-    for owner in (functional, extremize):
-        spy(owner, "_positivity_gate", gates, lambda a: a[0])
+    log, gates = [], []
+    logging_evaluator(monkeypatch, n, m, degree, log)
+    real = Evaluator.gate
+    monkeypatch.setattr(Evaluator, "gate", lambda self, c, refuse=True: gates.append(c) or real(self, c, refuse))
     no_gauge(monkeypatch)
     trace = minimize(u0, m, OptimizerConfig(degree=degree, max_iter=60))
+    values = [c for tag, c, _ in log if tag == "values"]
+    poles = [c for tag, c, _ in log if tag == "poles"]
     assert values[0] is u0.coeffs
-    assert len(values) == len(checks) == len(gates) >= 1 + trace.iterations
-    assert all(v is g is c for v, g, c in zip(values, checks, gates))
+    assert len(values) == len(gates) >= 1 + trace.iterations
+    assert all(v is g for v, g in zip(values, gates))
+    assert len(poles) == (0 if n == 1 else len(gates))
+    assert all(p is g for p, g in zip(poles, gates))
 
 
 @pytest.mark.parametrize("n,m,degree,seed", [(1, 1, 32, 11), (3, 2, 32, 1)])
@@ -325,19 +342,19 @@ def test_minimize_calls_neg_power_integral_only_to_seek_centers(monkeypatch, n, 
 @pytest.mark.parametrize("n,m,degree,seed", [(1, 1, 32, 11), (3, 2, 32, 1), (3, 3, 64, 2)])
 def test_min_values_are_the_node_minima_at_maximum_one(monkeypatch, n, m, degree, seed):
     # each row's minU is the gate's node minimum over the maximum, which
-    # equals the minimum of the node values _value_terms received, also
-    # from a start pulled back by a dilation
+    # equals the minimum of the node values at maximum one in the value
+    # terms, also from a start pulled back by a dilation
     u0 = pullback(seeded_start(n, degree, seed, max_degree=6), AxisDilation(north_pole(n), 3.0), m)
     minima = {}
-    real = extremize._value_terms
+    real = Evaluator.terms
 
-    def spy(*args):
-        out = real(*args)
-        assert float(args[1].max()) == 1.0
-        minima.setdefault(out[2], set()).add(float(args[1].min()))
+    def spy(self, c, vals, k):
+        out = real(self, c, vals, k)
+        assert float(out[1].max()) == 1.0
+        minima.setdefault(out[2], set()).add(float(out[1].min()))
         return out
 
-    monkeypatch.setattr(extremize, "_value_terms", spy)
+    monkeypatch.setattr(Evaluator, "terms", spy)
     no_gauge(monkeypatch)
     trace = minimize(u0, m, OptimizerConfig(degree=degree, max_iter=60))
     assert len(trace.min_values) == len(trace.values) > 2
@@ -408,31 +425,38 @@ def _descent_events(monkeypatch, u0, m, config):
     ("trial", c, values) of each synthesis, ("floor", c, minimum) of each
     grid check and ("iterate", terms, gradient) of each gradient.  The
     synthesis of a candidate at maximum one, c / cmax, gated again next to
-    the floor, is ("regate", c / cmax, values).  A call into the gauge
+    the floor, is ("regate", c / cmax, values).  The grid minimum is the
+    least of the synthesized node values and, on a zonal rule, of the
+    values at the poles the gate takes next.  A call into the gauge
     functions of :mod:`confsphere.mobius` fails the test.
     """
-    events = []
+    raw = []
+    logging_evaluator(monkeypatch, u0.n, m, u0.degree, raw)
+    real = Evaluator.gradient
 
-    def spy(owner, name, log):
-        real = getattr(owner, name)
+    def gradient_logged(self, terms):
+        out = real(self, terms)
+        raw.append(("iterate", terms, out))
+        return out
 
-        def logged(*args):
-            out = real(*args)
-            log(args, out)
-            return out
-
-        monkeypatch.setattr(owner, name, logged)
-
-    def synthesis(a, out):
-        last = next((e for e in reversed(events) if e[0] == "trial"), None)
-        again = last is not None and np.array_equal(a[1], last[1] * (1.0 / float(last[2].max())))
-        events.append(("regate" if again else "trial", a[1], out))
-
-    spy(Discretization, "values", synthesis)
-    spy(Discretization, "grid_minimum", lambda a, out: events.append(("floor", a[1], out)))
-    spy(extremize, "_step_terms", lambda a, out: events.append(("iterate", a[0], out)))
+    monkeypatch.setattr(Evaluator, "gradient", gradient_logged)
     no_gauge(monkeypatch)
-    return minimize(u0, m, config), events
+    trace = minimize(u0, m, config)
+    events = []
+    for i, (tag, x, out) in enumerate(raw):
+        if tag == "iterate":
+            events.append((tag, x, out))
+        elif tag == "values":
+            last = next((e for e in reversed(events) if e[0] == "trial"), None)
+            again = last is not None and np.array_equal(x, last[1] * (1.0 / float(last[2].max())))
+            events.append(("regate" if again else "trial", x, out))
+            low = float(out.min())
+            if u0.n != 1:
+                poles = raw[i + 1]
+                assert poles[0] == "poles" and poles[1] is x
+                low = min(low, *poles[2].tolist())
+            events.append(("floor", x, low))
+    return trace, events
 
 
 def _one_pair_direction(grad, inv_d, pair):

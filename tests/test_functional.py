@@ -32,6 +32,8 @@ from confsphere.spectral import (
     random_band_limited,
     random_positive_function,
 )
+import layered_evaluation as layered
+from layered_evaluation import logging_evaluator, positivity_gate
 
 TWO_PI = 2 * math.pi
 
@@ -111,8 +113,10 @@ def test_positivity_gate():
 
 def test_gate_tests_the_poles_without_looking_up_its_own_grid(monkeypatch):
     # u = s - Z_16 is positive on the Gauss-Jacobi nodes and negative at
-    # t = 1; handed the 4x discretization, the gate needs no cache lookup
+    # t = 1; the evaluator's gate holds the 4x grid and needs no cache lookup
     disc = discretization(3, 16, 4)
+    ev = functional.evaluator(3, 2, 16)
+    assert ev.disc is disc
     c = np.zeros(17)
     c[0] = 0.5 * (disc.basis[16].max() + disc.poles[1, 16]) / disc.basis[0, 0]
     c[16] = -1.0
@@ -121,10 +125,10 @@ def test_gate_tests_the_poles_without_looking_up_its_own_grid(monkeypatch):
     real = functional.discretization
     monkeypatch.setattr(functional, "discretization", lambda *a, **k: lookups.append(a) or real(*a, **k))
     with pytest.raises(NonPositiveFunction):
-        functional._positivity_gate(c, disc)
+        ev.gate(c)
     assert lookups == []
     c[0] *= 3.0
-    vals, low, high, grid_low = functional._positivity_gate(c, disc)
+    vals, low, high, grid_low = ev.gate(c)
     assert np.array_equal(vals, disc.values(c))
     assert (low, high) == (vals.min(), vals.max())
     assert grid_low == disc.grid_minimum(c, low) < low
@@ -259,14 +263,15 @@ def test_grid_minimum_is_the_least_value_on_nodes_and_poles(monkeypatch, n, m, L
     # oracle: one basis matrix on the rule nodes, with t = -1 and 1 added on
     # a zonal rule.  min_on_grid, the gate and the report's min_value agree
     # with it; a kernel dip centred at each pole (at th = pi, 0 on the
-    # circle, off its nodes) puts a zonal minimum there, below every node
+    # circle, off its nodes) puts a zonal minimum there, below every node.
+    # The gate's grid minimum is the least of the values it synthesized, on
+    # the nodes and at the poles, and the fourth entry of what it returns
     disc = discretization(n, L, 4)
     grid = disc.rule.nodes if n == 1 else np.concatenate([[-1.0], disc.rule.nodes, [1.0]])
     oracle = basis_matrix(n, L, grid)
     ends = basis_matrix(n, L, np.array([math.pi, 0.0] if n == 1 else [-1.0, 1.0]))
-    seen = []
-    real = Discretization.grid_minimum
-    monkeypatch.setattr(Discretization, "grid_minimum", lambda *a: seen.append(real(*a)) or seen[-1])
+    products = []
+    ev = logging_evaluator(monkeypatch, n, m, L, products)
     rng = np.random.default_rng(L + n)
     one = constant_function(n, 1.0, L)
     draws = [random_positive_function(n, L, max(L // 2, 1), rng) for _ in range(4)]
@@ -281,9 +286,12 @@ def test_grid_minimum_is_the_least_value_on_nodes_and_poles(monkeypatch, n, m, L
             assert values[[0, -1]].min() < values[1:-1].min()
         low = min_on_grid(u)
         assert abs(low - expected) <= bound
-        passed = functional._positivity_gate(c, disc, refuse=False)
-        assert seen[-1] == low
+        products.clear()
+        passed = ev.gate(c, refuse=False)
+        assert [(tag, x is c) for tag, x, _ in products] == [("values", True)] + [("poles", True)] * (n != 1)
+        assert min(float(out.min()) for _, _, out in products) == low
         if passed is not None:
+            assert passed[3] == low
             assert functional_report(u, m).min_value == low
         assert (passed is not None) == (low > 0)
 
@@ -309,6 +317,81 @@ def test_one_relative_gate_decides_at_every_scale(n, m, ratio):
             else:
                 with pytest.raises(NonPositiveFunction, match="positivity floor"):
                     entry(u.scaled(scale), m)
+
+
+def _bits(x):
+    """x as bytes, an array's or a float's, to compare two results bit for bit."""
+    return x.tobytes() if isinstance(x, np.ndarray) else float.hex(x)
+
+
+def _same_terms(got, want):
+    assert len(got) == len(want)
+    assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (3, 2), (3, 4)])
+@pytest.mark.parametrize("L", [16, 32])
+def test_evaluator_keeps_the_bits_of_the_layered_evaluation(n, m, L):
+    # the evaluator runs the float operations of the gate, the value terms,
+    # the gradient kernel and the volume as the layered reference composes
+    # them from the discretization, the multipliers and q: every entry has
+    # the reference's bits, at node minimum one (the entry points), at
+    # maximum one (the descent) and at any scale, in the stable and the
+    # unstable orders of both representations
+    ev = functional.evaluator(n, m, L)
+    disc, p, q = layered.layers(n, m, L)
+    assert (ev.disc, ev.p, ev.q) == (disc, p, q)
+    rng = np.random.default_rng(100 * n + 10 * m + L)
+    for _ in range(4):
+        u = random_positive_function(n, L, L // 4, rng)
+        for scale in (1e-12, 1.0, 1e150):
+            c = u.coeffs * scale
+            gated, want = ev.gate(c), layered.positivity_gate(c, disc)
+            _same_terms(gated, want)
+            vals, low, high, grid_low = gated
+            at_min = layered.terms_at_minimum(c, n, m, L)
+            _same_terms(ev.terms(c, vals, low) + (low, grid_low), at_min)
+            _same_terms(functional.neg_power_integral(u.scaled(scale), m)[:9], at_min)
+            _same_terms([ev.gradient(at_min)], [layered.step_terms(at_min, disc, q)])
+            at_max = layered.terms_at_maximum(c, n, m, L)
+            _same_terms(ev.terms(c, vals, high) + (high, low / high), at_max)
+            _same_terms([ev.gradient(at_max)], [layered.step_terms(at_max, disc, q)])
+            _same_terms([ev.volume(c)], [layered.volume(c, n, m, L)])
+            k = at_min[7]
+            with np.errstate(over="ignore"):
+                _same_terms([gradient(u.scaled(scale), m).coeffs], [layered.step_terms(at_min, disc, q) / k])
+            # the descent's first row is read from the terms at maximum one
+            trace = minimize(SpectralFunction(n, c, u.axis), m, OptimizerConfig(degree=L, max_iter=1))
+            row = (trace.values[0], trace.min_values[0], trace.grad_norms[0])
+            grad = layered.step_terms(at_max, disc, q)
+            _same_terms(row, (at_max[2], at_max[8], math.sqrt(float(grad.dot(grad)))))
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (3, 2), (3, 4)])
+def test_a_start_next_to_the_floor_is_gated_again_with_the_layered_bits(monkeypatch, n, m):
+    # a grid minimum within 1e-3 of the floor at maximum one sends the
+    # start through the second gate, on c / cmax: the descent gates twice
+    # before its first row, the second time on the reference's c / cmax, and
+    # its row has the reference's bits
+    disc = discretization(n, 32, 4)
+    bump = random_positive_function(n, 32, 8, np.random.default_rng(5))
+    vals = disc.values(bump.coeffs)
+    low, high = disc.grid_minimum(bump.coeffs, float(vals.min())), float(vals.max())
+    ratio = functional.POSITIVITY_FLOOR * (1 + 5e-4)
+    u = bump + constant_function(n, (ratio * high - low) / (1.0 - ratio), 32)
+    gates = []
+    real = functional.Evaluator.gate
+    monkeypatch.setattr(functional.Evaluator, "gate", lambda self, c, refuse=True: gates.append(c) or real(self, c, refuse))
+    for scale in (1e-12, 1.0, 1e150):
+        c = u.coeffs * scale
+        want = layered.terms_at_maximum(c, n, m, 32, refuse=True)
+        gates.clear()
+        trace = minimize(SpectralFunction(n, c, u.axis), m, OptimizerConfig(degree=32, max_iter=1))
+        assert len(gates) >= 2 and gates[0] is c
+        _same_terms([gates[1]], [want[0]])
+        grad = layered.step_terms(want, disc, functional.exponent_q(n, m))
+        row = (trace.values[0], trace.min_values[0], trace.grad_norms[0])
+        _same_terms(row, (want[2], want[8], math.sqrt(float(grad.dot(grad)))))
 
 
 @pytest.mark.parametrize("n,m", [(1, 2), (3, 2)])
@@ -337,28 +420,37 @@ def test_tiny_scales_are_finite_or_refused(n, m):
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2)])
 def test_report_min_value_is_the_grid_minimum_of_its_gate(monkeypatch, n, m):
     # the report's min_value is the grid minimum its one gate took, with the
-    # bits of min_on_grid, at any scale; no second grid minimum is taken
+    # bits of min_on_grid, at any scale; no second grid minimum is taken:
+    # the report makes one product with the zonal pole basis, none on the
+    # circle, and never calls min_on_grid's Discretization.grid_minimum
     rng = np.random.default_rng(17 + n)
     draws = [random_positive_function(n, L, 8, rng) for L in (8, 32, 64)]
     draws += [u.scaled(scale) for u in draws for scale in (1e-100, 1e100)]
+    products = []
+    for L in (8, 32, 64):
+        logging_evaluator(monkeypatch, n, m, L, products)
     seen = []
     real = Discretization.grid_minimum
     monkeypatch.setattr(Discretization, "grid_minimum", lambda *a: seen.append(a) or real(*a))
     for u in draws:
         want = float.hex(min_on_grid(u))
         seen.clear()
+        products.clear()
         assert float.hex(functional_report(u, m).min_value) == want
-        assert len(seen) == 1
+        assert seen == []
+        assert [tag for tag, _, _ in products].count("poles") == (n != 1)
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2)])
 def test_each_entry_point_synthesizes_u_once(monkeypatch, n, m):
-    # one gate per entry point: u is synthesized once on the 4x nodes, and
-    # the residual and the report synthesize P_2m u besides
+    # one gate per entry point: u is synthesized once on the 4x nodes, by the
+    # evaluator's transposed basis, and the residual and the report
+    # synthesize P_2m u besides; no entry point synthesizes otherwise
     u = random_positive_function(n, 32, 8, np.random.default_rng(0))
-    calls = []
+    log, other = [], []
+    logging_evaluator(monkeypatch, n, m, 32, log)
     real = Discretization.values
-    monkeypatch.setattr(Discretization, "values", lambda self, c: calls.append(c) or real(self, c))
+    monkeypatch.setattr(Discretization, "values", lambda self, c: other.append(c) or real(self, c))
     entries = {
         functional_value: 1,
         neg_power_norm: 1,
@@ -369,9 +461,11 @@ def test_each_entry_point_synthesizes_u_once(monkeypatch, n, m):
         functional_report: 2,
     }
     for entry, count in entries.items():
-        calls.clear()
+        log.clear()
         entry(u, m)
+        calls = [c for tag, c, _ in log if tag == "values"]
         assert len(calls) == count and calls[0] is u.coeffs
+    assert other == []
 
 
 def two_gate_norm_and_value(u, m):
@@ -385,10 +479,10 @@ def two_gate_norm_and_value(u, m):
     which is |I| unless E cancels.
     """
     disc = discretization(u.n, u.degree, 4)
-    k = functional._positivity_gate(u.coeffs, disc)[1]
+    k = positivity_gate(u.coeffs, disc)[1]
     v = u.scaled(1.0 / k)
     q = functional.exponent_q(u.n, m)
-    vals = functional._positivity_gate(v.coeffs, disc)[0]
+    vals = positivity_gate(v.coeffs, disc)[0]
     norm = math.exp((2.0 / q) * math.log(float(disc.rule.weights @ vals ** (-q))))
     terms = float(np.abs(packed_multipliers(u.n, m, u.degree)) @ (v.coeffs * v.coeffs))
     return norm / k / k, norm * energy_quadratic(v, m), norm * terms

@@ -1,13 +1,16 @@
 import csv
+import gc
 import io
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer
 from scipy.special import roots_jacobi as scipy_roots_jacobi
 
-from confsphere import spectral
+from confsphere import functional, spectral
 from confsphere.cli import main
 from confsphere.errors import AxisMismatch, InsufficientNodes
 from confsphere.extremize import OptimizerConfig, minimize
@@ -273,6 +276,45 @@ def test_zonal_axis_must_have_n_plus_one_entries():
     assert SpectralFunction(3, [1.0, 0.0, 0.0], axis=[0.0, 2.0, 0.0, 0.0]).axis[1] == 1.0
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_coefficients_are_finite_or_refused_without_a_warning(n):
+    # entries at 1e200 are accepted, and the finiteness test raises no
+    # overflow warning on them (a sum of squares would); NaN and either
+    # infinity are refused
+    axis = None if n == 1 else north_pole(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = SpectralFunction(n, np.full(5, 1e200), axis)
+    assert (u.coeffs == 1e200).all()
+    for bad in (math.nan, math.inf, -math.inf):
+        c = np.ones(5)
+        c[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SpectralFunction(n, c, axis)
+
+
+def test_a_unit_axis_is_kept_and_any_other_normalized():
+    # an axis whose norm is exactly 1.0 is kept bit for bit, as v / 1.0 is v;
+    # any other is divided by its norm, as before
+    rng = np.random.default_rng(4)
+    kept = 0
+    for _ in range(200):
+        v = rng.standard_normal(4)
+        v /= math.sqrt(float(v.dot(v)))
+        u = SpectralFunction(3, np.ones(3), v)
+        if math.sqrt(float(v.dot(v))) == 1.0:
+            kept += 1
+            assert u.axis is v
+        assert u.axis.tobytes() == (v / math.sqrt(float(v.dot(v)))).tobytes()
+    assert kept > 50
+    w = np.array([0.0, 3.0, 0.0, 4.0])
+    u = SpectralFunction(3, np.ones(3), w)
+    assert u.axis.tolist() == [0.0, 0.6, 0.0, 0.8] and w.tolist() == [0.0, 3.0, 0.0, 4.0]
+    assert SpectralFunction(3, np.ones(3), [1, 0, 0, 0]).axis.dtype == float
+    with pytest.raises(ValueError, match="zero vector"):
+        SpectralFunction(3, np.ones(3), np.zeros(4))
+
+
 def test_circle_constructors_reject_a_given_axis():
     # a circle function carries no axis; a dropped axis would silently
     # ignore the rotation the caller asked for
@@ -397,8 +439,45 @@ def test_clear_caches_empties_the_chebyshev_cache():
     synthesize(harmonic_basis_function(3, 2, degree=8), np.array([0.5]))
     assert spectral._chebyshev_matrix.cache_info().currsize > 0
     assert not spectral._chebyshev_matrix(3, 8).flags.writeable
+    # the evaluators go with their discretizations: once the caches are
+    # cleared, nothing keeps a discretization that the entry points and the
+    # descent evaluated on
+    held = []
+    for n, m in ((1, 1), (3, 2)):
+        u0 = random_positive_function(n, 8, 2, np.random.default_rng(0))
+        functional.functional_value(u0, m)
+        minimize(u0, m, OptimizerConfig(degree=8, max_iter=3))
+        disc = discretization(n, 8, 4)
+        assert functional.evaluator(n, m, 8) is disc.evaluators[m]
+        held.append(weakref.ref(disc))
+    del disc
     clear_caches()
+    gc.collect()
     assert spectral._chebyshev_matrix.cache_info().currsize == 0
+    assert [ref() for ref in held] == [None, None]
+
+
+def test_a_dropped_discretization_takes_its_evaluators_along(monkeypatch):
+    # the byte bound drops the least recently used discretization, and the
+    # evaluators built on it go too: none keeps it alive.  A discretization
+    # over the bound is built for its call, and so is its evaluator
+    _cold()
+    u = random_positive_function(1, 4, 2, np.random.default_rng(0))
+    functional.functional_value(u, 1)
+    first = discretization(1, 4, 4)
+    ev = first.evaluators[1]
+    assert functional.evaluator(1, 1, 4) is ev and ev.disc is first
+    dropped = weakref.ref(first)
+    del first, ev
+    monkeypatch.setattr(spectral, "DISCRETIZATION_CACHE_BYTES", discretization(1, 4, 4).nbytes + 1)
+    other = discretization(1, 4, 3)
+    assert dropped() is None
+    big = discretization(1, 16, 4)
+    assert big.nbytes > spectral.DISCRETIZATION_CACHE_BYTES and big.evaluators is None
+    built = functional.evaluator(1, 1, 16)
+    assert built is not functional.evaluator(1, 1, 16)
+    assert built.disc.evaluators is None
+    assert discretization(1, 4, 3) is other and other.evaluators == {}
 
 
 # ---------------------------------------------------------------------------

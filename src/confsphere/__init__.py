@@ -26,7 +26,6 @@ from .errors import (
     InsufficientNodes,
     InvalidConfig,
     NonPositiveFunction,
-    NotUnstable,
     PrecondViolated,
     SingularOperator,
     SupportViolation,
@@ -62,9 +61,7 @@ _EXPORTS = {
         "unit_ball_volume",
     ),
     "gjms": (
-        "MultiplierTable",
         "apply_operator",
-        "green_closed_form",
         "green_spectral",
         "kernel_degrees",
         "q_constant",
@@ -90,10 +87,8 @@ _EXPORTS = {
     ),
     "stability": (
         "HessianSpectrum",
-        "hessian_apply",
         "hessian_eigenvalue",
         "hessian_spectrum",
-        "instability_witness",
     ),
 }
 
@@ -108,7 +103,6 @@ __all__ = [
     "InsufficientNodes",
     "InvalidConfig",
     "NonPositiveFunction",
-    "NotUnstable",
     "PrecondViolated",
     "SingularOperator",
     "SupportViolation",

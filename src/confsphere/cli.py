@@ -5,10 +5,10 @@ CSV is RFC-4180-style with floats at 17 significant digits and exact
 rationals split into numerator/denominator columns.  Identical
 configuration and seed produce byte-identical output.
 
-Exit codes: 0 success, 2 validation failure (one line on stderr, never a
-traceback), 3 numerical non-convergence or an ``invariance-check`` row
-drifting by 1 or more, and 1 when an exact identity check reports a nonzero
-residual.
+Exit codes: 0 success, 2 validation failure or a run too large for memory
+(one line on stderr, never a traceback), 3 numerical non-convergence or an
+``invariance-check`` row drifting by 1 or more, and 1 when an exact identity
+check reports a nonzero residual.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from . import __version__
 from .errors import ConfSphereError, InvalidConfig
 
 if TYPE_CHECKING:
-    import numpy as np
     from .spectral import SpectralFunction
 
 
@@ -355,7 +354,7 @@ def _cmd_green_check(args) -> int:
 
 def _cmd_flat_identity_check(args) -> int:
     import numpy as np
-    from .flatcheck import flat_energy_identity
+    from .flatcheck import admissible_random_function, flat_energy_identity
 
     _require(args.m in (1, 2), "flat identities are implemented for m in {1, 2}")
     _require(args.degree >= 8, "L must be >= 8")
@@ -372,26 +371,6 @@ def _cmd_flat_identity_check(args) -> int:
         _csv_text(("trial", "rel_error", "sphere_energy", "flat_energy"), rows), args.output
     )
     return 0
-
-
-def admissible_random_function(degree: int, m: int, rng: np.random.Generator) -> SpectralFunction:
-    """Random band-limited circle function vanishing at the pole.
-
-    Subtracting a constant enforces u(N) = 0; for m = 2 a sine harmonic
-    removes the first derivative as well, keeping the function band-limited.
-    """
-    import numpy as np
-    from .spectral import constant_function, harmonic_basis_function, random_band_limited, synthesize
-
-    u = random_band_limited(1, degree, degree // 2, rng, decay=0.1)
-    value = float(synthesize(u, np.array([0.0]))[0])
-    u = u - constant_function(1, value, degree)
-    if m == 2:
-        slope = float(synthesize(u, np.array([0.0]), deriv=1)[0])
-        u = u - harmonic_basis_function(1, 1, degree, component="sin").scaled(
-            slope * math.sqrt(math.pi)
-        )
-    return u
 
 
 def _cmd_poly_identity(args) -> int:
@@ -464,11 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, n=True, m=True, degree=True, seed=False):
-        if n:
-            p.add_argument("--n", type=int, required=True, help="sphere dimension")
-        if m:
-            p.add_argument("--m", type=int, required=True, help="half the operator order")
+    def add_common(p, degree=True, seed=False):
+        p.add_argument("--n", type=int, required=True, help="sphere dimension")
+        p.add_argument("--m", type=int, required=True, help="half the operator order")
         if degree:
             p.add_argument("--L", dest="degree", type=int, default=32, help="truncation degree")
         if seed:
@@ -548,6 +525,11 @@ def main(argv=None) -> int:
         return 2
     except ConfSphereError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:
+        # say --L 100000, whose basis matrices need terabytes
+        detail = str(exc) or "no detail"
+        sys.stderr.write(f"invalid configuration: not enough memory for this run ({detail})\n")
         return 2
 
 

@@ -37,9 +37,5 @@ class ClosedFormMismatch(ConfSphereError):
     """An exact Hessian eigenvalue differs from its closed form."""
 
 
-class NotUnstable(ConfSphereError):
-    """No negative Hessian eigenvalue where instability was requested."""
-
-
 class InvalidConfig(ConfSphereError):
     """Command-line or run configuration fails validation."""

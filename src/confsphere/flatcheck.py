@@ -19,14 +19,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .errors import PrecondViolated, SupportViolation
 from .functional import energy_quadratic, s1_energy_from_derivatives
 from .gjms import apply_operator
-from .spectral import TWO_PI, QuadratureRule, SpectralFunction, circle_quadrature, synthesize
+from .spectral import (
+    TWO_PI,
+    SpectralFunction,
+    circle_quadrature,
+    constant_function,
+    harmonic_basis_function,
+    random_band_limited,
+    synthesize,
+)
 
 # a weight is {(p, a, b): coeff} standing for sum coeff * h^p sin^a cos^b
 Weight = Dict[Tuple[Fraction, int, int], Fraction]
@@ -89,6 +97,23 @@ def _expression_values(expr: Expression, u: SpectralFunction, theta: np.ndarray)
     return out
 
 
+def admissible_random_function(degree: int, m: int, rng: np.random.Generator) -> SpectralFunction:
+    """Random band-limited circle function meeting :func:`flat_energy_identity`'s preconditions.
+
+    Subtracting a constant enforces u(N) = 0; for m = 2 a sine harmonic
+    removes the first derivative as well, keeping the function band-limited.
+    """
+    u = random_band_limited(1, degree, degree // 2, rng, decay=0.1)
+    value = float(synthesize(u, np.array([0.0]))[0])
+    u = u - constant_function(1, value, degree)
+    if m == 2:
+        slope = float(synthesize(u, np.array([0.0]), deriv=1)[0])
+        u = u - harmonic_basis_function(1, 1, degree, component="sin").scaled(
+            slope * math.sqrt(math.pi)
+        )
+    return u
+
+
 @dataclass(frozen=True)
 class FlatEnergyReport:
     sphere_energy: float
@@ -96,15 +121,7 @@ class FlatEnergyReport:
     rel_error: float
 
 
-def _default_circle_rule(u: SpectralFunction, rule: Optional[QuadratureRule]) -> QuadratureRule:
-    if rule is not None:
-        return rule
-    return circle_quadrature(8 * (u.degree + 1))
-
-
-def flat_energy_identity(
-    u: SpectralFunction, m: int, rule: Optional[QuadratureRule] = None
-) -> FlatEnergyReport:
+def flat_energy_identity(u: SpectralFunction, m: int) -> FlatEnergyReport:
     """Compare the spectral order-2m energy with its flat-side integral.
 
     Requires u(N) = 0 (and u'(N) = 0 for m = 2) within 1e-10, the
@@ -122,7 +139,7 @@ def flat_energy_identity(
         slope = float(synthesize(u, np.array([0.0]), deriv=1)[0])
         if abs(slope) > 1e-10:
             raise PrecondViolated(f"u'(N) = {slope:.3e} does not vanish")
-    rule = _default_circle_rule(u, rule)
+    rule = circle_quadrature(8 * (u.degree + 1))
 
     expr: Expression = {0: {(Fraction(-(2 * m - 1), 2), 0, 0): Fraction(1)}}
     for _ in range(m):
@@ -136,22 +153,18 @@ def flat_energy_identity(
     return FlatEnergyReport(sphere_energy=sphere, flat_energy=flat, rel_error=rel)
 
 
-def conjugation_check(
-    u: SpectralFunction,
-    m: int,
-    rule: Optional[QuadratureRule] = None,
-    clearance: float = 0.5,
-) -> float:
+def conjugation_check(u: SpectralFunction, m: int) -> float:
     """Relative L^2 gap between the multiplier action and its flat conjugate.
 
     The flat side evaluates the weighted 2m-fold x-derivative of the
     chart-weighted function through the exact term algebra; the two sides
-    are compared away from the pole (angle > ``clearance``), where the
-    support hypothesis keeps both regular.
+    are compared more than 0.5 rad from the pole, where the support
+    hypothesis keeps both regular.
     """
     if u.n != 1:
         raise ValueError("the conjugation check runs on the circle")
-    rule = _default_circle_rule(u, rule)
+    clearance = 0.5
+    rule = circle_quadrature(8 * (u.degree + 1))
     theta = rule.nodes
     vals = synthesize(u, theta)
     peak = float(np.max(np.abs(vals)))
@@ -180,17 +193,17 @@ def conjugation_check(
     return num / max(den, 1e-14)
 
 
-def smooth_bump(theta: np.ndarray, clearance: float = 0.55) -> np.ndarray:
-    """C^infinity bump vanishing within ``clearance`` radians of the pole."""
+def smooth_bump(theta: np.ndarray) -> np.ndarray:
+    """C^infinity bump vanishing within 0.55 rad of the pole (the conjugation check skips 0.5)."""
     theta = np.asarray(theta, dtype=float)
-    r = (theta - math.pi) / (math.pi - clearance)
+    r = (theta - math.pi) / (math.pi - 0.55)
     out = np.zeros_like(theta)
     inside = np.abs(r) < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - r[inside] ** 2))
     return out
 
 
-def chart_weight_energy(num_nodes: int = 1024) -> float:
+def chart_weight_energy() -> float:
     """Order-2 energy of (1 + |pi_N|^2)^{-1/2} = sin(theta/2), by quadrature.
 
     The function has a corner at the pole, so its energy is computed from
@@ -198,7 +211,7 @@ def chart_weight_energy(num_nodes: int = 1024) -> float:
     rounding, the equality case of the nonnegativity statement for
     functions vanishing at a point.
     """
-    rule = circle_quadrature(num_nodes)
+    rule = circle_quadrature(1024)
     vals = np.sin(rule.nodes / 2.0)
     dvals = 0.5 * np.cos(rule.nodes / 2.0)
     return s1_energy_from_derivatives([vals, dvals], 1, rule)

@@ -15,10 +15,9 @@ All kernel and sign statements are decided in exact arithmetic
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Set
+from typing import List, Set
 
 import numpy as np
 
@@ -29,28 +28,9 @@ from .geometry import unit_ball_volume
 from .spectral import SpectralFunction, packed_degrees, zonal_basis_matrix
 
 
-@dataclass(frozen=True)
-class MultiplierTable:
-    """Multipliers p_2m(alpha) for alpha = 0..max_degree, exact and immutable."""
-
-    n: int
-    m: int
-    values: tuple
-
-    @classmethod
-    def build(cls, n: int, m: int, max_degree: int) -> "MultiplierTable":
-        return cls(n=n, m=m, values=tuple(multiplier(n, m, a) for a in range(max_degree + 1)))
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.values) - 1
-
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values])
-
-
 def multiplier_floats(n: int, m: int, max_degree: int) -> np.ndarray:
-    return MultiplierTable.build(n, m, max_degree).as_floats()
+    """p_2m(alpha) for alpha = 0..max_degree, each exact Fraction rounded once to a float."""
+    return np.array([float(multiplier(n, m, a)) for a in range(max_degree + 1)])
 
 
 @lru_cache(maxsize=256)
@@ -139,27 +119,19 @@ def green_closed_values(n: int, m: int, t: np.ndarray) -> np.ndarray:
     return green_constant(n, m) * ((1.0 - t) / 2.0) ** ((2 * m - n) / 2.0)
 
 
-def green_closed_form(n: int, m: int, xi: np.ndarray, zeta: np.ndarray) -> float:
-    t = float(np.asarray(xi).dot(np.asarray(zeta)))
-    return float(green_closed_values(n, m, np.array([t]))[0])
-
-
-def green_spectral(
-    n: int, m: int, degree: int, axis: Optional[np.ndarray] = None
-) -> SpectralFunction:
+def green_spectral(n: int, m: int, degree: int) -> SpectralFunction:
     """Truncated spectral inverse: the degree-wise kernel over the multipliers.
 
     Pairing the operator applied to the result against any band-limited
     test function reproduces the test function's value at the pole, up to
     truncation.  Raises :class:`SingularOperator` if a multiplier vanishes.
     """
-    table = MultiplierTable.build(n, m, degree)
-    if any(v == 0 for v in table.values):
+    if any(multiplier(n, m, a) == 0 for a in range(degree + 1)):
         raise SingularOperator("a spectral multiplier vanishes; no inverse")
     # the packed basis at the reference pole: angle 0, or axis cosine 1
     at_pole = spectral.basis_matrix(n, degree, np.array([0.0 if n == 1 else 1.0]))[:, 0]
-    p = table.as_floats()[packed_degrees(n, degree)]
-    return SpectralFunction(n, at_pole / p, spectral._new_axis(n, axis))
+    p = packed_multipliers(n, m, degree)
+    return SpectralFunction(n, at_pole / p, spectral._new_axis(n, None))
 
 
 def reproduce_at_pole(green: SpectralFunction, u: SpectralFunction, m: int) -> float:
@@ -182,16 +154,15 @@ def _float_shifted_squares(n: int, m: int, alpha: np.ndarray) -> np.ndarray:
     return out / 4.0**m
 
 
-def green_series_values(
-    n: int, m: int, t: np.ndarray, terms: int = 20000
-) -> np.ndarray:
+def green_series_values(n: int, m: int, t: np.ndarray) -> np.ndarray:
     """High-accuracy summation of the spectral series at axis cosines t.
 
     Independent of :func:`green_closed_values`; used to measure the
     closed-form/spectral ratio.  On the circle with m = 1 the slowly
     converging 1/k^2 part is summed in closed form (Kummer acceleration);
-    all faster-decaying parts are summed directly.
+    all faster-decaying parts are summed directly, to degree 20000.
     """
+    terms = 20000
     t = np.asarray(t, dtype=float)
     if n == 1:
         theta = np.arccos(np.clip(t, -1.0, 1.0))

@@ -185,10 +185,10 @@ def check_delta_k_product(u: RationalPolynomial, k: int) -> bool:
     return (lhs - rhs).is_zero
 
 
-def random_polynomial(num_vars: int, degree: int, rng: random.Random, num_terms: int = 8) -> RationalPolynomial:
-    """Random sparse polynomial with small integer coefficients."""
+def random_polynomial(num_vars: int, degree: int, rng: random.Random) -> RationalPolynomial:
+    """Random sparse polynomial of 8 draws with small integer coefficients."""
     terms: Dict[Monomial, int] = {}
-    for _ in range(num_terms):
+    for _ in range(8):
         exps = []
         remaining = degree
         for _ in range(num_vars):

@@ -271,10 +271,6 @@ class SpectralFunction:
     def degree(self) -> int:
         return (self.coeffs.size - 1) // 2 if self.n == 1 else self.coeffs.size - 1
 
-    def degree_of_coeff(self) -> np.ndarray:
-        """Spherical-harmonic degree of each packed coefficient."""
-        return packed_degrees(self.n, self.degree)
-
     def norm_sq(self) -> float:
         """L^2(mu) norm squared; equals the integral of u^2 by Parseval."""
         return float(self.coeffs.dot(self.coeffs))
@@ -621,11 +617,10 @@ def random_positive_function(
     max_degree: int,
     rng: np.random.Generator,
     amplitude: float = 0.45,
-    decay: float = 0.25,
     axis: Optional[np.ndarray] = None,
 ) -> SpectralFunction:
     """1 + a bounded random ripple; strictly positive by construction."""
-    ripple = random_band_limited(n, degree, max_degree, rng, decay=decay, axis=axis)
+    ripple = random_band_limited(n, degree, max_degree, rng, decay=0.25, axis=axis)
     vals = discretization(n, degree, oversample=4).values(ripple.coeffs)
     peak = float(np.abs(vals).max())
     if peak > 0:

@@ -11,21 +11,17 @@ self-adjoint operator
 which is diagonal on spherical harmonics.  All eigenvalues are exact
 rationals: constants and degree-1 harmonics are always neutral (scaling
 and the Mobius family), and for odd n a negative eigenvalue appears at
-degree 2 or 3 exactly when m >= (n+5)/2.  Only :func:`hessian_apply` and
-:func:`instability_witness`, which build spectral functions, load numpy.
+degree 2 or 3 exactly when m >= (n+5)/2.  The module loads no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional
 
-from .errors import ClosedFormMismatch, NotUnstable
+from .errors import ClosedFormMismatch
 from .exact import multiplier
-
-if TYPE_CHECKING:
-    from .spectral import SpectralFunction
 
 
 def hessian_eigenvalue(n: int, m: int, degree: int) -> Fraction:
@@ -37,15 +33,6 @@ def hessian_eigenvalue(n: int, m: int, degree: int) -> Fraction:
         # p(0) (1 + (2m+n)/(2m-n) - 4m/(2m-n)) cancels exactly
         return p0 * (1 + Fraction(2 * m + n, 2 * m - n) - Fraction(4 * m, 2 * m - n))
     return multiplier(n, m, degree) + Fraction(2 * m + n, 2 * m - n) * p0
-
-
-def hessian_apply(phi: SpectralFunction, m: int) -> SpectralFunction:
-    """Coefficientwise action of the second-variation operator."""
-    import numpy as np
-    from .spectral import SpectralFunction
-
-    mu = np.array([float(hessian_eigenvalue(phi.n, m, a)) for a in range(phi.degree + 1)])
-    return SpectralFunction(phi.n, mu[phi.degree_of_coeff()] * phi.coeffs, phi.axis)
 
 
 def h2_eigenvalue_closed(n: int, m: int) -> Fraction:
@@ -113,26 +100,3 @@ def hessian_spectrum(n: int, m: int, max_degree: int) -> HessianSpectrum:
         has_negative=bool(negatives),
         first_negative_degree=negatives[0] if negatives else None,
     )
-
-
-def instability_witness(
-    n: int, m: int, degree: int = 32
-) -> Tuple[int, Fraction, SpectralFunction]:
-    """A concrete unstable direction: (harmonic degree, eigenvalue, function).
-
-    For odd n with m >= (n+5)/2 the witness lives at degree 2 when
-    m - (n+5)/2 is even and at degree 3 when it is odd.  Raises
-    :class:`NotUnstable` if the selected eigenvalue fails to be negative,
-    which would contradict the instability claim.
-    """
-    if n % 2 == 0 or m < (n + 5) // 2 or not 2 * m > n:
-        raise NotUnstable(f"(n={n}, m={m}) is not in the unstable range")
-    witness_degree = 2 if (m - (n + 5) // 2) % 2 == 0 else 3
-    value = hessian_eigenvalue(n, m, witness_degree)
-    if not value < 0:
-        raise NotUnstable(
-            f"eigenvalue at degree {witness_degree} is {value}, not negative"
-        )
-    from .spectral import harmonic_basis_function
-    phi = harmonic_basis_function(n, witness_degree, degree)
-    return witness_degree, value, phi

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from confsphere.extremize import OptimizerConfig, minimize
-from confsphere.flatcheck import chart_weight_energy, flat_energy_identity
+from confsphere.flatcheck import admissible_random_function, chart_weight_energy, flat_energy_identity
 from confsphere.functional import energy_quadratic, functional_value
 from confsphere.geometry import AxisDilation, north_pole, sphere_measure
 from confsphere.gjms import (
@@ -38,8 +38,6 @@ from confsphere.spectral import (
     synthesize,
 )
 from confsphere.stability import h2_eigenvalue_closed, h3_eigenvalue_closed, hessian_spectrum
-
-from test_flatcheck import admissible_random
 
 
 def _report(num: int, text: str) -> None:
@@ -160,7 +158,7 @@ def test_criterion_08_flat_energy_identity():
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(100):
-        u = admissible_random(64, 1, rng)
+        u = admissible_random_function(64, 1, rng)
         rep = flat_energy_identity(u, 1)
         assert rep.flat_energy >= 0.0
         worst = max(worst, rep.rel_error)

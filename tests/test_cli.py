@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from confsphere import mobius, stability
+from confsphere import functional, mobius, stability
 from confsphere.cli import main
 from confsphere.spectral import constant_function, dumps, random_positive_function
 
@@ -269,6 +269,29 @@ def test_hessian_closed_form_mismatch_exits_2(capsys, monkeypatch):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: degree-2 eigenvalue -315/16 != closed form 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv,entry_point",
+    [
+        (("energy", "--n", "3", "--m", "2", "--L", "100000"), "functional_report"),
+        (("constants", "--n", "1", "--m", "1", "--L", "100000"), "functional_value"),
+    ],
+)
+@pytest.mark.parametrize("message", ["Unable to allocate 1.16 TiB for an array", ""])
+def test_a_run_too_large_for_memory_exits_2_in_one_line(capsys, monkeypatch, argv, entry_point, message):
+    # the entry point raises the MemoryError numpy raises at this L; nothing large is allocated
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(functional, entry_point, refuse)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("invalid configuration: not enough memory for this run (")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert (message or "no detail") in captured.err
 
 
 def test_green_check_zonal(capsys):

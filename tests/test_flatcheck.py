@@ -5,6 +5,7 @@ import pytest
 
 from confsphere.errors import PrecondViolated, SupportViolation
 from confsphere.flatcheck import (
+    admissible_random_function,
     chart_weight_energy,
     conjugation_check,
     flat_energy_identity,
@@ -16,7 +17,6 @@ from confsphere.spectral import (
     circle_quadrature,
     constant_function,
     harmonic_basis_function,
-    random_band_limited,
     synthesize,
 )
 
@@ -25,18 +25,6 @@ def one_minus_cos(degree=32):
     return constant_function(1, 1.0, degree) - harmonic_basis_function(1, 1, degree).scaled(
         math.sqrt(math.pi)
     )
-
-
-def admissible_random(degree, m, rng):
-    u = random_band_limited(1, degree, degree // 2, rng, decay=0.1)
-    value = float(synthesize(u, np.array([0.0]))[0])
-    u = u - constant_function(1, value, degree)
-    if m == 2:
-        slope = float(synthesize(u, np.array([0.0]), deriv=1)[0])
-        u = u - harmonic_basis_function(1, 1, degree, component="sin").scaled(
-            slope * math.sqrt(math.pi)
-        )
-    return u
 
 
 def test_golden_case_first_order():
@@ -76,7 +64,7 @@ def test_random_admissible_nonnegative_and_matching():
     # the manifestly nonnegative flat integral
     rng = np.random.default_rng(0)
     for _ in range(20):
-        u = admissible_random(64, 1, rng)
+        u = admissible_random_function(64, 1, rng)
         report = flat_energy_identity(u, 1)
         assert report.flat_energy >= 0.0
         assert report.sphere_energy >= -1e-10
@@ -86,7 +74,7 @@ def test_random_admissible_nonnegative_and_matching():
 def test_random_admissible_second_order():
     rng = np.random.default_rng(1)
     for _ in range(10):
-        u = admissible_random(64, 2, rng)
+        u = admissible_random_function(64, 2, rng)
         report = flat_energy_identity(u, 2)
         assert report.flat_energy >= 0.0
         assert report.rel_error < 1e-6
@@ -121,7 +109,7 @@ def test_conjugation_support_violation():
 
 def test_smooth_bump_support():
     theta = np.linspace(0, 2 * math.pi, 1001)
-    vals = smooth_bump(theta, clearance=0.55)
+    vals = smooth_bump(theta)
     near = np.minimum(theta, 2 * math.pi - theta) < 0.55
     assert np.max(np.abs(vals[near])) == 0.0
     assert np.max(vals) > 0.9

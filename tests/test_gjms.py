@@ -8,9 +8,7 @@ from confsphere import gjms
 from confsphere.errors import ConfSphereError, CriticalOrder, SingularOperator
 from confsphere.exact import multiplier
 from confsphere.gjms import (
-    MultiplierTable,
     apply_operator,
-    green_closed_form,
     green_closed_values,
     green_constant,
     green_series_values,
@@ -20,10 +18,10 @@ from confsphere.gjms import (
     reproduce_at_pole,
     s1_derivative_form_coefficients,
 )
-from confsphere.geometry import north_pole
 from confsphere.spectral import (
     constant_function,
     harmonic_basis_function,
+    packed_degrees,
     random_band_limited,
     synthesize,
 )
@@ -148,7 +146,7 @@ def test_operator_factors_sequentially():
     u = random_band_limited(n, L, L, rng)
     factors = [Fraction(2 * i + n, 2) * Fraction(2 * i - n + 2, 2) for i in range(m)]
     coeffs = u.coeffs.copy()
-    degs = u.degree_of_coeff()
+    degs = packed_degrees(u.n, u.degree)
     lam = np.array([float(Fraction(a * (a + n - 1))) for a in range(L + 1)])[degs]
     for f in factors:
         coeffs = (lam - float(f)) * coeffs
@@ -161,7 +159,7 @@ def test_self_adjointness_exact():
     u = random_band_limited(1, 16, 16, rng)
     v = random_band_limited(1, 16, 16, rng)
     # exact as rational arithmetic on the diagonal operator
-    degs = u.degree_of_coeff()
+    degs = packed_degrees(u.n, u.degree)
     table = [multiplier(1, 2, a) for a in range(17)]
     lhs_exact = sum(table[degs[i]] * Fraction(u.coeffs[i]) * Fraction(v.coeffs[i]) for i in range(u.coeffs.size))
     rhs_exact = sum(Fraction(u.coeffs[i]) * table[degs[i]] * Fraction(v.coeffs[i]) for i in range(u.coeffs.size))
@@ -173,10 +171,13 @@ def test_self_adjointness_exact():
 
 
 def test_multiplier_table():
-    table = MultiplierTable.build(1, 2, 6)
-    assert table.values[0] == Fraction(9, 16)
-    assert table.max_degree == 6
-    assert np.max(np.abs(table.as_floats() - [float(v) for v in table.values])) == 0.0
+    # each float is its exact multiplier rounded once, and the packed table takes them per degree
+    table = gjms.multiplier_floats(1, 2, 6)
+    assert table[0] == float(Fraction(9, 16))
+    assert table.tolist() == [float(multiplier(1, 2, a)) for a in range(7)]
+    for n in (1, 3):
+        packed = gjms.packed_multipliers(n, 2, 6)
+        assert packed.tolist() == [float(multiplier(n, 2, a)) for a in packed_degrees(n, 6)]
 
 
 def test_derivative_form_coefficients():
@@ -198,18 +199,13 @@ def test_green_constants():
     # (1, 1) the kernel is -|sin(theta/2)|, and -G'' - G/4 = delta
     assert abs(green_constant(1, 1) + 1.0) < 1e-15
     assert abs(green_constant(3, 2) + 1.0 / (4 * math.pi)) < 1e-15
-
-
-def test_green_closed_form_values():
-    xi = north_pole(1)
-    # pi_xi vanishes at the antipode, so the kernel equals kappa there
-    assert abs(green_closed_form(1, 1, xi, -xi) + 1.0) < 1e-15
+    # pi_xi vanishes at the antipode (t = -1), so the kernel equals kappa there
+    for n, m in ((1, 1), (3, 2)):
+        assert green_closed_values(n, m, np.array([-1.0]))[0] == green_constant(n, m)
     # the radial factor tends to zero at the pole itself
     near = np.array([0.999999999])
     assert abs(green_closed_values(1, 1, near)[0]) < 1e-4
     assert np.all(np.isfinite(green_closed_values(3, 2, np.linspace(-1, 1, 101))))
-    xi3 = north_pole(3)
-    assert abs(green_closed_form(3, 2, xi3, -xi3) + 1.0 / (4 * math.pi)) < 1e-15
 
 
 def test_green_spectral_reproduces_point_values():

@@ -1,5 +1,6 @@
 """The package writes every array product as ``ndarray.dot`` and, in the hot
-modules, every reduction as an array method.
+modules, every reduction as an array method; no module of the package or of
+the tests imports a name it never uses.
 
 See README "Cached discretizations", paragraph "Array products": ``@`` and
 ``np.sum`` / ``np.max`` / ``np.min`` dispatch through slower machinery
@@ -13,6 +14,7 @@ import pathlib
 import confsphere
 
 PACKAGE = pathlib.Path(confsphere.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 #: modules on the descent and gauge paths, where a function-form reduction is refused too
 HOT = {"functional.py", "extremize.py", "spectral.py", "mobius.py"}
 REDUCTIONS = {"sum", "max", "min"}
@@ -59,3 +61,47 @@ def test_the_check_sees_each_offence(tmp_path):
     cold = tmp_path / "cli.py"
     cold.write_text(hot.read_text())
     assert len(_offences(cold)) == 2
+
+
+def _unused_imports(path: pathlib.Path) -> list:
+    """Names a module imports and never references; a name in its ``__all__`` is a re-export."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    return [f"{path.name}:{line}: {name}" for line, name in unused]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = [line for path in paths for line in _unused_imports(path)]
+    assert not unused, "unused imports: " + "; ".join(unused)
+
+
+def test_the_unused_import_check_sees_each_offence(tmp_path):
+    # an aliased module and from-imported names that nothing references are
+    # reported; a use anywhere (also through a dotted import or in an
+    # annotation), a name listed in __all__ and a __future__ import are not
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import Optional, Tuple\n"
+        "from .errors import Kept, Dropped\n"
+        "__all__ = ['Kept']\n"
+        "def f(x: Optional[int]):\n"
+        "    return os.sep\n"
+    )
+    assert _unused_imports(module) == ["mod.py:4: np", "mod.py:5: Tuple", "mod.py:6: Dropped"]

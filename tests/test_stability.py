@@ -5,17 +5,15 @@ import numpy as np
 import pytest
 
 from confsphere import stability
-from confsphere.errors import ClosedFormMismatch, NotUnstable
+from confsphere.errors import ClosedFormMismatch
 from confsphere.functional import exponent_q, functional_value
 from confsphere.geometry import sphere_measure
 from confsphere.spectral import constant_function, harmonic_basis_function
 from confsphere.stability import (
     h2_eigenvalue_closed,
     h3_eigenvalue_closed,
-    hessian_apply,
     hessian_eigenvalue,
     hessian_spectrum,
-    instability_witness,
 )
 
 
@@ -32,24 +30,6 @@ def test_neutral_directions_exact():
     for n, m in stable_sweep():
         assert hessian_eigenvalue(n, m, 0) == 0
         assert hessian_eigenvalue(n, m, 1) == 0
-
-
-def test_hessian_apply_constant_is_zero():
-    one = constant_function(1, 1.0, 8)
-    out = hessian_apply(one, 2)
-    assert np.max(np.abs(out.coeffs)) == 0.0
-
-
-def test_hessian_apply_degree_one_is_zero():
-    phi = harmonic_basis_function(1, 1, 8)
-    out = hessian_apply(phi, 1)
-    assert np.max(np.abs(out.coeffs)) == 0.0
-
-
-def test_hessian_apply_degree_two_unstable_order():
-    phi = harmonic_basis_function(1, 2, 8)
-    out = hessian_apply(phi, 3)
-    assert np.max(np.abs(out.coeffs - float(Fraction(-315, 16)) * phi.coeffs)) < 1e-15
 
 
 def test_spectrum_closed_form_values():
@@ -78,6 +58,12 @@ def test_parity_law_over_sweep():
         assert spec.has_negative == expect_negative, (n, m)
         assert spec.eigenvalues[0] == 0
         assert spec.eigenvalues[1] == 0
+        if expect_negative:
+            # the parity of m - (n+5)/2 picks the degree of the first negative eigenvalue
+            gap = m - (n + 5) // 2
+            assert spec.first_negative_degree == (2 if gap % 2 == 0 else 3), (n, m)
+        else:
+            assert spec.first_negative_degree is None, (n, m)
 
 
 def test_closed_form_cross_check_h2_h3():
@@ -99,33 +85,6 @@ def test_closed_form_mismatch_is_typed(monkeypatch, closed, m):
     monkeypatch.setattr(stability, closed, lambda n, m: Fraction(1))
     with pytest.raises(ClosedFormMismatch, match="!= closed form 1"):
         hessian_spectrum(1, m, 8)
-
-
-def test_instability_witness_values():
-    deg, val, phi = instability_witness(1, 3)
-    assert (deg, val) == (2, Fraction(-315, 16))
-    assert phi.degree_of_coeff()[np.argmax(np.abs(phi.coeffs))] == 2
-    deg, val, _ = instability_witness(1, 4)
-    assert (deg, val) == (3, Fraction(-945, 2))
-    deg, val, _ = instability_witness(3, 4)
-    assert deg == 2 and val < 0
-
-
-def test_witness_rejects_stable_orders():
-    with pytest.raises(NotUnstable):
-        instability_witness(1, 1)
-    with pytest.raises(NotUnstable):
-        instability_witness(3, 3)
-    with pytest.raises(NotUnstable):
-        instability_witness(2, 4)
-
-
-def test_witness_decreases_functional():
-    deg, val, phi = instability_witness(1, 3, degree=32)
-    one = constant_function(1, 1.0, 32)
-    base = functional_value(one, 3)
-    perturbed = functional_value(one + phi.scaled(1e-2), 3)
-    assert perturbed < base
 
 
 def test_hessian_functional_consistency():

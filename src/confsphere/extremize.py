@@ -20,9 +20,10 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import InvalidConfig
-from .functional import POSITIVITY_FLOOR, evaluator, functional_value
+from .functional import evaluator, functional_value
 from .spectral import (
     DEFAULT_DEGREE,
+    POSITIVITY_FLOOR,
     SpectralFunction,
     _ball_moment,
     _cached_array,
@@ -84,7 +85,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     Armijo test.  A stall usually arrives before the gradient tolerance
     because exactly monotone acceptance cannot push the gradient below
     ~sqrt(eps |I|).  Every candidate passes the relative positivity gate of
-    :mod:`confsphere.functional`, so a start at any scale is tested as if at
+    the 4x discretization, so a start at any scale is tested as if at
     maximum one, and a start that fails raises :class:`NonPositiveFunction`.
     The iterate is kept at maximum one, c / cmax, which is gated again when
     its grid minimum lies within 1e-3 of the floor, so ``final`` passes the
@@ -113,13 +114,14 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
 
     The iterate is held as coefficients of u0's degree, the config's
     ``degree`` (else :class:`InvalidConfig`).  Each candidate is synthesized
-    once, by the gate of the evaluator of ``(n, m, degree)``; the terms of
-    the accepted one give its gradient and barycenter.
+    once, by the gate of its 4x discretization; the terms of the accepted
+    one give its gradient and barycenter.
     """
     if config.degree != u0.degree:
         raise InvalidConfig(f"config degree {config.degree} is not the degree {u0.degree} of the start")
     n, axis = u0.n, u0.axis
     ev = evaluator(n, m, u0.degree)
+    gate = ev.disc.gate
     near_floor = (1.0 + 1e-3) * POSITIVITY_FLOOR
     trace = DescentTrace()
 
@@ -132,7 +134,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         node minimum at maximum one; None if c, or c at maximum one next to the
         floor, fails the positivity gate, or the gate's :class:`NonPositiveFunction`
         if ``refuse``."""
-        if (gated := ev.gate(c, refuse)) is None:
+        if (gated := gate(c, refuse)) is None:
             return None
         vals, low, cmax, grid_low = gated
         # division by cmax > 0 is monotone, so low / cmax is the minimum of vals / cmax
@@ -140,7 +142,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         # the iterate is kept as c / cmax, whose synthesis rounds otherwise than
         # vals / cmax, by about 1e-16 at maximum one; within 1e-3 of the floor
         # it is gated too, so every iterate passes the entry points' gate
-        if grid_low <= near_floor * cmax and ev.gate(terms[0], refuse) is None:
+        if grid_low <= near_floor * cmax and gate(terms[0], refuse) is None:
             return None
         return terms
 
@@ -240,13 +242,12 @@ def perturbation_sweep(
     trials: int,
     seed: int,
     degree: int = DEFAULT_DEGREE,
-    max_degree: Optional[int] = None,
 ) -> list:
     """Gaps I(1 + eps phi) - I(1) over random unit band-limited phi.
 
     Returns rows (trial, eps, gap).  phi is supported on degrees
-    1..``max_degree`` (default ``degree // 2``), which must lie in
-    1..``degree``, else ``ValueError``.  For the locally minimal orders
+    1..``degree // 2``, so a ``degree`` below 2 leaves no degree for phi and
+    raises ``ValueError``.  For the locally minimal orders
     every gap is nonnegative up to quadrature noise; in the unstable range
     suitable phi drive the gap negative.  I(1) is computed once per
     ``(n, m, degree)``, and each 1 + eps phi is one coefficient array,
@@ -256,8 +257,8 @@ def perturbation_sweep(
     """
     if not 2 * m > n:
         raise ValueError("the functional requires 2m > n")
-    max_degree = max_degree if max_degree is not None else degree // 2
-    if not 1 <= max_degree <= degree:
+    max_degree = degree // 2
+    if max_degree < 1:
         raise ValueError(f"max_degree {max_degree} lies outside 1..{degree}")
     rng = np.random.default_rng(seed)
     one, base = _unit_constant(n, m, degree)
@@ -273,6 +274,6 @@ def perturbation_sweep(
             if not math.isfinite(eps):
                 raise ValueError(f"eps {eps!r} is not finite")
             c = one + unit * eps
-            vals, k = ev.gate(c)[:2]
+            vals, k = ev.disc.gate(c)[:2]
             rows.append((trial, float(eps), float(ev.terms(c, vals, k)[2] - base)))
     return rows

@@ -7,24 +7,22 @@ For ``2m > n`` the objects are
     I_2m(u) = |u^{-1}|^2_{L^q} * E_2m(u),
 
 the last being invariant under rescaling u -> c u and under conformal
-pullback.  Negative powers require strict positivity, enforced by one
-gate on the oversampled grid, relative to the maximum as I is scale free.
-One :class:`Evaluator` per ``(n, m, degree)`` holds the gate, the value
-terms and the gradient kernel.  Every entry point reads the terms of u at
-node minimum one from one gated synthesis, :func:`neg_power_integral`; the
-descent gates at maximum one, through the same evaluator.
+pullback.  Negative powers require strict positivity, enforced by the
+gate of the oversampled discretization, relative to the maximum as I is
+scale free.  One :class:`Evaluator` per ``(n, m, degree)`` holds the value
+terms and the gradient kernel on it.  Every entry point reads the terms of
+u at node minimum one from one gated synthesis, :func:`neg_power_integral`;
+the descent gates at maximum one, on the same discretization.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import ConfSphereError, NonPositiveFunction
+from .errors import ConfSphereError
 from .gjms import packed_multipliers, s1_derivative_form_coefficients
 from .spectral import (
     Discretization,
@@ -34,9 +32,6 @@ from .spectral import (
     _cached_array,
     discretization,
 )
-
-#: the positivity gate passes c when its grid minimum exceeds this times its node maximum
-POSITIVITY_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -76,61 +71,34 @@ def energy_quadratic(u: SpectralFunction, m: int) -> float:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Evaluator:
-    """The gate, the value terms and the gradient kernel of degree-``degree`` coefficients at order 2m.
+    """The value terms and the gradient kernel of degree-``degree`` coefficients at order 2m.
 
     :func:`evaluator` builds one per ``(n, m, degree)`` on the 4x
-    discretization ``disc`` and keeps it there.  It holds what every
-    evaluation reads: the basis on the rule nodes and its transposed view
-    ``basis_t``, the rule ``weights``, the pole basis ``poles`` (None on the
-    circle), the packed multipliers ``p``, the exponent ``q`` and ``two_q`` =
-    2 / q, and ``metric`` = 1 + |p|, the descent's metric before its scale.
-    The node points of the moments are ``disc.points``.  Every array is
-    read-only.
+    discretization ``disc`` and keeps it there.  ``disc`` holds the arrays
+    every evaluation reads: the basis on the rule nodes and its transposed
+    view, the rule weights, the node points of the moments, and the
+    positivity gate (:meth:`~confsphere.spectral.Discretization.gate`).  The
+    evaluator adds the order: the packed multipliers ``p``, the exponent
+    ``q`` and ``two_q`` = 2 / q, and ``metric`` = 1 + |p|, the descent's
+    metric before its scale.  Every array is read-only.
     """
 
     disc: Discretization
-    basis: np.ndarray
-    basis_t: np.ndarray
-    weights: np.ndarray
-    poles: Optional[np.ndarray]
     p: np.ndarray
     q: float
     two_q: float
     metric: np.ndarray
 
-    def gate(self, c: np.ndarray, refuse: bool = True) -> Optional[tuple]:
-        """(values, minimum, maximum) of the coefficients c on the rule nodes and their grid minimum, once c passed.
-
-        c passes when its grid minimum, as in :func:`min_on_grid`, is a normal
-        float (1 / minimum is finite) above ``POSITIVITY_FLOOR`` times its node
-        maximum, so the gate decides c u as u.  The nodes are that grid save
-        the zonal poles, synthesized once.  Else :class:`NonPositiveFunction`,
-        or None if not ``refuse``.
-        """
-        vals = self.basis_t.dot(c)
-        low, high = float(vals.min()), float(vals.max())
-        grid_low = low
-        if self.poles is not None:
-            south, north = self.poles.dot(c).tolist()
-            grid_low = min(low, south, north)
-        if grid_low > POSITIVITY_FLOOR * high and grid_low >= sys.float_info.min:
-            return vals, low, high, grid_low
-        if refuse:
-            why = f"above {POSITIVITY_FLOOR:g} times the node maximum {high:.3e}"
-            why = "a normal float" if grid_low > POSITIVITY_FLOOR * high else why
-            raise NonPositiveFunction(f"function fails the positivity floor: grid minimum {grid_low:.3e} is not {why}")
-        return None
-
     def terms(self, c: np.ndarray, vals: np.ndarray, k: float) -> tuple:
         """(c / k, vals / k, I, p c / k, E(u / k), (u / k)^{-q}, integral (u / k)^{-q}) of the coefficients c.
 
-        ``vals`` are the values of c on the nodes from :meth:`gate`, and k > 0
-        is a scale it returned.  The tuple is what :meth:`gradient` takes.
+        ``vals`` are the values of c on the nodes from the gate of ``disc``,
+        and k > 0 is a scale it returned.  The tuple is what :meth:`gradient` takes.
         """
         c = c * (1.0 / k)
         vals = vals / k
         neg = vals ** (-self.q)
-        integ = float(self.weights.dot(neg))
+        integ = float(self.disc.rule.weights.dot(neg))
         pc = self.p * c
         e = float(pc.dot(c))
         return c, vals, math.exp(self.two_q * math.log(integ)) * e, pc, e, neg, integ
@@ -145,16 +113,20 @@ class Evaluator:
         # basis . (weights * pointwise) + pc * (...), built in place in that order
         pointwise = np.divide(neg, vals)
         pointwise *= -2.0 * integ ** (self.two_q - 1.0) * e
-        pointwise *= self.weights
-        out = self.basis.dot(pointwise)
+        pointwise *= self.disc.rule.weights
+        out = self.disc.basis.dot(pointwise)
         out += pc * (2.0 * integ ** self.two_q)
         return out
 
     def volume(self, c: np.ndarray) -> np.ndarray:
-        """(u / k)^{-q} over its integral on the nodes, k the node minimum of c, which passes :meth:`gate`."""
-        vals, k = self.gate(c)[:2]
+        """(u / k)^{-q} over its integral on the nodes, k the node minimum of c, which passes the gate of ``disc``.
+
+        u^{-q} is at most one and one at a node, so its integral can neither
+        overflow nor underflow.
+        """
+        vals, k = self.disc.gate(c)[:2]
         neg = (vals / k) ** (-self.q)
-        return neg / float(self.weights.dot(neg))
+        return neg / float(self.disc.rule.weights.dot(neg))
 
 
 def evaluator(n: int, m: int, degree: int) -> Evaluator:
@@ -171,9 +143,7 @@ def evaluator(n: int, m: int, degree: int) -> Evaluator:
     if ev is None:
         p = packed_multipliers(n, m, degree)
         q = exponent_q(n, m)
-        ev = Evaluator(
-            disc, disc.basis, disc.basis.T, disc.rule.weights, disc.poles, p, q, 2.0 / q, _cached_array(1.0 + np.abs(p))
-        )
+        ev = Evaluator(disc, p, q, 2.0 / q, _cached_array(1.0 + np.abs(p)))
         if held is not None:
             held[m] = ev
     return ev
@@ -182,15 +152,16 @@ def evaluator(n: int, m: int, degree: int) -> Evaluator:
 def neg_power_integral(u: SpectralFunction, m: int) -> tuple:
     """The one gated evaluation of u: :meth:`Evaluator.terms` of u / k, then k, the grid minimum and the evaluator.
 
-    u passes :meth:`Evaluator.gate` once on the nodes of its 4x
-    discretization, as negative powers are not band-limited.  The tuple is
+    u passes the positivity gate once on the nodes of its 4x discretization
+    (:meth:`~confsphere.spectral.Discretization.gate`), as negative powers
+    are not band-limited.  The tuple is
     (c / k, u / k on the nodes, I, p c / k, E(u / k), (u / k)^{-q}, J, k,
     min_on_grid(u), evaluator): J, the integral of (u / k)^{-q}, lies in
     (0, |S^n|], so the integral of u^{-q} is J k^{-q} and the functional entry
     points all read from here.
     """
     ev = evaluator(u.n, m, u.degree)
-    vals, k, _, grid_low = ev.gate(u.coeffs)
+    vals, k, _, grid_low = ev.disc.gate(u.coeffs)
     return ev.terms(u.coeffs, vals, k) + (k, grid_low, ev)
 
 
@@ -213,8 +184,8 @@ def functional_value(u: SpectralFunction, m: int) -> float:
 def _residual(terms: tuple) -> float:
     """:func:`el_residual` from the terms of u; u^{-q-1} is taken as u^{-q} / u, as in :meth:`Evaluator.gradient`."""
     _, vals, _, pc, e, neg, integ, k, _, ev = terms
-    res = ev.basis_t.dot(pc) - (e / integ) * (neg / vals)
-    return math.sqrt(float(ev.weights.dot(res**2))) * k
+    res = ev.disc.basis_t.dot(pc) - (e / integ) * (neg / vals)
+    return math.sqrt(float(ev.disc.rule.weights.dot(res**2))) * k
 
 
 def el_residual(u: SpectralFunction, m: int) -> float:

@@ -25,6 +25,10 @@ from .functional import evaluator
 from .geometry import AxisDilation, BallPoint, MobiusMap, Rotation, north_pole
 from .spectral import SpectralFunction, _ball_moment, _unit_circle_sum, discretization
 
+#: the convergence threshold on |V(a)| and the budget of Newton steps of :func:`find_center`
+CENTER_TOL = 1e-8
+CENTER_MAX_ITER = 80
+
 
 def _zonal_scale(u: SpectralFunction, phi: MobiusMap) -> float:
     """The scale lam of phi as a dilation about the axis xi of u (or fail).
@@ -141,19 +145,6 @@ def extremal(
 # ---------------------------------------------------------------------------
 
 
-def _volume(u: SpectralFunction, m: int) -> tuple:
-    """(disc, u^{-q} / integral u^{-q}) on the nodes of the 4x discretization.
-
-    u passes the positivity gate once, and u^{-q} is taken on u divided by
-    its node minimum, as in :func:`~confsphere.functional.neg_power_integral`,
-    without the energy terms (:meth:`~confsphere.functional.Evaluator.volume`).
-    So u^{-q} is at most one and one at a node, and its integral can neither
-    overflow nor underflow.
-    """
-    ev = evaluator(u.n, m, u.degree)
-    return ev.disc, ev.volume(u.coeffs)
-
-
 def barycenter(u: SpectralFunction, a: np.ndarray, m: int) -> np.ndarray:
     """V(a), the barycenter of the volume of the sigma_a pullback, in the unit ball of R^{n+1}.
 
@@ -164,12 +155,13 @@ def barycenter(u: SpectralFunction, a: np.ndarray, m: int) -> np.ndarray:
     as the weight concentrates near -a/|a|.  |a| >= 1 raises ``ValueError``.
     """
     phi = _acting_on(u, BallPoint(center=a))
-    disc, neg = _volume(u, m)
+    ev = evaluator(u.n, m, u.degree)
+    neg = ev.volume(u.coeffs)
     if u.n == 1:
-        v = _ball_moment(disc, neg, complex(*phi.center.tolist()))
+        v = _ball_moment(ev.disc, neg, complex(*phi.center.tolist()))
         return np.array([v.real, v.imag])
     _zonal_scale(u, phi)  # AxisMismatch off the axis of u
-    return _ball_moment(disc, neg, float(phi.center.dot(u.axis))) * u.axis
+    return _ball_moment(ev.disc, neg, float(phi.center.dot(u.axis))) * u.axis
 
 
 @dataclass(frozen=True)
@@ -180,7 +172,7 @@ class CenterResult:
     iterations: int
 
 
-def find_center(u: SpectralFunction, m: int, tol: float = 1e-8, max_iter: int = 80) -> CenterResult:
+def find_center(u: SpectralFunction, m: int) -> CenterResult:
     """Solve V(a) = 0 by damped Newton from a = 0 with the closed-form derivatives.
 
     u passes the positivity gate once; V and its derivatives are then sums
@@ -188,18 +180,19 @@ def find_center(u: SpectralFunction, m: int, tol: float = 1e-8, max_iter: int = 
     with the weights is taken once.  On the axis xi of zonal u, a is the
     float r = a . xi and the step is -V / V'; on the circle a is complex and
     the step d solves V + A d + B conj(d) = 0 for the Wirtinger pair (A, B)
-    of V; a zero derivative gives -V.  V lies in the
-    unit ball, so ``tol`` is scale-free.  Each step halves the Newton step
-    until |V| decreases; if 30 halvings find no decrease, or the budget
-    runs out, the last iterate is returned with ``converged=False``.
+    of V; a zero derivative gives -V.  V lies in the unit ball, so
+    :data:`CENTER_TOL` is scale-free.  Each step halves the Newton step until
+    |V| decreases; if 30 halvings find no decrease, or :data:`CENTER_MAX_ITER`
+    steps run out, the last iterate is returned with ``converged=False``.
     """
-    disc, neg = _volume(u, m)
+    ev = evaluator(u.n, m, u.degree)
+    disc, neg = ev.disc, ev.volume(u.coeffs)
     weighted = disc.rule.weights * neg
     zonal = u.n != 1
     x = 0.0 if zonal else 0j
     v, jac = _ball_moment(disc, neg, x, slope=True, weighted=weighted)
     res, steps = abs(v), 0
-    while res >= tol and steps < max_iter:
+    while res >= CENTER_TOL and steps < CENTER_MAX_ITER:
         if zonal:
             step = -v / jac if jac else -v
         else:
@@ -220,7 +213,7 @@ def find_center(u: SpectralFunction, m: int, tol: float = 1e-8, max_iter: int = 
             break
         x, v, jac, res = cand, cv, cjac, cres
         steps += 1
-    return CenterResult(x * u.axis if zonal else np.array([x.real, x.imag]), res, res < tol, steps)
+    return CenterResult(x * u.axis if zonal else np.array([x.real, x.imag]), res, res < CENTER_TOL, steps)
 
 
 def recenter(u: SpectralFunction, m: int) -> tuple:

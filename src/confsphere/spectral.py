@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import mmap
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -28,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AxisMismatch, InsufficientNodes
+from .errors import AxisMismatch, InsufficientNodes, NonPositiveFunction
 from .geometry import north_pole, sphere_measure, sphere_surface_area, unit_vector
 
 TWO_PI = 2.0 * math.pi
@@ -41,6 +42,9 @@ REFINED_DEGREE = 64
 #: degree 512 with 4x oversampling (1025 x 4104 doubles, 33.6 MB); a single
 #: discretization larger than this is built, used and not stored.
 DISCRETIZATION_CACHE_BYTES = 64 * 2**20
+
+#: the positivity gate passes c when its grid minimum exceeds this times its node maximum
+POSITIVITY_FLOOR = 1e-6
 
 
 def _cached_array(a: np.ndarray) -> np.ndarray:
@@ -242,6 +246,8 @@ class SpectralFunction:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
+        if c.ndim != 1:
+            raise ValueError(f"spectral coefficients form one flat array, got shape {c.shape}")
         if not np.isfinite(c).all():
             raise ValueError("spectral coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
@@ -307,7 +313,7 @@ def synthesize(u: SpectralFunction, points: np.ndarray, deriv: int = 0) -> np.nd
     functions; one value per point, in the order given.  ``deriv`` (circle
     only, else ``ValueError``) evaluates the theta-derivative of that order
     (>= 0), which is exact for the truncated series.  Values on the nodes
-    of a cached rule come from :meth:`Discretization.values` instead.
+    of a cached rule come from :meth:`Discretization.scan` instead.
 
     Both representations are a real part Re sum_j d_j z^j on the unit
     circle: on the circle z = exp(i th) and d_k = (a_k - i b_k)/sqrt(pi);
@@ -395,13 +401,14 @@ class Discretization:
     """A quadrature rule with the transforms of degree-``degree`` functions on it.
 
     :func:`discretization` builds one per ``(n, degree, oversample)`` and
-    caches it: ``basis`` is the packed basis on the rule nodes and
-    ``points`` the node coordinates y_i: the complex unit nodes
-    z = cos th + i sin th on the circle, the unit disk's boundary, and the
-    axis cosines t (the rule nodes) on a zonal rule, whose moments lie
-    along its axis.  The positivity grid is the rule nodes, plus the poles
-    t = -1, 1 on a zonal rule, since Gauss-Jacobi nodes are interior:
-    ``poles`` is the (2, degree + 1) basis there, and None on the circle.
+    caches it: ``basis`` is the packed basis on the rule nodes, ``basis_t``
+    its transposed view, and ``points`` the node coordinates y_i: the
+    complex unit nodes z = cos th + i sin th on the circle, the unit disk's
+    boundary, and the axis cosines t (the rule nodes) on a zonal rule, whose
+    moments lie along its axis.  The positivity grid is the rule nodes, plus
+    the poles t = -1, 1 on a zonal rule, since Gauss-Jacobi nodes are
+    interior: ``poles`` is the (2, degree + 1) basis there, and None on the
+    circle.  :meth:`scan` reads the grid and :meth:`gate` decides on it.
     ``sin_sq`` is (1 - t)(1 + t) at the nodes of a zonal rule, the squared
     sine of their polar angle, and None on the circle.  Every cached array
     is read-only.  ``evaluators`` holds the evaluators of the functional on
@@ -413,6 +420,7 @@ class Discretization:
     rule: QuadratureRule
     degree: int
     basis: np.ndarray
+    basis_t: np.ndarray
     points: np.ndarray
     poles: Optional[np.ndarray]
     sin_sq: Optional[np.ndarray]
@@ -420,8 +428,8 @@ class Discretization:
 
     @property
     def nbytes(self) -> int:
+        # basis_t is a view of basis; zonal points are the rule's own nodes
         arrays = (self.rule.nodes, self.rule.weights, self.basis, self.points, self.poles, self.sin_sq)
-        # zonal points are the rule's own nodes
         distinct = {id(a): a for a in arrays if a is not None}
         return sum(a.nbytes for a in distinct.values())
 
@@ -429,16 +437,31 @@ class Discretization:
         """Projection of values on the rule nodes onto degrees <= ``degree``."""
         return analyze(values, self.rule, self.degree, axis, basis=self.basis)
 
-    def values(self, c: np.ndarray) -> np.ndarray:
-        """Values on the rule nodes of the packed coefficients ``c`` of this degree."""
-        return self.basis.T.dot(c)
-
-    def grid_minimum(self, c: np.ndarray, low: float) -> float:
-        """Minimum of the coefficients ``c`` over the positivity grid, given ``low``, their node minimum."""
+    def scan(self, c: np.ndarray) -> tuple:
+        """(values, minimum, maximum) of ``c`` on the rule nodes, synthesized once, then its grid minimum."""
+        vals = self.basis_t.dot(c)
+        low, high = float(vals.min()), float(vals.max())
         if self.poles is None:
-            return low
+            return vals, low, high, low
         south, north = self.poles.dot(c).tolist()
-        return min(low, south, north)
+        return vals, low, high, min(low, south, north)
+
+    def gate(self, c: np.ndarray, refuse: bool = True) -> Optional[tuple]:
+        """The positivity gate: :meth:`scan` of the coefficients ``c`` once they pass.
+
+        c passes when its grid minimum is a normal float (1 / minimum is finite)
+        above :data:`POSITIVITY_FLOOR` times its node maximum, so the gate decides
+        c u as u.  Else :class:`NonPositiveFunction`, or None if not ``refuse``.
+        """
+        scanned = self.scan(c)
+        _, _, high, grid_low = scanned
+        if grid_low > POSITIVITY_FLOOR * high and grid_low >= sys.float_info.min:
+            return scanned
+        if refuse:
+            why = f"above {POSITIVITY_FLOOR:g} times the node maximum {high:.3e}"
+            why = "a normal float" if grid_low > POSITIVITY_FLOOR * high else why
+            raise NonPositiveFunction(f"function fails the positivity floor: grid minimum {grid_low:.3e} is not {why}")
+        return None
 
 
 def _ball_moment(disc: Discretization, values: np.ndarray, a, slope: bool = False, weighted=None):
@@ -494,11 +517,11 @@ def _build_discretization(n: int, degree: int, oversample: int) -> Discretizatio
     basis = _cached_array(basis_matrix(n, degree, rule.nodes))
     if n == 1:
         points = _cached_array(np.cos(rule.nodes) + 1j * np.sin(rule.nodes))
-        return Discretization(rule, degree, basis, points, None, None)
+        return Discretization(rule, degree, basis, basis.T, points, None, None)
     poles = _cached_array(basis_matrix(n, degree, np.array([-1.0, 1.0])).T)
     # (1 - t)(1 + t) keeps its relative accuracy near the poles
     sin_sq = _cached_array((1.0 - rule.nodes) * (1.0 + rule.nodes))
-    return Discretization(rule, degree, basis, rule.nodes, poles, sin_sq)
+    return Discretization(rule, degree, basis, basis.T, rule.nodes, poles, sin_sq)
 
 
 _cache: "OrderedDict[tuple, Discretization]" = OrderedDict()
@@ -549,8 +572,7 @@ def min_on_grid(u: SpectralFunction) -> float:
     Gauss-Jacobi nodes are interior, so for zonal functions the poles
     t = +-1 are added; a dip exactly at a pole must not pass the gate.
     """
-    disc = discretization(u.n, u.degree, oversample=4)
-    return disc.grid_minimum(u.coeffs, float(disc.values(u.coeffs).min()))
+    return discretization(u.n, u.degree, oversample=4).scan(u.coeffs)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +643,7 @@ def random_positive_function(
 ) -> SpectralFunction:
     """1 + a bounded random ripple; strictly positive by construction."""
     ripple = random_band_limited(n, degree, max_degree, rng, decay=0.25, axis=axis)
-    vals = discretization(n, degree, oversample=4).values(ripple.coeffs)
+    vals = discretization(n, degree, oversample=4).scan(ripple.coeffs)[0]
     peak = float(np.abs(vals).max())
     if peak > 0:
         ripple = ripple.scaled(amplitude / peak)
@@ -641,8 +663,11 @@ def to_json_dict(u: SpectralFunction) -> dict:
 
 
 def from_json_dict(data: dict) -> SpectralFunction:
+    dim = data["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int):  # int() would truncate 1.9; a bool is an int
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     axis = np.asarray(data["axis"], dtype=float) if "axis" in data else None
-    return SpectralFunction(int(data["dim"]), np.asarray(data["coeffs"], dtype=float), axis)
+    return SpectralFunction(dim, np.asarray(data["coeffs"], dtype=float), axis)
 
 
 def dumps(u: SpectralFunction) -> str:

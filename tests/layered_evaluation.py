@@ -1,13 +1,14 @@
 """The functional's evaluation as separate layers, and an evaluator that logs its products.
 
-:class:`confsphere.functional.Evaluator` holds the positivity gate, the
-value terms and the gradient kernel of one ``(n, m, degree)`` and runs
-each with its arrays in locals.  The functions below compose the same
-float operations from the discretization, the packed multipliers and q,
-each looked up or passed along, layer by layer: they are the reference the
-evaluator is held to bit for bit.  :func:`logging_evaluator` installs an
-evaluator whose basis products record their operands, so that a test can
-count the syntheses of an entry point or of a descent.
+:meth:`confsphere.spectral.Discretization.gate` is the positivity gate,
+and :class:`confsphere.functional.Evaluator` holds the value terms and the
+gradient kernel of one ``(n, m, degree)`` on that discretization.  The
+functions below compose the same float operations from the
+discretization's plain arrays, the packed multipliers and q, each looked
+up or passed along, layer by layer: they are the reference the gate and
+the evaluator are held to bit for bit.  :func:`logging_evaluator` installs
+a discretization whose basis products record their operands, so that a
+test can count the syntheses of an entry point or of a descent.
 """
 
 import math
@@ -16,18 +17,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from confsphere import functional
+from confsphere import functional, spectral
 from confsphere.errors import NonPositiveFunction
-from confsphere.functional import POSITIVITY_FLOOR, exponent_q
+from confsphere.functional import exponent_q
 from confsphere.gjms import packed_multipliers
-from confsphere.spectral import discretization
+from confsphere.spectral import POSITIVITY_FLOOR, discretization
 
 
 def positivity_gate(c, disc, refuse=True):
     """(values, minimum, maximum, grid minimum) of c on the nodes of ``disc`` once c passes; else raise or None."""
-    vals = disc.values(c)
+    vals = disc.basis.T.dot(c)
     low, high = float(vals.min()), float(vals.max())
-    grid_low = disc.grid_minimum(c, low)
+    grid_low = low if disc.poles is None else min(low, *disc.poles.dot(c).tolist())
     if grid_low > POSITIVITY_FLOOR * high and grid_low >= sys.float_info.min:
         return vals, low, high, grid_low
     if refuse:
@@ -112,18 +113,20 @@ def _logged(array, tag, log):
 
 
 def logging_evaluator(monkeypatch, n, m, degree, log):
-    """Make the evaluator of ``(n, m, degree)`` log its basis products; returns it.
+    """Make the 4x discretization of ``(n, degree)`` log its basis products; returns the evaluator on it.
 
     Every product of the transposed basis, a synthesis on the nodes, appends
     ("values", c, values) to ``log``, and every product of the zonal pole basis
-    ("poles", c, values at the poles).  The evaluator is put in place of the
-    cached one for the duration of the test, so every entry point and the
+    ("poles", c, values at the poles).  The discretization is put in place of
+    the cached one for the duration of the test, with no evaluator held, so
+    every entry point, :func:`~confsphere.spectral.min_on_grid` and the
     descent use it.
     """
-    held = functional.evaluator(n, m, degree)
+    held = discretization(n, degree, oversample=4)
     poles = None if held.poles is None else _logged(held.poles, "poles", log)
-    logged = replace(held, basis_t=_logged(held.basis_t, "values", log), poles=poles)
-    monkeypatch.setitem(held.disc.evaluators, m, logged)
-    if functional.evaluator(n, m, degree) is not logged:
-        raise AssertionError(f"the evaluator of {(n, m, degree)} is not the logging one")
+    disc = replace(held, basis_t=_logged(held.basis_t, "values", log), poles=poles, evaluators={})
+    monkeypatch.setitem(spectral._cache, (n, degree, 4), disc)
+    logged = functional.evaluator(n, m, degree)
+    if logged.disc is not disc:
+        raise AssertionError(f"the evaluator of {(n, m, degree)} is not on the logging discretization")
     return logged

@@ -359,6 +359,46 @@ def test_energy_unusable_input_exits_two(tmp_path, capsys, content):
     assert len(captured.err.splitlines()) == 1
 
 
+_CIRCLE = [1.0] + [0.0] * 16
+_ZONAL = [1.0] + [0.0] * 8
+_AXIS = [0.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "n,spec",
+    [
+        (1, {"dim": 1, "coeffs": [_CIRCLE]}),
+        (1, {"dim": 1, "coeffs": [[c] for c in _CIRCLE]}),
+        (3, {"dim": 3, "coeffs": [_ZONAL], "axis": _AXIS}),
+        (3, {"dim": 3, "coeffs": [[c] for c in _ZONAL], "axis": _AXIS}),
+        (1, {"dim": 1.9, "coeffs": _CIRCLE}),
+        (1, {"dim": True, "coeffs": _CIRCLE}),
+        (3, {"dim": 3.7, "coeffs": _ZONAL, "axis": _AXIS}),
+    ],
+    ids=(
+        "circle-one-list",
+        "circle-list-per-coefficient",
+        "zonal-one-list",
+        "zonal-list-per-coefficient",
+        "dim-1.9",
+        "dim-true",
+        "dim-3.7",
+    ),
+)
+def test_energy_input_of_another_shape_or_dimension_exits_two(tmp_path, capsys, n, spec):
+    # nested coefficients raised a numpy error with a traceback (exit 1), and
+    # a dim that is no integer was truncated to a valid one (exit 0): each
+    # is no spectral function, exit 2 in one line
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(spec))
+    code = main(["energy", "--n", str(n), "--m", "1" if n == 1 else "2", "--L", "8", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "is not a spectral function" in captured.err
+
+
 _NO_SCIPY = """
 import sys
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from confsphere import extremize, functional, mobius
+from confsphere import extremize, functional, mobius, spectral
 from confsphere.cli import round_distance
 from confsphere.errors import InvalidConfig, NonPositiveFunction
 from confsphere.extremize import OptimizerConfig, minimize, perturbation_sweep
@@ -12,6 +12,7 @@ from confsphere.geometry import AxisDilation, north_pole, sphere_measure
 from confsphere.gjms import packed_multipliers
 from confsphere.mobius import barycenter, pullback
 from confsphere.spectral import (
+    Discretization,
     constant_function,
     discretization,
     harmonic_basis_function,
@@ -34,7 +35,7 @@ def no_gauge(monkeypatch):
     called, after checking that :mod:`confsphere.extremize` holds none of them."""
     held = [name for name, x in vars(extremize).items() if x is mobius or getattr(x, "__module__", None) == mobius.__name__]
     assert held == []
-    for name in ("pullback", "barycenter", "find_center", "recenter", "_volume"):
+    for name in ("pullback", "barycenter", "find_center", "recenter"):
         monkeypatch.setattr(mobius, name, lambda *a, name=name: pytest.fail(f"minimize called mobius.{name}"))
 
 
@@ -186,7 +187,7 @@ def test_positivity_floor_is_respected():
     degree = 32
     u0 = constant_function(1, 1.0, degree) + harmonic_basis_function(1, 2, degree).scaled(0.05)
     trace = minimize(u0, 3, OptimizerConfig(degree=degree, max_iter=400))
-    assert min(trace.min_values) > functional.POSITIVITY_FLOOR * 0.999999
+    assert min(trace.min_values) > spectral.POSITIVITY_FLOOR * 0.999999
     assert trace.termination_reason in ("max_iterations", "positivity_breakdown", "line_search_stall")
 
 
@@ -231,14 +232,14 @@ def test_perturbation_sweep_zero_eps():
     assert all(gap == 0.0 for _, _, gap in rows)
 
 
-def _inline_sweep(n, m, epsilons, trials, seed, degree, max_degree):
-    """The sweep as a formula on spectral functions, with I(1) taken afresh."""
+def _inline_sweep(n, m, epsilons, trials, seed, degree):
+    """The sweep as a formula on spectral functions, with I(1) taken afresh and phi on degrees 1..degree // 2."""
     rng = np.random.default_rng(seed)
     one = constant_function(n, 1.0, degree)
     base = functional_value(one, m)
     rows = []
     for trial in range(trials):
-        phi = random_band_limited(n, degree, max_degree, rng)
+        phi = random_band_limited(n, degree, degree // 2, rng)
         phi = phi.scaled(1.0 / math.sqrt(phi.norm_sq()))
         for eps in epsilons:
             gap = functional_value(one + phi.scaled(eps), m) - base if eps != 0 else 0.0
@@ -254,23 +255,23 @@ def test_perturbation_sweep_rows_equal_the_inline_formula():
     epsilons = [1e-2, 0, -3e-2, 0.1]
     calls = [(1, 1, 16), (3, 2, 16), (1, 1, 24), (3, 3, 24), (1, 3, 16), (3, 2, 24), (1, 1, 16), (3, 4, 16)]
     for i, (n, m, degree) in enumerate(calls):
-        for max_degree in (None, 1, degree):
-            rows = perturbation_sweep(n, m, epsilons, 3, i, degree=degree, max_degree=max_degree)
-            want = _inline_sweep(n, m, epsilons, 3, i, degree, max_degree or degree // 2)
-            assert [(t, float.hex(e), float.hex(g)) for t, e, g in rows] == [
-                (t, float.hex(e), float.hex(g)) for t, e, g in want
-            ], (n, m, degree, max_degree)
+        rows = perturbation_sweep(n, m, epsilons, 3, i, degree=degree)
+        want = _inline_sweep(n, m, epsilons, 3, i, degree)
+        assert [(t, float.hex(e), float.hex(g)) for t, e, g in rows] == [
+            (t, float.hex(e), float.hex(g)) for t, e, g in want
+        ], (n, m, degree)
     assert extremize._unit_constant.cache_info().currsize == len(set(calls))
 
 
-@pytest.mark.parametrize("degree,max_degree", [(16, 0), (16, -2), (16, 17), (1, None), (0, None)])
-def test_perturbation_sweep_refuses_max_degree_outside_1_to_degree(monkeypatch, degree, max_degree):
-    # a max_degree below 1 leaves phi zero, 1 / |phi| divides by zero; one
-    # above degree was clamped.  Both are refused before I(1) is computed
+@pytest.mark.parametrize("degree", [1, 0])
+def test_perturbation_sweep_refuses_max_degree_outside_1_to_degree(monkeypatch, degree):
+    # phi lives on degrees 1..degree // 2: below degree 2 that leaves phi
+    # zero, and 1 / |phi| would divide by zero.  It is refused before I(1)
+    # is computed
     extremize._unit_constant.cache_clear()
     monkeypatch.setattr(extremize, "functional_value", lambda *a: pytest.fail("I was computed"))
-    with pytest.raises(ValueError, match=rf"max_degree -?\d+ lies outside 1\.\.{degree}"):
-        perturbation_sweep(1, 1, [1e-2], 2, 0, degree=degree, max_degree=max_degree)
+    with pytest.raises(ValueError, match=rf"max_degree 0 lies outside 1\.\.{degree}"):
+        perturbation_sweep(1, 1, [1e-2], 2, 0, degree=degree)
     assert extremize._unit_constant.cache_info().currsize == 0
 
 
@@ -310,8 +311,8 @@ def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, see
     u0 = pullback(seeded_start(n, degree, seed, max_degree=6), AxisDilation(north_pole(n), 3.0), m)
     log, gates = [], []
     logging_evaluator(monkeypatch, n, m, degree, log)
-    real = Evaluator.gate
-    monkeypatch.setattr(Evaluator, "gate", lambda self, c, refuse=True: gates.append(c) or real(self, c, refuse))
+    real = Discretization.gate
+    monkeypatch.setattr(Discretization, "gate", lambda self, c, refuse=True: gates.append(c) or real(self, c, refuse))
     no_gauge(monkeypatch)
     trace = minimize(u0, m, OptimizerConfig(degree=degree, max_iter=60))
     values = [c for tag, c, _ in log if tag == "values"]
@@ -407,7 +408,7 @@ def test_line_search_rejects_a_dip_at_a_pole():
     # them and not at t = +-1, where the gate of gradient() also looks
     u0 = random_positive_function(3, 64, 16, np.random.default_rng(1))
     trace = minimize(u0, 4, OptimizerConfig(degree=64, max_iter=12))
-    assert min_on_grid(trace.final) > functional.POSITIVITY_FLOOR
+    assert min_on_grid(trace.final) > spectral.POSITIVITY_FLOOR
     assert trace.values[-1] < trace.values[0]
 
 
@@ -601,7 +602,7 @@ def test_unstable_start_is_labelled_by_its_last_search(monkeypatch, m, degree, s
         if then != "floor":
             continue
         assert tag in ("trial", "regate") and x is y
-        passed = low > functional.POSITIVITY_FLOOR * float(vals.max())
+        passed = low > spectral.POSITIVITY_FLOOR * float(vals.max())
         # a candidate gated again at maximum one passes only if both checks do
         if tag == "regate":
             checks[-1] = checks[-1] and passed
@@ -610,7 +611,7 @@ def test_unstable_start_is_labelled_by_its_last_search(monkeypatch, m, degree, s
     breakdown = bool(checks) and not any(checks)
     assert (trace.termination_reason == "positivity_breakdown") == breakdown
     assert trace.termination_reason in ("positivity_breakdown", "line_search_stall")
-    assert min(trace.min_values) > functional.POSITIVITY_FLOOR
+    assert min(trace.min_values) > spectral.POSITIVITY_FLOOR
 
 
 def test_budget_spending_start_reaches_the_gradient_tolerance():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confsphere import functional
+from confsphere import functional, spectral
 from confsphere.errors import ConfSphereError, NonPositiveFunction
 from confsphere.extremize import OptimizerConfig, minimize
 from confsphere.functional import (
@@ -113,25 +113,25 @@ def test_positivity_gate():
 
 def test_gate_tests_the_poles_without_looking_up_its_own_grid(monkeypatch):
     # u = s - Z_16 is positive on the Gauss-Jacobi nodes and negative at
-    # t = 1; the evaluator's gate holds the 4x grid and needs no cache lookup
+    # t = 1; the gate is the 4x discretization's own, the one the evaluator
+    # holds, and needs no cache lookup
     disc = discretization(3, 16, 4)
-    ev = functional.evaluator(3, 2, 16)
-    assert ev.disc is disc
+    assert functional.evaluator(3, 2, 16).disc is disc
     c = np.zeros(17)
     c[0] = 0.5 * (disc.basis[16].max() + disc.poles[1, 16]) / disc.basis[0, 0]
     c[16] = -1.0
-    assert disc.values(c).min() > 0.0
+    assert disc.basis.T.dot(c).min() > 0.0
     lookups = []
-    real = functional.discretization
-    monkeypatch.setattr(functional, "discretization", lambda *a, **k: lookups.append(a) or real(*a, **k))
+    real = spectral.discretization
+    monkeypatch.setattr(spectral, "discretization", lambda *a, **k: lookups.append(a) or real(*a, **k))
     with pytest.raises(NonPositiveFunction):
-        ev.gate(c)
+        disc.gate(c)
     assert lookups == []
     c[0] *= 3.0
-    vals, low, high, grid_low = ev.gate(c)
-    assert np.array_equal(vals, disc.values(c))
+    vals, low, high, grid_low = disc.gate(c)
+    assert np.array_equal(vals, disc.basis.T.dot(c))
     assert (low, high) == (vals.min(), vals.max())
-    assert grid_low == disc.grid_minimum(c, low) < low
+    assert grid_low == min(low, *disc.poles.dot(c).tolist()) < low
     assert lookups == []
 
 
@@ -287,7 +287,7 @@ def test_grid_minimum_is_the_least_value_on_nodes_and_poles(monkeypatch, n, m, L
         low = min_on_grid(u)
         assert abs(low - expected) <= bound
         products.clear()
-        passed = ev.gate(c, refuse=False)
+        passed = ev.disc.gate(c, refuse=False)
         assert [(tag, x is c) for tag, x, _ in products] == [("values", True)] + [("poles", True)] * (n != 1)
         assert min(float(out.min()) for _, _, out in products) == low
         if passed is not None:
@@ -304,15 +304,14 @@ def test_one_relative_gate_decides_at_every_scale(n, m, ratio):
     # among them, decides as the gate does, at any scale
     disc = discretization(n, 32, 4)
     bump = random_positive_function(n, 32, 8, np.random.default_rng(5))
-    vals = disc.values(bump.coeffs)
-    low, high = disc.grid_minimum(bump.coeffs, float(vals.min())), float(vals.max())
+    _, _, high, low = disc.scan(bump.coeffs)
     u = bump + constant_function(n, (ratio * high - low) / (1.0 - ratio), 32)
-    vals = disc.values(u.coeffs)
-    assert abs(disc.grid_minimum(u.coeffs, float(vals.min())) / vals.max() / ratio - 1.0) < 1e-6
+    _, _, high, low = disc.scan(u.coeffs)
+    assert abs(low / high / ratio - 1.0) < 1e-6
     descent = lambda v, m: minimize(v, m, OptimizerConfig(degree=32, max_iter=1))
     for scale in (1e-12, 1.0, 1e150):
         for entry in (functional_value, neg_power_norm, el_residual, gradient, functional_report, find_center, descent):
-            if ratio > functional.POSITIVITY_FLOOR:
+            if ratio > spectral.POSITIVITY_FLOOR:
                 entry(u.scaled(scale), m)
             else:
                 with pytest.raises(NonPositiveFunction, match="positivity floor"):
@@ -346,7 +345,7 @@ def test_evaluator_keeps_the_bits_of_the_layered_evaluation(n, m, L):
         u = random_positive_function(n, L, L // 4, rng)
         for scale in (1e-12, 1.0, 1e150):
             c = u.coeffs * scale
-            gated, want = ev.gate(c), layered.positivity_gate(c, disc)
+            gated, want = disc.gate(c), layered.positivity_gate(c, disc)
             _same_terms(gated, want)
             vals, low, high, grid_low = gated
             at_min = layered.terms_at_minimum(c, n, m, L)
@@ -375,13 +374,12 @@ def test_a_start_next_to_the_floor_is_gated_again_with_the_layered_bits(monkeypa
     # its row has the reference's bits
     disc = discretization(n, 32, 4)
     bump = random_positive_function(n, 32, 8, np.random.default_rng(5))
-    vals = disc.values(bump.coeffs)
-    low, high = disc.grid_minimum(bump.coeffs, float(vals.min())), float(vals.max())
-    ratio = functional.POSITIVITY_FLOOR * (1 + 5e-4)
+    _, _, high, low = disc.scan(bump.coeffs)
+    ratio = spectral.POSITIVITY_FLOOR * (1 + 5e-4)
     u = bump + constant_function(n, (ratio * high - low) / (1.0 - ratio), 32)
     gates = []
-    real = functional.Evaluator.gate
-    monkeypatch.setattr(functional.Evaluator, "gate", lambda self, c, refuse=True: gates.append(c) or real(self, c, refuse))
+    real = Discretization.gate
+    monkeypatch.setattr(Discretization, "gate", lambda self, c, refuse=True: gates.append(c) or real(self, c, refuse))
     for scale in (1e-12, 1.0, 1e150):
         c = u.coeffs * scale
         want = layered.terms_at_maximum(c, n, m, 32, refuse=True)
@@ -421,8 +419,8 @@ def test_tiny_scales_are_finite_or_refused(n, m):
 def test_report_min_value_is_the_grid_minimum_of_its_gate(monkeypatch, n, m):
     # the report's min_value is the grid minimum its one gate took, with the
     # bits of min_on_grid, at any scale; no second grid minimum is taken:
-    # the report makes one product with the zonal pole basis, none on the
-    # circle, and never calls min_on_grid's Discretization.grid_minimum
+    # the report scans the grid once, with one product with the zonal pole
+    # basis, none on the circle
     rng = np.random.default_rng(17 + n)
     draws = [random_positive_function(n, L, 8, rng) for L in (8, 32, 64)]
     draws += [u.scaled(scale) for u in draws for scale in (1e-100, 1e100)]
@@ -430,27 +428,28 @@ def test_report_min_value_is_the_grid_minimum_of_its_gate(monkeypatch, n, m):
     for L in (8, 32, 64):
         logging_evaluator(monkeypatch, n, m, L, products)
     seen = []
-    real = Discretization.grid_minimum
-    monkeypatch.setattr(Discretization, "grid_minimum", lambda *a: seen.append(a) or real(*a))
+    real = Discretization.scan
+    monkeypatch.setattr(Discretization, "scan", lambda self, c: seen.append(c) or real(self, c))
     for u in draws:
         want = float.hex(min_on_grid(u))
         seen.clear()
         products.clear()
         assert float.hex(functional_report(u, m).min_value) == want
-        assert seen == []
+        assert len(seen) == 1 and seen[0] is u.coeffs
         assert [tag for tag, _, _ in products].count("poles") == (n != 1)
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2)])
 def test_each_entry_point_synthesizes_u_once(monkeypatch, n, m):
-    # one gate per entry point: u is synthesized once on the 4x nodes, by the
-    # evaluator's transposed basis, and the residual and the report
-    # synthesize P_2m u besides; no entry point synthesizes otherwise
+    # one gate per entry point: u is scanned once on the 4x grid, its nodes
+    # synthesized by the discretization's transposed basis, and the residual
+    # and the report synthesize P_2m u besides; no entry point synthesizes
+    # otherwise
     u = random_positive_function(n, 32, 8, np.random.default_rng(0))
-    log, other = [], []
+    log, scans = [], []
     logging_evaluator(monkeypatch, n, m, 32, log)
-    real = Discretization.values
-    monkeypatch.setattr(Discretization, "values", lambda self, c: other.append(c) or real(self, c))
+    real = Discretization.scan
+    monkeypatch.setattr(Discretization, "scan", lambda self, c: scans.append(c) or real(self, c))
     entries = {
         functional_value: 1,
         neg_power_norm: 1,
@@ -462,10 +461,11 @@ def test_each_entry_point_synthesizes_u_once(monkeypatch, n, m):
     }
     for entry, count in entries.items():
         log.clear()
+        scans.clear()
         entry(u, m)
         calls = [c for tag, c, _ in log if tag == "values"]
         assert len(calls) == count and calls[0] is u.coeffs
-    assert other == []
+        assert len(scans) == 1 and scans[0] is u.coeffs
 
 
 def two_gate_norm_and_value(u, m):

@@ -1,6 +1,6 @@
 """The package writes every array product as ``ndarray.dot`` and, in the hot
 modules, every reduction as an array method; no module of the package or of
-the tests imports a name it never uses.
+the tests imports a name it never uses; the positivity gate has one home.
 
 See README "Cached discretizations", paragraph "Array products": ``@`` and
 ``np.sum`` / ``np.max`` / ``np.min`` dispatch through slower machinery
@@ -105,3 +105,79 @@ def test_the_unused_import_check_sees_each_offence(tmp_path):
         "    return os.sep\n"
     )
     assert _unused_imports(module) == ["mod.py:4: np", "mod.py:5: Tuple", "mod.py:6: Dropped"]
+
+
+class _GateScan(ast.NodeVisitor):
+    """The scopes of one module that construct or raise NonPositiveFunction, and whether it assigns POSITIVITY_FLOOR."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.raisers = set()
+        self.assigns_floor = False
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
+
+    def _exception(self, node):
+        if (getattr(node, "id", None) or getattr(node, "attr", None)) == "NonPositiveFunction":
+            self.raisers.add(".".join(self.scope))
+
+    def visit_Call(self, node):
+        self._exception(node.func)
+        self.generic_visit(node)
+
+    def visit_Raise(self, node):
+        if node.exc is not None:
+            self._exception(node.exc)
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if node.id == "POSITIVITY_FLOOR" and isinstance(node.ctx, ast.Store):
+            self.assigns_floor = True
+
+
+def _gate_homes(paths) -> tuple:
+    """(sorted scopes that construct NonPositiveFunction, sorted modules that assign POSITIVITY_FLOOR)."""
+    raisers, floors = set(), set()
+    for path in paths:
+        scan = _GateScan(path.stem)
+        scan.visit(ast.parse(path.read_text(), filename=str(path)))
+        raisers |= scan.raisers
+        if scan.assigns_floor:
+            floors.add(path.stem)
+    return sorted(raisers), sorted(floors)
+
+
+def test_the_positivity_gate_has_one_home():
+    # one function decides positivity and raises its error, and the floor it
+    # decides against is set in one module, so no second gate can drift from it
+    raisers, floors = _gate_homes(sorted(PACKAGE.glob("*.py")))
+    assert len(raisers) == 1, f"NonPositiveFunction is constructed in {raisers}"
+    assert len(floors) == 1, f"POSITIVITY_FLOOR is assigned in {floors}"
+
+
+def test_the_gate_check_sees_each_offence(tmp_path):
+    # a construction and a bare raise are found in each function, method or
+    # module body, and an assignment of the floor in any form; an import of
+    # either name is neither
+    one = tmp_path / "one.py"
+    one.write_text(
+        "from .errors import NonPositiveFunction\n"
+        "from .spectral import POSITIVITY_FLOOR\n"
+        "class Grid:\n"
+        "    def gate(self):\n"
+        "        raise NonPositiveFunction('no')\n"
+        "def check():\n"
+        "    def inner():\n"
+        "        raise errors.NonPositiveFunction\n"
+        "    return inner\n"
+        "POSITIVITY_FLOOR: float = 1e-6\n"
+    )
+    other = tmp_path / "other.py"
+    other.write_text("POSITIVITY_FLOOR, x = 1e-6, 0\nexc = NonPositiveFunction('x')\n")
+    assert _gate_homes([one]) == (["one.Grid.gate", "one.check.inner"], ["one"])
+    assert _gate_homes([one, other]) == (["one.Grid.gate", "one.check.inner", "other"], ["one", "other"])

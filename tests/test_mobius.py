@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from confsphere.errors import AxisMismatch, ConfSphereError, NonPositiveFunction
-from confsphere.functional import energy_quadratic, exponent_q, functional_value
+from confsphere.functional import energy_quadratic, evaluator, exponent_q, functional_value
 from confsphere.geometry import (
     AxisDilation,
     BallPoint,
@@ -441,6 +441,12 @@ def test_node_form_agrees_with_mapped_points(n, m, degree):
             assert err < 1e-13, (radius, err)
 
 
+def _volume(u, m):
+    """(4x discretization, u^{-q} over its integral on its nodes), as barycenter and find_center read them."""
+    ev = evaluator(u.n, m, u.degree)
+    return ev.disc, ev.volume(u.coeffs)
+
+
 def _real_parts(v):
     """A complex V as the 2-vector (Re V, Im V); a float as a 1-vector."""
     return np.array([v.real, v.imag]) if isinstance(v, complex) else np.array([v])
@@ -455,7 +461,7 @@ def _real_jacobian(da, db):
 def test_node_form_jacobian_matches_central_differences(n, m):
     rng = np.random.default_rng(13 + n + m)
     u = random_positive_function(n, 32, 8, rng)
-    disc, neg = mobius._volume(u, m)
+    disc, neg = _volume(u, m)
     dim = 2 if n == 1 else 1
     h = 1e-5
     for radius in (0.0, 0.2, 0.5, 0.9):
@@ -505,7 +511,7 @@ def _array_ball_moment(disc, values, a, slope=False):
 
 def _array_find_center(u, m, tol=1e-8, max_iter=80):
     """find_center's damped Newton loop on :func:`_array_ball_moment`: 1x1 solves and 1-vector norms."""
-    disc, neg = mobius._volume(u, m)
+    disc, neg = _volume(u, m)
     x = np.zeros(1)
     v, jac = _array_ball_moment(disc, neg, x, slope=True)
     res = float(np.linalg.norm(v))
@@ -560,7 +566,7 @@ def _array_circle_moment(disc, values, a, slope=False):
 
 def _array_circle_find_center(u, m, tol=1e-8, max_iter=80):
     """find_center's damped Newton loop on :func:`_array_circle_moment`: 2x2 solves and 2-norms."""
-    disc, neg = mobius._volume(u, m)
+    disc, neg = _volume(u, m)
     x = np.zeros(2)
     v, jac = _array_circle_moment(disc, neg, x, slope=True)
     res = float(np.linalg.norm(v))
@@ -608,7 +614,7 @@ def test_circle_gauge_matches_the_real_array_formula():
     eps = 2.0**-52
     cases = 0
     for u, m in _circle_gauge_cases():
-        disc, neg = mobius._volume(u, m)
+        disc, neg = _volume(u, m)
         rng = np.random.default_rng(cases)
         for radius in (0.0, 0.3, 0.6, 0.9, 0.99):
             d = rng.standard_normal(2)
@@ -655,7 +661,7 @@ def test_zonal_gauge_keeps_the_bits_of_the_array_formula():
     h = float.hex
     cases = 0
     for u, m in _zonal_gauge_cases():
-        disc, neg = mobius._volume(u, m)
+        disc, neg = _volume(u, m)
         for r in (0.0, -0.99, -0.9, -0.6, -0.3, -1e-3, 1e-3, 0.3, 0.6, 0.9, 0.99):
             v, dv = _ball_moment(disc, neg, r, slope=True)
             ref_v, ref_dv = _array_ball_moment(disc, neg, np.array([r]), slope=True)
@@ -675,7 +681,7 @@ def test_zonal_gauge_keeps_the_bits_of_the_array_formula():
 
 
 @pytest.mark.parametrize("n,m", STABLE_ORDERS)
-def test_moment_at_zero_keeps_its_bits(n, m):
+def test_moment_at_zero_keeps_its_bits(monkeypatch, n, m):
     # V(0), the descent's centroid and the first residual of find_center, is
     # the plain sum w . (f y) over the node coordinates, with or without the
     # slope and at a = -0 too, so a descent that never recenters keeps its bits
@@ -683,7 +689,7 @@ def test_moment_at_zero_keeps_its_bits(n, m):
     zero = 0j if n == 1 else 0.0
     for degree in (16, 32, 64):
         u = random_positive_function(n, degree, 8, rng)
-        disc, neg = mobius._volume(u, m)
+        disc, neg = _volume(u, m)
         w = disc.rule.weights
         plain = (w * neg).dot(disc.points) if n == 1 else float(w.dot(neg * disc.points))
         for a in (zero, -zero):
@@ -692,11 +698,13 @@ def test_moment_at_zero_keeps_its_bits(n, m):
         if n != 1:
             assert float.hex(plain) == float.hex(float(_array_ball_moment(disc, neg, np.zeros(1))[0]))
         # a tolerance above |V(0)| stops the solve at its start
-        assert find_center(u, m, tol=1.0).residual == abs(plain)
+        with monkeypatch.context() as patch:
+            patch.setattr(mobius, "CENTER_TOL", 1.0)
+            assert find_center(u, m).residual == abs(plain)
 
 
 @pytest.mark.parametrize("n,m", STABLE_ORDERS)
-def test_find_center_residual_is_the_barycenter_at_its_center(n, m):
+def test_find_center_residual_is_the_barycenter_at_its_center(monkeypatch, n, m):
     # find_center takes w u^{-q} once per solve; its residual keeps the bits
     # of |V| that barycenter sums afresh at the returned center, after a
     # converged solve and after one Newton step
@@ -704,7 +712,12 @@ def test_find_center_residual_is_the_barycenter_at_its_center(n, m):
     for amplitude in (0.45, 0.95):
         for _ in range(5):
             u = random_positive_function(n, 32, 8, rng, amplitude=amplitude)
-            for res in (find_center(u, m), find_center(u, m, max_iter=1)):
+            converged = find_center(u, m)
+            with monkeypatch.context() as patch:
+                patch.setattr(mobius, "CENTER_MAX_ITER", 1)
+                one_step = find_center(u, m)
+            assert one_step.iterations == 1
+            for res in (converged, one_step):
                 v = barycenter(u, res.a, m)
                 assert res.residual == (abs(complex(*v)) if n == 1 else abs(float(v[0])))
 

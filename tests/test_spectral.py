@@ -25,6 +25,7 @@ from confsphere.spectral import (
     constant_function,
     discretization,
     dumps,
+    from_json_dict,
     harmonic_basis_function,
     integrate,
     loads,
@@ -34,6 +35,7 @@ from confsphere.spectral import (
     random_positive_function,
     roots_jacobi,
     synthesize,
+    to_json_dict,
     zonal_quadrature,
 )
 from pointwise_maps import axis_dilation_t_map
@@ -293,6 +295,27 @@ def test_coefficients_are_finite_or_refused_without_a_warning(n):
             SpectralFunction(n, c, axis)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_coefficients_form_one_flat_array_or_are_refused(n):
+    # one list of lists, a list per coefficient or a bare number is refused;
+    # nested lists used to pass and fail later inside numpy
+    axis = None if n == 1 else north_pole(n)
+    c = constant_function(n, 1.0, 8).coeffs
+    for bad in (c[None, :], c[:, None], c[0]):
+        with pytest.raises(ValueError, match="one flat array"):
+            SpectralFunction(n, bad, axis)
+
+
+def test_json_dim_must_be_an_integer():
+    # int() truncated 1.9 and 3.7 and took true for 1
+    for u in (constant_function(1, 1.0, 8), constant_function(3, 1.0, 8)):
+        data = to_json_dict(u)
+        assert from_json_dict(data).n == u.n
+        for dim in (u.n + 0.9, float(u.n), True, str(u.n)):
+            with pytest.raises(ValueError, match="dim must be an integer"):
+                from_json_dict(dict(data, dim=dim))
+
+
 def test_a_unit_axis_is_kept_and_any_other_normalized():
     # an axis whose norm is exactly 1.0 is kept bit for bit, as v / 1.0 is v;
     # any other is divided by its norm, as before
@@ -517,7 +540,7 @@ def test_minimize_cold_and_warm_cache_agree_bit_for_bit():
 def test_cached_arrays_are_read_only():
     for n in (1, 3):
         disc = discretization(n, 8, 4)
-        arrays = (disc.rule.nodes, disc.rule.weights, disc.basis, disc.points, packed_multipliers(n, 2, 8))
+        arrays = (disc.rule.nodes, disc.rule.weights, disc.basis, disc.basis_t, disc.points, packed_multipliers(n, 2, 8))
         for a in arrays + ((disc.poles,) if n != 1 else ()):
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -544,13 +567,13 @@ def test_zonal_grid_appends_the_poles():
         c = constant_function(3, 1.0, 8).coeffs - 0.1 * disc.poles[end]
         u = SpectralFunction(3, c, north_pole(3))
         south_north = disc.poles @ c
-        assert south_north[end] < disc.values(c).min()
+        assert south_north[end] < (disc.basis.T @ c).min()
         assert min_on_grid(u) == south_north[end]
         assert min_on_grid(u) == (basis_matrix(3, 8, np.array([t])).T @ c)[0]
     circle = discretization(1, 8, 4)
     assert circle.poles is None
     c = constant_function(1, 1.0, 8).coeffs
-    assert min_on_grid(SpectralFunction(1, c, None)) == circle.values(c).min()
+    assert min_on_grid(SpectralFunction(1, c, None)) == (circle.basis.T @ c).min()
 
 
 @pytest.mark.parametrize("L", [8, 32])
@@ -587,6 +610,10 @@ def test_zonal_poles_are_the_basis_at_the_poles(L):
     assert circle.poles is None and circle.sin_sq is None
     held = (circle.rule.nodes, circle.rule.weights, circle.basis, circle.points)
     assert circle.nbytes == sum(a.nbytes for a in held)
+    # the transposed basis is a view of the basis, counted with it
+    for disc in (discretization(3, L, 4), circle):
+        assert np.shares_memory(disc.basis_t, disc.basis)
+        assert np.array_equal(disc.basis_t, disc.basis.T)
 
 
 def test_discretization_over_the_byte_bound_is_not_stored(monkeypatch):
@@ -623,14 +650,15 @@ def _hand_built(rule, degree):
     else:
         poles = basis_matrix(rule.n, degree, np.array([-1.0, 1.0])).T
         sin_sq = (1.0 - rule.nodes) * (1.0 + rule.nodes)
-    return spectral.Discretization(rule, degree, basis, _node_coordinates(rule), poles, sin_sq)
+    return spectral.Discretization(rule, degree, basis, basis.T, _node_coordinates(rule), poles, sin_sq)
 
 
 @pytest.mark.parametrize("n,L", [(1, 24), (3, 24), (3, 64)])
 def test_grid_minimum_and_first_moment_keep_their_bits(n, L):
-    # pinned to plain expressions: the grid minimum as the least of the
-    # node minimum and the values at the poles, and the first moment, the
-    # ball moment at a = 0, as the plain weighted sum over the node coordinates
+    # pinned to plain expressions: the scan's node values as the transposed
+    # basis times c, the grid minimum as the least of the node minimum and
+    # the values at the poles, and the first moment, the ball moment at
+    # a = 0, as the plain weighted sum over the node coordinates
     own = zonal_quadrature(n, 3 * L + 7) if n != 1 else circle_quadrature(6 * L + 7)
     rng = np.random.default_rng(L + n)
     cached = discretization(n, L, 4)
@@ -639,11 +667,13 @@ def test_grid_minimum_and_first_moment_keep_their_bits(n, L):
         w = disc.rule.weights
         for _ in range(20):
             u = random_positive_function(n, L, L // 2, rng, amplitude=float(rng.uniform(0.3, 1.2)))
-            c, vals = u.coeffs, disc.values(u.coeffs)
+            c, vals = u.coeffs, disc.basis.T.dot(u.coeffs)
             low = float(vals.min())
             if n != 1:
                 low = float(min(low, (disc.poles @ c).min()))
-            assert disc.grid_minimum(c, float(vals.min())) == low
+            scanned, node_low, high, grid_low = disc.scan(c)
+            assert scanned.tobytes() == vals.tobytes()
+            assert (node_low, high, grid_low) == (vals.min(), vals.max(), low)
             moment = spectral._ball_moment(disc, vals, 0j if n == 1 else 0.0)
             old = (w * vals) @ disc.points if n == 1 else float(w @ (vals * disc.rule.nodes))
             assert np.array_equal(moment, old)

@@ -86,6 +86,7 @@ def _validate_sphere(n: int, m: int, degree: Optional[int] = None, functional: b
     _require(m >= 1, "m must be >= 1")
     if functional:
         _require(2 * m > n, f"functional subcommands require 2m > n, got n={n}, m={m}")
+        # the rule of spectral.representation, spelled here since hessian loads no numpy
         _require(n % 2 == 1, "spectral representation covers n = 1 and odd n >= 3")
     if degree is not None:
         _require(degree >= 8, "L must be >= 8")
@@ -315,7 +316,7 @@ def _cmd_green_check(args) -> int:
         green_spectral,
         reproduce_at_pole,
     )
-    from .spectral import constant_function, random_band_limited, synthesize
+    from .spectral import constant_function, random_band_limited, representation, synthesize
 
     _validate_sphere(args.n, args.m, args.degree)
     _require(args.n % 2 == 1, "the Green's function requires odd n")
@@ -323,9 +324,8 @@ def _cmd_green_check(args) -> int:
 
     rng = np.random.default_rng(args.seed or 0)
     green = green_spectral(args.n, args.m, args.degree)
-    # reproducing property against random band-limited test functions;
-    # the pole sits at angle zero (n = 1) or axis cosine one (zonal)
-    pole = np.array([0.0]) if args.n == 1 else np.array([1.0])
+    # reproducing property against random band-limited test functions at the reference pole
+    pole = np.array([representation(args.n).pole])
     max_err = 0.0
     for _ in range(10):
         u = random_band_limited(args.n, args.degree, args.degree // 2, rng)

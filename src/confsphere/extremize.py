@@ -25,7 +25,6 @@ from .spectral import (
     DEFAULT_DEGREE,
     POSITIVITY_FLOOR,
     SpectralFunction,
-    _ball_moment,
     _cached_array,
     constant_function,
     random_band_limited,
@@ -121,7 +120,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         raise InvalidConfig(f"config degree {config.degree} is not the degree {u0.degree} of the start")
     n, axis = u0.n, u0.axis
     ev = evaluator(n, m, u0.degree)
-    gate = ev.disc.gate
+    gate, moment = ev.disc.gate, ev.disc.rep.moment
     near_floor = (1.0 + 1e-3) * POSITIVITY_FLOOR
     trace = DescentTrace()
 
@@ -164,7 +163,7 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         trace.grad_norms.append(norm(grad))
         trace.min_values.append(terms[8])
         # |V(0)|: the first moment of u^{-q} over its integral
-        trace.barycenter_norms.append(abs(_ball_moment(ev.disc, neg, 0)) / integ)
+        trace.barycenter_norms.append(abs(moment(ev.disc, neg, 0)) / integ)
 
     for _ in range(config.max_iter):
         record()

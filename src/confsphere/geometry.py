@@ -42,14 +42,6 @@ def north_pole(n: int) -> np.ndarray:
     return p
 
 
-def unit_vector(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    r = math.sqrt(float(v.dot(v)))
-    if r == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / r
-
-
 @dataclass(frozen=True)
 class AxisDilation:
     """sigma_{xi,lambda}: dilation by ``scale`` in the chart at ``axis``."""

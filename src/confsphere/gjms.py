@@ -128,8 +128,8 @@ def green_spectral(n: int, m: int, degree: int) -> SpectralFunction:
     """
     if any(multiplier(n, m, a) == 0 for a in range(degree + 1)):
         raise SingularOperator("a spectral multiplier vanishes; no inverse")
-    # the packed basis at the reference pole: angle 0, or axis cosine 1
-    at_pole = spectral.basis_matrix(n, degree, np.array([0.0 if n == 1 else 1.0]))[:, 0]
+    # the packed basis at the reference pole
+    at_pole = spectral.basis_matrix(n, degree, np.array([spectral.representation(n).pole]))[:, 0]
     p = packed_multipliers(n, m, degree)
     return SpectralFunction(n, at_pole / p, spectral._new_axis(n, None))
 

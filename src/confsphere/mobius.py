@@ -14,7 +14,6 @@ r = a . xi on the axis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,34 +21,12 @@ import numpy as np
 
 from .errors import AxisMismatch, ConfSphereError
 from .functional import evaluator
-from .geometry import AxisDilation, BallPoint, MobiusMap, Rotation, north_pole
-from .spectral import SpectralFunction, _ball_moment, _unit_circle_sum, discretization
+from .geometry import BallPoint, MobiusMap, north_pole
+from .spectral import SpectralFunction, _unit_circle_sum, discretization
 
 #: the convergence threshold on |V(a)| and the budget of Newton steps of :func:`find_center`
 CENTER_TOL = 1e-8
 CENTER_MAX_ITER = 80
-
-
-def _zonal_scale(u: SpectralFunction, phi: MobiusMap) -> float:
-    """The scale lam of phi as a dilation about the axis xi of u (or fail).
-
-    A ball point r xi is the dilation of scale (1 - r) / (1 + r), and a
-    dilation about -xi the inverse dilation about xi.
-    """
-    if isinstance(phi, BallPoint):
-        a = phi.center
-        r = float(a.dot(u.axis))
-        if abs(r) < (1.0 - 1e-12) * math.sqrt(float(a.dot(a))):
-            raise AxisMismatch("Mobius map does not share the zonal axis")
-        return (1.0 - r) / (1.0 + r)
-    if not isinstance(phi, AxisDilation):
-        raise AxisMismatch("zonal pullback supports axis dilations only")
-    dot = float(phi.axis.dot(u.axis))
-    if abs(dot - 1.0) < 1e-12:
-        return phi.scale
-    if abs(dot + 1.0) < 1e-12:
-        return 1.0 / phi.scale
-    raise AxisMismatch("Mobius map does not share the zonal axis")
 
 
 def _acting_on(u: SpectralFunction, phi: MobiusMap) -> MobiusMap:
@@ -64,45 +41,21 @@ def pullback(u: SpectralFunction, phi: MobiusMap, m: int) -> SpectralFunction:
 
     It is taken on the nodes of the 2x rule, since the Jacobian weight is
     not band-limited; the energy invariance checks are the accuracy meter
-    for this truncation.  Either way u o phi is summed at unit-circle
-    points w (see :func:`confsphere.spectral.synthesize`).  A zonal map is
-    a dilation of scale lam about the axis; with d = lam^2 (1 + t) + (1 - t)
-    at the axis cosine t of a node, the image of t + i sqrt((1 - t)(1 + t))
-    is w = (lam^2 (1 + t) - (1 - t) + 2 i lam sqrt((1 - t)(1 + t))) / d,
-    weighed by the Jacobian (2 lam / d)^n.  At the complex nodes z of the
-    circle, a rotation or reflection is w = c1 z + c2 conj(z), unweighted; a
-    ball point a is w = (z - a) / (1 - conj(a) z), weighed by |w'(z)|, and a
-    dilation of scale lam about xi is the ball point xi (1 - lam) / (1 + lam).
-    A map so strong that the weight leaves the float range at some node
+    for this truncation.  The representation of u maps each node to its
+    image w on the unit circle and gives the Jacobian J there (``image`` of
+    :class:`confsphere.spectral.Representation`; a zonal map must be a
+    dilation about the axis), and J^{(n-2m)/(2n)} u o phi is u summed at w
+    (see :func:`confsphere.spectral.synthesize`).  A map so strong that the
+    weight leaves the float range at some node
     raises :class:`ConfSphereError`: (1 - lam) / (1 + lam) rounds to -1
     near lam = 1e16 on the circle, and the zonal Jacobian underflows near
     lam = 1e-200.
     """
     _acting_on(u, phi)
     disc = discretization(u.n, u.degree, oversample=2)
-    z = disc.points
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if u.n != 1:
-            lam = _zonal_scale(u, phi)
-            up, down = (lam * lam) * (1.0 + z), 1.0 - z
-            den = up + down
-            conformal = 2.0 * lam / den
-            w = np.empty(z.size, dtype=complex)
-            np.divide(up - down, den, out=w.real)
-            np.multiply(conformal, np.sqrt(disc.sin_sq), out=w.imag)
-            values = (conformal ** u.n) ** ((u.n - 2 * m) / (2.0 * u.n)) * _unit_circle_sum(u, w)
-        elif isinstance(phi, Rotation):
-            (r00, r01), (r10, r11) = phi.matrix.tolist()
-            w = complex(r00 + r11, r10 - r01) / 2.0 * z + complex(r00 - r11, r10 + r01) / 2.0 * z.conjugate()
-            values = _unit_circle_sum(u, w)
-        else:
-            if isinstance(phi, AxisDilation):
-                a = complex(*phi.axis.tolist()) * ((1.0 - phi.scale) / (1.0 + phi.scale))
-            else:
-                a = complex(*phi.center.tolist())
-            den = 1.0 - a.conjugate() * z
-            weight = (1.0 - (a.real * a.real + a.imag * a.imag)) / (den.real * den.real + den.imag * den.imag)
-            values = weight ** ((1 - 2 * m) / 2.0) * _unit_circle_sum(u, (z - a) / den)
+        w, jacobian = u.rep.image(u, phi, disc)
+        values = jacobian ** ((u.n - 2 * m) / (2.0 * u.n)) * _unit_circle_sum(u, w)
         try:
             return disc.analyze(values, axis=u.axis)
         except ValueError as exc:  # non-finite coefficients
@@ -131,13 +84,8 @@ def extremal(
     if not (lam > 0 and scale > 0):
         raise ValueError("extremal requires lam > 0 and scale > 0")
     disc = discretization(n, degree, oversample=2)
-    axis = north_pole(n) if axis is None else axis
-    # the axis cosine of each node; zonal nodes are axis cosines.  A circle
-    # function carries no axis: the bump is centred at the axis angle
-    if n == 1 and np.shape(axis) != (2,):
-        raise AxisMismatch(f"an axis of S^1 has 2 entries, got shape {np.shape(axis)}")
-    t = np.cos(disc.rule.nodes - math.atan2(axis[1], axis[0])) if n == 1 else disc.rule.nodes
-    return disc.analyze(extremal_values(n, m, t, lam, scale), axis=None if n == 1 else axis)
+    t, axis = disc.rep.axis_cosines(disc, north_pole(n) if axis is None else axis)
+    return disc.analyze(extremal_values(n, m, t, lam, scale), axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +98,13 @@ def barycenter(u: SpectralFunction, a: np.ndarray, m: int) -> np.ndarray:
 
     V(a) is the integral of sigma_{-a}(y) u^{-q}(y) dmu(y) over the
     integral of u^{-q}: the first moment of u_a^{-q} dmu, normalized.  It
-    is summed over the nodes of the 4x discretization (see
-    :func:`confsphere.spectral._ball_moment`), whose error grows with |a|
+    is summed over the nodes of the 4x discretization (``moment`` of
+    :class:`confsphere.spectral.Representation`), whose error grows with |a|
     as the weight concentrates near -a/|a|.  |a| >= 1 raises ``ValueError``.
     """
     phi = _acting_on(u, BallPoint(center=a))
-    ev = evaluator(u.n, m, u.degree)
-    neg = ev.volume(u.coeffs)
-    if u.n == 1:
-        v = _ball_moment(ev.disc, neg, complex(*phi.center.tolist()))
-        return np.array([v.real, v.imag])
-    _zonal_scale(u, phi)  # AxisMismatch off the axis of u
-    return _ball_moment(ev.disc, neg, float(phi.center.dot(u.axis))) * u.axis
+    ev, rep = evaluator(u.n, m, u.degree), u.rep
+    return rep.vector(u, rep.moment(ev.disc, ev.volume(u.coeffs), rep.coordinate(u, phi.center)))
 
 
 @dataclass(frozen=True)
@@ -177,7 +120,8 @@ def find_center(u: SpectralFunction, m: int) -> CenterResult:
 
     u passes the positivity gate once; V and its derivatives are then sums
     over u^{-q} on the nodes, in node coordinates, and the product of u^{-q}
-    with the weights is taken once.  On the axis xi of zonal u, a is the
+    with the weights is taken once; the representation of u holds the
+    moment, the step and the coordinates.  On the axis xi of zonal u, a is the
     float r = a . xi and the step is -V / V'; on the circle a is complex and
     the step d solves V + A d + B conj(d) = 0 for the Wirtinger pair (A, B)
     of V; a zero derivative gives -V.  V lies in the unit ball, so
@@ -188,22 +132,17 @@ def find_center(u: SpectralFunction, m: int) -> CenterResult:
     ev = evaluator(u.n, m, u.degree)
     disc, neg = ev.disc, ev.volume(u.coeffs)
     weighted = disc.rule.weights * neg
-    zonal = u.n != 1
-    x = 0.0 if zonal else 0j
-    v, jac = _ball_moment(disc, neg, x, slope=True, weighted=weighted)
+    rep = u.rep
+    x = rep.origin
+    v, jac = rep.moment(disc, neg, x, slope=True, weighted=weighted)
     res, steps = abs(v), 0
     while res >= CENTER_TOL and steps < CENTER_MAX_ITER:
-        if zonal:
-            step = -v / jac if jac else -v
-        else:
-            da, db = jac
-            det = abs(da) ** 2 - abs(db) ** 2
-            step = (db * v.conjugate() - da.conjugate() * v) / det if det else -v
+        step = rep.newton_step(v, jac)
         for _ in range(30):
             cand = x + step
             r = abs(cand)
             cand = cand if r < 0.999999 else cand * (0.999999 / r)
-            cv, cjac = _ball_moment(disc, neg, cand, slope=True, weighted=weighted)
+            cv, cjac = rep.moment(disc, neg, cand, slope=True, weighted=weighted)
             cres = abs(cv)
             if cres < res:
                 break
@@ -213,7 +152,7 @@ def find_center(u: SpectralFunction, m: int) -> CenterResult:
             break
         x, v, jac, res = cand, cv, cjac, cres
         steps += 1
-    return CenterResult(x * u.axis if zonal else np.array([x.real, x.imag]), res, res < CENTER_TOL, steps)
+    return CenterResult(rep.vector(u, x), res, res < CENTER_TOL, steps)
 
 
 def recenter(u: SpectralFunction, m: int) -> tuple:

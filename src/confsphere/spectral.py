@@ -13,6 +13,13 @@ Coefficients are packed in one array: ``[a_0, a_1, b_1, ..., a_L, b_L]``
 for the circle and ``[c_0, ..., c_L]`` for zonal functions.  Both bases
 are orthonormal, so Parseval holds with plain coefficient squares and
 every diagonal operator acts coefficientwise.
+
+What differs between the two is held in one place, the "representations"
+section: :func:`representation` picks one of the two
+:class:`Representation` instances ``CIRCLE`` and ``ZONAL`` by n (and
+refuses even n and n < 3); the functions there that only pick a module
+function (the rule, the basis rows, the axis of a new function) test n,
+and every other function asks ``u.rep`` or ``disc.rep`` instead.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AxisMismatch, InsufficientNodes, NonPositiveFunction
-from .geometry import north_pole, sphere_measure, sphere_surface_area, unit_vector
+from .geometry import AxisDilation, BallPoint, Rotation, north_pole, sphere_measure, sphere_surface_area
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,13 +129,6 @@ def zonal_quadrature(n: int, num_nodes: int) -> QuadratureRule:
     return QuadratureRule(n=n, nodes=t, weights=w * sphere_surface_area(n))
 
 
-def quadrature_for_degree(n: int, degree: int, oversample: int = 2) -> QuadratureRule:
-    """Rule large enough to analyze degree-``degree`` functions, oversampled."""
-    if n == 1:
-        return circle_quadrature(oversample * (2 * degree + 2))
-    return zonal_quadrature(n, oversample * (degree + 1))
-
-
 def integrate(values: np.ndarray, rule: QuadratureRule) -> float:
     """Plain weighted sum; implements the surface integral over S^n."""
     return float(rule.weights.dot(np.asarray(values, dtype=float)))
@@ -210,21 +210,278 @@ def _chebyshev_matrix(n: int, degree: int) -> np.ndarray:
     return _cached_array(out * _zonal_normalization(n, degree))
 
 
-def basis_matrix(n: int, degree: int, points: np.ndarray) -> np.ndarray:
-    """Packed basis of degree-``degree`` functions on S^n at ``points``, one row per coefficient.
-
-    ``points`` are angles for ``n = 1`` and axis cosines for zonal functions.
-    """
-    if n == 1:
-        return circle_basis_matrix(degree, points)
-    return zonal_basis_matrix(n, degree, points)
-
-
 def packed_degrees(n: int, degree: int) -> np.ndarray:
-    """Spherical-harmonic degree of each packed coefficient."""
+    """Spherical-harmonic degree of each packed coefficient: degree k fills ``per_degree`` slots after the first."""
+    per = representation(n).per_degree
+    return np.arange(per - 1, per * (degree + 1)) // per
+
+
+# ---------------------------------------------------------------------------
+# representations
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Representation:
+    """What differs between the circle and the zonal representation; :func:`representation` picks one by n.
+
+    ``kind`` is its JSON name.  ``per_degree`` counts the coefficients of
+    each harmonic degree, 2 on the circle (a_k, b_k) and 1 zonal: degree L
+    packs per_degree L + 1 of them, and its rule takes per_degree (L + 1)
+    nodes per unit of oversampling.  ``rule_name`` names the quadrature,
+    ``pole`` is the point coordinate of the reference pole (angle 0, axis
+    cosine 1), and ``origin`` the center of the ball in moment coordinates.
+    The methods of the two instances are the pairs that share no formula.
+    Where the two sides differ only in which module function they call
+    (the rule, the basis rows, the axis of a new function), a function of
+    this section branches once instead; every module function is called
+    by name, so that a profiler which rebinds those names sees the calls.
+
+    ``moment(disc, values, a, slope=False, weighted=None)`` is the first
+    moment V(a) = sum_i w_i f_i sigma_{-a}(y_i) of the measure f dmu moved by
+    sigma_{-a}, from the values f_i of f on the nodes, with a and V in the
+    node coordinates y_i (``disc.points``); ``weighted`` is w * f, taken
+    there if absent.  With f = u^{-q} it is the first moment of the volume
+    of the sigma_a pullback of u, since u_a^{-q} dmu = sigma_a^*(u^{-q} dmu).
+    ``image(u, phi, disc)`` is (w, J): the image w on the unit circle of
+    each node under the Mobius map phi, and the Jacobian J of phi there.
+    """
+
+    kind: str
+    per_degree: int
+    rule_name: str
+    pole: float
+    origin: complex | float
+
+
+class _Circle(Representation):
+    """Points are angles th, at z = exp(i th) on the unit circle; moment coordinates are complex, in the unit disk."""
+
+    def unit_points(self, theta, deriv: int) -> np.ndarray:
+        return np.exp(1j * np.asarray(theta, dtype=float).ravel())
+
+    def unit_coeffs(self, u: SpectralFunction, deriv: int) -> np.ndarray:
+        c = u.coeffs
+        d = np.empty(u.degree + 1, dtype=complex)
+        d[0] = c[0] * (1.0 / math.sqrt(TWO_PI))
+        d[1:] = (c[1::2] - 1j * c[2::2]) * (1.0 / math.sqrt(math.pi))
+        if deriv != 0:
+            d *= (1j * np.arange(u.degree + 1)) ** deriv
+        return d
+
+    def axis(self, n: int, axis) -> None:
+        if axis is not None:
+            raise ValueError("circle functions carry no zonal axis")
+
+    def node_arrays(self, rule: QuadratureRule, degree: int) -> tuple:
+        return _cached_array(np.cos(rule.nodes) + 1j * np.sin(rule.nodes)), None, None
+
+    def scan(self, disc: Discretization, c: np.ndarray) -> tuple:
+        vals = disc.basis_t.dot(c)
+        low, high = float(vals.min()), float(vals.max())
+        return vals, low, high, low
+
+    def moment(self, disc: Discretization, values: np.ndarray, a, slope: bool = False, weighted=None):
+        """sigma_{-a}(z) = (z + a) / (1 + conj(a) z); ``slope`` adds the Wirtinger pair (dV/da, dV/d conj(a))."""
+        y = disc.points
+        f = disc.rule.weights * values if weighted is None else weighted
+        if a == 0:
+            den, z = 1.0, y
+        else:
+            den = 1.0 + a.conjugate() * y
+            f, z = f / den, y + a
+        v = complex(f.dot(z))
+        if not slope:
+            return v
+        return v, (complex(f.sum()), -complex((f / den).dot(y * z)))
+
+    def newton_step(self, v: complex, jac: tuple) -> complex:
+        """d solving V + A d + B conj(d) = 0 for the Wirtinger pair (A, B) of V; -V if there is none."""
+        da, db = jac
+        det = abs(da) ** 2 - abs(db) ** 2
+        return (db * v.conjugate() - da.conjugate() * v) / det if det else -v
+
+    def coordinate(self, u: SpectralFunction, a: np.ndarray) -> complex:
+        return complex(*a.tolist())
+
+    def vector(self, u: SpectralFunction, x: complex) -> np.ndarray:
+        return np.array([x.real, x.imag])
+
+    def image(self, u: SpectralFunction, phi, disc: Discretization) -> tuple:
+        """One formula per map type.
+
+        A rotation or reflection is w = c1 z + c2 conj(z) with J = 1; a ball
+        point a is w = (z - a) / (1 - conj(a) z) with J = |w'(z)|, and a
+        dilation of scale lam about xi is the ball point xi (1 - lam) / (1 + lam).
+        """
+        z = disc.points
+        if isinstance(phi, Rotation):
+            (r00, r01), (r10, r11) = phi.matrix.tolist()
+            return complex(r00 + r11, r10 - r01) / 2.0 * z + complex(r00 - r11, r10 + r01) / 2.0 * z.conjugate(), 1.0
+        if isinstance(phi, AxisDilation):
+            a = complex(*phi.axis.tolist()) * ((1.0 - phi.scale) / (1.0 + phi.scale))
+        else:
+            a = self.coordinate(u, phi.center)
+        den = 1.0 - a.conjugate() * z
+        weight = (1.0 - (a.real * a.real + a.imag * a.imag)) / (den.real * den.real + den.imag * den.imag)
+        return (z - a) / den, weight
+
+    def axis_cosines(self, disc: Discretization, axis) -> tuple:
+        """(the cosine of each node's angle to ``axis``, None): a circle function carries no axis."""
+        if np.shape(axis) != (2,):
+            raise AxisMismatch(f"an axis of S^1 has 2 entries, got shape {np.shape(axis)}")
+        return np.cos(disc.rule.nodes - math.atan2(axis[1], axis[0])), None
+
+
+class _Zonal(Representation):
+    """Points are axis cosines t, at z = t + i sqrt(1 - t^2) on the unit circle, and so are moment coordinates."""
+
+    def unit_points(self, t, deriv: int) -> np.ndarray:
+        if deriv != 0:
+            raise ValueError("derivative synthesis is only provided on the circle")
+        x = np.asarray(t, dtype=float).ravel()
+        # (1 - t)(1 + t) keeps its relative accuracy near the poles
+        return x + 1j * np.sqrt(np.maximum((1.0 - x) * (1.0 + x), 0.0))
+
+    def unit_coeffs(self, u: SpectralFunction, deriv: int) -> np.ndarray:
+        return _chebyshev_matrix(u.n, u.degree).dot(u.coeffs)
+
+    def axis(self, n: int, axis) -> np.ndarray:
+        """``axis`` normalized; one whose squared norm is not a normal float is divided by its largest entry first."""
+        if axis is None:
+            raise ValueError("zonal functions require an axis")
+        axis = np.asarray(axis, dtype=float)
+        if axis.shape != (n + 1,):
+            raise AxisMismatch(f"a zonal axis on S^{n} has {n + 1} entries, got shape {axis.shape}")
+        with np.errstate(over="ignore"):  # an overflowing sum is caught below, like a NaN
+            norm_sq = float(axis.dot(axis))
+        if not sys.float_info.min <= norm_sq < math.inf:  # NaN too
+            if not np.isfinite(axis).all():
+                raise ValueError(f"a zonal axis must be finite, got {axis.tolist()}")
+            big = float(np.abs(axis).max())
+            if big == 0.0:
+                raise ValueError("cannot normalize the zero vector")
+            axis = axis / big
+            norm_sq = float(axis.dot(axis))
+        # an axis of norm exactly 1.0 is kept as given: v / 1.0 is v
+        r = math.sqrt(norm_sq)
+        return axis if r == 1.0 else axis / r
+
+    def node_arrays(self, rule: QuadratureRule, degree: int) -> tuple:
+        t = rule.nodes
+        poles = _cached_array(zonal_basis_matrix(rule.n, degree, np.array([-1.0, 1.0])).T)
+        # (1 - t)(1 + t) keeps its relative accuracy near the poles
+        return t, poles, _cached_array((1.0 - t) * (1.0 + t))
+
+    def scan(self, disc: Discretization, c: np.ndarray) -> tuple:
+        vals = disc.basis_t.dot(c)
+        low, high = float(vals.min()), float(vals.max())
+        south, north = disc.poles.dot(c).tolist()
+        return vals, low, high, min(low, south, north)
+
+    def moment(self, disc: Discretization, values: np.ndarray, a, slope: bool = False, weighted=None):
+        """sigma_{-a} acts on the axis as t -> (t + rho) / (1 + rho t), rho = 2r / (1 + r^2); ``slope`` adds
+
+            dV/dr = 2 (1 - r^2) / (1 + r^2)^2 sum_i w_i f_i (1 - t_i)(1 + t_i) / (1 + rho t_i)^2.
+
+        At r = 0 the moment is summed as w . (f t), the descent's V(0).
+        """
+        y, w = disc.points, disc.rule.weights
+        a2 = a * a
+        if weighted is None and (a != 0 or slope):  # V(0) alone is summed without it
+            weighted = w * values
+        if a == 0:
+            c, g = float(w.dot(values * y)), weighted
+        else:
+            rho = 2.0 * a / (1.0 + a2)
+            den = 1.0 + rho * y
+            g = weighted / den
+            c = float(g.dot(y + rho))
+        if not slope:
+            return c
+        if a != 0:
+            g = g / den
+        return c, 2.0 * (1.0 - a2) / (1.0 + a2) ** 2 * float(g.dot(disc.sin_sq))
+
+    def newton_step(self, v: float, jac: float) -> float:
+        return -v / jac if jac else -v
+
+    def coordinate(self, u: SpectralFunction, a: np.ndarray) -> float:
+        """r = a . xi on the axis xi of u; :class:`AxisMismatch` off it."""
+        r = float(a.dot(u.axis))
+        if abs(r) < (1.0 - 1e-12) * math.sqrt(float(a.dot(a))):
+            raise AxisMismatch("Mobius map does not share the zonal axis")
+        return r
+
+    def vector(self, u: SpectralFunction, x: float) -> np.ndarray:
+        return x * u.axis
+
+    def image(self, u: SpectralFunction, phi, disc: Discretization) -> tuple:
+        """phi must be a dilation of scale lam about the axis (:class:`AxisMismatch` otherwise).
+
+        A ball point r xi has scale (1 - r) / (1 + r), and a dilation about -xi
+        is the inverse dilation about xi.  With d = lam^2 (1 + t) + (1 - t),
+        w = (lam^2 (1 + t) - (1 - t) + 2 i lam sqrt((1 - t)(1 + t))) / d and
+        J = (2 lam / d)^n.
+        """
+        if isinstance(phi, BallPoint):
+            r = self.coordinate(u, phi.center)
+            lam = (1.0 - r) / (1.0 + r)
+        elif isinstance(phi, AxisDilation):
+            dot = float(phi.axis.dot(u.axis))
+            if abs(dot - 1.0) < 1e-12:
+                lam = phi.scale
+            elif abs(dot + 1.0) < 1e-12:
+                lam = 1.0 / phi.scale
+            else:
+                raise AxisMismatch("Mobius map does not share the zonal axis")
+        else:
+            raise AxisMismatch("zonal pullback supports axis dilations only")
+        t = disc.points
+        up, down = (lam * lam) * (1.0 + t), 1.0 - t
+        den = up + down
+        conformal = 2.0 * lam / den
+        w = np.empty(t.size, dtype=complex)
+        np.divide(up - down, den, out=w.real)
+        np.multiply(conformal, np.sqrt(disc.sin_sq), out=w.imag)
+        return w, conformal ** u.n
+
+    def axis_cosines(self, disc: Discretization, axis) -> tuple:
+        return disc.rule.nodes, axis
+
+
+CIRCLE = _Circle("circle", 2, "circle grid", 0.0, 0j)
+ZONAL = _Zonal("zonal", 1, "Gauss-Jacobi rule", 1.0, 0.0)
+
+
+def representation(n: int) -> Representation:
+    """The representation of functions on S^n: the circle for n = 1, zonal for odd n >= 3, else ``ValueError``."""
     if n == 1:
-        return np.concatenate([[0], np.repeat(np.arange(1, degree + 1), 2)])
-    return np.arange(degree + 1)
+        return CIRCLE
+    if n % 2 == 0 or n < 3:
+        raise ValueError("zonal representation requires odd n >= 3")
+    return ZONAL
+
+
+def quadrature_for_degree(n: int, degree: int, oversample: int = 2) -> QuadratureRule:
+    """Rule large enough to analyze degree-``degree`` functions, oversampled."""
+    size = oversample * representation(n).per_degree * (degree + 1)
+    return circle_quadrature(size) if n == 1 else zonal_quadrature(n, size)
+
+
+def basis_matrix(n: int, degree: int, points: np.ndarray) -> np.ndarray:
+    """Packed basis of degree-``degree`` functions on S^n at ``points`` (angles, or axis cosines), one row per coefficient."""
+    return circle_basis_matrix(degree, points) if n == 1 else zonal_basis_matrix(n, degree, points)
+
+
+def _new_axis(n: int, axis: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """The axis of a new function on S^n: ``axis`` or the north pole; the circle takes none."""
+    if axis is None:
+        return None if n == 1 else north_pole(n)
+    if n == 1 or np.shape(axis) != (n + 1,):
+        want = "no axis" if n == 1 else f"an axis of {n + 1} entries"
+        raise AxisMismatch(f"a function on S^{n} takes {want}, got shape {np.shape(axis)}")
+    return axis
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +493,15 @@ def packed_degrees(n: int, degree: int) -> np.ndarray:
 class SpectralFunction:
     """A function on S^n held as orthonormal spectral coefficients.
 
-    ``n == 1`` is a full Fourier series; odd ``n >= 3`` is zonal about
-    ``axis``.  Instances are immutable and safe to share.
+    On the circle (n = 1) it is a full Fourier series, on odd n >= 3 zonal
+    about ``axis``; ``rep`` is the :class:`Representation` of S^n.
+    Instances are immutable and safe to share.
     """
 
     n: int
     coeffs: np.ndarray
     axis: Optional[np.ndarray] = field(default=None)
+    rep: Representation = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -251,31 +510,15 @@ class SpectralFunction:
         if not np.isfinite(c).all():
             raise ValueError("spectral coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
-        if self.n == 1:
-            if self.axis is not None:
-                raise ValueError("circle functions carry no zonal axis")
-            if c.size % 2 == 0:
-                raise ValueError("circle coefficients pack as [a0, a1, b1, ...]")
-        else:
-            if self.n % 2 == 0 or self.n < 3:
-                raise ValueError("zonal representation requires odd n >= 3")
-            if self.axis is None:
-                raise ValueError("zonal functions require an axis")
-            axis = np.asarray(self.axis, dtype=float)
-            if axis.shape != (self.n + 1,):
-                raise AxisMismatch(f"a zonal axis on S^{self.n} has {self.n + 1} entries, got shape {axis.shape}")
-            # an axis of norm exactly 1.0 is kept as given: v / 1.0 is v
-            if math.sqrt(float(axis.dot(axis))) != 1.0:
-                axis = unit_vector(axis)
-            object.__setattr__(self, "axis", axis)
-
-    @property
-    def kind(self) -> str:
-        return "circle" if self.n == 1 else "zonal"
+        rep = representation(self.n)
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "axis", rep.axis(self.n, self.axis))
+        if (c.size - 1) % rep.per_degree:  # only the circle packs two per degree
+            raise ValueError("circle coefficients pack as [a0, a1, b1, ...]")
 
     @property
     def degree(self) -> int:
-        return (self.coeffs.size - 1) // 2 if self.n == 1 else self.coeffs.size - 1
+        return (self.coeffs.size - 1) // self.rep.per_degree
 
     def norm_sq(self) -> float:
         """L^2(mu) norm squared; equals the integral of u^2 by Parseval."""
@@ -296,7 +539,7 @@ class SpectralFunction:
 def _aligned(u: SpectralFunction, v: SpectralFunction):
     if u.n != v.n:
         raise ValueError("dimension mismatch")
-    if u.n != 1 and float(np.abs(u.axis - v.axis).max()) > 1e-12:
+    if u.axis is not None and float(np.abs(u.axis - v.axis).max()) > 1e-12:
         raise AxisMismatch("zonal functions have different axes")
     size = max(u.coeffs.size, v.coeffs.size)
     a = np.zeros(size)
@@ -313,7 +556,7 @@ def synthesize(u: SpectralFunction, points: np.ndarray, deriv: int = 0) -> np.nd
     functions; one value per point, in the order given.  ``deriv`` (circle
     only, else ``ValueError``) evaluates the theta-derivative of that order
     (>= 0), which is exact for the truncated series.  Values on the nodes
-    of a cached rule come from :meth:`Discretization.scan` instead.
+    of a cached discretization come from its ``rep.scan`` instead.
 
     Both representations are a real part Re sum_j d_j z^j on the unit
     circle: on the circle z = exp(i th) and d_k = (a_k - i b_k)/sqrt(pi);
@@ -329,28 +572,12 @@ def synthesize(u: SpectralFunction, points: np.ndarray, deriv: int = 0) -> np.nd
     """
     if deriv < 0:
         raise ValueError("the derivative order must be >= 0")
-    if deriv != 0 and u.n != 1:
-        raise ValueError("derivative synthesis is only provided on the circle")
-    x = np.asarray(points, dtype=float).ravel()
-    if u.n == 1:
-        z = np.exp(1j * x)
-    else:
-        # (1 - t)(1 + t) keeps its relative accuracy near the poles
-        z = x + 1j * np.sqrt(np.maximum((1.0 - x) * (1.0 + x), 0.0))
-    return _unit_circle_sum(u, z, deriv)
+    return _unit_circle_sum(u, u.rep.unit_points(points, deriv), deriv)
 
 
 def _unit_circle_sum(u: SpectralFunction, z: np.ndarray, deriv: int = 0) -> np.ndarray:
     """Re sum_j d_j z^j at the complex points z of :func:`synthesize`, summed in blocks."""
-    c = u.coeffs
-    if u.n == 1:
-        d = np.empty(u.degree + 1, dtype=complex)
-        d[0] = c[0] * (1.0 / math.sqrt(TWO_PI))
-        d[1:] = (c[1::2] - 1j * c[2::2]) * (1.0 / math.sqrt(math.pi))
-        if deriv != 0:
-            d *= (1j * np.arange(u.degree + 1)) ** deriv
-    else:
-        d = _chebyshev_matrix(u.n, u.degree).dot(c)
+    d = u.rep.unit_coeffs(u, deriv)
     # k blocks of b coefficients, the last one padded with zeros
     b = math.isqrt(d.size)
     k = -(-d.size // b)
@@ -383,9 +610,9 @@ def analyze(
     is the degree-``degree`` basis on the rule nodes, built here if absent.
     """
     values = np.asarray(values, dtype=float)
-    if rule.size < (2 * degree + 2 if rule.n == 1 else degree + 1):
-        kind = "circle grid" if rule.n == 1 else "Gauss-Jacobi rule"
-        raise InsufficientNodes(f"{kind} of {rule.size} nodes cannot resolve degree {degree}")
+    rep = representation(rule.n)
+    if rule.size < rep.per_degree * (degree + 1):
+        raise InsufficientNodes(f"{rep.rule_name} of {rule.size} nodes cannot resolve degree {degree}")
     if basis is None:
         basis = basis_matrix(rule.n, degree, rule.nodes)
     return SpectralFunction(rule.n, basis.dot(rule.weights * values), _new_axis(rule.n, axis))
@@ -408,13 +635,15 @@ class Discretization:
     moments lie along its axis.  The positivity grid is the rule nodes, plus
     the poles t = -1, 1 on a zonal rule, since Gauss-Jacobi nodes are
     interior: ``poles`` is the (2, degree + 1) basis there, and None on the
-    circle.  :meth:`scan` reads the grid and :meth:`gate` decides on it.
+    circle.  ``rep.scan(disc, c)`` reads the grid and :meth:`gate` decides on it.
     ``sin_sq`` is (1 - t)(1 + t) at the nodes of a zonal rule, the squared
     sine of their polar angle, and None on the circle.  Every cached array
     is read-only.  ``evaluators`` holds the evaluators of the functional on
     a cached 4x discretization, by order m (see
     :func:`confsphere.functional.evaluator`); the cache empties it when it
     drops the discretization, and it is None on one the cache does not hold.
+    ``rep`` is the :class:`Representation` of the rule's sphere, looked up
+    once here: the scan and the moments are its methods.
     """
 
     rule: QuadratureRule
@@ -425,6 +654,10 @@ class Discretization:
     poles: Optional[np.ndarray]
     sin_sq: Optional[np.ndarray]
     evaluators: Optional[dict] = None
+    rep: Representation = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rep", representation(self.rule.n))
 
     @property
     def nbytes(self) -> int:
@@ -437,23 +670,14 @@ class Discretization:
         """Projection of values on the rule nodes onto degrees <= ``degree``."""
         return analyze(values, self.rule, self.degree, axis, basis=self.basis)
 
-    def scan(self, c: np.ndarray) -> tuple:
-        """(values, minimum, maximum) of ``c`` on the rule nodes, synthesized once, then its grid minimum."""
-        vals = self.basis_t.dot(c)
-        low, high = float(vals.min()), float(vals.max())
-        if self.poles is None:
-            return vals, low, high, low
-        south, north = self.poles.dot(c).tolist()
-        return vals, low, high, min(low, south, north)
-
     def gate(self, c: np.ndarray, refuse: bool = True) -> Optional[tuple]:
-        """The positivity gate: :meth:`scan` of the coefficients ``c`` once they pass.
+        """The positivity gate: ``rep.scan(self, c)`` of the coefficients ``c`` once they pass.
 
         c passes when its grid minimum is a normal float (1 / minimum is finite)
         above :data:`POSITIVITY_FLOOR` times its node maximum, so the gate decides
         c u as u.  Else :class:`NonPositiveFunction`, or None if not ``refuse``.
         """
-        scanned = self.scan(c)
+        scanned = self.rep.scan(self, c)
         _, _, high, grid_low = scanned
         if grid_low > POSITIVITY_FLOOR * high and grid_low >= sys.float_info.min:
             return scanned
@@ -464,64 +688,11 @@ class Discretization:
         return None
 
 
-def _ball_moment(disc: Discretization, values: np.ndarray, a, slope: bool = False, weighted=None):
-    """First moment of the measure f dmu moved by sigma_{-a}, from the values f_i of f on the nodes.
-
-        V(a) = sum_i w_i f_i sigma_{-a}(y_i),   a and V in the node coordinates ``disc.points``.
-
-    With f = u^{-q} it is the first moment of the volume of the sigma_a
-    pullback of u, since u_a^{-q} dmu = sigma_a^*(u^{-q} dmu); at a = 0 it
-    is the first moment.  On the unit disk a is complex, sigma_{-a}(z) =
-    (z + a) / (1 + conj(a) z), and ``slope`` adds the Wirtinger pair
-    (dV/da, dV/d conj(a)).  On a zonal rule a is the float r = a . xi and
-    the node coordinate the axis cosine t, where sigma_{-a} acts as
-    t -> (t + rho) / (1 + rho t) with rho = 2r / (1 + r^2); ``slope`` adds
-
-        dV/dr = 2 (1 - r^2) / (1 + r^2)^2 sum_i w_i f_i (1 - t_i)(1 + t_i) / (1 + rho t_i)^2.
-
-    At r = 0 the moment is summed as w . (f t), the descent's V(0).
-    ``weighted`` is the product w * f, taken here if absent.
-    """
-    y, w = disc.points, disc.rule.weights
-    if disc.rule.n == 1:
-        f = w * values if weighted is None else weighted
-        if a == 0:
-            den, z = 1.0, y
-        else:
-            den = 1.0 + a.conjugate() * y
-            f, z = f / den, y + a
-        v = complex(f.dot(z))
-        if not slope:
-            return v
-        return v, (complex(f.sum()), -complex((f / den).dot(y * z)))
-    a2 = a * a
-    if weighted is None and (a != 0 or slope):  # V(0) alone is summed without it
-        weighted = w * values
-    if a == 0:
-        c, g = float(w.dot(values * y)), weighted
-    else:
-        rho = 2.0 * a / (1.0 + a2)
-        den = 1.0 + rho * y
-        g = weighted / den
-        c = float(g.dot(y + rho))
-    if not slope:
-        return c
-    if a != 0:
-        g = g / den
-    return c, 2.0 * (1.0 - a2) / (1.0 + a2) ** 2 * float(g.dot(disc.sin_sq))
-
-
 def _build_discretization(n: int, degree: int, oversample: int) -> Discretization:
     rule = quadrature_for_degree(n, degree, oversample=oversample)
     rule = QuadratureRule(n, _cached_array(rule.nodes), _cached_array(rule.weights))
     basis = _cached_array(basis_matrix(n, degree, rule.nodes))
-    if n == 1:
-        points = _cached_array(np.cos(rule.nodes) + 1j * np.sin(rule.nodes))
-        return Discretization(rule, degree, basis, basis.T, points, None, None)
-    poles = _cached_array(basis_matrix(n, degree, np.array([-1.0, 1.0])).T)
-    # (1 - t)(1 + t) keeps its relative accuracy near the poles
-    sin_sq = _cached_array((1.0 - rule.nodes) * (1.0 + rule.nodes))
-    return Discretization(rule, degree, basis, basis.T, rule.nodes, poles, sin_sq)
+    return Discretization(rule, degree, basis, basis.T, *representation(n).node_arrays(rule, degree))
 
 
 _cache: "OrderedDict[tuple, Discretization]" = OrderedDict()
@@ -572,7 +743,8 @@ def min_on_grid(u: SpectralFunction) -> float:
     Gauss-Jacobi nodes are interior, so for zonal functions the poles
     t = +-1 are added; a dip exactly at a pole must not pass the gate.
     """
-    return discretization(u.n, u.degree, oversample=4).scan(u.coeffs)[3]
+    disc = discretization(u.n, u.degree, oversample=4)
+    return disc.rep.scan(disc, u.coeffs)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -580,20 +752,10 @@ def min_on_grid(u: SpectralFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _new_axis(n: int, axis: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """The axis of a new function on S^n: ``axis`` or the north pole; the circle takes none."""
-    if axis is None:
-        return None if n == 1 else north_pole(n)
-    if n == 1 or np.shape(axis) != (n + 1,):
-        want = "no axis" if n == 1 else f"an axis of {n + 1} entries"
-        raise AxisMismatch(f"a function on S^{n} takes {want}, got shape {np.shape(axis)}")
-    return axis
-
-
 def constant_function(
     n: int, value: float, degree: int = DEFAULT_DEGREE, axis: Optional[np.ndarray] = None
 ) -> SpectralFunction:
-    coeffs = np.zeros(packed_degrees(n, degree).size)
+    coeffs = np.zeros(representation(n).per_degree * degree + 1)
     coeffs[0] = value * math.sqrt(sphere_measure(n))
     return SpectralFunction(n, coeffs, _new_axis(n, axis))
 
@@ -643,7 +805,8 @@ def random_positive_function(
 ) -> SpectralFunction:
     """1 + a bounded random ripple; strictly positive by construction."""
     ripple = random_band_limited(n, degree, max_degree, rng, decay=0.25, axis=axis)
-    vals = discretization(n, degree, oversample=4).scan(ripple.coeffs)[0]
+    disc = discretization(n, degree, oversample=4)
+    vals = disc.rep.scan(disc, ripple.coeffs)[0]
     peak = float(np.abs(vals).max())
     if peak > 0:
         ripple = ripple.scaled(amplitude / peak)
@@ -656,7 +819,7 @@ def random_positive_function(
 
 
 def to_json_dict(u: SpectralFunction) -> dict:
-    out = {"dim": u.n, "kind": u.kind, "coeffs": [float(c) for c in u.coeffs]}
+    out = {"dim": u.n, "kind": u.rep.kind, "coeffs": [float(c) for c in u.coeffs]}
     if u.axis is not None:
         out["axis"] = [float(a) for a in u.axis]
     return out
@@ -667,7 +830,11 @@ def from_json_dict(data: dict) -> SpectralFunction:
     if isinstance(dim, bool) or not isinstance(dim, int):  # int() would truncate 1.9; a bool is an int
         raise ValueError(f"dim must be an integer, got {dim!r}")
     axis = np.asarray(data["axis"], dtype=float) if "axis" in data else None
-    return SpectralFunction(dim, np.asarray(data["coeffs"], dtype=float), axis)
+    u = SpectralFunction(dim, np.asarray(data["coeffs"], dtype=float), axis)
+    # a file without "kind" loads by its dim
+    if "kind" in data and data["kind"] != u.rep.kind:
+        raise ValueError(f"kind {data['kind']!r} is not {u.rep.kind!r}, the kind of a function on S^{dim}")
+    return u
 
 
 def dumps(u: SpectralFunction) -> str:

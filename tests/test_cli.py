@@ -11,7 +11,7 @@ import pytest
 
 from confsphere import functional, mobius, stability
 from confsphere.cli import main
-from confsphere.spectral import constant_function, dumps, random_positive_function
+from confsphere.spectral import SpectralFunction, constant_function, dumps, random_positive_function
 
 
 def run_cli(capsys, *argv):
@@ -374,6 +374,9 @@ _AXIS = [0.0, 0.0, 0.0, 1.0]
         (1, {"dim": 1.9, "coeffs": _CIRCLE}),
         (1, {"dim": True, "coeffs": _CIRCLE}),
         (3, {"dim": 3.7, "coeffs": _ZONAL, "axis": _AXIS}),
+        (1, {"dim": 1, "kind": "zonal", "coeffs": _CIRCLE}),
+        (1, {"dim": 1, "kind": "sphere", "coeffs": _CIRCLE}),
+        (3, {"dim": 3, "kind": "circle", "coeffs": _ZONAL, "axis": _AXIS}),
     ],
     ids=(
         "circle-one-list",
@@ -383,12 +386,15 @@ _AXIS = [0.0, 0.0, 0.0, 1.0]
         "dim-1.9",
         "dim-true",
         "dim-3.7",
+        "circle-of-kind-zonal",
+        "circle-of-kind-sphere",
+        "zonal-of-kind-circle",
     ),
 )
 def test_energy_input_of_another_shape_or_dimension_exits_two(tmp_path, capsys, n, spec):
-    # nested coefficients raised a numpy error with a traceback (exit 1), and
-    # a dim that is no integer was truncated to a valid one (exit 0): each
-    # is no spectral function, exit 2 in one line
+    # nested coefficients raised a numpy error with a traceback (exit 1), a
+    # dim that is no integer was truncated to a valid one, and the kind was
+    # never read (both exit 0): each is no spectral function, exit 2 in one line
     path = tmp_path / "u.json"
     path.write_text(json.dumps(spec))
     code = main(["energy", "--n", str(n), "--m", "1" if n == 1 else "2", "--L", "8", "--input", str(path)])
@@ -397,6 +403,30 @@ def test_energy_input_of_another_shape_or_dimension_exits_two(tmp_path, capsys, 
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "is not a spectral function" in captured.err
+
+
+@pytest.mark.parametrize(
+    "axis,expected",
+    [("[0, 0, 0, NaN]", 2), ("[0, 0, 0, 1e309]", 2), ("[1e200, 0, 0, 0]", 0), ("[3e-170, 4e-170, 0, 0]", 0)],
+    ids=("nan", "inf", "huge", "tiny"),
+)
+def test_energy_input_with_a_zonal_axis_out_of_the_normal_range(tmp_path, axis, expected):
+    # a NaN or infinite axis entry was taken as a NaN axis (exit 0, silently
+    # or with numpy's RuntimeWarning), [1e200, 0, 0, 0] overflowed to the zero
+    # axis with a RuntimeWarning, and [3e-170, 4e-170, 0, 0] was refused as
+    # the zero vector.  A non-finite axis exits 2 in one line; a finite one
+    # reports the I of the unit axis; no run prints a warning or a traceback
+    path = tmp_path / "u.json"
+    path.write_text(f'{{"dim": 3, "coeffs": {_ZONAL}, "axis": {axis}}}')
+    argv = ["energy", "--n", "3", "--m", "2", "--L", "8", "--input", str(path)]
+    proc = _python("import sys; from confsphere.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    if expected == 2:
+        assert len(proc.stderr.splitlines()) == 1 and "must be finite" in proc.stderr
+    else:
+        unit = functional.functional_report(SpectralFunction(3, np.array(_ZONAL), np.array(_AXIS)), 2).functional
+        assert proc.stderr == "" and json.loads(proc.stdout)["I"] == unit
 
 
 _NO_SCIPY = """

@@ -31,6 +31,7 @@ from confsphere.spectral import (
     min_on_grid,
     random_band_limited,
     random_positive_function,
+    representation,
 )
 import layered_evaluation as layered
 from layered_evaluation import logging_evaluator, positivity_gate
@@ -304,9 +305,9 @@ def test_one_relative_gate_decides_at_every_scale(n, m, ratio):
     # among them, decides as the gate does, at any scale
     disc = discretization(n, 32, 4)
     bump = random_positive_function(n, 32, 8, np.random.default_rng(5))
-    _, _, high, low = disc.scan(bump.coeffs)
+    _, _, high, low = disc.rep.scan(disc, bump.coeffs)
     u = bump + constant_function(n, (ratio * high - low) / (1.0 - ratio), 32)
-    _, _, high, low = disc.scan(u.coeffs)
+    _, _, high, low = disc.rep.scan(disc, u.coeffs)
     assert abs(low / high / ratio - 1.0) < 1e-6
     descent = lambda v, m: minimize(v, m, OptimizerConfig(degree=32, max_iter=1))
     for scale in (1e-12, 1.0, 1e150):
@@ -374,7 +375,7 @@ def test_a_start_next_to_the_floor_is_gated_again_with_the_layered_bits(monkeypa
     # its row has the reference's bits
     disc = discretization(n, 32, 4)
     bump = random_positive_function(n, 32, 8, np.random.default_rng(5))
-    _, _, high, low = disc.scan(bump.coeffs)
+    _, _, high, low = disc.rep.scan(disc, bump.coeffs)
     ratio = spectral.POSITIVITY_FLOOR * (1 + 5e-4)
     u = bump + constant_function(n, (ratio * high - low) / (1.0 - ratio), 32)
     gates = []
@@ -419,8 +420,8 @@ def test_tiny_scales_are_finite_or_refused(n, m):
 def test_report_min_value_is_the_grid_minimum_of_its_gate(monkeypatch, n, m):
     # the report's min_value is the grid minimum its one gate took, with the
     # bits of min_on_grid, at any scale; no second grid minimum is taken:
-    # the report scans the grid once, with one product with the zonal pole
-    # basis, none on the circle
+    # the report scans the grid once (the scan of its representation, which
+    # the gate calls), with one product with the zonal pole basis, none on the circle
     rng = np.random.default_rng(17 + n)
     draws = [random_positive_function(n, L, 8, rng) for L in (8, 32, 64)]
     draws += [u.scaled(scale) for u in draws for scale in (1e-100, 1e100)]
@@ -428,8 +429,9 @@ def test_report_min_value_is_the_grid_minimum_of_its_gate(monkeypatch, n, m):
     for L in (8, 32, 64):
         logging_evaluator(monkeypatch, n, m, L, products)
     seen = []
-    real = Discretization.scan
-    monkeypatch.setattr(Discretization, "scan", lambda self, c: seen.append(c) or real(self, c))
+    kind = type(representation(n))
+    real = kind.scan
+    monkeypatch.setattr(kind, "scan", lambda self, disc, c: seen.append(c) or real(self, disc, c))
     for u in draws:
         want = float.hex(min_on_grid(u))
         seen.clear()
@@ -441,15 +443,17 @@ def test_report_min_value_is_the_grid_minimum_of_its_gate(monkeypatch, n, m):
 
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2)])
 def test_each_entry_point_synthesizes_u_once(monkeypatch, n, m):
-    # one gate per entry point: u is scanned once on the 4x grid, its nodes
+    # one gate per entry point: u is scanned once on the 4x grid (by the scan
+    # of its representation, which the gate calls), its nodes
     # synthesized by the discretization's transposed basis, and the residual
     # and the report synthesize P_2m u besides; no entry point synthesizes
     # otherwise
     u = random_positive_function(n, 32, 8, np.random.default_rng(0))
     log, scans = [], []
     logging_evaluator(monkeypatch, n, m, 32, log)
-    real = Discretization.scan
-    monkeypatch.setattr(Discretization, "scan", lambda self, c: scans.append(c) or real(self, c))
+    kind = type(representation(n))
+    real = kind.scan
+    monkeypatch.setattr(kind, "scan", lambda self, disc, c: scans.append(c) or real(self, disc, c))
     entries = {
         functional_value: 1,
         neg_power_norm: 1,

@@ -1,6 +1,8 @@
 """The package writes every array product as ``ndarray.dot`` and, in the hot
 modules, every reduction as an array method; no module of the package or of
-the tests imports a name it never uses; the positivity gate has one home.
+the tests imports a name it never uses; the positivity gate has one home;
+only spectral's representation section picks between the circle and the
+zonal representation.
 
 See README "Cached discretizations", paragraph "Array products": ``@`` and
 ``np.sum`` / ``np.max`` / ``np.min`` dispatch through slower machinery
@@ -10,6 +12,7 @@ same bits.
 
 import ast
 import pathlib
+import re
 
 import confsphere
 
@@ -181,3 +184,82 @@ def test_the_gate_check_sees_each_offence(tmp_path):
     other.write_text("POSITIVITY_FLOOR, x = 1e-6, 0\nexc = NonPositiveFunction('x')\n")
     assert _gate_homes([one]) == (["one.Grid.gate", "one.check.inner"], ["one"])
     assert _gate_homes([one, other]) == (["one.Grid.gate", "one.check.inner", "other"], ["one", "other"])
+
+
+#: a test of n, or of a zonal flag, that picks between the circle and the zonal representation
+SEAM = re.compile(r"\bn (==|!=) 1\b|\bzonal\b (if|else)|if (not )?zonal\b|zonal = |poles is None")
+#: the functions that keep one such line, outside the representation section:
+#: three refusals of a circle-only computation and the choice of the Green series
+SEAM_KEPT = (
+    "flatcheck.conjugation_check",
+    "flatcheck.flat_energy_identity",
+    "functional.s1_energy_from_derivatives",
+    "gjms.green_series_values",
+)
+RULE = "# " + "-" * 75
+
+
+def _seam_lines(path: pathlib.Path) -> list:
+    """(module.function, line) of each line matching :data:`SEAM` outside spectral's "representations" section.
+
+    A section runs from its title, a comment between two rules, to the next
+    rule that opens a section.
+    """
+    text = path.read_text()
+    lines = text.splitlines()
+    section = range(0)
+    if path.stem == "spectral" and "# representations" in lines:
+        start = lines.index("# representations")
+        opens = [i for i in range(start + 2, len(lines) - 1) if lines[i] == RULE and lines[i + 1].startswith("# ")]
+        section = range(start, opens[0] if opens else len(lines))
+    scope = {}
+    for node in ast.walk(ast.parse(text, filename=str(path))):  # outer scopes first, so the innermost wins
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope.update((i, node.name) for i in range(node.lineno - 1, node.end_lineno))
+    return [
+        (f"{path.stem}.{scope.get(i, '<module>')}", f"{path.name}:{i + 1}: {line.strip()}")
+        for i, line in enumerate(lines)
+        if SEAM.search(line) and i not in section
+    ]
+
+
+def test_one_seam_picks_the_representation():
+    # outside spectral's representation section, which holds what differs
+    # between the circle and the zonal representation, no module tests n or a
+    # zonal flag to choose between them; the kept lines are not such a choice
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _seam_lines(path)]
+    assert sorted(where for where, _ in found) == sorted(SEAM_KEPT), "; ".join(line for _, line in found)
+
+
+def test_the_seam_check_sees_each_offence(tmp_path):
+    # a match in spectral's representation section is allowed, up to the rule
+    # of the next section; elsewhere each match is reported with its function,
+    # in code, docstrings and comments alike
+    spectral = tmp_path / "spectral.py"
+    spectral.write_text(
+        f"{RULE}\n# representations\n{RULE}\n"
+        "def representation(n):\n"
+        "    if n == 1:\n"
+        "        return 1\n"
+        f"{RULE}\n# the spectral function type\n{RULE}\n"
+        "class SpectralFunction:\n"
+        '    """``n == 1`` is a full Fourier series."""\n'
+        "    def degree(self):\n"
+        "        if self.poles is None:\n"
+        "            return 0\n"
+    )
+    assert [where for where, _ in _seam_lines(spectral)] == ["spectral.SpectralFunction", "spectral.degree"]
+    mobius = tmp_path / "mobius.py"
+    mobius.write_text(
+        "def find_center(u):\n"
+        "    zonal = u.n != 1\n"
+        "    x = 0.0 if zonal else 0j\n"
+        "    if not zonal:\n"
+        "        pass\n"
+        "def barycenter(u):\n"
+        "    if u.n == 1:\n"
+        "        return 0\n"
+        "# in a comment, n != 1\n"
+    )
+    found = [where for where, _ in _seam_lines(mobius)]
+    assert found == ["mobius.find_center"] * 3 + ["mobius.barycenter", "mobius.<module>"]

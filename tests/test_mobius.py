@@ -24,7 +24,6 @@ from confsphere.mobius import (
 )
 from confsphere.spectral import (
     SpectralFunction,
-    _ball_moment,
     circle_quadrature,
     constant_function,
     harmonic_basis_function,
@@ -32,6 +31,11 @@ from confsphere.spectral import (
     synthesize,
 )
 from pointwise_maps import axis_dilation_jacobian_t, axis_dilation_t_map, mobius_apply, mobius_jacobian
+
+
+def _ball_moment(disc, values, a, slope=False, weighted=None):
+    """The first moment V(a) of the representation of ``disc``, on its nodes."""
+    return disc.rep.moment(disc, values, a, slope, weighted)
 
 
 def test_pullback_identity_map():

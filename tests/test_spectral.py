@@ -232,7 +232,7 @@ def test_json_round_trip():
     for n in (1, 3):
         u = random_band_limited(n, 12, 12, rng)
         v = loads(dumps(u))
-        assert v.n == u.n and v.kind == u.kind
+        assert v.n == u.n and v.rep is u.rep
         scale = np.max(np.abs(u.coeffs))
         assert np.max(np.abs(v.coeffs - u.coeffs)) <= 1e-15 * scale
 
@@ -316,6 +316,18 @@ def test_json_dim_must_be_an_integer():
                 from_json_dict(dict(data, dim=dim))
 
 
+def test_json_kind_must_be_the_kind_of_its_dim():
+    # "kind" was never read, so a circle file of kind "zonal" loaded as a
+    # circle function; a file without "kind" still loads by its dim
+    for u in (constant_function(1, 1.0, 8), constant_function(3, 1.0, 8)):
+        data = to_json_dict(u)
+        assert data["kind"] == u.rep.kind and from_json_dict(data).rep is u.rep
+        assert from_json_dict({k: v for k, v in data.items() if k != "kind"}).rep is u.rep
+        for kind in {"circle", "zonal", "sphere", None} - {u.rep.kind}:
+            with pytest.raises(ValueError, match="kind"):
+                from_json_dict(dict(data, kind=kind))
+
+
 def test_a_unit_axis_is_kept_and_any_other_normalized():
     # an axis whose norm is exactly 1.0 is kept bit for bit, as v / 1.0 is v;
     # any other is divided by its norm, as before
@@ -336,6 +348,27 @@ def test_a_unit_axis_is_kept_and_any_other_normalized():
     assert SpectralFunction(3, np.ones(3), [1, 0, 0, 0]).axis.dtype == float
     with pytest.raises(ValueError, match="zero vector"):
         SpectralFunction(3, np.ones(3), np.zeros(4))
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (5, 3)])
+def test_a_zonal_axis_at_any_scale_is_normalized(n, m):
+    # the squared norm of c xi underflows for |c| below about 1e-154 and
+    # overflows above 1e154, so c xi was refused as the zero vector or became
+    # a NaN or zero axis with a RuntimeWarning.  Such an axis is divided by
+    # its largest entry first: each c xi gives a unit axis along xi within
+    # 1e-15 and the same I, without a warning
+    rng = np.random.default_rng(n)
+    xi = rng.standard_normal(n + 1)
+    xi /= math.sqrt(float(xi.dot(xi)))
+    u = random_positive_function(n, 8, 4, rng)
+    want = functional.functional_value(SpectralFunction(n, u.coeffs, xi), m)
+    for c in 10.0 ** np.arange(-300.0, 301.0, 20.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = SpectralFunction(n, u.coeffs, c * xi)
+        assert abs(math.sqrt(float(v.axis.dot(v.axis))) - 1.0) <= 1e-15, c
+        assert np.abs(v.axis - xi).max() <= 1e-15, c
+        assert functional.functional_value(v, m) == want, c
 
 
 def test_circle_constructors_reject_a_given_axis():
@@ -671,9 +704,9 @@ def test_grid_minimum_and_first_moment_keep_their_bits(n, L):
             low = float(vals.min())
             if n != 1:
                 low = float(min(low, (disc.poles @ c).min()))
-            scanned, node_low, high, grid_low = disc.scan(c)
+            scanned, node_low, high, grid_low = disc.rep.scan(disc, c)
             assert scanned.tobytes() == vals.tobytes()
             assert (node_low, high, grid_low) == (vals.min(), vals.max(), low)
-            moment = spectral._ball_moment(disc, vals, 0j if n == 1 else 0.0)
+            moment = disc.rep.moment(disc, vals, 0j if n == 1 else 0.0)
             old = (w * vals) @ disc.points if n == 1 else float(w @ (vals * disc.rule.nodes))
             assert np.array_equal(moment, old)

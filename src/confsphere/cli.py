@@ -205,7 +205,7 @@ def _cmd_invariance_check(args) -> int:
 
     _validate_sphere(args.n, args.m, args.degree)
     _require(args.trials >= 1, "--trials must be >= 1")
-    _require(args.lam is None or args.lam > 0, "--lambda must be positive")
+    _require(args.lam is None or 0 < args.lam < math.inf, "--lambda must be positive and finite")
     rng = np.random.default_rng(args.seed)
     rows = []
     truncated = None  # the first row whose drift is 1 or more
@@ -407,8 +407,10 @@ def _cmd_counterexample_sin(args) -> int:
     _require(degree >= 1, "L must be >= 1")
     sin_theta = harmonic_basis_function(1, 1, degree, component="sin").scaled(math.sqrt(math.pi))
     e4 = energy_quadratic(sin_theta, 2)
-    # integral of |sin|^{-2/3} reduces to the Gauss-Jacobi weight sum for
-    # (1-t^2)^{-5/6}; the Beta function gives the independent closed form
+    # the integral of |sin|^{-2/3} over the circle is twice the mass of
+    # (1-t^2)^{-5/6} on (-1, 1), here the weight sum of its Gauss-Jacobi rule.
+    # That sum is the rule's mu_0 by construction, which equals B(1/2, 1/6) by
+    # Legendre's duplication formula: the Beta comparison checks that identity
     _, w = roots_jacobi(200, -5.0 / 6.0)
     neg_integral = 2.0 * float(w.sum())
     beta_closed = 2.0 * math.gamma(0.5) * math.gamma(1.0 / 6.0) / math.gamma(2.0 / 3.0)

@@ -135,13 +135,13 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         if ``refuse``."""
         if (gated := gate(c, refuse)) is None:
             return None
-        vals, low, cmax, grid_low = gated
+        vals, low, cmax = gated
         # division by cmax > 0 is monotone, so low / cmax is the minimum of vals / cmax
         terms = ev.terms(c, vals, cmax) + (cmax, low / cmax)
         # the iterate is kept as c / cmax, whose synthesis rounds otherwise than
         # vals / cmax, by about 1e-16 at maximum one; within 1e-3 of the floor
         # it is gated too, so every iterate passes the entry points' gate
-        if grid_low <= near_floor * cmax and gate(terms[0], refuse) is None:
+        if low <= near_floor * cmax and gate(terms[0], refuse) is None:
             return None
         return terms
 

@@ -150,19 +150,20 @@ def evaluator(n: int, m: int, degree: int) -> Evaluator:
 
 
 def neg_power_integral(u: SpectralFunction, m: int) -> tuple:
-    """The one gated evaluation of u: :meth:`Evaluator.terms` of u / k, then k, the grid minimum and the evaluator.
+    """The one gated evaluation of u: :meth:`Evaluator.terms` of u / k, then k twice and the evaluator.
 
     u passes the positivity gate once on the nodes of its 4x discretization
     (:meth:`~confsphere.spectral.Discretization.gate`), as negative powers
-    are not band-limited.  The tuple is
-    (c / k, u / k on the nodes, I, p c / k, E(u / k), (u / k)^{-q}, J, k,
-    min_on_grid(u), evaluator): J, the integral of (u / k)^{-q}, lies in
-    (0, |S^n|], so the integral of u^{-q} is J k^{-q} and the functional entry
-    points all read from here.
+    are not band-limited, and k is its grid minimum, min_on_grid(u).  The
+    tuple is (c / k, u / k on the nodes, I, p c / k, E(u / k), (u / k)^{-q},
+    J, k, k, evaluator), the layout of the descent's terms, whose eighth and
+    ninth entries are its scale and its node minimum: J, the integral of
+    (u / k)^{-q}, lies in (0, |S^n|], so the integral of u^{-q} is J k^{-q}
+    and the functional entry points all read from here.
     """
     ev = evaluator(u.n, m, u.degree)
-    vals, k, _, grid_low = ev.disc.gate(u.coeffs)
-    return ev.terms(u.coeffs, vals, k) + (k, grid_low, ev)
+    vals, k = ev.disc.gate(u.coeffs)[:2]
+    return ev.terms(u.coeffs, vals, k) + (k, k, ev)
 
 
 def _neg_norm(terms: tuple) -> float:

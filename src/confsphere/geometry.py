@@ -51,11 +51,14 @@ class AxisDilation:
 
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float)
-        if abs(math.sqrt(float(axis.dot(axis))) - 1.0) > UNIT_TOL:
-            raise ValueError(f"dilation axis is not a unit vector within {UNIT_TOL}")
+        # "not <=" refuses a NaN norm too, as from a NaN or infinite entry
+        with np.errstate(invalid="ignore", over="ignore"):
+            norm = math.sqrt(float(axis.dot(axis)))
+        if not abs(norm - 1.0) <= UNIT_TOL:
+            raise ValueError(f"dilation axis is not a finite unit vector within {UNIT_TOL}")
         object.__setattr__(self, "axis", axis)
-        if not self.scale > 0:
-            raise ValueError("dilation scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("dilation scale must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -88,8 +91,11 @@ class Rotation:
     def __post_init__(self):
         r = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", r)
-        if np.max(np.abs(r.T.dot(r) - np.eye(r.shape[0]))) > UNIT_TOL:
-            raise ValueError("rotation matrix is not orthogonal within 1e-12")
+        # "not <=" refuses the NaN that a NaN or infinite entry leaves in r^T r
+        with np.errstate(invalid="ignore", over="ignore"):
+            defect = np.max(np.abs(r.T.dot(r) - np.eye(r.shape[0])))
+        if not defect <= UNIT_TOL:
+            raise ValueError(f"rotation matrix is not orthogonal within {UNIT_TOL}")
 
     @property
     def n(self) -> int:

@@ -160,7 +160,8 @@ def green_series_values(n: int, m: int, t: np.ndarray) -> np.ndarray:
     Independent of :func:`green_closed_values`; used to measure the
     closed-form/spectral ratio.  On the circle with m = 1 the slowly
     converging 1/k^2 part is summed in closed form (Kummer acceleration);
-    all faster-decaying parts are summed directly, to degree 20000.
+    all faster-decaying parts are summed directly, to degree 20000, on the
+    circle in blocks of 1000 degrees, so that no samples x 20000 array is held.
     """
     terms = 20000
     t = np.asarray(t, dtype=float)
@@ -168,16 +169,18 @@ def green_series_values(n: int, m: int, t: np.ndarray) -> np.ndarray:
         theta = np.arccos(np.clip(t, -1.0, 1.0))
         p0 = float(multiplier(1, m, 0))
         k = np.arange(1, terms + 1, dtype=float)
-        pk = _float_shifted_squares(1, m, k)
+        coef = 1.0 / _float_shifted_squares(1, m, k)
         out = np.full(theta.shape, 1.0 / (2.0 * math.pi * p0))
-        cos_kth = np.cos(np.outer(theta, k))
         if m == 1:
             # sum cos(k th)/k^2 = pi^2/6 - pi th/2 + th^2/4 on [0, 2 pi]
             closed = math.pi**2 / 6.0 - math.pi * theta / 2.0 + theta**2 / 4.0
             out += closed / math.pi
-            out += cos_kth.dot(1.0 / pk - 1.0 / (k * k)) / math.pi
-        else:
-            out += cos_kth.dot(1.0 / pk) / math.pi
+            coef -= 1.0 / (k * k)
+        series = np.zeros(theta.shape)
+        for start in range(0, terms, 1000):
+            block = slice(start, start + 1000)
+            series += np.cos(np.outer(theta, k[block])).dot(coef[block])
+        out += series / math.pi
         return out
     p = _float_shifted_squares(n, m, np.arange(terms + 1, dtype=float))
     # one basis build: the samples and, last, the pole

@@ -41,21 +41,22 @@ def pullback(u: SpectralFunction, phi: MobiusMap, m: int) -> SpectralFunction:
 
     It is taken on the nodes of the 2x rule, since the Jacobian weight is
     not band-limited; the energy invariance checks are the accuracy meter
-    for this truncation.  The representation of u maps each node to its
-    image w on the unit circle and gives the Jacobian J there (``image`` of
-    :class:`confsphere.spectral.Representation`; a zonal map must be a
-    dilation about the axis), and J^{(n-2m)/(2n)} u o phi is u summed at w
-    (see :func:`confsphere.spectral.synthesize`).  A map so strong that the
-    weight leaves the float range at some node
-    raises :class:`ConfSphereError`: (1 - lam) / (1 + lam) rounds to -1
-    near lam = 1e16 on the circle, and the zonal Jacobian underflows near
-    lam = 1e-200.
+    for this truncation.  The nodes lie on the unit circle, and the disk
+    kernel of the representation of u maps each to its image w there and
+    gives the conformal factor J of phi, whose n-th power is the Jacobian
+    (``image`` of :class:`confsphere.spectral.Representation`; a zonal map
+    must be a dilation about the axis or a ball point on it).
+    J^{(n-2m)/2} u o phi is u summed at w (see
+    :func:`confsphere.spectral.synthesize`).  A map so strong that the
+    weight leaves the float range at some node raises
+    :class:`ConfSphereError`: the ball point (1 - lam) / (1 + lam) of a
+    dilation rounds to -1 near lam = 1e16 and to 1 near lam = 1e-16.
     """
     _acting_on(u, phi)
     disc = discretization(u.n, u.degree, oversample=2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w, jacobian = u.rep.image(u, phi, disc)
-        values = jacobian ** ((u.n - 2 * m) / (2.0 * u.n)) * _unit_circle_sum(u, w)
+        w, factor = u.rep.image(u, phi, disc)
+        values = factor ** ((u.n - 2 * m) / 2.0) * _unit_circle_sum(u, w)
         try:
             return disc.analyze(values, axis=u.axis)
         except ValueError as exc:  # non-finite coefficients

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AxisMismatch, InsufficientNodes, NonPositiveFunction
-from .geometry import AxisDilation, BallPoint, Rotation, north_pole, sphere_measure, sphere_surface_area
+from .geometry import AxisDilation, Rotation, north_pole, sphere_measure, sphere_surface_area
 
 TWO_PI = 2.0 * math.pi
 
@@ -82,9 +82,9 @@ class QuadratureRule:
     """Nodes and weights integrating over S^n.
 
     For ``n = 1`` the nodes are angles on a uniform midpoint grid with equal
-    weights ``2 pi / K``.  For ``n >= 2`` they are Gauss-Jacobi nodes in
-    ``t in (-1, 1)`` for the weight ``(1 - t^2)^{(n-2)/2}``, scaled by the
-    surface area of S^{n-1} so that the weights sum to ``mu(S^n)``.
+    weights ``2 pi / K``.  For odd ``n >= 3`` they are the axis cosines
+    ``t = cos th`` of a uniform grid in the polar angle th, both poles
+    included (:func:`zonal_quadrature`), and the weights sum to ``mu(S^n)``.
     """
 
     n: int
@@ -104,6 +104,9 @@ def circle_quadrature(num_nodes: int) -> QuadratureRule:
 
 def roots_jacobi(num_nodes: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and weights for the weight ``(1 - t^2)^a`` on (-1, 1), ``a > -1``.
+
+    No rule of the package is built from it: ``confsphere counterexample-sin``
+    sums its weights for a = -5/6.
 
     Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
     matrix of the Gegenbauer recurrence (zero diagonal), and the weights are
@@ -125,8 +128,23 @@ def roots_jacobi(num_nodes: int, a: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def zonal_quadrature(n: int, num_nodes: int) -> QuadratureRule:
-    t, w = roots_jacobi(num_nodes, (n - 2) / 2.0)
-    return QuadratureRule(n=n, nodes=t, weights=w * sphere_surface_area(n))
+    """The trapezoid rule in the polar angle: nodes t_i = cos(i pi / M), i = 0..M, with M = ``num_nodes`` - 1.
+
+    For odd n the zonal measure (1 - t^2)^{(n-2)/2} dt is sin^{n-1}(th) dth, a
+    cosine polynomial of degree n - 1 times dth, so the weights (pi / M)
+    sin^{n-1}(th_i) |S^{n-1}| (halved at the ends, where they vanish)
+    integrate the product of two degree-L zonal functions exactly once
+    M > L + (n - 1)/2 (Waldvogel, BIT 46, 2006).  t runs from 1 to -1.
+    """
+    if n % 2 == 0 or n < 3 or num_nodes < 2:
+        raise ValueError(f"the angle grid needs odd n >= 3 and at least 2 nodes, got n={n}, {num_nodes} nodes")
+    m = num_nodes - 1
+    i = np.arange(num_nodes)
+    # cos th_i as sin((M - 2i) pi / 2M) is odd under i -> M - i and exactly
+    # +-1 at the poles; sin th_i, from the nearer pole, is exactly 0 there
+    t = np.sin((m - 2 * i) * (math.pi / (2 * m)))
+    s = np.sin(np.minimum(i, m - i) * (math.pi / m))
+    return QuadratureRule(n=n, nodes=t, weights=(math.pi / m * sphere_surface_area(n)) * s ** (n - 1))
 
 
 def integrate(values: np.ndarray, rule: QuadratureRule) -> float:
@@ -151,28 +169,20 @@ def circle_basis_matrix(degree: int, theta: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _log_gegenbauer_norm_sq(alpha: int, nu: float) -> float:
-    # \int_{-1}^{1} C_alpha^nu(t)^2 (1 - t^2)^{nu - 1/2} dt, in log form
-    return (
-        math.log(math.pi)
-        + (1.0 - 2.0 * nu) * math.log(2.0)
-        + math.lgamma(alpha + 2.0 * nu)
-        - math.lgamma(alpha + 1.0)
-        - math.log(alpha + nu)
-        - 2.0 * math.lgamma(nu)
-    )
-
-
 @lru_cache(maxsize=64)
 def _zonal_normalization(n: int, degree: int) -> np.ndarray:
-    """Factors taking C_alpha^{(n-1)/2} to unit L^2(mu_{S^n}) norm, alpha = 0..degree."""
-    nu = (n - 1) / 2.0
-    log_area = math.log(sphere_surface_area(n))
-    return _cached_array(
-        np.array(
-            [math.exp(-0.5 * (log_area + _log_gegenbauer_norm_sq(a, nu))) for a in range(degree + 1)]
-        )
-    )
+    """Factors taking C_alpha^{(n-1)/2} to unit L^2(mu_{S^n}) norm, alpha = 0..degree.
+
+    With nu = (n-1)/2, the squared norm h_alpha of C_alpha^nu in the weight
+    (1 - t^2)^{nu - 1/2} satisfies h_{a+1} / h_a = (a + 2nu)(a + nu) / ((a + 1)(a + nu + 1)),
+    whose two products are exact integers, and |S^{n-1}| h_0 = mu(S^n):
+    a running product of the ratios, one rounding each.
+    """
+    nu = (n - 1) // 2
+    a = np.arange(degree, dtype=float)
+    h = np.ones(degree + 1)
+    np.cumprod((a + 2 * nu) * (a + nu) / ((a + 1.0) * (a + nu + 1)), out=h[1:])
+    return _cached_array(1.0 / np.sqrt(sphere_measure(n) * h))
 
 
 def zonal_basis_matrix(n: int, degree: int, t: np.ndarray) -> np.ndarray:
@@ -212,6 +222,8 @@ def _chebyshev_matrix(n: int, degree: int) -> np.ndarray:
 
 def packed_degrees(n: int, degree: int) -> np.ndarray:
     """Spherical-harmonic degree of each packed coefficient: degree k fills ``per_degree`` slots after the first."""
+    if degree < 0:
+        raise ValueError(f"degree {degree} is negative: a function has degree 0 or more")
     per = representation(n).per_degree
     return np.arange(per - 1, per * (degree + 1)) // per
 
@@ -228,23 +240,20 @@ class Representation:
     ``kind`` is its JSON name.  ``per_degree`` counts the coefficients of
     each harmonic degree, 2 on the circle (a_k, b_k) and 1 zonal: degree L
     packs per_degree L + 1 of them, and its rule takes per_degree (L + 1)
-    nodes per unit of oversampling.  ``rule_name`` names the quadrature,
-    ``pole`` is the point coordinate of the reference pole (angle 0, axis
-    cosine 1), and ``origin`` the center of the ball in moment coordinates.
-    The methods of the two instances are the pairs that share no formula.
-    Where the two sides differ only in which module function they call
-    (the rule, the basis rows, the axis of a new function), a function of
-    this section branches once instead; every module function is called
-    by name, so that a profiler which rebinds those names sees the calls.
+    nodes per unit of oversampling (:func:`rule_size`).  ``rule_name`` names
+    the quadrature, ``pole`` is the point coordinate of the reference pole
+    (angle 0, axis cosine 1), and ``origin`` the center of the ball in
+    moment coordinates.  The methods of the two instances are the pairs that
+    share no formula.  Where the two sides differ only in which module
+    function they call (the rule, the basis rows, the axis of a new
+    function), a function of this section branches once instead; every
+    module function is called by name, so that a profiler which rebinds
+    those names sees the calls.
 
-    ``moment(disc, values, a, slope=False, weighted=None)`` is the first
-    moment V(a) = sum_i w_i f_i sigma_{-a}(y_i) of the measure f dmu moved by
-    sigma_{-a}, from the values f_i of f on the nodes, with a and V in the
-    node coordinates y_i (``disc.points``); ``weighted`` is w * f, taken
-    there if absent.  With f = u^{-q} it is the first moment of the volume
-    of the sigma_a pullback of u, since u_a^{-q} dmu = sigma_a^*(u^{-q} dmu).
-    ``image(u, phi, disc)`` is (w, J): the image w on the unit circle of
-    each node under the Mobius map phi, and the Jacobian J of phi there.
+    The nodes of both rules lie on the unit circle (``disc.points``), all
+    around it or, zonal, on its upper half from th = 0 to pi.  So the disk
+    kernels :meth:`moment` and :meth:`image` serve both: a zonal map is the
+    real ball point r = a . xi, and the zonal moment is the disk's real part.
     """
 
     kind: str
@@ -252,6 +261,48 @@ class Representation:
     rule_name: str
     pole: float
     origin: complex | float
+
+    def moment(self, disc: Discretization, values: np.ndarray, a, slope: bool = False, weighted=None):
+        """The first moment V(a) = sum_i w_i f_i sigma_{-a}(z_i), sigma_{-a}(z) = (z + a) / (1 + conj(a) z).
+
+        f_i are the values of f on the nodes z_i of ``disc``; ``weighted`` is
+        w * f, taken here if absent.  With f = u^{-q} it is the first moment
+        of the volume of the sigma_a pullback of u, since u_a^{-q} dmu =
+        sigma_a^*(u^{-q} dmu).  a and V are in the coordinates of
+        :meth:`coordinate` and :meth:`along`; ``slope`` adds the Wirtinger
+        pair (dV/da, dV/d conj(a)) of the disk sum.
+        """
+        y = disc.points
+        f = disc.rule.weights * values if weighted is None else weighted
+        if a == 0:
+            den, z = 1.0, y
+        else:
+            den = 1.0 + a.conjugate() * y
+            f, z = f / den, y + a
+        v = self.along(f.dot(z))
+        if not slope:
+            return v
+        return v, (complex(f.sum()), -complex((f / den).dot(y * z)))
+
+    def image(self, u: SpectralFunction, phi, disc: Discretization) -> tuple:
+        """(w, J): the image w on the unit circle of each node under the Mobius map phi, and its conformal factor J there.
+
+        A rotation or reflection is :meth:`rotate`, with J = 1; a ball point
+        a is w = (z - a) / (1 - conj(a) z) with J = |w'(z)| = (1 - |a|^2) /
+        |1 - conj(a) z|^2, and a dilation of scale lam about xi is the ball
+        point xi (1 - lam) / (1 + lam), in the coordinate of :meth:`coordinate`.
+        The Jacobian of phi on S^n is J^n.
+        """
+        z = disc.points
+        if isinstance(phi, Rotation):
+            return self.rotate(phi, z), 1.0
+        if isinstance(phi, AxisDilation):
+            a = self.coordinate(u, phi.axis) * ((1.0 - phi.scale) / (1.0 + phi.scale))
+        else:
+            a = self.coordinate(u, phi.center)
+        den = 1.0 - a.conjugate() * z
+        weight = (1.0 - (a.real * a.real + a.imag * a.imag)) / (den.real * den.real + den.imag * den.imag)
+        return (z - a) / den, weight
 
 
 class _Circle(Representation):
@@ -273,27 +324,8 @@ class _Circle(Representation):
         if axis is not None:
             raise ValueError("circle functions carry no zonal axis")
 
-    def node_arrays(self, rule: QuadratureRule, degree: int) -> tuple:
-        return _cached_array(np.cos(rule.nodes) + 1j * np.sin(rule.nodes)), None, None
-
-    def scan(self, disc: Discretization, c: np.ndarray) -> tuple:
-        vals = disc.basis_t.dot(c)
-        low, high = float(vals.min()), float(vals.max())
-        return vals, low, high, low
-
-    def moment(self, disc: Discretization, values: np.ndarray, a, slope: bool = False, weighted=None):
-        """sigma_{-a}(z) = (z + a) / (1 + conj(a) z); ``slope`` adds the Wirtinger pair (dV/da, dV/d conj(a))."""
-        y = disc.points
-        f = disc.rule.weights * values if weighted is None else weighted
-        if a == 0:
-            den, z = 1.0, y
-        else:
-            den = 1.0 + a.conjugate() * y
-            f, z = f / den, y + a
-        v = complex(f.dot(z))
-        if not slope:
-            return v
-        return v, (complex(f.sum()), -complex((f / den).dot(y * z)))
+    def along(self, v) -> complex:
+        return complex(v)
 
     def newton_step(self, v: complex, jac: tuple) -> complex:
         """d solving V + A d + B conj(d) = 0 for the Wirtinger pair (A, B) of V; -V if there is none."""
@@ -307,24 +339,10 @@ class _Circle(Representation):
     def vector(self, u: SpectralFunction, x: complex) -> np.ndarray:
         return np.array([x.real, x.imag])
 
-    def image(self, u: SpectralFunction, phi, disc: Discretization) -> tuple:
-        """One formula per map type.
-
-        A rotation or reflection is w = c1 z + c2 conj(z) with J = 1; a ball
-        point a is w = (z - a) / (1 - conj(a) z) with J = |w'(z)|, and a
-        dilation of scale lam about xi is the ball point xi (1 - lam) / (1 + lam).
-        """
-        z = disc.points
-        if isinstance(phi, Rotation):
-            (r00, r01), (r10, r11) = phi.matrix.tolist()
-            return complex(r00 + r11, r10 - r01) / 2.0 * z + complex(r00 - r11, r10 + r01) / 2.0 * z.conjugate(), 1.0
-        if isinstance(phi, AxisDilation):
-            a = complex(*phi.axis.tolist()) * ((1.0 - phi.scale) / (1.0 + phi.scale))
-        else:
-            a = self.coordinate(u, phi.center)
-        den = 1.0 - a.conjugate() * z
-        weight = (1.0 - (a.real * a.real + a.imag * a.imag)) / (den.real * den.real + den.imag * den.imag)
-        return (z - a) / den, weight
+    def rotate(self, phi: Rotation, z: np.ndarray) -> np.ndarray:
+        """w = c1 z + c2 conj(z) for the rotation or reflection phi."""
+        (r00, r01), (r10, r11) = phi.matrix.tolist()
+        return complex(r00 + r11, r10 - r01) / 2.0 * z + complex(r00 - r11, r10 + r01) / 2.0 * z.conjugate()
 
     def axis_cosines(self, disc: Discretization, axis) -> tuple:
         """(the cosine of each node's angle to ``axis``, None): a circle function carries no axis."""
@@ -334,7 +352,7 @@ class _Circle(Representation):
 
 
 class _Zonal(Representation):
-    """Points are axis cosines t, at z = t + i sqrt(1 - t^2) on the unit circle, and so are moment coordinates."""
+    """Points are axis cosines t, at z = t + i sqrt(1 - t^2) on the unit circle; moment coordinates are floats along the axis."""
 
     def unit_points(self, t, deriv: int) -> np.ndarray:
         if deriv != 0:
@@ -367,91 +385,34 @@ class _Zonal(Representation):
         r = math.sqrt(norm_sq)
         return axis if r == 1.0 else axis / r
 
-    def node_arrays(self, rule: QuadratureRule, degree: int) -> tuple:
-        t = rule.nodes
-        poles = _cached_array(zonal_basis_matrix(rule.n, degree, np.array([-1.0, 1.0])).T)
-        # (1 - t)(1 + t) keeps its relative accuracy near the poles
-        return t, poles, _cached_array((1.0 - t) * (1.0 + t))
+    def along(self, v) -> float:
+        """The axis component of a disk moment: its real part, as sigma_{-r} maps t to (t + rho) / (1 + rho t), rho = 2r / (1 + r^2)."""
+        return float(v.real)
 
-    def scan(self, disc: Discretization, c: np.ndarray) -> tuple:
-        vals = disc.basis_t.dot(c)
-        low, high = float(vals.min()), float(vals.max())
-        south, north = disc.poles.dot(c).tolist()
-        return vals, low, high, min(low, south, north)
-
-    def moment(self, disc: Discretization, values: np.ndarray, a, slope: bool = False, weighted=None):
-        """sigma_{-a} acts on the axis as t -> (t + rho) / (1 + rho t), rho = 2r / (1 + r^2); ``slope`` adds
-
-            dV/dr = 2 (1 - r^2) / (1 + r^2)^2 sum_i w_i f_i (1 - t_i)(1 + t_i) / (1 + rho t_i)^2.
-
-        At r = 0 the moment is summed as w . (f t), the descent's V(0).
-        """
-        y, w = disc.points, disc.rule.weights
-        a2 = a * a
-        if weighted is None and (a != 0 or slope):  # V(0) alone is summed without it
-            weighted = w * values
-        if a == 0:
-            c, g = float(w.dot(values * y)), weighted
-        else:
-            rho = 2.0 * a / (1.0 + a2)
-            den = 1.0 + rho * y
-            g = weighted / den
-            c = float(g.dot(y + rho))
-        if not slope:
-            return c
-        if a != 0:
-            g = g / den
-        return c, 2.0 * (1.0 - a2) / (1.0 + a2) ** 2 * float(g.dot(disc.sin_sq))
-
-    def newton_step(self, v: float, jac: float) -> float:
-        return -v / jac if jac else -v
+    def newton_step(self, v: float, jac: tuple) -> float:
+        """-V / V' with V' = Re(A + B), the derivative along the real axis from the Wirtinger pair (A, B); -V if it is 0."""
+        slope = (jac[0] + jac[1]).real
+        return -v / slope if slope else -v
 
     def coordinate(self, u: SpectralFunction, a: np.ndarray) -> float:
         """r = a . xi on the axis xi of u; :class:`AxisMismatch` off it."""
         r = float(a.dot(u.axis))
-        if abs(r) < (1.0 - 1e-12) * math.sqrt(float(a.dot(a))):
+        if not abs(r) >= (1.0 - 1e-12) * math.sqrt(float(a.dot(a))):
             raise AxisMismatch("Mobius map does not share the zonal axis")
         return r
 
     def vector(self, u: SpectralFunction, x: float) -> np.ndarray:
         return x * u.axis
 
-    def image(self, u: SpectralFunction, phi, disc: Discretization) -> tuple:
-        """phi must be a dilation of scale lam about the axis (:class:`AxisMismatch` otherwise).
-
-        A ball point r xi has scale (1 - r) / (1 + r), and a dilation about -xi
-        is the inverse dilation about xi.  With d = lam^2 (1 + t) + (1 - t),
-        w = (lam^2 (1 + t) - (1 - t) + 2 i lam sqrt((1 - t)(1 + t))) / d and
-        J = (2 lam / d)^n.
-        """
-        if isinstance(phi, BallPoint):
-            r = self.coordinate(u, phi.center)
-            lam = (1.0 - r) / (1.0 + r)
-        elif isinstance(phi, AxisDilation):
-            dot = float(phi.axis.dot(u.axis))
-            if abs(dot - 1.0) < 1e-12:
-                lam = phi.scale
-            elif abs(dot + 1.0) < 1e-12:
-                lam = 1.0 / phi.scale
-            else:
-                raise AxisMismatch("Mobius map does not share the zonal axis")
-        else:
-            raise AxisMismatch("zonal pullback supports axis dilations only")
-        t = disc.points
-        up, down = (lam * lam) * (1.0 + t), 1.0 - t
-        den = up + down
-        conformal = 2.0 * lam / den
-        w = np.empty(t.size, dtype=complex)
-        np.divide(up - down, den, out=w.real)
-        np.multiply(conformal, np.sqrt(disc.sin_sq), out=w.imag)
-        return w, conformal ** u.n
+    def rotate(self, phi: Rotation, z: np.ndarray) -> np.ndarray:
+        raise AxisMismatch("zonal pullback supports axis dilations and ball points on the axis only")
 
     def axis_cosines(self, disc: Discretization, axis) -> tuple:
         return disc.rule.nodes, axis
 
 
 CIRCLE = _Circle("circle", 2, "circle grid", 0.0, 0j)
-ZONAL = _Zonal("zonal", 1, "Gauss-Jacobi rule", 1.0, 0.0)
+ZONAL = _Zonal("zonal", 1, "polar angle grid", 1.0, 0.0)
 
 
 def representation(n: int) -> Representation:
@@ -463,9 +424,19 @@ def representation(n: int) -> Representation:
     return ZONAL
 
 
-def quadrature_for_degree(n: int, degree: int, oversample: int = 2) -> QuadratureRule:
-    """Rule large enough to analyze degree-``degree`` functions, oversampled."""
+def rule_size(n: int, degree: int, oversample: int = 1) -> int:
+    """Nodes of the rule of degree-``degree`` functions on S^n: 2 oversample (L + 1) on the circle.
+
+    The zonal grid takes M = oversample (L + 1) + (n - 1)/2 intervals, M + 1
+    nodes, as its weight adds (n - 1)/2 to the degree: M > L + (n - 1)/2.
+    """
     size = oversample * representation(n).per_degree * (degree + 1)
+    return size if n == 1 else size + (n + 1) // 2
+
+
+def quadrature_for_degree(n: int, degree: int, oversample: int = 2) -> QuadratureRule:
+    """Rule large enough to analyze degree-``degree`` functions, oversampled (:func:`rule_size`)."""
+    size = rule_size(n, degree, oversample)
     return circle_quadrature(size) if n == 1 else zonal_quadrature(n, size)
 
 
@@ -507,6 +478,8 @@ class SpectralFunction:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 1:
             raise ValueError(f"spectral coefficients form one flat array, got shape {c.shape}")
+        if c.size == 0:
+            raise ValueError("spectral coefficients hold at least the degree-0 one, got none")
         if not np.isfinite(c).all():
             raise ValueError("spectral coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
@@ -556,7 +529,7 @@ def synthesize(u: SpectralFunction, points: np.ndarray, deriv: int = 0) -> np.nd
     functions; one value per point, in the order given.  ``deriv`` (circle
     only, else ``ValueError``) evaluates the theta-derivative of that order
     (>= 0), which is exact for the truncated series.  Values on the nodes
-    of a cached discretization come from its ``rep.scan`` instead.
+    of a cached discretization come from its ``scan`` instead.
 
     Both representations are a real part Re sum_j d_j z^j on the unit
     circle: on the circle z = exp(i th) and d_k = (a_k - i b_k)/sqrt(pi);
@@ -605,14 +578,15 @@ def analyze(
 ) -> SpectralFunction:
     """Orthogonal projection of nodal values onto degrees <= ``degree``.
 
-    Exact (to rounding) on band-limited input when the rule meets the
-    Gauss exactness bound; :class:`InsufficientNodes` otherwise.  ``basis``
-    is the degree-``degree`` basis on the rule nodes, built here if absent.
+    Exact (to rounding) on band-limited input when the rule integrates the
+    product of two degree-``degree`` functions exactly, that is when it has
+    :func:`rule_size` nodes or more; :class:`InsufficientNodes` otherwise.
+    ``basis`` is the degree-``degree`` basis on the rule nodes, built here if absent.
     """
     values = np.asarray(values, dtype=float)
-    rep = representation(rule.n)
-    if rule.size < rep.per_degree * (degree + 1):
-        raise InsufficientNodes(f"{rep.rule_name} of {rule.size} nodes cannot resolve degree {degree}")
+    if rule.size < rule_size(rule.n, degree):
+        name = representation(rule.n).rule_name
+        raise InsufficientNodes(f"{name} of {rule.size} nodes cannot resolve degree {degree}")
     if basis is None:
         basis = basis_matrix(rule.n, degree, rule.nodes)
     return SpectralFunction(rule.n, basis.dot(rule.weights * values), _new_axis(rule.n, axis))
@@ -629,21 +603,17 @@ class Discretization:
 
     :func:`discretization` builds one per ``(n, degree, oversample)`` and
     caches it: ``basis`` is the packed basis on the rule nodes, ``basis_t``
-    its transposed view, and ``points`` the node coordinates y_i: the
-    complex unit nodes z = cos th + i sin th on the circle, the unit disk's
-    boundary, and the axis cosines t (the rule nodes) on a zonal rule, whose
-    moments lie along its axis.  The positivity grid is the rule nodes, plus
-    the poles t = -1, 1 on a zonal rule, since Gauss-Jacobi nodes are
-    interior: ``poles`` is the (2, degree + 1) basis there, and None on the
-    circle.  ``rep.scan(disc, c)`` reads the grid and :meth:`gate` decides on it.
-    ``sin_sq`` is (1 - t)(1 + t) at the nodes of a zonal rule, the squared
-    sine of their polar angle, and None on the circle.  Every cached array
-    is read-only.  ``evaluators`` holds the evaluators of the functional on
+    its transposed view, and ``points`` the nodes z = exp(i th) on the unit
+    circle, the unit disk's boundary (``rep.unit_points`` of the rule
+    nodes): all around it on the circle, on its upper half on a zonal rule,
+    whose poles are nodes.  The positivity grid is the rule nodes:
+    :meth:`scan` reads it and :meth:`gate` decides on it.  Every cached
+    array is read-only.  ``evaluators`` holds the evaluators of the functional on
     a cached 4x discretization, by order m (see
     :func:`confsphere.functional.evaluator`); the cache empties it when it
     drops the discretization, and it is None on one the cache does not hold.
     ``rep`` is the :class:`Representation` of the rule's sphere, looked up
-    once here: the scan and the moments are its methods.
+    once here: the moments and the Mobius images are its methods.
     """
 
     rule: QuadratureRule
@@ -651,8 +621,6 @@ class Discretization:
     basis: np.ndarray
     basis_t: np.ndarray
     points: np.ndarray
-    poles: Optional[np.ndarray]
-    sin_sq: Optional[np.ndarray]
     evaluators: Optional[dict] = None
     rep: Representation = field(init=False, repr=False)
 
@@ -661,30 +629,33 @@ class Discretization:
 
     @property
     def nbytes(self) -> int:
-        # basis_t is a view of basis; zonal points are the rule's own nodes
-        arrays = (self.rule.nodes, self.rule.weights, self.basis, self.points, self.poles, self.sin_sq)
-        distinct = {id(a): a for a in arrays if a is not None}
-        return sum(a.nbytes for a in distinct.values())
+        # basis_t is a view of basis
+        return sum(a.nbytes for a in (self.rule.nodes, self.rule.weights, self.basis, self.points))
 
     def analyze(self, values: np.ndarray, axis: Optional[np.ndarray] = None) -> SpectralFunction:
         """Projection of values on the rule nodes onto degrees <= ``degree``."""
         return analyze(values, self.rule, self.degree, axis, basis=self.basis)
 
+    def scan(self, c: np.ndarray) -> tuple:
+        """(values, minimum, maximum) of the coefficients ``c`` on the positivity grid, the rule nodes."""
+        vals = self.basis_t.dot(c)
+        return vals, float(vals.min()), float(vals.max())
+
     def gate(self, c: np.ndarray, refuse: bool = True) -> Optional[tuple]:
-        """The positivity gate: ``rep.scan(self, c)`` of the coefficients ``c`` once they pass.
+        """The positivity gate: :meth:`scan` of the coefficients ``c`` once they pass.
 
         c passes when its grid minimum is a normal float (1 / minimum is finite)
         above :data:`POSITIVITY_FLOOR` times its node maximum, so the gate decides
         c u as u.  Else :class:`NonPositiveFunction`, or None if not ``refuse``.
         """
-        scanned = self.rep.scan(self, c)
-        _, _, high, grid_low = scanned
-        if grid_low > POSITIVITY_FLOOR * high and grid_low >= sys.float_info.min:
+        scanned = self.scan(c)
+        _, low, high = scanned
+        if low > POSITIVITY_FLOOR * high and low >= sys.float_info.min:
             return scanned
         if refuse:
             why = f"above {POSITIVITY_FLOOR:g} times the node maximum {high:.3e}"
-            why = "a normal float" if grid_low > POSITIVITY_FLOOR * high else why
-            raise NonPositiveFunction(f"function fails the positivity floor: grid minimum {grid_low:.3e} is not {why}")
+            why = "a normal float" if low > POSITIVITY_FLOOR * high else why
+            raise NonPositiveFunction(f"function fails the positivity floor: grid minimum {low:.3e} is not {why}")
         return None
 
 
@@ -692,7 +663,7 @@ def _build_discretization(n: int, degree: int, oversample: int) -> Discretizatio
     rule = quadrature_for_degree(n, degree, oversample=oversample)
     rule = QuadratureRule(n, _cached_array(rule.nodes), _cached_array(rule.weights))
     basis = _cached_array(basis_matrix(n, degree, rule.nodes))
-    return Discretization(rule, degree, basis, basis.T, *representation(n).node_arrays(rule, degree))
+    return Discretization(rule, degree, basis, basis.T, _cached_array(representation(n).unit_points(rule.nodes, 0)))
 
 
 _cache: "OrderedDict[tuple, Discretization]" = OrderedDict()
@@ -738,13 +709,11 @@ def clear_caches() -> None:
 
 
 def min_on_grid(u: SpectralFunction) -> float:
-    """Minimum of u over the positivity grid of its 4x discretization; the positivity surrogate.
+    """Minimum of u over the nodes of its 4x discretization, the positivity grid; the positivity surrogate.
 
-    Gauss-Jacobi nodes are interior, so for zonal functions the poles
-    t = +-1 are added; a dip exactly at a pole must not pass the gate.
+    The zonal grid includes both poles, so a dip exactly at a pole is seen.
     """
-    disc = discretization(u.n, u.degree, oversample=4)
-    return disc.rep.scan(disc, u.coeffs)[3]
+    return discretization(u.n, u.degree, oversample=4).scan(u.coeffs)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +724,7 @@ def min_on_grid(u: SpectralFunction) -> float:
 def constant_function(
     n: int, value: float, degree: int = DEFAULT_DEGREE, axis: Optional[np.ndarray] = None
 ) -> SpectralFunction:
-    coeffs = np.zeros(representation(n).per_degree * degree + 1)
+    coeffs = np.zeros(packed_degrees(n, degree).size)
     coeffs[0] = value * math.sqrt(sphere_measure(n))
     return SpectralFunction(n, coeffs, _new_axis(n, axis))
 
@@ -768,11 +737,11 @@ def harmonic_basis_function(
     component: str = "cos",
 ) -> SpectralFunction:
     """Unit-norm basis element of one spherical-harmonic degree; ``component`` matters on the circle."""
+    degs = packed_degrees(n, degree)
     if not 0 <= harmonic_degree <= degree:
         raise ValueError(f"harmonic degree {harmonic_degree} lies outside 0..{degree}")
     if component not in ("cos", "sin"):
         raise ValueError(f"component must be 'cos' or 'sin', got {component!r}")
-    degs = packed_degrees(n, degree)
     slots = np.flatnonzero(degs == harmonic_degree)
     coeffs = np.zeros(degs.size)
     coeffs[slots[-1] if component == "sin" else slots[0]] = 1.0
@@ -805,8 +774,7 @@ def random_positive_function(
 ) -> SpectralFunction:
     """1 + a bounded random ripple; strictly positive by construction."""
     ripple = random_band_limited(n, degree, max_degree, rng, decay=0.25, axis=axis)
-    disc = discretization(n, degree, oversample=4)
-    vals = disc.rep.scan(disc, ripple.coeffs)[0]
+    vals = discretization(n, degree, oversample=4).scan(ripple.coeffs)[0]
     peak = float(np.abs(vals).max())
     if peak > 0:
         ripple = ripple.scaled(amplitude / peak)

@@ -25,12 +25,11 @@ from confsphere.spectral import POSITIVITY_FLOOR, discretization
 
 
 def positivity_gate(c, disc, refuse=True):
-    """(values, minimum, maximum, grid minimum) of c on the nodes of ``disc`` once c passes; else raise or None."""
+    """(values, minimum, maximum) of c on the nodes of ``disc``, poles included, once c passes; else raise or None."""
     vals = disc.basis.T.dot(c)
     low, high = float(vals.min()), float(vals.max())
-    grid_low = low if disc.poles is None else min(low, *disc.poles.dot(c).tolist())
-    if grid_low > POSITIVITY_FLOOR * high and grid_low >= sys.float_info.min:
-        return vals, low, high, grid_low
+    if low > POSITIVITY_FLOOR * high and low >= sys.float_info.min:
+        return vals, low, high
     if refuse:
         raise NonPositiveFunction("function fails the positivity floor")
     return None
@@ -67,10 +66,10 @@ def layers(n, m, degree):
 
 
 def terms_at_minimum(c, n, m, degree):
-    """The terms of c at node minimum one, then k and the grid minimum, as the entry points read them."""
+    """The terms of c at node minimum one, then k, the grid minimum, twice, as the entry points read them."""
     disc, p, q = layers(n, m, degree)
-    vals, k, _, grid_low = positivity_gate(c, disc)
-    return value_terms(c * (1.0 / k), vals / k, p, q, disc.rule.weights) + (k, grid_low)
+    vals, k, _ = positivity_gate(c, disc)
+    return value_terms(c * (1.0 / k), vals / k, p, q, disc.rule.weights) + (k, k)
 
 
 def terms_at_maximum(c, n, m, degree, refuse=False):
@@ -81,10 +80,10 @@ def terms_at_maximum(c, n, m, degree, refuse=False):
     disc, p, q = layers(n, m, degree)
     if (gated := positivity_gate(c, disc, refuse)) is None:
         return None
-    vals, low, cmax, grid_low = gated
+    vals, low, cmax = gated
     terms = value_terms(c * (1.0 / cmax), vals / cmax, p, q, disc.rule.weights) + (cmax, low / cmax)
     near_floor = (1.0 + 1e-3) * POSITIVITY_FLOOR
-    if grid_low <= near_floor * cmax and positivity_gate(terms[0], disc, refuse) is None:
+    if low <= near_floor * cmax and positivity_gate(terms[0], disc, refuse) is None:
         return None
     return terms
 
@@ -115,16 +114,14 @@ def _logged(array, tag, log):
 def logging_evaluator(monkeypatch, n, m, degree, log):
     """Make the 4x discretization of ``(n, degree)`` log its basis products; returns the evaluator on it.
 
-    Every product of the transposed basis, a synthesis on the nodes, appends
-    ("values", c, values) to ``log``, and every product of the zonal pole basis
-    ("poles", c, values at the poles).  The discretization is put in place of
+    Every product of the transposed basis, a synthesis on the nodes, poles
+    included, appends ("values", c, values) to ``log``.  The discretization is put in place of
     the cached one for the duration of the test, with no evaluator held, so
     every entry point, :func:`~confsphere.spectral.min_on_grid` and the
     descent use it.
     """
     held = discretization(n, degree, oversample=4)
-    poles = None if held.poles is None else _logged(held.poles, "poles", log)
-    disc = replace(held, basis_t=_logged(held.basis_t, "values", log), poles=poles, evaluators={})
+    disc = replace(held, basis_t=_logged(held.basis_t, "values", log), evaluators={})
     monkeypatch.setitem(spectral._cache, (n, degree, 4), disc)
     logged = functional.evaluator(n, m, degree)
     if logged.disc is not disc:

@@ -112,7 +112,7 @@ def test_invariance_check_csv(capsys):
     [
         (("--n", "1", "--m", "1", "--L", "16", "--trials", "1", "--lambda", "1e-16"), 1),
         (("--n", "1", "--m", "1", "--L", "16", "--trials", "1", "--lambda", "1e14"), 1),
-        (("--n", "3", "--m", "2", "--L", "16", "--lambda", "1e-100"), 20),
+        (("--n", "3", "--m", "2", "--L", "16", "--lambda", "1e-14"), 20),
     ],
     ids=lambda x: " ".join(x) if isinstance(x, tuple) else None,
 )
@@ -311,6 +311,8 @@ def test_green_check_zonal(capsys):
         ("green-check", "--n", "1", "--m", "1", "--samples", "0"),
         ("invariance-check", "--n", "1", "--m", "1", "--trials", "-3"),
         ("invariance-check", "--n", "1", "--m", "1", "--lambda", "-1"),
+        ("invariance-check", "--n", "1", "--m", "1", "--lambda", "inf"),
+        ("invariance-check", "--n", "3", "--m", "2", "--lambda", "nan"),
         ("multiplier-table", "--n", "1", "--m", "1", "--max-degree", "-2"),
         ("constants", "--n", "1", "--m", "1", "--L", "-5"),
         ("flat-identity-check", "--m", "1", "--trials", "-1"),
@@ -345,8 +347,9 @@ def test_invalid_arguments_exit_two_with_one_line(capsys, argv):
         json.dumps([1.0, 0.0, 0.0]),
         # the report names its L, so a degree-8 function is not reported under L = 16
         json.dumps({"dim": 1, "kind": "circle", "coeffs": [3.0] + [0.0] * 16}),
+        json.dumps({"dim": 1, "kind": "circle", "coeffs": []}),
     ],
-    ids=("missing-file", "malformed-json", "even-circle-length", "not-an-object", "degree-other-than-L"),
+    ids=("missing-file", "malformed-json", "even-circle-length", "not-an-object", "degree-other-than-L", "no-coefficients"),
 )
 def test_energy_unusable_input_exits_two(tmp_path, capsys, content):
     path = tmp_path / "u.json"

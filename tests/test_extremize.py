@@ -304,8 +304,8 @@ def test_descent_rows_equal_public_functions(n, m, degree):
 @pytest.mark.parametrize("n,m,degree,seed", [(1, 1, 32, 11), (3, 2, 32, 1)])
 def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, seed):
     # the one positivity gate runs once for the start and once per
-    # candidate, each with one synthesis on the nodes and, on a zonal rule,
-    # one product with the pole basis; the accepted candidate's values feed
+    # candidate, each with one synthesis on the nodes, the poles among them
+    # on a zonal rule; the accepted candidate's values feed
     # the gradient and barycenter.  A dilated start drifts in the gauge,
     # which the descent leaves alone
     u0 = pullback(seeded_start(n, degree, seed, max_degree=6), AxisDilation(north_pole(n), 3.0), m)
@@ -315,13 +315,10 @@ def test_minimize_synthesizes_each_candidate_once(monkeypatch, n, m, degree, see
     monkeypatch.setattr(Discretization, "gate", lambda self, c, refuse=True: gates.append(c) or real(self, c, refuse))
     no_gauge(monkeypatch)
     trace = minimize(u0, m, OptimizerConfig(degree=degree, max_iter=60))
-    values = [c for tag, c, _ in log if tag == "values"]
-    poles = [c for tag, c, _ in log if tag == "poles"]
+    values = [c for tag, c, _ in log]
     assert values[0] is u0.coeffs
     assert len(values) == len(gates) >= 1 + trace.iterations
     assert all(v is g for v, g in zip(values, gates))
-    assert len(poles) == (0 if n == 1 else len(gates))
-    assert all(p is g for p, g in zip(poles, gates))
 
 
 @pytest.mark.parametrize("n,m,degree,seed", [(1, 1, 32, 11), (3, 2, 32, 1)])
@@ -365,11 +362,11 @@ def test_min_values_are_the_node_minima_at_maximum_one(monkeypatch, n, m, degree
 
 #: relative tolerance of a stable descent's final I against I(1), as in the acceptance criteria
 STABLE_TOLERANCE = {(1, 1): 1e-6, (1, 2): 1e-5, (3, 2): 1e-6, (3, 3): 1e-6}
-STALL, BUDGET, BREAKDOWN = "line_search_stall", "max_iterations", "positivity_breakdown"
+STALL, BUDGET = "line_search_stall", "max_iterations"
 #: the label of each unstable default descent, s = 1..10, at max_iter=200
 UNSTABLE_LABELS = {
     (1, 3): [STALL] * 10,
-    (3, 4): [STALL, STALL, BUDGET, STALL, STALL, STALL, STALL, STALL, BREAKDOWN, STALL],
+    (3, 4): [STALL, STALL, BUDGET, STALL, STALL, STALL, STALL, STALL, STALL, STALL],
 }
 
 
@@ -427,8 +424,8 @@ def _descent_events(monkeypatch, u0, m, config):
     grid check and ("iterate", terms, gradient) of each gradient.  The
     synthesis of a candidate at maximum one, c / cmax, gated again next to
     the floor, is ("regate", c / cmax, values).  The grid minimum is the
-    least of the synthesized node values and, on a zonal rule, of the
-    values at the poles the gate takes next.  A call into the gauge
+    least of the synthesized node values, the poles among them on a zonal
+    rule.  A call into the gauge
     functions of :mod:`confsphere.mobius` fails the test.
     """
     raw = []
@@ -444,19 +441,14 @@ def _descent_events(monkeypatch, u0, m, config):
     no_gauge(monkeypatch)
     trace = minimize(u0, m, config)
     events = []
-    for i, (tag, x, out) in enumerate(raw):
+    for tag, x, out in raw:
         if tag == "iterate":
             events.append((tag, x, out))
-        elif tag == "values":
+        else:
             last = next((e for e in reversed(events) if e[0] == "trial"), None)
             again = last is not None and np.array_equal(x, last[1] * (1.0 / float(last[2].max())))
             events.append(("regate" if again else "trial", x, out))
-            low = float(out.min())
-            if u0.n != 1:
-                poles = raw[i + 1]
-                assert poles[0] == "poles" and poles[1] is x
-                low = min(low, *poles[2].tolist())
-            events.append(("floor", x, low))
+            events.append(("floor", x, float(out.min())))
     return trace, events
 
 

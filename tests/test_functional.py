@@ -31,7 +31,6 @@ from confsphere.spectral import (
     min_on_grid,
     random_band_limited,
     random_positive_function,
-    representation,
 )
 import layered_evaluation as layered
 from layered_evaluation import logging_evaluator, positivity_gate
@@ -113,15 +112,16 @@ def test_positivity_gate():
 
 
 def test_gate_tests_the_poles_without_looking_up_its_own_grid(monkeypatch):
-    # u = s - Z_16 is positive on the Gauss-Jacobi nodes and negative at
-    # t = 1; the gate is the 4x discretization's own, the one the evaluator
-    # holds, and needs no cache lookup
+    # u = s - Z_16 is positive on every node but the poles and negative at
+    # t = 1, the first node; the gate is the 4x discretization's own, the one
+    # the evaluator holds, and needs no cache lookup
     disc = discretization(3, 16, 4)
     assert functional.evaluator(3, 2, 16).disc is disc
+    assert (disc.rule.nodes[0], disc.rule.nodes[-1]) == (1.0, -1.0)
     c = np.zeros(17)
-    c[0] = 0.5 * (disc.basis[16].max() + disc.poles[1, 16]) / disc.basis[0, 0]
+    c[0] = 0.5 * (disc.basis[16, 1:-1].max() + disc.basis[16, 0]) / disc.basis[0, 0]
     c[16] = -1.0
-    assert disc.basis.T.dot(c).min() > 0.0
+    assert disc.basis.T.dot(c)[1:-1].min() > 0.0 > disc.basis.T.dot(c)[0]
     lookups = []
     real = spectral.discretization
     monkeypatch.setattr(spectral, "discretization", lambda *a, **k: lookups.append(a) or real(*a, **k))
@@ -129,10 +129,10 @@ def test_gate_tests_the_poles_without_looking_up_its_own_grid(monkeypatch):
         disc.gate(c)
     assert lookups == []
     c[0] *= 3.0
-    vals, low, high, grid_low = disc.gate(c)
+    vals, low, high = disc.gate(c)
     assert np.array_equal(vals, disc.basis.T.dot(c))
     assert (low, high) == (vals.min(), vals.max())
-    assert grid_low == min(low, *disc.poles.dot(c).tolist()) < low
+    assert low == vals[0] == vals[-1] < vals[1:-1].min()
     assert lookups == []
 
 
@@ -261,14 +261,16 @@ def test_norm_residual_and_gradient_are_homogeneous(n, m, log10_c, seed):
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (5, 3)])
 @pytest.mark.parametrize("L", [0, 1, 8, 32, 128])
 def test_grid_minimum_is_the_least_value_on_nodes_and_poles(monkeypatch, n, m, L):
-    # oracle: one basis matrix on the rule nodes, with t = -1 and 1 added on
-    # a zonal rule.  min_on_grid, the gate and the report's min_value agree
-    # with it; a kernel dip centred at each pole (at th = pi, 0 on the
-    # circle, off its nodes) puts a zonal minimum there, below every node.
-    # The gate's grid minimum is the least of the values it synthesized, on
-    # the nodes and at the poles, and the fourth entry of what it returns
+    # oracle: one basis matrix on the rule nodes, which include t = -1 and 1
+    # on a zonal rule.  min_on_grid, the gate and the report's min_value
+    # agree with it; a kernel dip centred at each pole (at th = pi, 0 on the
+    # circle, off its nodes) puts a zonal minimum there, at the end nodes,
+    # below every other node.  The gate's grid minimum is the least of the
+    # values it synthesized, in one product, and the second entry of what it returns
     disc = discretization(n, L, 4)
-    grid = disc.rule.nodes if n == 1 else np.concatenate([[-1.0], disc.rule.nodes, [1.0]])
+    grid = disc.rule.nodes
+    if n != 1:
+        assert (grid[0], grid[-1]) == (1.0, -1.0)
     oracle = basis_matrix(n, L, grid)
     ends = basis_matrix(n, L, np.array([math.pi, 0.0] if n == 1 else [-1.0, 1.0]))
     products = []
@@ -289,10 +291,10 @@ def test_grid_minimum_is_the_least_value_on_nodes_and_poles(monkeypatch, n, m, L
         assert abs(low - expected) <= bound
         products.clear()
         passed = ev.disc.gate(c, refuse=False)
-        assert [(tag, x is c) for tag, x, _ in products] == [("values", True)] + [("poles", True)] * (n != 1)
+        assert [(tag, x is c) for tag, x, _ in products] == [("values", True)]
         assert min(float(out.min()) for _, _, out in products) == low
         if passed is not None:
-            assert passed[3] == low
+            assert passed[1] == low
             assert functional_report(u, m).min_value == low
         assert (passed is not None) == (low > 0)
 
@@ -305,9 +307,9 @@ def test_one_relative_gate_decides_at_every_scale(n, m, ratio):
     # among them, decides as the gate does, at any scale
     disc = discretization(n, 32, 4)
     bump = random_positive_function(n, 32, 8, np.random.default_rng(5))
-    _, _, high, low = disc.rep.scan(disc, bump.coeffs)
+    _, low, high = disc.scan(bump.coeffs)
     u = bump + constant_function(n, (ratio * high - low) / (1.0 - ratio), 32)
-    _, _, high, low = disc.rep.scan(disc, u.coeffs)
+    _, low, high = disc.scan(u.coeffs)
     assert abs(low / high / ratio - 1.0) < 1e-6
     descent = lambda v, m: minimize(v, m, OptimizerConfig(degree=32, max_iter=1))
     for scale in (1e-12, 1.0, 1e150):
@@ -348,9 +350,9 @@ def test_evaluator_keeps_the_bits_of_the_layered_evaluation(n, m, L):
             c = u.coeffs * scale
             gated, want = disc.gate(c), layered.positivity_gate(c, disc)
             _same_terms(gated, want)
-            vals, low, high, grid_low = gated
+            vals, low, high = gated
             at_min = layered.terms_at_minimum(c, n, m, L)
-            _same_terms(ev.terms(c, vals, low) + (low, grid_low), at_min)
+            _same_terms(ev.terms(c, vals, low) + (low, low), at_min)
             _same_terms(functional.neg_power_integral(u.scaled(scale), m)[:9], at_min)
             _same_terms([ev.gradient(at_min)], [layered.step_terms(at_min, disc, q)])
             at_max = layered.terms_at_maximum(c, n, m, L)
@@ -375,7 +377,7 @@ def test_a_start_next_to_the_floor_is_gated_again_with_the_layered_bits(monkeypa
     # its row has the reference's bits
     disc = discretization(n, 32, 4)
     bump = random_positive_function(n, 32, 8, np.random.default_rng(5))
-    _, _, high, low = disc.rep.scan(disc, bump.coeffs)
+    _, low, high = disc.scan(bump.coeffs)
     ratio = spectral.POSITIVITY_FLOOR * (1 + 5e-4)
     u = bump + constant_function(n, (ratio * high - low) / (1.0 - ratio), 32)
     gates = []
@@ -420,8 +422,8 @@ def test_tiny_scales_are_finite_or_refused(n, m):
 def test_report_min_value_is_the_grid_minimum_of_its_gate(monkeypatch, n, m):
     # the report's min_value is the grid minimum its one gate took, with the
     # bits of min_on_grid, at any scale; no second grid minimum is taken:
-    # the report scans the grid once (the scan of its representation, which
-    # the gate calls), with one product with the zonal pole basis, none on the circle
+    # the report scans the grid once (the scan of its discretization, which
+    # the gate calls), with one product of the basis on its nodes and u
     rng = np.random.default_rng(17 + n)
     draws = [random_positive_function(n, L, 8, rng) for L in (8, 32, 64)]
     draws += [u.scaled(scale) for u in draws for scale in (1e-100, 1e100)]
@@ -429,31 +431,29 @@ def test_report_min_value_is_the_grid_minimum_of_its_gate(monkeypatch, n, m):
     for L in (8, 32, 64):
         logging_evaluator(monkeypatch, n, m, L, products)
     seen = []
-    kind = type(representation(n))
-    real = kind.scan
-    monkeypatch.setattr(kind, "scan", lambda self, disc, c: seen.append(c) or real(self, disc, c))
+    real = Discretization.scan
+    monkeypatch.setattr(Discretization, "scan", lambda self, c: seen.append(c) or real(self, c))
     for u in draws:
         want = float.hex(min_on_grid(u))
         seen.clear()
         products.clear()
         assert float.hex(functional_report(u, m).min_value) == want
         assert len(seen) == 1 and seen[0] is u.coeffs
-        assert [tag for tag, _, _ in products].count("poles") == (n != 1)
+        assert sum(x is u.coeffs for _, x, _ in products) == 1
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2)])
 def test_each_entry_point_synthesizes_u_once(monkeypatch, n, m):
     # one gate per entry point: u is scanned once on the 4x grid (by the scan
-    # of its representation, which the gate calls), its nodes
+    # of its discretization, which the gate calls), its nodes
     # synthesized by the discretization's transposed basis, and the residual
     # and the report synthesize P_2m u besides; no entry point synthesizes
     # otherwise
     u = random_positive_function(n, 32, 8, np.random.default_rng(0))
     log, scans = [], []
     logging_evaluator(monkeypatch, n, m, 32, log)
-    kind = type(representation(n))
-    real = kind.scan
-    monkeypatch.setattr(kind, "scan", lambda self, disc, c: scans.append(c) or real(self, disc, c))
+    real = Discretization.scan
+    monkeypatch.setattr(Discretization, "scan", lambda self, c: scans.append(c) or real(self, c))
     entries = {
         functional_value: 1,
         neg_power_norm: 1,

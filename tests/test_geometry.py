@@ -215,3 +215,27 @@ def test_rotation_validation():
         Rotation(matrix=np.array([[1.0, 0.1], [0.0, 1.0]]))
     rot = Rotation(matrix=np.array([[0.0, -1.0], [1.0, 0.0]]))
     assert abs(mobius_jacobian(rot, north_pole(1)) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mobius_maps_refuse_non_finite_entries(bad):
+    # a NaN norm or orthogonality defect fails "within UNIT_TOL" as a test
+    # written "not <= UNIT_TOL": a NaN or infinite entry of the axis, the
+    # matrix or the ball point is refused, as is a non-finite scale
+    for n in (1, 3):
+        axis = north_pole(n)
+        axis[-1] = bad
+        with pytest.raises(ValueError):
+            AxisDilation(axis, 2.0)
+        with pytest.raises(ValueError):
+            AxisDilation(north_pole(n), bad)
+        matrix = np.eye(n + 1)
+        matrix[0, 0] = bad
+        with pytest.raises(ValueError):
+            Rotation(matrix)
+        center = np.zeros(n + 1)
+        center[-1] = bad
+        with pytest.raises(ValueError):
+            BallPoint(center)
+    assert AxisDilation(np.array([math.cos(0.3), math.sin(0.3)]), 2.0).scale == 2.0
+    assert Rotation(np.array([[0.0, -1.0], [1.0, 0.0]])).n == 1

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confsphere.errors import AxisMismatch, ConfSphereError, NonPositiveFunction
 from confsphere.functional import energy_quadratic, evaluator, exponent_q, functional_value
@@ -101,11 +103,11 @@ def test_pullback_group_action():
     assert diff < 1e-7
 
 
-@pytest.mark.parametrize("n,m,works,fails", [(1, 1, 1e14, 1e16), (1, 1, 1e-14, 1e300), (3, 2, 1e-100, 1e-200), (3, 2, 1e100, 1e300)])
+@pytest.mark.parametrize("n,m,works,fails", [(1, 1, 1e14, 1e16), (1, 1, 1e-14, 1e300), (3, 2, 1e-14, 1e-17), (3, 2, 1e14, 1e300)])
 def test_pullback_out_of_float_range_is_a_typed_error(n, m, works, fails):
-    # on the circle (1 - lam) / (1 + lam) rounds to -1 near lam = 1e16 and
-    # the weight is 0 to a negative power; on S^3 the Jacobian underflows
-    # to 0 near lam = 1e-200.  No RuntimeWarning either way
+    # the ball point (1 - lam) / (1 + lam) of the dilation rounds to -1 near
+    # lam = 1e16 and to 1 near lam = 1e-16, on the circle and on S^3 alike,
+    # and the weight is 0 to a negative power.  No RuntimeWarning either way
     u = random_positive_function(n, 16, 4, np.random.default_rng(0))
     axis = north_pole(n)
     with warnings.catch_warnings():
@@ -164,7 +166,8 @@ def test_pullback_matches_the_pointwise_map(n, m, phi):
 def test_zonal_pullback_sums_at_the_unit_circle_image(monkeypatch, degree):
     # the zonal pullback sums u at the image w of each 2x node on the unit
     # circle: for the dilation of scale lam about the axis, Re w is the
-    # mapped axis cosine within 1 ulp.  The weighted values it projects are
+    # mapped axis cosine within 4 eps, absolute, as the disk kernel divides
+    # complex numbers (measured: 2 eps).  The weighted values it projects are
     # J^{(n-2m)/(2n)} u o phi of the pointwise maps within 1e-12 of their
     # largest (measured: 2.2e-15), with no truncation in between, for that
     # dilation, the inverse dilation about the antipode and the ball point
@@ -198,7 +201,7 @@ def test_zonal_pullback_sums_at_the_unit_circle_image(monkeypatch, degree):
                 pullback(u, phi, m)
                 (w,), (values,) = images, projected
                 if phi is dilation:
-                    assert np.all(np.abs(w.real - t_map) <= np.spacing(np.abs(t_map))), (m, lam)
+                    assert np.max(np.abs(w.real - t_map)) <= 4.0 * 2.0**-52, (m, lam)
                 expected = _pointwise_pullback(u, phi, m, t)
                 err = np.max(np.abs(values - expected))
                 assert err <= 1e-12 * np.max(np.abs(expected)), (m, lam, phi, err)
@@ -471,16 +474,17 @@ def test_node_form_jacobian_matches_central_differences(n, m):
     for radius in (0.0, 0.2, 0.5, 0.9):
         d = rng.standard_normal(dim)
         a = radius * d / np.linalg.norm(d)
-        # zonal V and its slope are floats of the float r = a . xi; circle V
-        # is complex in the complex a, its Wirtinger pair assembled into the
-        # real 2x2 Jacobian
+        # zonal V is a float of the float r = a . xi, its slope Re(A + B) of
+        # the Wirtinger pair (A, B) of the disk sum; circle V is complex in
+        # the complex a, its Wirtinger pair assembled into the real 2x2 Jacobian
         if n == 1:
             a, steps = complex(*a), (1.0, 1j)
             _, wirtinger = _ball_moment(disc, neg, a, slope=True)
             jac = _real_jacobian(*wirtinger)
         else:
             a, steps = float(a[0]), (1.0,)
-            _, jac = _ball_moment(disc, neg, a, slope=True)
+            _, (da, db) = _ball_moment(disc, neg, a, slope=True)
+            jac = np.array([[(da + db).real]])
         fd = np.column_stack(
             [_real_parts((_ball_moment(disc, neg, a + h * e) - _ball_moment(disc, neg, a - h * e)) / (2 * h)) for e in steps]
         )
@@ -488,10 +492,11 @@ def test_node_form_jacobian_matches_central_differences(n, m):
 
 
 def _array_ball_moment(disc, values, a, slope=False):
-    """The zonal V(a) and dV/da summed on (K, 1) arrays of the node coordinates, a of shape (1,).
+    """The zonal V(a) and dV/da summed on (K, 1) arrays of the axis cosines of the nodes, a of shape (1,).
 
     The d-dimensional node formula with d = 1, as the zonal kernel ran
-    before it took the float r; the reference its float arithmetic keeps.
+    before it took the float r; the reference for the disk kernel on the
+    upper half circle.
     """
     y, w = disc.rule.nodes[:, None], disc.rule.weights
     a2 = float(a.dot(a))
@@ -653,13 +658,13 @@ def _zonal_gauge_cases():
             yield extremal(n, m, 64, lam), m
 
 
-def test_zonal_gauge_keeps_the_bits_of_the_array_formula():
-    # the axis kernel takes sigma_{-a} in closed form, t -> (t + rho) /
-    # (1 + rho t): V and dV/dr agree with the (K, 1)-array formula within
-    # 16 eps / (1 - |r|)^2, as on the circle, at |r| up to 0.99; V absolute,
-    # dV/dr absolute and relative where it exceeds 1 (measured: 1.0 and 8.5
-    # eps at most, in units of that factor).  The closed form sums positive
-    # terms, where the array formula cancels.  V(0) keeps its bits; the
+def test_zonal_gauge_matches_the_array_formula():
+    # the zonal moment is the real part of the disk kernel's on the upper
+    # half circle, Re sigma_{-r}(z) = (t + rho) / (1 + rho t), and its slope
+    # Re(A + B) of the Wirtinger pair: V and dV/dr agree with the (K, 1)-array
+    # formula within 16 eps / (1 - |r|)^2, as on the circle, at |r| up to
+    # 0.99; V absolute, dV/dr absolute and relative where it exceeds 1
+    # (measured: 2.0 and 3.1 eps at most, in units of that factor).  The
     # Newton solves take the same steps to centers within 1e-14
     eps = 2.0**-52
     h = float.hex
@@ -667,15 +672,14 @@ def test_zonal_gauge_keeps_the_bits_of_the_array_formula():
     for u, m in _zonal_gauge_cases():
         disc, neg = _volume(u, m)
         for r in (0.0, -0.99, -0.9, -0.6, -0.3, -1e-3, 1e-3, 0.3, 0.6, 0.9, 0.99):
-            v, dv = _ball_moment(disc, neg, r, slope=True)
+            v, (da, db) = _ball_moment(disc, neg, r, slope=True)
+            dv = (da + db).real
             ref_v, ref_dv = _array_ball_moment(disc, neg, np.array([r]), slope=True)
             ref_v, ref_dv = float(ref_v[0]), float(ref_dv[0, 0])
             bound = 16.0 * eps / (1.0 - abs(r)) ** 2
             assert abs(v - ref_v) <= bound, (cases, r)
             assert abs(dv - ref_dv) <= bound * max(1.0, abs(ref_dv)), (cases, r)
             assert h(_ball_moment(disc, neg, r)) == h(v)
-            if r == 0.0:
-                assert h(v) == h(ref_v)
         res = find_center(u, m)
         a, residual, steps = _array_find_center(u, m)
         assert (res.iterations, res.converged) == (steps, residual < 1e-8), cases
@@ -687,20 +691,20 @@ def test_zonal_gauge_keeps_the_bits_of_the_array_formula():
 @pytest.mark.parametrize("n,m", STABLE_ORDERS)
 def test_moment_at_zero_keeps_its_bits(monkeypatch, n, m):
     # V(0), the descent's centroid and the first residual of find_center, is
-    # the plain sum w . (f y) over the node coordinates, with or without the
-    # slope and at a = -0 too, so a descent that never recenters keeps its bits
+    # the plain sum (w f) . z over the unit nodes z, its real part on a zonal
+    # rule, with or without the slope and at a = -0 too, so a descent that
+    # never recenters keeps its bits
     rng = np.random.default_rng(40 + 10 * n + m)
     zero = 0j if n == 1 else 0.0
     for degree in (16, 32, 64):
         u = random_positive_function(n, degree, 8, rng)
         disc, neg = _volume(u, m)
         w = disc.rule.weights
-        plain = (w * neg).dot(disc.points) if n == 1 else float(w.dot(neg * disc.points))
+        plain = (w * neg).dot(disc.points)
+        plain = plain if n == 1 else float(plain.real)
         for a in (zero, -zero):
             assert _ball_moment(disc, neg, a) == plain
             assert _ball_moment(disc, neg, a, slope=True)[0] == plain
-        if n != 1:
-            assert float.hex(plain) == float.hex(float(_array_ball_moment(disc, neg, np.zeros(1))[0]))
         # a tolerance above |V(0)| stops the solve at its start
         with monkeypatch.context() as patch:
             patch.setattr(mobius, "CENTER_TOL", 1.0)
@@ -745,3 +749,25 @@ def test_functional_invariance_under_pullback():
         up = pullback(u, AxisDilation(north_pole(1), lam), 1)
         assert abs(functional_value(up, 1) - base) / abs(base) < 1e-6
 
+
+
+@pytest.mark.parametrize("n,m", STABLE_ORDERS)
+@settings(max_examples=25, deadline=None)
+@given(
+    log_lam=st.floats(-math.log(3.0), math.log(3.0)),
+    ripple=st.integers(1, 10),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    seed=st.integers(0, 2**16),
+)
+def test_functional_is_mobius_invariant_on_the_resolved_range(n, m, log_lam, ripple, angle, seed):
+    # criterion 04's tolerance on I(pullback(u, lam)) / I(u), for ripple
+    # degree up to 10 at L = 64 and lam in [1/3, 3], where the pullback's
+    # weight is resolved at degree 64: the circle dilates about an axis at
+    # any angle, a zonal function about its axis or the antipode
+    u = random_positive_function(n, 64, ripple, np.random.default_rng(seed))
+    if n == 1:
+        axis = np.array([math.cos(angle), math.sin(angle)])
+    else:
+        axis = u.axis if angle < math.pi else -u.axis
+    pulled = pullback(u, AxisDilation(axis, math.exp(log_lam)), m)
+    assert abs(functional_value(pulled, m) / functional_value(u, m) - 1.0) <= 1e-6

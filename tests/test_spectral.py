@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import io
 import math
@@ -7,15 +8,16 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import eval_gegenbauer
 from scipy.special import roots_jacobi as scipy_roots_jacobi
 
-from confsphere import functional, spectral
+from confsphere import functional, mobius, spectral
 from confsphere.cli import main
 from confsphere.errors import AxisMismatch, InsufficientNodes
 from confsphere.extremize import OptimizerConfig, minimize
 from confsphere.gjms import apply_operator, packed_multipliers
-from confsphere.geometry import north_pole, sphere_measure, sphere_surface_area
+from confsphere.geometry import AxisDilation, north_pole, sphere_measure, sphere_surface_area
 from confsphere.spectral import (
     SpectralFunction,
     analyze,
@@ -31,6 +33,7 @@ from confsphere.spectral import (
     loads,
     min_on_grid,
     quadrature_for_degree,
+    rule_size,
     random_band_limited,
     random_positive_function,
     roots_jacobi,
@@ -124,20 +127,25 @@ def test_integrate_t_squared_beta_oracle():
     assert abs(expected - math.pi**2 / 2) < 1e-13
 
 
-def test_gauss_exactness_against_beta():
-    # the K-point rule integrates t^d exactly for d <= 2K-1; closed form
-    # from the Beta integral B(r + 1/2, n/2) for d = 2r
-    n, K = 3, 8
-    rule = zonal_quadrature(n, K)
+@pytest.mark.parametrize("n", [3, 5, 9])
+@pytest.mark.parametrize("M", [8, 13])
+def test_angle_grid_exactness_against_scipy_integrals(n, M):
+    # t^d = cos^d th times the weight sin^{n-1} th is a cosine polynomial of
+    # degree d + n - 1: the grid of M + 1 nodes integrates it exactly for
+    # d < 2M - (n - 1) and misses at d = 2M - (n - 1), where cos(2M th)
+    # aliases to a constant.  Reference: scipy's quad with the algebraic
+    # weight, and 0 for odd d
+    a = (n - 2) / 2.0
+    rule = zonal_quadrature(n, M + 1)
     area = sphere_surface_area(n)
-    for d in range(0, 2 * K):
-        got = integrate(rule.nodes**d, rule)
-        if d % 2 == 1:
-            expected = 0.0
+    last = 2 * M - (n - 1)
+    for d in range(last + 1):
+        expected = 0.0 if d % 2 else area * quad(lambda t: t**d, -1.0, 1.0, weight="alg", wvar=(a, a), epsrel=1e-13)[0]
+        err = abs(integrate(rule.nodes**d, rule) - expected)
+        if d < last:
+            assert err < 1e-13 * max(1.0, abs(expected)), d
         else:
-            r = d // 2
-            expected = area * math.gamma(r + 0.5) * math.gamma(n / 2) / math.gamma(r + 0.5 + n / 2)
-        assert abs(got - expected) < 1e-12 * max(1.0, abs(expected)), d
+            assert err > 1e-9 * abs(expected), d
 
 
 # the exponents a = (n - 2)/2 of S^3, S^5, S^9 and the -5/6 of counterexample-sin
@@ -217,7 +225,7 @@ def test_insufficient_nodes():
     with pytest.raises(InsufficientNodes):
         analyze(np.ones(16), circle_quadrature(16), 8)  # needs 2L+2 = 18
     with pytest.raises(InsufficientNodes):
-        analyze(np.ones(8), zonal_quadrature(3, 8), 8)  # needs L+1 = 9
+        analyze(np.ones(8), zonal_quadrature(3, 8), 8)  # needs rule_size(3, 8) = L + 3 = 11
 
 
 def test_positivity_surrogate():
@@ -574,7 +582,7 @@ def test_cached_arrays_are_read_only():
     for n in (1, 3):
         disc = discretization(n, 8, 4)
         arrays = (disc.rule.nodes, disc.rule.weights, disc.basis, disc.basis_t, disc.points, packed_multipliers(n, 2, 8))
-        for a in arrays + ((disc.poles,) if n != 1 else ()):
+        for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0.0
     # results computed from cached arrays stay writable
@@ -586,61 +594,57 @@ def test_oversampling_factors_do_not_alias():
     for n in (1, 3):
         d2, d4 = discretization(n, 12, 2), discretization(n, 12, 4)
         assert d2 is not d4
-        assert d4.rule.size == 2 * d2.rule.size
+        assert (d2.rule.size, d4.rule.size) == (rule_size(n, 12, 2), rule_size(n, 12, 4))
+        assert d4.rule.size == 2 * d2.rule.size - (0 if n == 1 else 2)
         assert d2.basis.shape[1] == d2.rule.size and d4.basis.shape[1] == d4.rule.size
         assert discretization(n, 12, 2) is d2 and discretization(n, 12, 4) is d4
 
 
-def test_zonal_grid_appends_the_poles():
-    # the positivity grid is [-1, *nodes, 1]: a dip below every node value at
-    # a pole is what min_on_grid reports
+def test_zonal_grid_ends_at_the_poles():
+    # the positivity grid is the rule nodes, from t = 1 to t = -1: a dip
+    # below every other node value at a pole is what min_on_grid reports
     disc = discretization(3, 8, 4)
-    assert disc.poles.shape == (2, 9)
-    for end, t in ((0, -1.0), (1, 1.0)):
-        c = constant_function(3, 1.0, 8).coeffs - 0.1 * disc.poles[end]
+    assert (disc.rule.nodes[0], disc.rule.nodes[-1]) == (1.0, -1.0)
+    for end, t in ((0, 1.0), (-1, -1.0)):
+        c = constant_function(3, 1.0, 8).coeffs - 0.1 * disc.basis[:, end]
         u = SpectralFunction(3, c, north_pole(3))
-        south_north = disc.poles @ c
-        assert south_north[end] < (disc.basis.T @ c).min()
-        assert min_on_grid(u) == south_north[end]
+        values = disc.basis.T @ c
+        assert values[end] < np.delete(values, end).min()
+        assert min_on_grid(u) == values[end]
         assert min_on_grid(u) == (basis_matrix(3, 8, np.array([t])).T @ c)[0]
     circle = discretization(1, 8, 4)
-    assert circle.poles is None
     c = constant_function(1, 1.0, 8).coeffs
     assert min_on_grid(SpectralFunction(1, c, None)) == (circle.basis.T @ c).min()
 
 
 @pytest.mark.parametrize("L", [8, 32])
 def test_zonal_poles_are_a_view_of_the_grid_basis(L):
-    # the grid basis basis_matrix(n, L, [-1, *nodes, 1]) is never stored: its
-    # end columns are the pole basis and its inner columns the node basis
+    # the grid basis is the node basis: its end columns, the basis at the
+    # poles, are views of it and not stored apart
     for n in (3, 5):
         disc = discretization(n, L, 4)
-        grid = np.concatenate(([-1.0], disc.rule.nodes, [1.0]))
-        grid_basis = basis_matrix(n, L, grid)
-        assert np.array_equal(disc.poles[0], grid_basis[:, 0])
-        assert np.array_equal(disc.poles[1], grid_basis[:, -1])
-        assert np.array_equal(disc.basis, grid_basis[:, 1:-1])
-        assert not np.shares_memory(disc.poles, disc.basis)
+        assert np.array_equal(disc.basis, basis_matrix(n, L, disc.rule.nodes))
+        for pole in (disc.basis[:, 0], disc.basis_t[-1]):
+            assert np.shares_memory(pole, disc.basis)
 
 
 @pytest.mark.parametrize("L", [8, 32])
 def test_zonal_poles_are_the_basis_at_the_poles(L):
-    # the positivity grid is the rule nodes plus, on a zonal rule, the poles
-    # t = -1, 1: the pole basis is its own read-only array, counted once; so
-    # is the squared sine (1 - t)(1 + t) of the nodes, with the bits of that product
+    # the positivity grid is the rule nodes, the poles t = 1, -1 first and
+    # last on a zonal rule: the end columns of the basis are the basis there,
+    # and the end points are 1 and -1 on the unit circle, with no imaginary
+    # part.  The points are read-only and counted once
     for n in (3, 5):
         disc = discretization(n, L, 4)
-        assert np.array_equal(disc.poles, basis_matrix(n, L, np.array([-1.0, 1.0])).T)
+        assert np.array_equal(disc.basis[:, [0, -1]], basis_matrix(n, L, np.array([1.0, -1.0])))
+        assert disc.points[0] == 1.0 and disc.points[-1] == -1.0
         t = disc.rule.nodes
-        assert [x.hex() for x in disc.sin_sq] == [x.hex() for x in (1.0 - t) * (1.0 + t)]
-        for cached in (disc.poles, disc.sin_sq):
-            with pytest.raises(ValueError):
-                cached[0, ...] = 0.0
-        assert disc.points is disc.rule.nodes
-        held = (disc.rule.nodes, disc.rule.weights, disc.basis, disc.poles, disc.sin_sq)
+        assert disc.points.tobytes() == (t + 1j * np.sqrt(np.maximum((1.0 - t) * (1.0 + t), 0.0))).tobytes()
+        with pytest.raises(ValueError):
+            disc.points[0] = 0.0
+        held = (disc.rule.nodes, disc.rule.weights, disc.basis, disc.points)
         assert disc.nbytes == sum(a.nbytes for a in held)
     circle = discretization(1, L, 4)
-    assert circle.poles is None and circle.sin_sq is None
     held = (circle.rule.nodes, circle.rule.weights, circle.basis, circle.points)
     assert circle.nbytes == sum(a.nbytes for a in held)
     # the transposed basis is a view of the basis, counted with it
@@ -667,31 +671,28 @@ def test_discretization_over_the_byte_bound_is_not_stored(monkeypatch):
 
 
 def _node_coordinates(rule):
-    """cos th + i sin th, with the bits of both, on the circle; the axis cosine t on a zonal rule."""
+    """The unit nodes: cos th + i sin th, with the bits of both, on the circle; t + i sqrt((1 - t)(1 + t)) on a zonal rule."""
+    z = np.empty(rule.size, dtype=complex)
     if rule.n == 1:
-        z = np.empty(rule.size, dtype=complex)
         z.real, z.imag = np.cos(rule.nodes), np.sin(rule.nodes)
-        return z
-    return rule.nodes
+    else:
+        t = rule.nodes
+        z.real, z.imag = t, np.sqrt(np.maximum((1.0 - t) * (1.0 + t), 0.0))
+    return z
 
 
 def _hand_built(rule, degree):
-    """A discretization on a caller's rule, its pole basis and squared sines built here."""
+    """A discretization on a caller's rule."""
     basis = basis_matrix(rule.n, degree, rule.nodes)
-    if rule.n == 1:
-        poles = sin_sq = None
-    else:
-        poles = basis_matrix(rule.n, degree, np.array([-1.0, 1.0])).T
-        sin_sq = (1.0 - rule.nodes) * (1.0 + rule.nodes)
-    return spectral.Discretization(rule, degree, basis, basis.T, _node_coordinates(rule), poles, sin_sq)
+    return spectral.Discretization(rule, degree, basis, basis.T, _node_coordinates(rule))
 
 
 @pytest.mark.parametrize("n,L", [(1, 24), (3, 24), (3, 64)])
 def test_grid_minimum_and_first_moment_keep_their_bits(n, L):
     # pinned to plain expressions: the scan's node values as the transposed
-    # basis times c, the grid minimum as the least of the node minimum and
-    # the values at the poles, and the first moment, the ball moment at
-    # a = 0, as the plain weighted sum over the node coordinates
+    # basis times c, the grid minimum as their minimum, the poles among them
+    # on a zonal rule, and the first moment, the ball moment at a = 0, as the
+    # plain weighted sum over the unit nodes, its real part on a zonal rule
     own = zonal_quadrature(n, 3 * L + 7) if n != 1 else circle_quadrature(6 * L + 7)
     rng = np.random.default_rng(L + n)
     cached = discretization(n, L, 4)
@@ -701,12 +702,86 @@ def test_grid_minimum_and_first_moment_keep_their_bits(n, L):
         for _ in range(20):
             u = random_positive_function(n, L, L // 2, rng, amplitude=float(rng.uniform(0.3, 1.2)))
             c, vals = u.coeffs, disc.basis.T.dot(u.coeffs)
-            low = float(vals.min())
-            if n != 1:
-                low = float(min(low, (disc.poles @ c).min()))
-            scanned, node_low, high, grid_low = disc.rep.scan(disc, c)
+            scanned, low, high = disc.scan(c)
             assert scanned.tobytes() == vals.tobytes()
-            assert (node_low, high, grid_low) == (vals.min(), vals.max(), low)
+            assert (low, high) == (vals.min(), vals.max())
             moment = disc.rep.moment(disc, vals, 0j if n == 1 else 0.0)
-            old = (w * vals) @ disc.points if n == 1 else float(w @ (vals * disc.rule.nodes))
-            assert np.array_equal(moment, old)
+            old = (w * vals) @ disc.points
+            assert np.array_equal(moment, old if n == 1 else old.real)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_negative_degrees_and_empty_coefficients_are_refused(n):
+    # a degree below 0 once gave a function without coefficients (degree -1)
+    # or an IndexError or numpy's "negative dimensions"; each constructor now
+    # names the degree, and no function holds an empty coefficient array
+    rng = np.random.default_rng(0)
+    constructors = (
+        lambda: constant_function(n, 1.0, -1),
+        lambda: harmonic_basis_function(n, 0, -1),
+        lambda: random_band_limited(n, -1, 1, rng),
+        lambda: random_positive_function(n, -1, 1, rng),
+    )
+    for build in constructors:
+        with pytest.raises(ValueError, match="degree -1"):
+            build()
+    with pytest.raises(ValueError, match="at least the degree-0"):
+        SpectralFunction(n, np.array([]), None if n == 1 else north_pole(n))
+    assert constant_function(n, 1.0, 0).degree == 0
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+@pytest.mark.parametrize("L", [8, 32, 64, 128, 256])
+def test_zonal_basis_is_orthonormal_on_the_angle_grid(n, L):
+    # the grid integrates the products of two degree-L zonal functions
+    # exactly at every oversample, so what is left of max |B W B^T - I| is
+    # rounding: at most eps (L + 1) (measured: 0.46 of it, 2.6e-14 at (3, 256))
+    for oversample in (1, 2, 4):
+        rule = quadrature_for_degree(n, L, oversample)
+        b = basis_matrix(n, L, rule.nodes)
+        gram = (b * rule.weights) @ b.T
+        assert np.max(np.abs(gram - np.eye(L + 1))) <= 2.0**-52 * (L + 1), oversample
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_zonal_normalization_matches_mpmath(n):
+    # the running product of the exact ratios h_{a+1} / h_a, one rounding
+    # each, against 40 digits: within 1e-15 relative up to L = 256
+    # (measured: 6.6e-16 at n = 9)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        nu = mp.mpf(n - 1) / 2
+        area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        for a, got in enumerate(spectral._zonal_normalization(n, 256)):
+            h = mp.pi * 2 ** (1 - 2 * nu) * mp.gamma(a + 2 * nu) / (mp.factorial(a) * (a + nu) * mp.gamma(nu) ** 2)
+            assert abs(mp.mpf(float(got)) * mp.sqrt(area * h) - 1) <= 1e-15, a
+
+
+def test_zonal_rules_need_no_eigensolver(monkeypatch):
+    # the angle grid is built in O(K) from sines: with the Golub-Welsch
+    # rule and all of numpy.linalg made to raise, zonal discretizations are
+    # built and used at n = 3, 5 and 9.  The pole basis, the zonal gauge
+    # kernels and the lgamma norms are gone
+    class Refused:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.linalg.{name} was called")
+
+    def refused(*args):
+        raise AssertionError("roots_jacobi was called")
+
+    monkeypatch.setattr(spectral, "roots_jacobi", refused)
+    monkeypatch.setattr(np, "linalg", Refused())
+    clear_caches()
+    for n, m in ((3, 2), (5, 3), (9, 5)):
+        for L in (32, 64):
+            for oversample in (2, 4):
+                assert discretization(n, L, oversample).rule.size == rule_size(n, L, oversample)
+            u = random_positive_function(n, L, 6, np.random.default_rng(n + L))
+            pulled = mobius.pullback(u, AxisDilation(u.axis, 1.5), m)
+            assert abs(functional.functional_value(pulled, m) / functional.functional_value(u, m) - 1.0) < 1e-6
+            assert mobius.find_center(u, m).converged
+    clear_caches()
+    fields = {f.name for f in dataclasses.fields(spectral.Discretization)}
+    assert not {"poles", "sin_sq"} & fields
+    assert not {"image", "moment", "node_arrays", "scan"} & set(vars(type(spectral.ZONAL)))
+    assert not hasattr(spectral, "_log_gegenbauer_norm_sq")

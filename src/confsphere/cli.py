@@ -34,8 +34,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _provenance(n=None, m=None, degree=None, seed=None) -> dict:
-    return {"n": n, "m": m, "L": degree, "seed": seed, "version": __version__}
+def _report(n: int, m: int, degree: int, seed: Optional[int], fields: dict) -> str:
+    """The JSON text of a report: the provenance header {n, m, L, seed, version}, then ``fields``."""
+    return json.dumps({"n": n, "m": m, "L": degree, "seed": seed, "version": __version__, **fields}, indent=2) + "\n"
 
 
 def _resolve_output(path: Optional[str]) -> Optional[str]:
@@ -51,9 +52,7 @@ def _resolve_output(path: Optional[str]) -> Optional[str]:
 def _emit_text(text: str, path: Optional[str]) -> None:
     path = _resolve_output(path)
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text)  # CSV and JSON reports end in a newline
     else:
         try:
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -66,14 +65,8 @@ def _emit_text(text: str, path: Optional[str]) -> None:
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows([header, *rows])
     return buf.getvalue()
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -139,19 +132,16 @@ def _cmd_constants(args) -> int:
     degree = args.degree
     _require(degree >= 1, "L must be >= 1")
     numeric = functional_value(constant_function(args.n, 1.0, degree), args.m)
-    payload = _provenance(args.n, args.m, degree, None)
-    payload.update(
-        {
-            "closed_form": label,
-            "rational_factor": f"{frac.numerator}/{frac.denominator}",
-            "measure_power": f"{power.numerator}/{power.denominator}",
-            "sphere_measure": mu,
-            "value": closed,
-            "functional_at_one": numeric,
-            "rel_difference": abs(numeric - closed) / abs(closed),
-        }
-    )
-    _emit_text(_json_text(payload), args.output)
+    fields = {
+        "closed_form": label,
+        "rational_factor": f"{frac.numerator}/{frac.denominator}",
+        "measure_power": f"{power.numerator}/{power.denominator}",
+        "sphere_measure": mu,
+        "value": closed,
+        "functional_at_one": numeric,
+        "rel_difference": abs(numeric - closed) / abs(closed),
+    }
+    _emit_text(_report(args.n, args.m, degree, None, fields), args.output)
     return 0
 
 
@@ -182,17 +172,14 @@ def _cmd_energy(args) -> int:
     _require(u.n == args.n, "input function dimension does not match --n")
     _require(u.degree == args.degree, f"input function degree {u.degree} does not match --L {args.degree}")
     report = functional_report(u, args.m)
-    payload = _provenance(args.n, args.m, args.degree, args.seed)
-    payload.update(
-        {
-            "E": report.energy,
-            "negNorm": report.neg_norm,
-            "I": report.functional,
-            "elResidual": report.el_residual,
-            "minValue": report.min_value,
-        }
-    )
-    _emit_text(_json_text(payload), args.output)
+    fields = {
+        "E": report.energy,
+        "negNorm": report.neg_norm,
+        "I": report.functional,
+        "elResidual": report.el_residual,
+        "minValue": report.min_value,
+    }
+    _emit_text(_report(args.n, args.m, args.degree, args.seed, fields), args.output)
     return 0
 
 
@@ -269,7 +256,7 @@ def _cmd_minimize(args) -> int:
 
     _validate_sphere(args.n, args.m, args.degree)
     _require(args.max_iter >= 1, "--max-iter must be >= 1")
-    _require(args.eps > 0, "--eps must be positive")
+    _require(0 < args.eps < math.inf, "--eps must be positive and finite")
     rng = np.random.default_rng(args.seed)
     u0 = random_positive_function(args.n, args.degree, max_degree=args.degree // 4, rng=rng)
     config = OptimizerConfig(degree=args.degree, max_iter=args.max_iter, grad_tol=args.eps)
@@ -285,20 +272,18 @@ def _cmd_minimize(args) -> int:
         )
         for i in range(len(trace.values))
     ]
-    payload = _provenance(args.n, args.m, args.degree, args.seed)
-    payload.update(
-        {
-            "final_I": trace.values[-1],
-            "round_distance": round_distance(trace.final, args.m),
-            "best_I": trace.best_value,
-            "iterations": trace.iterations,
-            "termination_reason": trace.termination_reason,
-        }
-    )
+    fields = {
+        "final_I": trace.values[-1],
+        "round_distance": round_distance(trace.final, args.m),
+        "best_I": trace.best_value,
+        "iterations": trace.iterations,
+        "termination_reason": trace.termination_reason,
+    }
+    report = _report(args.n, args.m, args.degree, args.seed, fields)
     if args.output:
         _emit_text(_csv_text(header, rows), args.output + ".csv")
-        _emit_text(_json_text(payload), args.output + ".json")
-    sys.stdout.write(_json_text(payload))
+        _emit_text(report, args.output + ".json")
+    sys.stdout.write(report)
     # a line-search stall means no float-representable decrease remains,
     # i.e. stationarity at working precision; budget- or floor-limited
     # endings are reported as numerical non-convergence
@@ -337,18 +322,15 @@ def _cmd_green_check(args) -> int:
     closed = green_closed_values(args.n, args.m, ts)
     series = green_series_values(args.n, args.m, ts)
     ratios = closed / series
-    payload = _provenance(args.n, args.m, args.degree, args.seed)
-    payload.update(
-        {
-            "kappa_closed_form": green_constant(args.n, args.m),
-            "reproduce_max_abs_error": max_err,
-            "sample_axis_cosines": [float(t) for t in ts],
-            "closed_over_spectral": [float(r) for r in ratios],
-            "ratio_mean": float(np.mean(ratios)),
-            "ratio_spread": float(np.max(ratios) - np.min(ratios)),
-        }
-    )
-    _emit_text(_json_text(payload), args.output)
+    fields = {
+        "kappa_closed_form": green_constant(args.n, args.m),
+        "reproduce_max_abs_error": max_err,
+        "sample_axis_cosines": [float(t) for t in ts],
+        "closed_over_spectral": [float(r) for r in ratios],
+        "ratio_mean": float(np.mean(ratios)),
+        "ratio_spread": float(np.max(ratios) - np.min(ratios)),
+    }
+    _emit_text(_report(args.n, args.m, args.degree, args.seed, fields), args.output)
     return 0
 
 
@@ -415,21 +397,18 @@ def _cmd_counterexample_sin(args) -> int:
     neg_integral = 2.0 * float(w.sum())
     beta_closed = 2.0 * math.gamma(0.5) * math.gamma(1.0 / 6.0) / math.gamma(2.0 / 3.0)
     norm_factor = neg_integral**3
-    payload = _provenance(1, 2, degree, None)
-    payload.update(
-        {
-            "energy_sin": e4,
-            "energy_sin_exact": "-15 pi / 16",
-            "energy_sin_expected": -15.0 * math.pi / 16.0,
-            "neg_power_integral": neg_integral,
-            "neg_power_integral_beta": beta_closed,
-            "norm_factor": norm_factor,
-            "left_side": norm_factor * e4,
-            "left_side_is_negative": bool(norm_factor * e4 < 0),
-            "norm_factor_is_finite": bool(math.isfinite(norm_factor)),
-        }
-    )
-    _emit_text(_json_text(payload), args.output)
+    fields = {
+        "energy_sin": e4,
+        "energy_sin_exact": "-15 pi / 16",
+        "energy_sin_expected": -15.0 * math.pi / 16.0,
+        "neg_power_integral": neg_integral,
+        "neg_power_integral_beta": beta_closed,
+        "norm_factor": norm_factor,
+        "left_side": norm_factor * e4,
+        "left_side_is_negative": bool(norm_factor * e4 < 0),
+        "norm_factor_is_finite": bool(math.isfinite(norm_factor)),
+    }
+    _emit_text(_report(1, 2, degree, None, fields), args.output)
     return 0
 
 

@@ -42,14 +42,14 @@ class OptimizerConfig:
 
     def __post_init__(self):
         # operator.index refuses a size such as 2.5, inf or NaN, which range()
-        # would refuse mid-run; "not > 0" refuses a NaN tolerance too, which
-        # no gradient norm could fall below
+        # would refuse mid-run; a NaN tolerance, which no gradient norm could
+        # fall below, fails "0 < tol < inf" as an infinite one does
         try:
             sizes = [operator.index(x) for x in (self.degree, self.max_iter)]
         except TypeError:
             sizes = [0]
-        if not all(x > 0 for x in (*sizes, self.grad_tol)):
-            raise ValueError("degree and max_iter must be positive integers and grad_tol positive")
+        if not (all(x > 0 for x in sizes) and 0 < self.grad_tol < math.inf):
+            raise ValueError("degree and max_iter must be positive integers and grad_tol positive and finite")
 
 
 @dataclass
@@ -120,13 +120,9 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
         raise InvalidConfig(f"config degree {config.degree} is not the degree {u0.degree} of the start")
     n, axis = u0.n, u0.axis
     ev = evaluator(n, m, u0.degree)
-    gate, moment = ev.disc.gate, ev.disc.rep.moment
+    gate, moment, weights = ev.disc.gate, ev.disc.rep.moment, ev.disc.rule.weights
     near_floor = (1.0 + 1e-3) * POSITIVITY_FLOOR
     trace = DescentTrace()
-
-    def norm(x: np.ndarray) -> float:
-        # np.linalg.norm of a 1-D float array, without its overhead
-        return math.sqrt(float(x.dot(x)))
 
     def admissible(c: np.ndarray, refuse: bool = False) -> Optional[tuple]:
         """The value terms of c at maximum one, then that maximum and the
@@ -160,10 +156,10 @@ def minimize(u0: SpectralFunction, m: int, config: OptimizerConfig) -> DescentTr
     def record():
         neg, integ = terms[5:7]
         trace.values.append(current)
-        trace.grad_norms.append(norm(grad))
+        trace.grad_norms.append(math.sqrt(float(grad.dot(grad))))
         trace.min_values.append(terms[8])
         # |V(0)|: the first moment of u^{-q} over its integral
-        trace.barycenter_norms.append(abs(moment(ev.disc, neg, 0)) / integ)
+        trace.barycenter_norms.append(abs(moment(ev.disc, weights * neg, 0)) / integ)
 
     for _ in range(config.max_iter):
         record()

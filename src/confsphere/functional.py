@@ -118,16 +118,6 @@ class Evaluator:
         out += pc * (2.0 * integ ** self.two_q)
         return out
 
-    def volume(self, c: np.ndarray) -> np.ndarray:
-        """(u / k)^{-q} over its integral on the nodes, k the node minimum of c, which passes the gate of ``disc``.
-
-        u^{-q} is at most one and one at a node, so its integral can neither
-        overflow nor underflow.
-        """
-        vals, k = self.disc.gate(c)[:2]
-        neg = (vals / k) ** (-self.q)
-        return neg / float(self.disc.rule.weights.dot(neg))
-
 
 def evaluator(n: int, m: int, degree: int) -> Evaluator:
     """The :class:`Evaluator` of degree-``degree`` functions on S^n at order 2m, built once.
@@ -158,8 +148,8 @@ def neg_power_integral(u: SpectralFunction, m: int) -> tuple:
     tuple is (c / k, u / k on the nodes, I, p c / k, E(u / k), (u / k)^{-q},
     J, k, k, evaluator), the layout of the descent's terms, whose eighth and
     ninth entries are its scale and its node minimum: J, the integral of
-    (u / k)^{-q}, lies in (0, |S^n|], so the integral of u^{-q} is J k^{-q}
-    and the functional entry points all read from here.
+    (u / k)^{-q}, lies in (0, |S^n|], so the integral of u^{-q} is J k^{-q}:
+    the functional entry points and the Mobius gauge all read from here.
     """
     ev = evaluator(u.n, m, u.degree)
     vals, k = ev.disc.gate(u.coeffs)[:2]

@@ -25,11 +25,6 @@ def sphere_measure(n: int) -> float:
     return 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
 
 
-def sphere_surface_area(n: int) -> float:
-    """Measure of S^{n-1} as a subset of R^n (boundary of the unit ball)."""
-    return 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
-
-
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n, ``pi^{n/2} / Gamma(n/2 + 1)``."""
     return math.pi ** (n / 2) / math.gamma(n / 2 + 1)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AxisMismatch, ConfSphereError
-from .functional import evaluator
+from .functional import neg_power_integral
 from .geometry import BallPoint, MobiusMap, north_pole
 from .spectral import SpectralFunction, _unit_circle_sum, discretization
 
@@ -81,12 +81,17 @@ def extremal(
     scale: float = 1.0,
     axis: Optional[np.ndarray] = None,
 ) -> SpectralFunction:
-    """The extremal family member as a spectral function about ``axis``."""
-    if not (lam > 0 and scale > 0):
-        raise ValueError("extremal requires lam > 0 and scale > 0")
+    """The extremal family member about ``axis``; :class:`ConfSphereError` where it leaves the float range."""
+    if not (0 < lam < np.inf and 0 < scale < np.inf):
+        raise ValueError(f"extremal requires a positive finite lam and scale, got lam={lam!r}, scale={scale!r}")
     disc = discretization(n, degree, oversample=2)
     t, axis = disc.rep.axis_cosines(disc, north_pole(n) if axis is None else axis)
-    return disc.analyze(extremal_values(n, m, t, lam, scale), axis=axis)
+    disc.rep.axis(n, axis)  # a bad zonal axis is refused here, so the ValueError below is an overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        try:
+            return disc.analyze(extremal_values(n, m, t, lam, scale), axis=axis)
+        except ValueError as exc:  # non-finite coefficients
+            raise ConfSphereError(f"the extremal of lam={lam!r}, scale={scale!r} leaves the float range") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +109,9 @@ def barycenter(u: SpectralFunction, a: np.ndarray, m: int) -> np.ndarray:
     as the weight concentrates near -a/|a|.  |a| >= 1 raises ``ValueError``.
     """
     phi = _acting_on(u, BallPoint(center=a))
-    ev, rep = evaluator(u.n, m, u.degree), u.rep
-    return rep.vector(u, rep.moment(ev.disc, ev.volume(u.coeffs), rep.coordinate(u, phi.center)))
+    terms, rep = neg_power_integral(u, m), u.rep
+    disc = terms[9].disc
+    return rep.vector(u, rep.moment(disc, disc.rule.weights * (terms[5] / terms[6]), rep.coordinate(u, phi.center)))
 
 
 @dataclass(frozen=True)
@@ -119,23 +125,22 @@ class CenterResult:
 def find_center(u: SpectralFunction, m: int) -> CenterResult:
     """Solve V(a) = 0 by damped Newton from a = 0 with the closed-form derivatives.
 
-    u passes the positivity gate once; V and its derivatives are then sums
-    over u^{-q} on the nodes, in node coordinates, and the product of u^{-q}
-    with the weights is taken once; the representation of u holds the
-    moment, the step and the coordinates.  On the axis xi of zonal u, a is the
-    float r = a . xi and the step is -V / V'; on the circle a is complex and
-    the step d solves V + A d + B conj(d) = 0 for the Wirtinger pair (A, B)
-    of V; a zero derivative gives -V.  V lies in the unit ball, so
-    :data:`CENTER_TOL` is scale-free.  Each step halves the Newton step until
-    |V| decreases; if 30 halvings find no decrease, or :data:`CENTER_MAX_ITER`
-    steps run out, the last iterate is returned with ``converged=False``.
+    u passes the positivity gate once, in :func:`~confsphere.functional.neg_power_integral`;
+    V and its derivatives are sums over u^{-q} on the nodes, in node coordinates,
+    with the weights taken once, and the representation of u holds the moment,
+    the step and the coordinates.  On the axis xi of zonal u, a is the float
+    r = a . xi and the step is -V / V'; on the circle a is complex and the step
+    d solves V + A d + B conj(d) = 0 for the Wirtinger pair (A, B) of V; a zero
+    derivative gives -V.  V lies in the unit ball, so :data:`CENTER_TOL` is
+    scale-free.  Each step halves the Newton step until |V| decreases; if 30
+    halvings find no decrease, or :data:`CENTER_MAX_ITER` steps run out, the
+    last iterate is returned with ``converged=False``.
     """
-    ev = evaluator(u.n, m, u.degree)
-    disc, neg = ev.disc, ev.volume(u.coeffs)
-    weighted = disc.rule.weights * neg
-    rep = u.rep
+    terms, rep = neg_power_integral(u, m), u.rep
+    disc = terms[9].disc
+    weighted = disc.rule.weights * (terms[5] / terms[6])
     x = rep.origin
-    v, jac = rep.moment(disc, neg, x, slope=True, weighted=weighted)
+    v, jac = rep.moment(disc, weighted, x, slope=True)
     res, steps = abs(v), 0
     while res >= CENTER_TOL and steps < CENTER_MAX_ITER:
         step = rep.newton_step(v, jac)
@@ -143,7 +148,7 @@ def find_center(u: SpectralFunction, m: int) -> CenterResult:
             cand = x + step
             r = abs(cand)
             cand = cand if r < 0.999999 else cand * (0.999999 / r)
-            cv, cjac = rep.moment(disc, neg, cand, slope=True, weighted=weighted)
+            cv, cjac = rep.moment(disc, weighted, cand, slope=True)
             cres = abs(cv)
             if cres < res:
                 break

@@ -24,7 +24,6 @@ and every other function asks ``u.rep`` or ``disc.rep`` instead.
 
 from __future__ import annotations
 
-import json
 import math
 import mmap
 import sys
@@ -37,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AxisMismatch, InsufficientNodes, NonPositiveFunction
-from .geometry import AxisDilation, Rotation, north_pole, sphere_measure, sphere_surface_area
+from .geometry import AxisDilation, Rotation, north_pole, sphere_measure
 
 TWO_PI = 2.0 * math.pi
 
@@ -144,7 +143,7 @@ def zonal_quadrature(n: int, num_nodes: int) -> QuadratureRule:
     # +-1 at the poles; sin th_i, from the nearer pole, is exactly 0 there
     t = np.sin((m - 2 * i) * (math.pi / (2 * m)))
     s = np.sin(np.minimum(i, m - i) * (math.pi / m))
-    return QuadratureRule(n=n, nodes=t, weights=(math.pi / m * sphere_surface_area(n)) * s ** (n - 1))
+    return QuadratureRule(n=n, nodes=t, weights=(math.pi / m * sphere_measure(n - 1)) * s ** (n - 1))
 
 
 def integrate(values: np.ndarray, rule: QuadratureRule) -> float:
@@ -262,18 +261,17 @@ class Representation:
     pole: float
     origin: complex | float
 
-    def moment(self, disc: Discretization, values: np.ndarray, a, slope: bool = False, weighted=None):
-        """The first moment V(a) = sum_i w_i f_i sigma_{-a}(z_i), sigma_{-a}(z) = (z + a) / (1 + conj(a) z).
+    def moment(self, disc: Discretization, f: np.ndarray, a, slope: bool = False):
+        """The first moment V(a) = sum_i f_i sigma_{-a}(z_i), sigma_{-a}(z) = (z + a) / (1 + conj(a) z).
 
-        f_i are the values of f on the nodes z_i of ``disc``; ``weighted`` is
-        w * f, taken here if absent.  With f = u^{-q} it is the first moment
+        f_i = w_i g_i are the rule weights times the values of a function g
+        on the nodes z_i of ``disc``.  With g = u^{-q} it is the first moment
         of the volume of the sigma_a pullback of u, since u_a^{-q} dmu =
         sigma_a^*(u^{-q} dmu).  a and V are in the coordinates of
         :meth:`coordinate` and :meth:`along`; ``slope`` adds the Wirtinger
         pair (dV/da, dV/d conj(a)) of the disk sum.
         """
         y = disc.points
-        f = disc.rule.weights * values if weighted is None else weighted
         if a == 0:
             den, z = 1.0, y
         else:
@@ -803,11 +801,3 @@ def from_json_dict(data: dict) -> SpectralFunction:
     if "kind" in data and data["kind"] != u.rep.kind:
         raise ValueError(f"kind {data['kind']!r} is not {u.rep.kind!r}, the kind of a function on S^{dim}")
     return u
-
-
-def dumps(u: SpectralFunction) -> str:
-    return json.dumps(to_json_dict(u))
-
-
-def loads(text: str) -> SpectralFunction:
-    return from_json_dict(json.loads(text))

@@ -65,10 +65,6 @@ class HessianSpectrum:
     has_negative: bool
     first_negative_degree: Optional[int]
 
-    @property
-    def max_degree(self) -> int:
-        return len(self.eigenvalues) - 1
-
 
 def hessian_spectrum(n: int, m: int, max_degree: int) -> HessianSpectrum:
     """Exact eigenvalue list with the closed-form degree-2/3 cross-check.
@@ -78,20 +74,12 @@ def hessian_spectrum(n: int, m: int, max_degree: int) -> HessianSpectrum:
     else :class:`ClosedFormMismatch` is raised.
     """
     eig = tuple(hessian_eigenvalue(n, m, a) for a in range(max_degree + 1))
-    gap = m - (n + 5) // 2 if n % 2 == 1 else None
-    if n % 2 == 1 and gap is not None and gap >= 0:
-        if gap % 2 == 0:
-            expected = h2_eigenvalue_closed(n, m)
-            if max_degree >= 2 and eig[2] != expected:
-                raise ClosedFormMismatch(
-                    f"degree-2 eigenvalue {eig[2]} != closed form {expected}"
-                )
-        else:
-            expected = h3_eigenvalue_closed(n, m)
-            if max_degree >= 3 and eig[3] != expected:
-                raise ClosedFormMismatch(
-                    f"degree-3 eigenvalue {eig[3]} != closed form {expected}"
-                )
+    gap = m - (n + 5) // 2
+    if n % 2 == 1 and gap >= 0:
+        degree, closed = (2, h2_eigenvalue_closed) if gap % 2 == 0 else (3, h3_eigenvalue_closed)
+        expected = closed(n, m)
+        if max_degree >= degree and eig[degree] != expected:
+            raise ClosedFormMismatch(f"degree-{degree} eigenvalue {eig[degree]} != closed form {expected}")
     negatives = [a for a, v in enumerate(eig) if v < 0]
     return HessianSpectrum(
         n=n,

@@ -11,7 +11,7 @@ import pytest
 
 from confsphere import functional, mobius, stability
 from confsphere.cli import main
-from confsphere.spectral import SpectralFunction, constant_function, dumps, random_positive_function
+from confsphere.spectral import SpectralFunction, constant_function, random_positive_function, to_json_dict
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +44,24 @@ def test_constants_requires_covered_order(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("constants", "--n", "3", "--m", "2"),
+        ("energy", "--n", "1", "--m", "1", "--L", "16", "--seed", "2"),
+        ("minimize", "--n", "1", "--m", "1", "--L", "16", "--max-iter", "2"),
+        ("green-check", "--n", "1", "--m", "1", "--L", "16", "--samples", "2"),
+        ("counterexample-sin", "--L", "8"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_json_report_starts_with_its_provenance_header(capsys, argv):
+    main(list(argv))
+    data = json.loads(capsys.readouterr().out)
+    assert list(data)[:5] == ["n", "m", "L", "seed", "version"]
+    assert len(data) > 5
+
+
 def test_energy_constant_default(capsys):
     code, out = run_cli(capsys, "energy", "--n", "1", "--m", "1", "--L", "16")
     assert code == 0
@@ -56,7 +74,7 @@ def test_energy_constant_default(capsys):
 def test_energy_from_json_input(tmp_path, capsys):
     u = random_positive_function(1, 16, 4, np.random.default_rng(0))
     path = tmp_path / "u.json"
-    path.write_text(dumps(u))
+    path.write_text(json.dumps(to_json_dict(u)))
     code, out = run_cli(capsys, "energy", "--n", "1", "--m", "1", "--L", "16", "--input", str(path))
     assert code == 0
     data = json.loads(out)
@@ -72,7 +90,7 @@ def test_energy_of_a_huge_constant_exits_cleanly(tmp_path, n, m, value, expected
     # error: exit 2, no traceback.  The gate is relative, so 1e-12 passes it;
     # at 1e-200 the norm overflows, and at 1e-310 the minimum is subnormal
     path = tmp_path / "u.json"
-    path.write_text(dumps(constant_function(n, value, 16)))
+    path.write_text(json.dumps(to_json_dict(constant_function(n, value, 16))))
     argv = ["energy", "--n", str(n), "--m", str(m), "--L", "16", "--input", str(path)]
     proc = _python("import sys; from confsphere.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
     assert proc.returncode == expected, proc.stderr
@@ -307,6 +325,7 @@ def test_green_check_zonal(capsys):
     [
         ("minimize", "--n", "1", "--m", "1", "--L", "16", "--max-iter", "0"),
         ("minimize", "--n", "1", "--m", "1", "--L", "16", "--eps", "0"),
+        ("minimize", "--n", "1", "--m", "1", "--L", "16", "--eps", "inf"),
         ("minimize", "--n", "1", "--m", "1", "--L", "16", "--seed", "-1"),
         ("green-check", "--n", "1", "--m", "1", "--samples", "0"),
         ("invariance-check", "--n", "1", "--m", "1", "--trials", "-3"),

@@ -49,6 +49,9 @@ def test_config_validation():
     # a NaN tolerance compares false both ways, so a run could never meet it
     with pytest.raises(ValueError):
         OptimizerConfig(grad_tol=float("nan"))
+    # an infinite tolerance would end every run before its first step
+    with pytest.raises(ValueError, match="grad_tol positive and finite"):
+        OptimizerConfig(grad_tol=math.inf)
 
 
 @pytest.mark.parametrize("field", ["degree", "max_iter"])

@@ -353,12 +353,14 @@ def test_evaluator_keeps_the_bits_of_the_layered_evaluation(n, m, L):
             vals, low, high = gated
             at_min = layered.terms_at_minimum(c, n, m, L)
             _same_terms(ev.terms(c, vals, low) + (low, low), at_min)
-            _same_terms(functional.neg_power_integral(u.scaled(scale), m)[:9], at_min)
+            terms = functional.neg_power_integral(u.scaled(scale), m)
+            _same_terms(terms[:9], at_min)
             _same_terms([ev.gradient(at_min)], [layered.step_terms(at_min, disc, q)])
             at_max = layered.terms_at_maximum(c, n, m, L)
             _same_terms(ev.terms(c, vals, high) + (high, low / high), at_max)
             _same_terms([ev.gradient(at_max)], [layered.step_terms(at_max, disc, q)])
-            _same_terms([ev.volume(c)], [layered.volume(c, n, m, L)])
+            # the gauge's volume on the nodes, (u / k)^{-q} over its integral
+            _same_terms([terms[5] / terms[6]], [layered.volume(c, n, m, L)])
             k = at_min[7]
             with np.errstate(over="ignore"):
                 _same_terms([gradient(u.scaled(scale), m).coeffs], [layered.step_terms(at_min, disc, q) / k])

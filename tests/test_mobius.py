@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confsphere.errors import AxisMismatch, ConfSphereError, NonPositiveFunction
-from confsphere.functional import energy_quadratic, evaluator, exponent_q, functional_value
+from confsphere.functional import energy_quadratic, exponent_q, functional_value, neg_power_integral
 from confsphere.geometry import (
     AxisDilation,
     BallPoint,
     Rotation,
     north_pole,
-    sphere_surface_area,
+    sphere_measure,
 )
 from confsphere import mobius, spectral
 from confsphere.mobius import (
@@ -35,9 +35,9 @@ from confsphere.spectral import (
 from pointwise_maps import axis_dilation_jacobian_t, axis_dilation_t_map, mobius_apply, mobius_jacobian
 
 
-def _ball_moment(disc, values, a, slope=False, weighted=None):
-    """The first moment V(a) of the representation of ``disc``, on its nodes."""
-    return disc.rep.moment(disc, values, a, slope, weighted)
+def _ball_moment(disc, values, a, slope=False):
+    """The first moment V(a) of the representation of ``disc`` of ``values`` on its nodes, times the rule weights."""
+    return disc.rep.moment(disc, disc.rule.weights * values, a, slope)
 
 
 def test_pullback_identity_map():
@@ -240,6 +240,26 @@ def test_extremal_rejects_an_axis_of_another_sphere():
         extremal(3, 2, 16, 2.0, axis=north_pole(1))
 
 
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (3, 2), (3, 3)])
+def test_extremal_outside_the_float_range_is_one_typed_error(n, m):
+    # run as under -W error: a non-finite lam or scale is refused by name;
+    # a finite lam whose closed form overflows (lam^2 past 1e308), or a scale
+    # whose coefficients do, is one ConfSphereError naming the float range,
+    # and a bad zonal axis is still refused as an axis
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam, scale in ((math.inf, 1.0), (math.nan, 1.0), (2.0, math.inf), (2.0, math.nan)):
+            with pytest.raises(ValueError, match=r"positive finite lam and scale, got lam="):
+                extremal(n, m, 16, lam, scale)
+        for lam, scale in ((1e155, 1.0), (1e200, 1.0), (1.0, 1e308)):
+            with pytest.raises(ConfSphereError, match=r"leaves the float range"):
+                extremal(n, m, 16, lam, scale)
+        assert extremal(n, m, 16, 1e-200).coeffs[0] > 0.0
+        if n != 1:
+            with pytest.raises(ValueError, match="a zonal axis must be finite"):
+                extremal(n, m, 16, 1e200, axis=np.array([math.nan] + [0.0] * n))
+
+
 def test_circle_extremal_centres_its_bump_at_the_axis_angle():
     # the circle function carries no axis; the axis only rotates the bump
     base = extremal(1, 2, 16, 2.0)
@@ -307,7 +327,7 @@ def _dense_reference(u, a, m):
     else:
         points, x = np.cos(theta), np.array([a @ u.axis])
         y = points[:, None]
-        weights = sphere_surface_area(u.n) * np.sin(theta) ** (u.n - 1) * (math.pi / size)
+        weights = sphere_measure(u.n - 1) * np.sin(theta) ** (u.n - 1) * (math.pi / size)
     mass = weights * synthesize(u, points) ** (-exponent_q(u.n, m))
     x2, yx = float(x @ x), y @ x
     mapped = ((1.0 - x2) * y + (2.0 + 2.0 * yx)[:, None] * x) / (1.0 + x2 + 2.0 * yx)[:, None]
@@ -450,8 +470,8 @@ def test_node_form_agrees_with_mapped_points(n, m, degree):
 
 def _volume(u, m):
     """(4x discretization, u^{-q} over its integral on its nodes), as barycenter and find_center read them."""
-    ev = evaluator(u.n, m, u.degree)
-    return ev.disc, ev.volume(u.coeffs)
+    terms = neg_power_integral(u, m)
+    return terms[9].disc, terms[5] / terms[6]
 
 
 def _real_parts(v):

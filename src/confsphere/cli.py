@@ -304,7 +304,6 @@ def _cmd_green_check(args) -> int:
     from .spectral import constant_function, random_band_limited, representation, synthesize
 
     _validate_sphere(args.n, args.m, args.degree)
-    _require(args.n % 2 == 1, "the Green's function requires odd n")
     _require(args.samples >= 1, "--samples must be >= 1")
 
     rng = np.random.default_rng(args.seed or 0)
@@ -382,19 +381,14 @@ def _cmd_poly_identity(args) -> int:
 
 
 def _cmd_counterexample_sin(args) -> int:
-    from .functional import energy_quadratic
-    from .spectral import harmonic_basis_function, roots_jacobi
+    from .exact import multiplier
 
-    degree = args.degree
-    _require(degree >= 1, "L must be >= 1")
-    sin_theta = harmonic_basis_function(1, 1, degree, component="sin").scaled(math.sqrt(math.pi))
-    e4 = energy_quadratic(sin_theta, 2)
-    # the integral of |sin|^{-2/3} over the circle is twice the mass of
-    # (1-t^2)^{-5/6} on (-1, 1), here the weight sum of its Gauss-Jacobi rule.
-    # That sum is the rule's mu_0 by construction, which equals B(1/2, 1/6) by
-    # Legendre's duplication formula: the Beta comparison checks that identity
-    _, w = roots_jacobi(200, -5.0 / 6.0)
-    neg_integral = 2.0 * float(w.sum())
+    _require(args.degree >= 1, "L must be >= 1")
+    # E_4(sin) = p_4(1) ||sin||^2 = p_4(1) pi, and |sin|^{-2/3} integrates over the circle to twice
+    # the mass mu_0 of (1-t^2)^a on (-1, 1) at a = -5/6, B(1/2, 1/6) by Legendre's duplication formula
+    e4 = float(multiplier(1, 2, 1)) * math.pi
+    a = -5.0 / 6.0
+    neg_integral = 2.0 * (2.0 ** (2.0 * a + 1.0) * math.gamma(a + 1.0) ** 2 / math.gamma(2.0 * a + 2.0))
     beta_closed = 2.0 * math.gamma(0.5) * math.gamma(1.0 / 6.0) / math.gamma(2.0 / 3.0)
     norm_factor = neg_integral**3
     fields = {
@@ -408,7 +402,7 @@ def _cmd_counterexample_sin(args) -> int:
         "left_side_is_negative": bool(norm_factor * e4 < 0),
         "norm_factor_is_finite": bool(math.isfinite(norm_factor)),
     }
-    _emit_text(_report(1, 2, degree, None, fields), args.output)
+    _emit_text(_report(1, 2, args.degree, None, fields), args.output)
     return 0
 
 
@@ -488,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_poly_identity)
 
     p = sub.add_parser("counterexample-sin", help="the sign counterexample at u = sin")
-    p.add_argument("--L", dest="degree", type=int, default=32)
+    p.add_argument("--L", dest="degree", type=int, default=32, help="report header only: no series is truncated")
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=_cmd_counterexample_sin)
 

@@ -121,10 +121,13 @@ def partial(p: RationalPolynomial, index: int) -> RationalPolynomial:
 
 
 def laplacian(p: RationalPolynomial) -> RationalPolynomial:
-    out = RationalPolynomial.constant(p.num_vars, 0)
-    for i in range(p.num_vars):
-        out = out + partial(partial(p, i), i)
-    return out
+    out: Dict[Monomial, Coefficient] = {}
+    for e, c in p.terms.items():
+        for i, k in enumerate(e):
+            if k >= 2:  # one pass: c x_i^k contributes c k (k - 1) x_i^{k-2}
+                key = e[:i] + (k - 2,) + e[i + 1 :]
+                out[key] = out.get(key, 0) + c * k * (k - 1)
+    return RationalPolynomial(p.num_vars, out)
 
 
 def iterated_laplacian(p: RationalPolynomial, k: int) -> RationalPolynomial:

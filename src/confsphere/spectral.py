@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import operator
 import sys
 import threading
 from collections import OrderedDict
@@ -104,8 +105,7 @@ def circle_quadrature(num_nodes: int) -> QuadratureRule:
 def roots_jacobi(num_nodes: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and weights for the weight ``(1 - t^2)^a`` on (-1, 1), ``a > -1``.
 
-    No rule of the package is built from it: ``confsphere counterexample-sin``
-    sums its weights for a = -5/6.
+    Nothing in the package calls it; it stays while the benchmark's tracer wraps it by name.
 
     Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
     matrix of the Gegenbauer recurrence (zero diagonal), and the weights are
@@ -524,10 +524,10 @@ def synthesize(u: SpectralFunction, points: np.ndarray, deriv: int = 0) -> np.nd
     """Values of u, or of its ``deriv``-th theta-derivative, at ``points`` without a basis matrix.
 
     ``points`` are angles for ``n = 1`` and axis cosines ``t`` for zonal
-    functions; one value per point, in the order given.  ``deriv`` (circle
-    only, else ``ValueError``) evaluates the theta-derivative of that order
-    (>= 0), which is exact for the truncated series.  Values on the nodes
-    of a cached discretization come from its ``scan`` instead.
+    functions; one value per point, in the order given.  ``deriv``, an integer
+    >= 0 (circle only, else ``ValueError``), evaluates the theta-derivative of
+    that order, exact for the truncated series.  Values on the nodes of a
+    cached discretization come from its ``scan`` instead.
 
     Both representations are a real part Re sum_j d_j z^j on the unit
     circle: on the circle z = exp(i th) and d_k = (a_k - i b_k)/sqrt(pi);
@@ -541,8 +541,11 @@ def synthesize(u: SpectralFunction, points: np.ndarray, deriv: int = 0) -> np.nd
     w = z^b adds the blocks.  That is about 2 sqrt(L) array operations
     instead of 2 L.
     """
-    if deriv < 0:
-        raise ValueError("the derivative order must be >= 0")
+    try:
+        if operator.index(deriv) < 0:
+            raise ValueError("the derivative order must be >= 0")
+    except TypeError:
+        raise ValueError(f"the derivative order must be an integer, got {deriv!r}") from None
     return _unit_circle_sum(u, u.rep.unit_points(points, deriv), deriv)
 
 

@@ -209,10 +209,10 @@ def test_counterexample_sin(capsys):
     code, out = run_cli(capsys, "counterexample-sin")
     assert code == 0
     data = json.loads(out)
-    assert abs(data["energy_sin"] + 15 * math.pi / 16) < 1e-10
+    assert data["energy_sin"] == -15 * math.pi / 16
     assert data["left_side_is_negative"] is True
     assert data["norm_factor_is_finite"] is True
-    assert abs(data["neg_power_integral"] - data["neg_power_integral_beta"]) < 1e-10
+    assert data["neg_power_integral"] == data["neg_power_integral_beta"]
 
 
 def test_determinism_byte_identical(capsys):
@@ -522,6 +522,7 @@ print("RESULT", code, "numpy" in sys.modules)
         ("hessian", "--n", "1", "--m", "3", "--L", "16"),
         ("hessian", "--n", "5", "--m", "6", "--L", "8"),
         ("poly-identity", "--n", "3", "--m", "4", "--deg", "6", "--trials", "20", "--seed", "0"),
+        ("counterexample-sin",),
         ("spectrum",),
     ],
     ids=lambda argv: "-".join(argv[:1] + argv[2:3]),
@@ -614,7 +615,7 @@ def test_each_subcommand_loads_only_what_it_needs(argv):
     loaded = set(_run_python(_LOADED.format(body=body), *argv).split())
     if argv[0] == "poly-identity":
         assert loaded == {"confsphere.cli", "confsphere.errors", "confsphere.polyident"}
-    if argv[0] == "multiplier-table":
+    if argv[0] in ("multiplier-table", "counterexample-sin"):
         assert loaded == {"confsphere.cli", "confsphere.errors", "confsphere.exact"}
     if argv[0] == "hessian":
         assert loaded == {"confsphere.cli", "confsphere.errors", "confsphere.exact", "confsphere.stability"}

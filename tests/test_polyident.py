@@ -60,6 +60,24 @@ def test_laplacian_linearity_exact():
     assert lhs == rhs
 
 
+def _laplacian_oracle(p):
+    """The Laplacian as a sum of second partials, one variable at a time."""
+    out = const(p.num_vars, 0)
+    for i in range(p.num_vars):
+        out = out + partial(partial(p, i), i)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_laplacian_matches_sum_of_second_partials(n):
+    rng = random.Random(100 + n)
+    for trial in range(60):
+        p = random_polynomial(n, rng.randint(0, 10), rng)
+        if trial % 2:
+            p = p.scaled(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        assert laplacian(p) == _laplacian_oracle(p)
+
+
 def test_weight_polynomial():
     w = half_one_plus_norm_sq(2)
     assert w.terms[(0, 0)] == Fraction(1, 2)

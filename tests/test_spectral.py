@@ -269,6 +269,8 @@ def test_derivative_synthesis_matches_termwise_closed_form(L):
     with pytest.raises(ValueError):
         synthesize(u, theta, deriv=-1)
     with pytest.raises(ValueError):
+        synthesize(u, theta, deriv=1.5)
+    with pytest.raises(ValueError):
         synthesize(harmonic_basis_function(3, 2, degree=8), np.array([0.5]), deriv=1)
 
 
